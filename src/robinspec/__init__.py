@@ -2,7 +2,7 @@
 inradius bounds on intervals and planar domains, with a reproducible CLI."""
 
 from . import assembly, bounds, eigensolve, exact1d, geometry, mixed_dn, robin
-from .assembly import DiscreteForm, SigmaField
+from .assembly import Operators, SigmaField
 from .eigensolve import EigResult
 from .errors import (
     ArgumentError,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "assembly", "bounds", "eigensolve", "exact1d", "geometry", "mixed_dn",
     "robin",
-    "DiscreteForm", "SigmaField", "EigResult", "DomainSpec", "GammaSelect",
+    "Operators", "SigmaField", "EigResult", "DomainSpec", "GammaSelect",
     "Mesh", "build_mesh", "refine",
     "RobinspecError", "ArgumentError", "AssemblyError", "ConvergenceError",
     "GeometryError", "MatrixError", "RangeError", "ResolutionError",

@@ -3,20 +3,22 @@
 All element integrals are exact for linear elements (no quadrature error);
 boundary-mass entries for nodal coefficient fields use the exact
 linear-times-linear edge rule.  Assembled matrices are symmetric CSR and are
-never mutated after assembly.
+never mutated after assembly; `operators` assembles a mesh's stiffness and
+mass once and shares them between all callers.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import ArgumentError, AssemblyError
-from .geometry import GAMMA, Mesh, boundary_edge_lengths, element_measures, gamma_nodes
+from .geometry import GAMMA, Mesh, boundary_edge_lengths, element_measures
 
 
 # ---------------------------------------------------------------------------
@@ -184,39 +186,55 @@ def gamma_edge_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# Discrete form bundle and Dirichlet elimination
+# Per-mesh operators
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class DiscreteForm:
-    """Stiffness/mass/boundary triple for one mesh; `free` is set once the
-    gamma nodes have been eliminated."""
+class Operators:
+    """Stiffness, mass, load M 1 and volume 1^T M 1 of one mesh.
+
+    Obtained from `operators`, which assembles them once per mesh.  The
+    matrix and load arrays are write-locked, like the mesh's own arrays.
+    """
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    boundary: Optional[sp.csr_matrix]
-    mesh: Mesh
-    free: Optional[np.ndarray] = None
+    load: np.ndarray
+    volume: float
+
+    def restrict(self, fixed):
+        """(free, K_ff, M_ff): the free node indices and the matrices with
+        the rows/columns of the fixed nodes removed (Dirichlet on them)."""
+        if len(fixed) == 0:
+            raise ArgumentError("no fixed nodes: nothing to eliminate")
+        free = np.setdiff1d(np.arange(self.stiffness.shape[0]), fixed)
+        if len(free) == 0:
+            raise ArgumentError("every node is fixed: no degrees of freedom left")
+        return free, self.stiffness[free][:, free], self.mass[free][:, free]
 
 
-def build_form(mesh: Mesh, sigma: Optional[SigmaField] = None) -> DiscreteForm:
-    b = assemble_boundary_mass(mesh, sigma) if sigma is not None else None
-    return DiscreteForm(assemble_stiffness(mesh), assemble_mass(mesh), b, mesh)
+# Keyed weakly by mesh; an Operators holds no reference back to its mesh, so
+# an entry lives exactly as long as the mesh does.
+_OPERATORS: weakref.WeakKeyDictionary[Mesh, Operators] = weakref.WeakKeyDictionary()
+_OPERATORS_LOCK = threading.Lock()
 
 
-def eliminate_gamma(form: DiscreteForm) -> DiscreteForm:
-    """Remove gamma-node rows/columns from the form (Dirichlet on gamma)."""
-    if form.free is not None:
-        raise ArgumentError("form is already reduced")
-    fixed = gamma_nodes(form.mesh)
-    if len(fixed) == 0:
-        raise ArgumentError("gamma is empty: nothing to eliminate")
-    n = form.mesh.num_nodes
-    free = np.setdiff1d(np.arange(n), fixed)
-    k = form.stiffness[free][:, free].tocsr()
-    m = form.mass[free][:, free].tocsr()
-    b = form.boundary[free][:, free].tocsr() if form.boundary is not None else None
-    return DiscreteForm(k, m, b, form.mesh, free=free)
+def operators(mesh: Mesh) -> Operators:
+    """The mesh's Operators: assembled on the first call, shared after.
+
+    Safe to call from several threads at once; the mesh is immutable, so the
+    cached matrices cannot go stale.
+    """
+    with _OPERATORS_LOCK:
+        ops = _OPERATORS.get(mesh)
+        if ops is None:
+            ones = np.ones(mesh.num_nodes)
+            k, m = assemble_stiffness(mesh), assemble_mass(mesh)
+            load = m @ ones
+            for arr in (k.data, k.indices, k.indptr, m.data, m.indices, m.indptr, load):
+                arr.setflags(write=False)
+            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load))
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +243,12 @@ def eliminate_gamma(form: DiscreteForm) -> DiscreteForm:
 
 def integrate(mesh: Mesh, u) -> float:
     """Exact integral of a nodal P1 function."""
-    m = assemble_mass(mesh)
+    m = operators(mesh).mass
     return float(np.ones(mesh.num_nodes) @ (m @ np.asarray(u, dtype=float)))
 
 
 def l2_norm(mesh: Mesh, u) -> float:
-    m = assemble_mass(mesh)
+    m = operators(mesh).mass
     u = np.asarray(u, dtype=float)
     return float(np.sqrt(u @ (m @ u)))
 
@@ -240,8 +258,3 @@ def boundary_integral(mesh: Mesh, sigma: SigmaField, u) -> float:
     b = assemble_boundary_mass(mesh, sigma)
     u = np.asarray(u, dtype=float)
     return float(u @ (b @ u))
-
-
-def write_matrix_market(a: sp.spmatrix, path) -> None:
-    """Dump a sparse matrix in MatrixMarket coordinate format (debugging)."""
-    scipy.io.mmwrite(path, sp.coo_matrix(a))

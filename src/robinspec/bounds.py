@@ -281,7 +281,7 @@ def hardy_report(mesh: Mesh, sigma_const: float, alpha: float, trials: int = 25,
     """
     if sigma_const < 0 or alpha <= 0:
         raise ArgumentError("need sigma >= 0 and alpha > 0")
-    kmat = assembly.assemble_stiffness(mesh)
+    kmat = assembly.operators(mesh).stiffness
     b1 = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
     pts, wts, idx, coeff = _quadrature_points(mesh)
     delta = geometry.distances_to_boundary(mesh, pts)
@@ -324,15 +324,14 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid,
     Rescaling is realized as coefficient scaling on the fixed mesh: the
     smallest eigenvalue of (eps^-2 K + eps^-1 B) x = lambda M x.
     """
-    kmat = assembly.assemble_stiffness(mesh)
-    mmat = assembly.assemble_mass(mesh)
+    ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
     rows: List[ScalingRow] = []
     for eps in eps_grid:
         if eps <= 0:
             raise ArgumentError("scale factors must be positive")
-        a = kmat / (eps * eps) + bmat / eps
-        lam = float(smallest_eigs(a, mmat, k=1, seed=seed).values[0])
+        a = ops.stiffness / (eps * eps) + bmat / eps
+        lam = float(smallest_eigs(a, ops.mass, k=1, seed=seed).values[0])
         rows.append(ScalingRow(float(eps), lam, eps * lam, eps * eps * lam))
     return rows
 
@@ -346,5 +345,5 @@ def scaling_limits(mesh: Mesh, sigma: SigmaField):
     ones = np.ones(mesh.num_nodes)
     sigma_total = float(ones @ (bmat @ ones))
     volume = geometry.area(mesh)
-    e1 = mixed_dn.ground_state(mesh).value
+    e1 = mixed_dn.MixedProblem(mesh).ground.value
     return sigma_total / volume, e1

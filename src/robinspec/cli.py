@@ -29,8 +29,20 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _numbers(text, what: str, sep: str = ",", count: Optional[int] = None,
+             kind=float) -> list:
+    """The sep-separated numbers in text; malformed input is an ArgumentError."""
+    try:
+        vals = [kind(t) for t in str(text).split(sep) if t != ""]
+    except ValueError:
+        vals = None
+    if vals is None or (count is not None and len(vals) != count):
+        raise ArgumentError(f"cannot parse {what} {text!r}")
+    return vals
+
+
 def _parse_grid(text: str) -> List[float]:
-    vals = [float(t) for t in str(text).split(",") if t != ""]
+    vals = _numbers(text, "parameter grid")
     if not vals:
         raise ArgumentError("empty parameter grid")
     return vals
@@ -43,13 +55,10 @@ def _parse_gamma(text: str):
     if text == "none":
         return gamma_none()
     if text.startswith("edges="):
-        return gamma_sides(*(int(t) for t in text[len("edges="):].split(",")))
+        return gamma_sides(*_numbers(text[len("edges="):], "gamma sides", kind=int))
     if text.startswith("arc="):
-        ranges = []
-        for part in text[len("arc="):].split(","):
-            lo, hi = part.split(":")
-            ranges.append((float(lo), float(hi)))
-        return gamma_arcs(ranges)
+        return gamma_arcs([tuple(_numbers(part, "gamma arc", sep=":", count=2))
+                           for part in text[len("arc="):].split(",")])
     raise ArgumentError(f"cannot parse gamma selector {text!r}")
 
 
@@ -67,13 +76,11 @@ def _domain_from(opts: dict) -> DomainSpec:
     if kind == "polygon":
         if not opts.get("vertices"):
             raise ArgumentError("--vertices required for --domain polygon")
-        verts = []
-        for pair in opts["vertices"].split(";"):
-            x, y = pair.split(",")
-            verts.append((float(x), float(y)))
+        verts = [tuple(_numbers(pair, "polygon vertex", count=2))
+                 for pair in str(opts["vertices"]).split(";")]
         return geometry.polygon(verts, gamma=gamma)
     if kind == "disk":
-        cx, cy = (float(t) for t in str(opts["center"]).split(","))
+        cx, cy = _numbers(opts["center"], "disk center", count=2)
         return geometry.disk((cx, cy), opts["radius"], int(opts["segments"]), gamma=gamma)
     raise ArgumentError(f"unknown domain {kind!r}")
 
@@ -107,9 +114,10 @@ def _sigma_from(opts: dict, mesh) -> SigmaField:
     value = opts.get("sigma")
     if value is None:
         raise ArgumentError("a sigma value is required (--sigma or --sigma-a/--sigma-b)")
+    (sigma,) = _numbers(value, "sigma", count=1)
     if opts["gamma"] == "all":
-        return SigmaField.constant(float(value))
-    return SigmaField.on_gamma(mesh, float(value))
+        return SigmaField.constant(sigma)
+    return SigmaField.on_gamma(mesh, sigma)
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -160,7 +168,7 @@ def cmd_optimal(opts: dict) -> int:
     domain = _domain_from(opts)
     mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
     mass = _parse_grid(opts["m"])[0]
-    opt = mixed_dn.optimal_sigma(mesh, mass, seed=opts["seed"])
+    opt = mixed_dn.MixedProblem(mesh, seed=opts["seed"]).optimal_sigma(mass)
     payload = {
         "m": float(_fmt(opt.mass)),
         "xi": float(_fmt(opt.value)),
@@ -226,7 +234,9 @@ def cmd_hardy(opts: dict) -> int:
     for s in sigmas:
         alphas = []
         for tok in str(opts["alpha"]).split(","):
-            alphas.append(0.5 / s if tok == "auto" else float(tok))
+            if tok == "auto" and s <= 0:
+                raise ArgumentError("--alpha auto means 1/(2 sigma) and needs sigma > 0")
+            alphas.append(0.5 / s if tok == "auto" else _numbers(tok, "alpha", count=1)[0])
         reports = _pool_map(
             lambda a: bounds.hardy_report(mesh, s, a, trials=opts["trials"],
                                           seed=opts["seed"]), alphas)
@@ -294,6 +304,15 @@ _DEFAULTS = {
 }
 
 
+# argparse types of the numeric flags; the other flags are strings
+_FLAG_TYPES = {
+    "a": float, "b": float, "width": float, "height": float, "radius": float,
+    "segments": int, "sigma_a": float, "sigma_b": float, "trials": int,
+    "levels": int, "target_h": float, "seed": int,
+}
+_DOMAINS = ["interval", "square", "rect", "triangle", "polygon", "disk"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robinspec",
@@ -302,31 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--domain", choices=["interval", "square", "rect",
-                                            "triangle", "polygon", "disk"])
-        p.add_argument("--gamma")
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--width", type=float)
-        p.add_argument("--height", type=float)
-        p.add_argument("--center")
-        p.add_argument("--radius", type=float)
-        p.add_argument("--segments", type=int)
-        p.add_argument("--vertices")
-        p.add_argument("--sigma")
-        p.add_argument("--sigma-a", dest="sigma_a", type=float)
-        p.add_argument("--sigma-b", dest="sigma_b", type=float)
-        p.add_argument("--m")
-        p.add_argument("--eps")
-        p.add_argument("--alpha")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--levels", type=int)
-        p.add_argument("--target-h", dest="target_h", type=float)
-        p.add_argument("--out")
-        p.add_argument("--csv")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--config")
+        for key in _DEFAULTS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES.get(key),
+                           choices=_DOMAINS if key == "domain" else None)
     return parser
+
+
+def _check_config_value(key: str, value) -> None:
+    """A config value must have its flag's type; numbers may also stand in
+    for the string flags (e.g. "sigma": 1.0)."""
+    allowed = {int: (int,), float: (int, float)}.get(_FLAG_TYPES.get(key), (str, int, float))
+    if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
+        raise ArgumentError(f"config key {key!r} has a value of the wrong type: {value!r}")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -334,9 +340,13 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ArgumentError("a config file must hold one JSON object")
         unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value)
         opts.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -353,11 +363,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](opts)
     except (RobinspecError, OSError, json.JSONDecodeError) as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, (ArgumentError, json.JSONDecodeError, OSError)):
-            sys.stderr.write(json.dumps(diagnostic) + "\n")
-            return 2
         sys.stderr.write(json.dumps(diagnostic) + "\n")
-        return 3
+        return 2 if isinstance(exc, (ArgumentError, json.JSONDecodeError, OSError)) else 3
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ cross-checks below hold far inside discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -63,39 +63,27 @@ class OptimalSigma:
 
 
 class MixedProblem:
-    """Shared matrices for repeated solves on one mesh with fixed gamma."""
+    """The problem pinned on gamma for one mesh: the mesh's shared operators
+    restricted to the free nodes, and the ground state, computed once."""
 
     def __init__(self, mesh: Mesh, tol: float = 1e-10, seed: int = 42):
-        fixed = gamma_nodes(mesh)
-        if len(fixed) == 0:
-            raise ArgumentError("gamma has measure zero: pinned problem undefined")
+        ops = assembly.operators(mesh)
         self.mesh = mesh
         self.tol = tol
         self.seed = seed
-        self.stiffness = assembly.assemble_stiffness(mesh)
-        self.mass_matrix = assembly.assemble_mass(mesh)
-        self.fixed = fixed
-        self.free = np.setdiff1d(np.arange(mesh.num_nodes), fixed)
-        if len(self.free) == 0:
-            raise ArgumentError("gamma covers every node: no degrees of freedom left")
-        self.k_ff = self.stiffness[self.free][:, self.free].tocsc()
-        self.m_ff = self.mass_matrix[self.free][:, self.free].tocsc()
-        ones = np.ones(mesh.num_nodes)
-        self.volume = float(ones @ (self.mass_matrix @ ones))
-        self.load = (self.mass_matrix @ ones)[self.free]
-        self._ground: Optional[MixedGroundState] = None
-
-    @property
-    def ground(self) -> MixedGroundState:
-        if self._ground is None:
-            res = smallest_eigs(self.k_ff, self.m_ff, k=1, tol=self.tol, seed=self.seed)
-            phi = np.zeros(self.mesh.num_nodes)
-            phi[self.free] = res.vectors[:, 0]
-            integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
-            if integral < 0.0:
-                phi, integral = -phi, -integral
-            self._ground = MixedGroundState(float(res.values[0]), phi, integral)
-        return self._ground
+        self.stiffness = ops.stiffness
+        self.mass_matrix = ops.mass
+        self.volume = ops.volume
+        self.fixed = gamma_nodes(mesh)
+        self.free, self.k_ff, self.m_ff = ops.restrict(self.fixed)
+        self.load = ops.load[self.free]
+        res = smallest_eigs(self.k_ff, self.m_ff, k=1, tol=tol, seed=seed)
+        phi = np.zeros(mesh.num_nodes)
+        phi[self.free] = res.vectors[:, 0]
+        integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
+        if integral < 0.0:
+            phi, integral = -phi, -integral
+        self.ground = MixedGroundState(float(res.values[0]), phi, integral)
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
@@ -115,18 +103,23 @@ class MixedProblem:
         return self.mass_function_with_derivative(xi)[0]
 
     def mass_function_with_derivative(self, xi: float):
-        """Mass curve xi^2 int(U) + xi |Omega| and its (always positive)
-        derivative, sharing one resolvent solve."""
+        """Mass curve xi^2 int(U) + xi |Omega|, its (always positive)
+        derivative, and the resolvent U both come from."""
         u = self.resolvent_one(xi)
         int_u = float(np.ones(len(u)) @ (self.mass_matrix @ u))
         norm2_u = float(u @ (self.mass_matrix @ u))
         f = xi * xi * int_u + xi * self.volume
         fp = 2.0 * xi * int_u + xi * xi * norm2_u + self.volume
-        return f, fp
+        return f, fp, u
 
     def optimal_eigenvalue(self, mass: float) -> float:
         """Invert the mass curve: Newton safeguarded by bisection inside
         (0, E1 (1 - 1e-9)), stopping at |F(xi) - m| <= 1e-10 max(m, 1)."""
+        return self._invert_mass_curve(mass)[0]
+
+    def _invert_mass_curve(self, mass: float):
+        """(xi, U): the root of the mass curve and the resolvent at it, or
+        None in place of U when the step cap ends the loop on a new xi."""
         if mass <= 0:
             raise ArgumentError(f"mass must be positive, got {mass}")
         e1 = self.ground.value
@@ -137,10 +130,10 @@ class MixedProblem:
         xi = min(max(xi, hi * 1e-12), hi)
         target = _MASS_RTOL * max(mass, 1.0)
         for _ in range(_MAX_NEWTON):
-            f, fp = self.mass_function_with_derivative(xi)
+            f, fp, u = self.mass_function_with_derivative(xi)
             err = f - mass
             if abs(err) <= target:
-                return xi
+                return xi, u
             if err < 0:
                 lo = xi
             else:
@@ -149,9 +142,9 @@ class MixedProblem:
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
             if step == xi:
-                return xi
+                return xi, u
             xi = step
-        return xi
+        return xi, None
 
     def optimal_sigma(self, mass: float, recovery: str = "lumped") -> OptimalSigma:
         """Optimal coefficient of the given mass by variational flux recovery.
@@ -166,8 +159,9 @@ class MixedProblem:
         """
         if recovery not in ("lumped", "consistent"):
             raise ArgumentError(f"unknown recovery mode {recovery!r}")
-        xi = self.optimal_eigenvalue(mass)
-        u = self.resolvent_one(xi)
+        xi, u = self._invert_mass_curve(mass)
+        if u is None:
+            u = self.resolvent_one(xi)
         ones = np.ones(self.mesh.num_nodes)
         residual = (self.stiffness @ u - xi * (self.mass_matrix @ u)
                     - self.mass_matrix @ ones)
@@ -191,37 +185,6 @@ class MixedProblem:
                             minimizer=minimizer, mass_defect=abs(recovered_mass - mass),
                             lambda_check=check.value, ground=self.ground,
                             sigma_min_raw=sigma_min_raw)
-
-
-# ---------------------------------------------------------------------------
-# One-shot wrappers
-# ---------------------------------------------------------------------------
-
-def ground_state(mesh: Mesh, tol: float = 1e-10, seed: int = 42) -> MixedGroundState:
-    """Ground eigenpair with the value pinned to zero on gamma."""
-    return MixedProblem(mesh, tol=tol, seed=seed).ground
-
-
-def resolvent_one(mesh: Mesh, xi: float, tol: float = 1e-10, seed: int = 42) -> np.ndarray:
-    return MixedProblem(mesh, tol=tol, seed=seed).resolvent_one(xi)
-
-
-def mass_function(mesh: Mesh, xi: float, tol: float = 1e-10, seed: int = 42) -> float:
-    return MixedProblem(mesh, tol=tol, seed=seed).mass_function(xi)
-
-
-def mass_function_derivative(mesh: Mesh, xi: float, tol: float = 1e-10,
-                             seed: int = 42) -> float:
-    return MixedProblem(mesh, tol=tol, seed=seed).mass_function_with_derivative(xi)[1]
-
-
-def optimal_eigenvalue(mesh: Mesh, mass: float, tol: float = 1e-10, seed: int = 42) -> float:
-    return MixedProblem(mesh, tol=tol, seed=seed).optimal_eigenvalue(mass)
-
-
-def optimal_sigma(mesh: Mesh, mass: float, tol: float = 1e-10, seed: int = 42,
-                  recovery: str = "lumped") -> OptimalSigma:
-    return MixedProblem(mesh, tol=tol, seed=seed).optimal_sigma(mass, recovery=recovery)
 
 
 # ---------------------------------------------------------------------------

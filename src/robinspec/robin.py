@@ -31,24 +31,19 @@ class RobinResult:
 def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, tol: float = 1e-10,
                       seed: int = 42) -> RobinResult:
     """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser."""
-    k = assembly.assemble_stiffness(mesh)
-    m = assembly.assemble_mass(mesh)
-    b = assembly.assemble_boundary_mass(mesh, sigma)
-    res = smallest_eigs(k + b, m, k=1, tol=tol, seed=seed)
-    lam = float(res.values[0])
+    res = spectrum(mesh, sigma, 1, tol=tol, seed=seed)
     psi = res.vectors[:, 0].copy()
-    if float(np.ones(len(psi)) @ (m @ psi)) < 0.0:
+    if float(np.ones(len(psi)) @ (assembly.operators(mesh).mass @ psi)) < 0.0:
         psi = -psi
-    return RobinResult(lam, psi, float(res.residuals[0]), mesh.level)
+    return RobinResult(float(res.values[0]), psi, float(res.residuals[0]), mesh.level)
 
 
 def spectrum(mesh: Mesh, sigma: SigmaField, k: int, tol: float = 1e-10,
              seed: int = 42) -> EigResult:
     """First k Robin eigenpairs."""
-    kk = assembly.assemble_stiffness(mesh)
-    m = assembly.assemble_mass(mesh)
+    ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, sigma)
-    return smallest_eigs(kk + b, m, k=k, tol=tol, seed=seed)
+    return smallest_eigs(ops.stiffness + b, ops.mass, k=k, tol=tol, seed=seed)
 
 
 def neumann_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> EigResult:
@@ -57,13 +52,8 @@ def neumann_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> 
 
 def dirichlet_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> EigResult:
     """First k eigenvalues with the value pinned to zero on the whole boundary."""
-    kk = assembly.assemble_stiffness(mesh)
-    m = assembly.assemble_mass(mesh)
-    fixed = geometry.boundary_nodes(mesh)
-    free = np.setdiff1d(np.arange(mesh.num_nodes), fixed)
-    if len(free) == 0:
-        raise ArgumentError("mesh has no interior nodes")
-    return smallest_eigs(kk[free][:, free], m[free][:, free], k=k, tol=tol, seed=seed)
+    _, k_ff, m_ff = assembly.operators(mesh).restrict(geometry.boundary_nodes(mesh))
+    return smallest_eigs(k_ff, m_ff, k=k, tol=tol, seed=seed)
 
 
 @dataclass(frozen=True)

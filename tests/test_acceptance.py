@@ -43,7 +43,7 @@ def test_criterion_01_one_dimensional_oracle_agreement():
 def test_criterion_02_optimal_sigma_pipeline_square():
     t0 = time.monotonic()
     mesh = square_mesh(4)
-    opt = mixed_dn.optimal_sigma(mesh, 1.0)
+    opt = mixed_dn.MixedProblem(mesh).optimal_sigma(1.0)
     assert opt.mass_defect / opt.mass <= 1e-3
     rel_dual = abs(opt.lambda_check - opt.value) / opt.value
     assert rel_dual <= 1e-3
@@ -58,7 +58,7 @@ def test_criterion_02_optimal_sigma_pipeline_square():
 def test_criterion_03_one_dimensional_optimum_and_minimisers():
     t0 = time.monotonic()
     for m in (0.1, 1.0, 10.0):
-        opt = mixed_dn.optimal_sigma(interval_mesh(64), m)
+        opt = mixed_dn.MixedProblem(interval_mesh(64)).optimal_sigma(m)
         vals = np.asarray(opt.sigma.values)
         ends = np.concatenate(interval_mesh(64).boundary)
         assert np.max(np.abs(vals[ends] - m / 2.0)) <= 1e-8
@@ -178,7 +178,7 @@ def test_criterion_09_concentration_trend():
 def test_criterion_10_identity_checks():
     mesh = square_mesh(3)
     # integral identity for the pinned ground state
-    gs = mixed_dn.ground_state(mesh)
+    gs = mixed_dn.MixedProblem(mesh).ground
     m = assembly.assemble_mass(mesh)
     ones = np.ones(mesh.num_nodes)
     vol = float(ones @ (m @ ones))

@@ -1,6 +1,12 @@
+import gc
+import sys
+import threading
+import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-import scipy.io
 
 from robinspec import assembly, geometry
 from robinspec.assembly import SigmaField
@@ -128,24 +134,26 @@ class TestBoundaryMass:
             assert v @ (b @ v) >= -1e-14
 
 
+def gamma_restriction(mesh):
+    return assembly.operators(mesh).restrict(geometry.gamma_nodes(mesh))
+
+
 class TestEliminateGamma:
     def test_interval_both_ends(self):
-        mesh = interval_mesh(8)
-        form = assembly.build_form(mesh)
-        red = assembly.eliminate_gamma(form)
-        assert red.stiffness.shape == (7, 7)
-        assert len(red.free) == 7
+        free, k_ff, m_ff = gamma_restriction(interval_mesh(8))
+        assert k_ff.shape == m_ff.shape == (7, 7)
+        assert len(free) == 7
 
     def test_square_all(self):
         mesh = square_mesh(2)
-        red = assembly.eliminate_gamma(assembly.build_form(mesh))
+        _, k_ff, m_ff = gamma_restriction(mesh)
         n_interior = mesh.num_nodes - len(geometry.boundary_nodes(mesh))
-        assert red.stiffness.shape == (n_interior, n_interior)
+        assert k_ff.shape == m_ff.shape == (n_interior, n_interior)
 
     def test_one_side_keeps_other_corners(self):
         mesh = square_mesh(2, gamma=geometry.gamma_sides(0))
-        red = assembly.eliminate_gamma(assembly.build_form(mesh))
-        dropped = np.setdiff1d(np.arange(mesh.num_nodes), red.free)
+        free, _, _ = gamma_restriction(mesh)
+        dropped = np.setdiff1d(np.arange(mesh.num_nodes), free)
         ys = mesh.nodes[dropped, 1]
         xs = mesh.nodes[dropped, 0]
         assert np.all(np.abs(ys) < 1e-14)
@@ -155,7 +163,85 @@ class TestEliminateGamma:
     def test_empty_gamma_rejected(self):
         mesh = square_mesh(1, gamma=geometry.gamma_none())
         with pytest.raises(ArgumentError):
-            assembly.eliminate_gamma(assembly.build_form(mesh))
+            gamma_restriction(mesh)
+
+    def test_all_nodes_rejected(self):
+        mesh = interval_mesh(1)
+        with pytest.raises(ArgumentError):
+            gamma_restriction(mesh)
+
+    def test_restricted_blocks_match_full_matrices(self):
+        mesh = square_mesh(1)
+        ops = assembly.operators(mesh)
+        free, k_ff, m_ff = gamma_restriction(mesh)
+        np.testing.assert_array_equal(k_ff.toarray(), ops.stiffness.toarray()[np.ix_(free, free)])
+        np.testing.assert_array_equal(m_ff.toarray(), ops.mass.toarray()[np.ix_(free, free)])
+
+
+class TestOperators:
+    def test_same_object_per_mesh(self):
+        mesh, other = square_mesh(1), square_mesh(1)
+        assert assembly.operators(mesh) is assembly.operators(mesh)
+        assert assembly.operators(other) is not assembly.operators(mesh)
+
+    def test_matches_fresh_assembly(self):
+        mesh = square_mesh(2)
+        ops = assembly.operators(mesh)
+        k, m = assembly.assemble_stiffness(mesh), assembly.assemble_mass(mesh)
+        ones = np.ones(mesh.num_nodes)
+        assert (ops.stiffness != k).nnz == 0
+        assert (ops.mass != m).nnz == 0
+        np.testing.assert_array_equal(ops.load, m @ ones)
+        assert ops.volume == float(ones @ (m @ ones))
+
+    def test_dropped_mesh_is_collected(self):
+        mesh = square_mesh(1)
+        ops = assembly.operators(mesh)
+        mesh_ref, ops_ref = weakref.ref(mesh), weakref.ref(ops)
+        del mesh, ops
+        gc.collect()
+        assert mesh_ref() is None
+        assert ops_ref() is None
+
+    def test_cached_arrays_are_write_locked(self):
+        ops = assembly.operators(square_mesh(1))
+        for mat in (ops.stiffness, ops.mass):
+            for arr in (mat.data, mat.indices, mat.indptr):
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ops.load[0] = 0.0
+
+    def test_concurrent_first_access_assembles_once(self, monkeypatch):
+        calls = []
+        stiffness = assembly.assemble_stiffness
+
+        def slow_stiffness(m):
+            calls.append(m)
+            time.sleep(0.02)
+            return stiffness(m)
+
+        monkeypatch.setattr(assembly, "assemble_stiffness", slow_stiffness)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                mesh = square_mesh(1)
+                barrier = threading.Barrier(4)
+
+                def first_access(_):
+                    barrier.wait(timeout=10)
+                    return assembly.operators(mesh)
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    results = list(pool.map(first_access, range(4), timeout=30))
+                assert calls.count(mesh) == 1
+                assert all(ops is results[0] for ops in results)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 5
 
 
 class TestFunctionals:
@@ -201,13 +287,3 @@ class TestGalerkin:
             u = rng.standard_normal(mesh.num_nodes)
             quotient = (u @ (k @ u) + u @ (b @ u)) / (u @ (m @ u))
             assert quotient >= lam - 1e-10 * max(1.0, abs(lam))
-
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        mesh = square_mesh(1)
-        k = assembly.assemble_stiffness(mesh)
-        path = tmp_path / "k.mtx"
-        assembly.write_matrix_market(k, path)
-        back = scipy.io.mmread(path)
-        assert np.max(np.abs((back - k).toarray())) < 1e-15

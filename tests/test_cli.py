@@ -187,3 +187,30 @@ class TestErrors:
                                 "--levels", "1"], capsys)
         assert code == 3
         assert json.loads(err)["error"] == "ConvergenceError"
+
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--m", "1,abc", "--levels", "1"],
+        ["solve", "--sigma", "abc", "--levels", "1"],
+        ["solve", "--sigma", "1,2", "--levels", "1"],
+        ["solve", "--sigma", "1", "--gamma", "edges=x", "--levels", "1"],
+        ["solve", "--domain", "disk", "--gamma", "arc=0-1", "--sigma", "1", "--levels", "0"],
+        ["solve", "--domain", "disk", "--center", "1", "--sigma", "1", "--levels", "0"],
+        ["solve", "--domain", "polygon", "--vertices", "0,0;1,0;0", "--sigma", "1"],
+        ["hardy", "--sigma", "0", "--alpha", "auto", "--levels", "1"],
+        ["hardy", "--sigma", "1", "--alpha", "0.2,x", "--levels", "1"],
+        ["solve", "--config", "{levels_as_text}"],
+        ["solve", "--config", "{not_an_object}"],
+    ], ids=["grid", "sigma", "sigma-grid", "gamma-edges", "gamma-arc", "disk-center",
+            "polygon-vertex", "alpha-auto-zero-sigma", "alpha", "config-type",
+            "config-list"])
+    def test_malformed_input_exit_2(self, args, tmp_path, capsys):
+        configs = {"levels_as_text": {"sigma": 1.0, "levels": "2"}, "not_an_object": 5}
+        paths = {}
+        for name, content in configs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(content))
+        code, out, err = run_cli([a.format(**paths) for a in args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert json.loads(err)["error"] == "ArgumentError"

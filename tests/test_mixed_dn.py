@@ -21,50 +21,50 @@ def closed_form_resolvent(xs, xi, length=1.0):
 
 class TestGroundState:
     def test_square_two_pi_squared(self, square_l4):
-        gs = mixed_dn.ground_state(square_l4)
+        gs = mixed_dn.MixedProblem(square_l4).ground
         assert abs(gs.value - TWO_PI_SQ) / TWO_PI_SQ <= 1e-2
 
     def test_interval_both_ends(self):
-        gs = mixed_dn.ground_state(interval_mesh(128))
+        gs = mixed_dn.MixedProblem(interval_mesh(128)).ground
         assert abs(gs.value - math.pi ** 2) / math.pi ** 2 <= 1e-3
 
     def test_interval_one_end_quarter_wave(self):
         mesh = interval_mesh(128, gamma=geometry.gamma_sides(0))
-        gs = mixed_dn.ground_state(mesh)
+        gs = mixed_dn.MixedProblem(mesh).ground
         assert abs(gs.value - math.pi ** 2 / 4.0) / (math.pi ** 2 / 4.0) <= 1e-3
 
     def test_eigenfunction_zero_on_gamma(self, square_l3):
-        gs = mixed_dn.ground_state(square_l3)
+        gs = mixed_dn.MixedProblem(square_l3).ground
         fixed = geometry.gamma_nodes(square_l3)
         assert np.all(gs.eigenfunction[fixed] == 0.0)
         free = np.setdiff1d(np.arange(square_l3.num_nodes), fixed)
         assert np.all(gs.eigenfunction[free] > 0.0)
 
     def test_integral_range(self, square_l3):
-        gs = mixed_dn.ground_state(square_l3)
+        gs = mixed_dn.MixedProblem(square_l3).ground
         vol = geometry.area(square_l3)
         assert 0.0 < gs.integral <= math.sqrt(vol) + 1e-12
 
     def test_square_integral_matches_separated_value(self, square_l4):
         # integral of the normalized product-of-sines state: 8/pi^2
-        gs = mixed_dn.ground_state(square_l4)
+        gs = mixed_dn.MixedProblem(square_l4).ground
         assert abs(gs.integral - 8.0 / math.pi ** 2) <= 5e-3
 
     def test_empty_gamma_rejected(self):
         mesh = square_mesh(1, gamma=geometry.gamma_none())
         with pytest.raises(ArgumentError):
-            mixed_dn.ground_state(mesh)
+            mixed_dn.MixedProblem(mesh)
 
 
 class TestResolvent:
     def test_interval_closed_form(self):
         mesh = interval_mesh(128)
-        u = mixed_dn.resolvent_one(mesh, 1.0)
+        u = mixed_dn.MixedProblem(mesh).resolvent_one(1.0)
         exact = closed_form_resolvent(mesh.nodes[:, 0], 1.0)
         assert np.max(np.abs(u - exact)) <= 1e-3
 
     def test_near_zero_is_constant_source_solve(self, square_l3):
-        u = mixed_dn.resolvent_one(square_l3, 1e-8)
+        u = mixed_dn.MixedProblem(square_l3).resolvent_one(1e-8)
         k = assembly.assemble_stiffness(square_l3)
         m = assembly.assemble_mass(square_l3)
         ones = np.ones(square_l3.num_nodes)
@@ -74,13 +74,13 @@ class TestResolvent:
         assert np.max(np.abs(defect)) <= 1e-6
 
     def test_positive_inside(self, square_l3):
-        u = mixed_dn.resolvent_one(square_l3, 5.0)
+        u = mixed_dn.MixedProblem(square_l3).resolvent_one(5.0)
         free = np.setdiff1d(np.arange(square_l3.num_nodes),
                             geometry.gamma_nodes(square_l3))
         assert np.all(u[free] > 0.0)
 
     def test_diagonal_symmetry(self, square_l3):
-        u = mixed_dn.resolvent_one(square_l3, 3.0)
+        u = mixed_dn.MixedProblem(square_l3).resolvent_one(3.0)
         lookup = {(round(x, 12), round(y, 12)): i
                   for i, (x, y) in enumerate(square_l3.nodes)}
         for i, (x, y) in enumerate(square_l3.nodes):
@@ -88,18 +88,18 @@ class TestResolvent:
             assert abs(u[i] - u[j]) <= 1e-10
 
     def test_out_of_range_rejected(self, square_l3):
-        e1 = mixed_dn.ground_state(square_l3).value
+        prob = mixed_dn.MixedProblem(square_l3)
         with pytest.raises(RangeError):
-            mixed_dn.resolvent_one(square_l3, e1 * 1.01)
+            prob.resolvent_one(prob.ground.value * 1.01)
         with pytest.raises(RangeError):
-            mixed_dn.resolvent_one(square_l3, 0.0)
+            prob.resolvent_one(0.0)
 
 
 class TestMassFunction:
     @pytest.mark.parametrize("xi", [1.0, 4.0, 8.0])
     def test_interval_closed_form(self, xi):
         mesh = interval_mesh(128)
-        f = mixed_dn.mass_function(mesh, xi)
+        f = mixed_dn.MixedProblem(mesh).mass_function(xi)
         exact = 2.0 * math.sqrt(xi) * math.tan(math.sqrt(xi) / 2.0)
         assert abs(f - exact) / exact <= 1e-3
 
@@ -114,12 +114,13 @@ class TestMassFunction:
 
     def test_vanishes_at_zero(self, square_l3):
         vol = geometry.area(square_l3)
-        assert mixed_dn.mass_function(square_l3, 1e-6) <= 2e-6 * vol
+        assert mixed_dn.MixedProblem(square_l3).mass_function(1e-6) <= 2e-6 * vol
 
     def test_derivative_positive_and_consistent(self, square_l3):
         prob = mixed_dn.MixedProblem(square_l3)
         for xi in (0.5, 5.0, 15.0):
-            f, fp = prob.mass_function_with_derivative(xi)
+            f, fp, u = prob.mass_function_with_derivative(xi)
+            np.testing.assert_array_equal(u, prob.resolvent_one(xi))
             assert fp > 0.0
             h = 1e-6 * max(1.0, xi)
             fd = (prob.mass_function(xi + h) - prob.mass_function(xi - h)) / (2 * h)
@@ -128,7 +129,7 @@ class TestMassFunction:
 
 class TestOptimalEigenvalue:
     def test_small_mass_volume_scaling(self, square_l3):
-        xi = mixed_dn.optimal_eigenvalue(square_l3, 1e-3)
+        xi = mixed_dn.MixedProblem(square_l3).optimal_eigenvalue(1e-3)
         vol = geometry.area(square_l3)
         assert abs(xi * vol / 1e-3 - 1.0) <= 1e-2
 
@@ -139,7 +140,7 @@ class TestOptimalEigenvalue:
 
     def test_interval_matches_scalar_root(self):
         mesh = interval_mesh(1024)
-        xi = mixed_dn.optimal_eigenvalue(mesh, 2.0)
+        xi = mixed_dn.MixedProblem(mesh).optimal_eigenvalue(2.0)
         oracle = optimal_eigenvalue_interval(1.0, 2.0)
         assert abs(xi - oracle) <= 1e-6
 
@@ -163,7 +164,7 @@ class TestOptimalSigma:
     def test_interval_even_split(self):
         mesh = interval_mesh(64)
         for m in (0.1, 1.0, 10.0):
-            opt = mixed_dn.optimal_sigma(mesh, m)
+            opt = mixed_dn.MixedProblem(mesh).optimal_sigma(m)
             vals = np.asarray(opt.sigma.values)
             ends = mesh.boundary[:, 0]
             assert np.max(np.abs(vals[ends] - m / 2.0)) <= 1e-8
@@ -171,7 +172,7 @@ class TestOptimalSigma:
     def test_disk_rotational_constancy(self):
         mesh = disk_mesh(2)
         m = math.pi
-        opt = mixed_dn.optimal_sigma(mesh, m)
+        opt = mixed_dn.MixedProblem(mesh).optimal_sigma(m)
         gi = geometry.gamma_nodes(mesh)
         vals = np.asarray(opt.sigma.values)[gi]
         spread = (vals.max() - vals.min()) / vals.mean()
@@ -179,12 +180,12 @@ class TestOptimalSigma:
         assert abs(vals.mean() - m / geometry.boundary_length(mesh)) <= 1e-6
 
     def test_square_mass_and_duality(self, square_l4):
-        opt = mixed_dn.optimal_sigma(square_l4, 1.0)
+        opt = mixed_dn.MixedProblem(square_l4).optimal_sigma(1.0)
         assert opt.mass_defect / opt.mass <= 1e-3
         assert abs(opt.lambda_check - opt.value) / opt.value <= 1e-4
 
     def test_invariants(self, square_l3):
-        opt = mixed_dn.optimal_sigma(square_l3, 1.0)
+        opt = mixed_dn.MixedProblem(square_l3).optimal_sigma(1.0)
         e1 = opt.ground.value
         assert 0.0 < opt.value < e1
         fixed = geometry.gamma_nodes(square_l3)
@@ -199,7 +200,7 @@ class TestOptimalSigma:
 
     def test_sigma_supported_on_gamma_only(self):
         mesh = square_mesh(3, gamma=geometry.gamma_sides(0))
-        opt = mixed_dn.optimal_sigma(mesh, 1.0)
+        opt = mixed_dn.MixedProblem(mesh).optimal_sigma(1.0)
         vals = np.asarray(opt.sigma.values)
         off_gamma = np.setdiff1d(geometry.boundary_nodes(mesh),
                                  geometry.gamma_nodes(mesh))
@@ -211,7 +212,7 @@ class TestOptimalSigma:
                             gamma=geometry.gamma_arcs([(-math.pi / 2, math.pi / 2)]))
         mesh = geometry.build_mesh(dom, 0.5)
         mesh = geometry.refine(geometry.refine(mesh))
-        opt = mixed_dn.optimal_sigma(mesh, 1.0)
+        opt = mixed_dn.MixedProblem(mesh).optimal_sigma(1.0)
         assert opt.mass_defect <= 1e-9
         assert abs(opt.lambda_check - opt.value) / opt.value <= 1e-3
         vals = np.asarray(opt.sigma.values)
@@ -222,13 +223,43 @@ class TestOptimalSigma:
     def test_consistent_recovery_mode(self, square_l3):
         # sharper interior values, but corner overshoot is clipped; the
         # mass defect then reflects the clipped amount
-        opt = mixed_dn.optimal_sigma(square_l3, 1.0, recovery="consistent")
+        opt = mixed_dn.MixedProblem(square_l3).optimal_sigma(1.0, recovery="consistent")
         assert opt.sigma_min_raw < 0.0
         assert opt.mass_defect / opt.mass <= 0.05
 
+    def test_reuses_last_newton_resolvent(self, square_l3, monkeypatch):
+        # one SPD solve per Newton step: the root's resolvent is not redone
+        prob = mixed_dn.MixedProblem(square_l3)
+        solves, steps = [], []
+        solve = mixed_dn.solve_spd
+        step = mixed_dn.MixedProblem.mass_function_with_derivative
+
+        def counted_solve(a, b):
+            solves.append(b)
+            return solve(a, b)
+
+        def counted_step(self, xi):
+            steps.append(xi)
+            return step(self, xi)
+
+        monkeypatch.setattr(mixed_dn, "solve_spd", counted_solve)
+        monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
+        opt = prob.optimal_sigma(1.0)
+        assert len(steps) >= 2
+        assert len(solves) == len(steps)
+        assert steps[-1] == opt.value
+
+    def test_step_cap_resolves_at_the_last_iterate(self, square_l3, monkeypatch):
+        # a capped loop ends on an xi it never evaluated: solve once more
+        prob = mixed_dn.MixedProblem(square_l3)
+        monkeypatch.setattr(mixed_dn, "_MAX_NEWTON", 1)
+        opt = prob.optimal_sigma(1.0)
+        np.testing.assert_array_equal(opt.resolvent, prob.resolvent_one(opt.value))
+        assert opt.value == prob.optimal_eigenvalue(1.0)
+
     def test_integral_identity(self, square_l3):
         # gamma1^2 = vol - (vol |phi|^2 - gamma1^2) via exact M-products
-        gs = mixed_dn.ground_state(square_l3)
+        gs = mixed_dn.MixedProblem(square_l3).ground
         m = assembly.assemble_mass(square_l3)
         ones = np.ones(square_l3.num_nodes)
         vol = float(ones @ (m @ ones))
@@ -256,5 +287,5 @@ class TestMaximality:
             assert abs(t.boundary_term - rep.mass) <= 1e-10
 
     def test_optimum_itself_attains(self, square_l3):
-        opt = mixed_dn.optimal_sigma(square_l3, 1.0)
+        opt = mixed_dn.MixedProblem(square_l3).optimal_sigma(1.0)
         assert abs(opt.lambda_check - opt.value) <= 1e-4 * opt.value

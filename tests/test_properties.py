@@ -1,0 +1,65 @@
+"""Property tests: random nonnegative nodal coefficients on small meshes.
+
+The lowest Robin eigenvalue, which runs on the mesh's shared operators, is
+checked against a dense generalized solve on freshly assembled matrices, and
+for monotonicity under sigma -> c sigma with c >= 1.  Both checks are 1e-9
+relative, plus a round-off floor of 1e-12 ||K + B||_inf that covers the zero
+eigenvalue of an all-zero (Neumann) coefficient.
+"""
+
+import numpy as np
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+
+from robinspec import assembly, robin
+from robinspec.assembly import SigmaField
+
+from conftest import interval_mesh, square_mesh
+
+# both meshes exceed the dense cutoff, so robin runs shift-invert ARPACK
+MESHES = {"square": square_mesh(2), "interval": interval_mesh(48)}
+RTOL = 1e-9
+FLOOR = 1e-12
+PROPERTY_SETTINGS = settings(max_examples=20, derandomize=True, deadline=None)
+
+
+@st.composite
+def nodal_sigma(draw):
+    """(mesh, nodal sigma values): zero or in [1e-3, 1e3] at each boundary node."""
+    mesh = MESHES[draw(st.sampled_from(sorted(MESHES)))]
+    nodes = np.unique(mesh.boundary)
+    draws = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                          min_size=len(nodes), max_size=len(nodes)))
+    values = np.zeros(mesh.num_nodes)
+    values[nodes] = draws
+    return mesh, values
+
+
+def fresh_pencil(mesh, values):
+    """K + B(sigma) and M, assembled without the shared operators."""
+    b = assembly.assemble_boundary_mass(mesh, SigmaField.nodal(values))
+    return assembly.assemble_stiffness(mesh) + b, assembly.assemble_mass(mesh)
+
+
+def round_off(a) -> float:
+    return FLOOR * float(np.abs(a).sum(axis=1).max())
+
+
+@PROPERTY_SETTINGS
+@given(nodal_sigma())
+def test_lowest_eigenvalue_matches_dense_solve(case):
+    mesh, values = case
+    lam = robin.lowest_eigenvalue(mesh, SigmaField.nodal(values)).value
+    a, m = fresh_pencil(mesh, values)
+    ref = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)[0]
+    assert abs(lam - ref) <= RTOL * abs(ref) + round_off(a)
+
+
+@PROPERTY_SETTINGS
+@given(nodal_sigma(), st.floats(1.0, 1e3))
+def test_monotone_under_coefficient_scaling(case, c):
+    mesh, values = case
+    lam = robin.lowest_eigenvalue(mesh, SigmaField.nodal(values)).value
+    lam_c = robin.lowest_eigenvalue(mesh, SigmaField.nodal(c * values)).value
+    a, _ = fresh_pencil(mesh, c * values)
+    assert lam_c >= lam - RTOL * abs(lam) - round_off(a)
