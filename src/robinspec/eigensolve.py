@@ -77,11 +77,30 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, shift: float | None = None):
+    """(tau, lu): the shift-invert pair `smallest_eigs` uses for the pencil
+    (A, M).  tau is `shift`, or by default a small negative multiple of A's
+    mean diagonal, so a Neumann kernel leaves A - tau M positive definite;
+    lu is the sparse LU of A - tau M."""
+    a = sp.csr_matrix(a)
+    m = sp.csr_matrix(m)
+    trace = float(a.diagonal().sum())
+    tau = shift if shift is not None else -1e-8 * max(trace, 1.0) / a.shape[0]
+    try:
+        lu = splu((a - tau * m).tocsc())
+    except RuntimeError as exc:
+        raise MatrixError(f"shifted factorization failed: {exc}") from exc
+    return tau, lu
+
+
 def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
                   tol: float = DEFAULT_TOL, seed: int = 42,
-                  shift: float | None = None,
-                  maxiter: int = MAX_OUTER_ITERATIONS) -> EigResult:
-    """k smallest eigenpairs of the symmetric pencil (A, M), A PSD, M SPD."""
+                  maxiter: int = MAX_OUTER_ITERATIONS, factor=None) -> EigResult:
+    """k smallest eigenpairs of the symmetric pencil (A, M), A PSD, M SPD.
+
+    factor is a `shifted_factor(a, m)` pair to reuse; without one the
+    shift-invert path computes its own.  The dense path ignores it.
+    """
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
     n = a.shape[0]
@@ -93,13 +112,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
         vals, vecs = vals[:k], vecs[:, :k]
         iterations = 0
     else:
-        trace = float(a.diagonal().sum())
-        tau = shift if shift is not None else -1e-8 * max(trace, 1.0) / n
-        shifted = (a - tau * m).tocsc()
-        try:
-            lu = splu(shifted)
-        except RuntimeError as exc:
-            raise MatrixError(f"shifted factorization failed: {exc}") from exc
+        tau, lu = factor if factor is not None else shifted_factor(a, m)
         counter = {"n": 0}
 
         def apply_inverse(x):

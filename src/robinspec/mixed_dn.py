@@ -4,14 +4,19 @@ The pipeline: pin the solution to zero on gamma, compute the ground
 eigenvalue of the pinned Laplacian, apply the resolvent at a spectral
 parameter to the constant source, invert the resulting mass curve for a
 prescribed boundary mass, and recover the optimal coefficient from the
-variational boundary flux on gamma.  The recovered total mass reproduces
-the prescribed one to root-finder tolerance, and the minimiser built from
-the resolvent nearly diagonalizes the recovered Robin pencil, so the
-cross-checks below hold far inside discretization error.
+variational boundary flux on gamma.  One sparse factorization of the pinned
+pencil serves both the ground eigensolve and a Lanczos model of the whole
+mass curve; the model's root starts a Newton loop on true resolvent solves.
+The recovered total mass reproduces the prescribed one to root-finder
+tolerance, and the minimiser built from the resolvent nearly diagonalizes
+the recovered Robin pencil, so the cross-checks below hold far inside
+discretization error.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import List
 
@@ -19,13 +24,15 @@ import numpy as np
 
 from . import assembly, robin
 from .assembly import SigmaField
-from .eigensolve import smallest_eigs, solve_spd
+from .eigensolve import shifted_factor, smallest_eigs, solve_spd
 from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
 _XI_MARGIN = 1e-9
 _MASS_RTOL = 1e-10
 _MAX_NEWTON = 80
+_KRYLOV_STEPS = 20
+_KRYLOV_BREAKDOWN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +69,87 @@ class OptimalSigma:
     sigma_min_raw: float
 
 
+class _MassCurveModel:
+    """Lanczos model of the resolvent moments on the free nodes.
+
+    With S = (K - tau M)^-1 and b = (M 1)_free, the Lanczos process on S M in
+    the M inner product, started from S b, gives an M-orthonormal basis Q and
+    the tridiagonal T = Q^T M S M Q.  Since K - xi M = (K - tau M)(I - (xi -
+    tau) S M), the resolvent U = (K - xi M)^-1 b is about Q y with
+    (I - (xi - tau) T) y = ||S b||_M e1, so b^T U ~ c^T y with c = Q^T b and
+    U^T M U ~ y^T y, for every xi from one Krylov space (Ericsson & Ruhe,
+    Math. Comp. 1980).  The process stops after `_KRYLOV_STEPS` steps, or
+    earlier when the Krylov space is exhausted, where the model is exact.
+    """
+
+    def __init__(self, m_ff, b, tau: float, lu):
+        r = lu.solve(b)
+        norm = math.sqrt(float(r @ (m_ff @ r)))
+        basis = np.empty((_KRYLOV_STEPS, len(b)))
+        basis[0] = r / norm
+        alpha: List[float] = []
+        beta: List[float] = []
+        for j in range(_KRYLOV_STEPS):
+            q = basis[: j + 1]
+            w = lu.solve(m_ff @ basis[j])
+            scale = math.sqrt(float(w @ (m_ff @ w)))
+            coef = np.zeros(j + 1)
+            for _ in range(2):  # full reorthogonalisation, repeated once
+                proj = q @ (m_ff @ w)
+                w -= proj @ q
+                coef += proj
+            alpha.append(float(coef[j]))
+            norm_w = math.sqrt(float(w @ (m_ff @ w)))
+            if j + 1 == _KRYLOV_STEPS or norm_w <= _KRYLOV_BREAKDOWN * scale:
+                break
+            beta.append(norm_w)
+            basis[j + 1] = w / norm_w
+        k = len(alpha)
+        self.tau = tau
+        self.start = np.zeros(k)
+        self.start[0] = norm
+        self.tridiag = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        self.c = basis[:k] @ b
+
+    def moments(self, xi: float):
+        """Model values of (b^T U, U^T M U) at xi: the integral and the
+        squared L2 norm of the resolvent."""
+        k = len(self.start)
+        y = np.linalg.solve(np.eye(k) - (xi - self.tau) * self.tridiag, self.start)
+        return float(self.c @ y), float(y @ y)
+
+
+def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float):
+    """Newton on curve(xi) = (F, F', payload) for F(xi) = mass, safeguarded
+    by bisection inside (0, hi) and stopping at |F - mass| <= target or on
+    a step that no longer moves xi.  Returns (xi, payload), or (xi, None)
+    when the step cap ends the loop on an unevaluated xi."""
+    lo = 0.0
+    for _ in range(_MAX_NEWTON):
+        f, fp, payload = curve(xi)
+        err = f - mass
+        if abs(err) <= target:
+            return xi, payload
+        if err < 0:
+            lo = xi
+        else:
+            hi = xi
+        step = xi - err / fp
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step == xi:
+            return xi, payload
+        xi = step
+    return xi, None
+
+
 class MixedProblem:
     """The problem pinned on gamma for one mesh: the mesh's shared operators
-    restricted to the free nodes, and the ground state, computed once."""
+    restricted to the free nodes, and the ground state, computed once.
+
+    The shifted factorization of the ground eigensolve is kept until the
+    first mass-curve inversion builds the Lanczos model from it, then freed.
+    """
 
     def __init__(self, mesh: Mesh, tol: float = 1e-10, seed: int = 42):
         ops = assembly.operators(mesh)
@@ -77,7 +162,11 @@ class MixedProblem:
         self.fixed = gamma_nodes(mesh)
         self.free, self.k_ff, self.m_ff = ops.restrict(self.fixed)
         self.load = ops.load[self.free]
-        res = smallest_eigs(self.k_ff, self.m_ff, k=1, tol=tol, seed=seed)
+        self._factor = shifted_factor(self.k_ff, self.m_ff)
+        self._model = None
+        self._model_lock = threading.Lock()
+        res = smallest_eigs(self.k_ff, self.m_ff, k=1, tol=tol, seed=seed,
+                            factor=self._factor)
         phi = np.zeros(mesh.num_nodes)
         phi[self.free] = res.vectors[:, 0]
         integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
@@ -108,9 +197,24 @@ class MixedProblem:
         u = self.resolvent_one(xi)
         int_u = float(np.ones(len(u)) @ (self.mass_matrix @ u))
         norm2_u = float(u @ (self.mass_matrix @ u))
+        return (*self._curve(xi, int_u, norm2_u), u)
+
+    def _curve(self, xi: float, int_u: float, norm2_u: float):
         f = xi * xi * int_u + xi * self.volume
         fp = 2.0 * xi * int_u + xi * xi * norm2_u + self.volume
-        return f, fp, u
+        return f, fp
+
+    def _mass_curve_model(self) -> _MassCurveModel:
+        """The Lanczos model, built on first use from the ground eigensolve's
+        factorization, which is then released."""
+        with self._model_lock:
+            if self._model is None:
+                self._model = _MassCurveModel(self.m_ff, self.load, *self._factor)
+                self._factor = None
+        return self._model
+
+    def _model_curve(self, xi: float):
+        return (*self._curve(xi, *self._mass_curve_model().moments(xi)), None)
 
     def optimal_eigenvalue(self, mass: float) -> float:
         """Invert the mass curve: Newton safeguarded by bisection inside
@@ -119,32 +223,21 @@ class MixedProblem:
 
     def _invert_mass_curve(self, mass: float):
         """(xi, U): the root of the mass curve and the resolvent at it, or
-        None in place of U when the step cap ends the loop on a new xi."""
+        None in place of U when the step cap ends the loop on a new xi.
+
+        Newton runs to round-off on the Lanczos model first, from the
+        closed-form lower bound; its root starts the loop on true resolvent
+        solves, which judges the stopping test and usually stops at once.
+        """
         if mass <= 0:
             raise ArgumentError(f"mass must be positive, got {mass}")
         e1 = self.ground.value
-        lo = 0.0
         hi = e1 * (1.0 - _XI_MARGIN)
-        # closed-form lower bound for the optimum: a guaranteed bracket start
         xi = mass * e1 / (mass + self.volume * e1)
         xi = min(max(xi, hi * 1e-12), hi)
-        target = _MASS_RTOL * max(mass, 1.0)
-        for _ in range(_MAX_NEWTON):
-            f, fp, u = self.mass_function_with_derivative(xi)
-            err = f - mass
-            if abs(err) <= target:
-                return xi, u
-            if err < 0:
-                lo = xi
-            else:
-                hi = xi
-            step = xi - err / fp
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            if step == xi:
-                return xi, u
-            xi = step
-        return xi, None
+        xi, _ = _safeguarded_newton(self._model_curve, mass, xi, hi, 0.0)
+        return _safeguarded_newton(self.mass_function_with_derivative, mass, xi, hi,
+                                   _MASS_RTOL * max(mass, 1.0))
 
     def optimal_sigma(self, mass: float, recovery: str = "lumped") -> OptimalSigma:
         """Optimal coefficient of the given mass by variational flux recovery.
@@ -239,13 +332,10 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
         factor = rng.uniform(0.2, 1.8, size=len(g_idx))
         vals = np.zeros(mesh.num_nodes)
         vals[g_idx] = base[g_idx] * factor
-        trial_sigma = SigmaField.nodal(vals, support="gamma")
-        b_trial = assembly.assemble_boundary_mass(mesh, trial_sigma)
-        trial_mass = float(ones @ (b_trial @ ones))
-        vals = vals * (mass / trial_mass)
-        trial_sigma = SigmaField.nodal(vals, support="gamma")
-        b_trial = assembly.assemble_boundary_mass(mesh, trial_sigma)
-        lam = robin.lowest_eigenvalue(mesh, trial_sigma, seed=seed).value
+        b_trial = assembly.assemble_boundary_mass(mesh, SigmaField.nodal(vals, support="gamma"))
+        # B is linear in sigma: rescale the trial to the prescribed mass
+        b_trial = b_trial * (mass / float(ones @ (b_trial @ ones)))
+        lam = float(smallest_eigs(kmat + b_trial, mmat, k=1, seed=seed).values[0])
         q_trial = _rayleigh(kmat, b_trial, mmat, u_m)
         boundary_term = float(u_m @ (b_trial @ u_m))
         bad = lam > opt.lambda_check + tol_fem

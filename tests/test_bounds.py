@@ -153,34 +153,62 @@ class TestRobinInradius:
 class TestHardy:
     @pytest.mark.parametrize("sigma,alpha", [(1.0, 0.5), (0.5, 0.25), (2.0, 0.1)])
     def test_square_no_violations(self, square_l3, sigma, alpha):
-        rep = bounds.hardy_report(square_l3, sigma, alpha, trials=25)
+        (rep,) = bounds.hardy_reports(square_l3, [(sigma, alpha)], trials=25)
         assert rep.passed and rep.violations == 0
 
     def test_triangle_no_violations(self, triangle_l3):
-        rep = bounds.hardy_report(triangle_l3, 2.0, 0.25, trials=25)
+        (rep,) = bounds.hardy_reports(triangle_l3, [(2.0, 0.25)], trials=25)
         assert rep.passed
 
     def test_interval_no_violations(self):
-        rep = bounds.hardy_report(interval_mesh(64), 1.0, 0.3, trials=25)
+        (rep,) = bounds.hardy_reports(interval_mesh(64), [(1.0, 0.3)], trials=25)
         assert rep.passed
 
     def test_vacuous_when_alpha_sigma_above_one(self, square_l3):
-        rep = bounds.hardy_report(square_l3, 2.0, 1.0, trials=10)
+        (rep,) = bounds.hardy_reports(square_l3, [(2.0, 1.0)], trials=10)
         assert rep.coefficient < 0.0
         assert all(t.rhs <= 0.0 for t in rep.trials)
         assert rep.passed
 
     def test_sigma_zero_trivial(self, square_l3):
-        rep = bounds.hardy_report(square_l3, 0.0, 0.5, trials=5)
+        (rep,) = bounds.hardy_reports(square_l3, [(0.0, 0.5)], trials=5)
         assert rep.coefficient == 0.0
         assert all(t.rhs == 0.0 for t in rep.trials)
         assert rep.passed
 
     def test_half_inverse_sigma_gives_quarter(self, square_l3):
         sigma = 2.0
-        rep = bounds.hardy_report(square_l3, sigma, 0.5 / sigma, trials=10)
+        (rep,) = bounds.hardy_reports(square_l3, [(sigma, 0.5 / sigma)], trials=10)
         assert abs(rep.coefficient - 0.25) <= 1e-15
         assert rep.passed
+
+    def test_pairs_share_distances_and_ground_states(self, square_l3, monkeypatch):
+        pairs = [(0.5, 0.25), (0.5, 1.0), (2.0, 0.25), (2.0, 0.1), (0.0, 0.5)]
+        alone = [bounds.hardy_reports(square_l3, [p], trials=5, seed=3)[0] for p in pairs]
+        calls = {"distances": 0, "ground": 0}
+        distances = bounds.geometry.distances_to_boundary
+        ground = bounds.robin.lowest_eigenvalue
+
+        def counted_distances(*args):
+            calls["distances"] += 1
+            return distances(*args)
+
+        def counted_ground(*args, **kwargs):
+            calls["ground"] += 1
+            return ground(*args, **kwargs)
+
+        monkeypatch.setattr(bounds.geometry, "distances_to_boundary", counted_distances)
+        monkeypatch.setattr(bounds.robin, "lowest_eigenvalue", counted_ground)
+        shared = bounds.hardy_reports(square_l3, pairs, trials=5, seed=3)
+        assert calls == {"distances": 1, "ground": 2}
+        for one, rep in zip(alone, shared):
+            assert (rep.sigma, rep.alpha, rep.coefficient) == (one.sigma, one.alpha,
+                                                               one.coefficient)
+            assert rep.trials == one.trials and rep.violations == one.violations
+
+    def test_invalid_pair_rejected(self, square_l3):
+        with pytest.raises(ArgumentError):
+            bounds.hardy_reports(square_l3, [(1.0, 0.5), (-1.0, 0.5)])
 
 
 class TestScaling:

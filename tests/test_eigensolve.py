@@ -118,7 +118,8 @@ class TestSmallestEigs:
         n = k.shape[0]
         tau = -1e-8 * float(k.diagonal().sum()) / n
         base = eigensolve.smallest_eigs(k + m, m, k=2)
-        moved = eigensolve.smallest_eigs(k + m, m, k=2, shift=10 * tau)
+        moved = eigensolve.smallest_eigs(
+            k + m, m, k=2, factor=eigensolve.shifted_factor(k + m, m, shift=10 * tau))
         np.testing.assert_allclose(base.values, moved.values, atol=1e-10)
 
     def test_residual_bound(self):

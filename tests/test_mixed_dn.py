@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from robinspec import assembly, geometry, mixed_dn, robin
+from robinspec import assembly, eigensolve, geometry, mixed_dn, robin
 from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError, RangeError
 from robinspec.exact1d import optimal_eigenvalue_interval
@@ -127,6 +128,74 @@ class TestMassFunction:
             assert abs(fp - fd) / fd <= 1e-5
 
 
+class TestMassCurveModel:
+    """The Lanczos model of the mass curve against true resolvent solves."""
+
+    @pytest.mark.parametrize("mesh", [square_mesh(4), interval_mesh(64)],
+                             ids=["square_l4", "interval_l6"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 1.0 - 1e-6])
+    def test_matches_true_mass_curve(self, mesh, fraction):
+        prob = mixed_dn.MixedProblem(mesh)
+        e1 = prob.ground.value
+        xi = fraction * e1
+        f, fp, _ = prob.mass_function_with_derivative(xi)
+        f_model, fp_model, _ = prob._model_curve(xi)
+        # near E1 both sides carry the round-off of K - xi M, amplified by
+        # (lambda_max / E1) (E1 / (E1 - xi)); elsewhere 1e-10 applies
+        lam_max = scipy.sparse.linalg.eigsh(prob.k_ff, 1, M=prob.m_ff, which="LA",
+                                            return_eigenvectors=False)[0]
+        rtol = max(1e-10, np.finfo(float).eps * lam_max / (e1 - xi))
+        assert abs(f_model - f) <= rtol * f
+        assert abs(fp_model - fp) <= rtol * fp
+
+    @pytest.mark.parametrize("mesh,steps", [(interval_mesh(12), None), (interval_mesh(42), 64)],
+                             ids=["dense_path", "just_above_dense_cutoff"])
+    def test_exhausted_krylov_space_gives_exact_model(self, mesh, steps, monkeypatch):
+        # with the step cap above the free dofs the space runs out (beta -> 0)
+        if steps is not None:
+            monkeypatch.setattr(mixed_dn, "_KRYLOV_STEPS", steps)
+        prob = mixed_dn.MixedProblem(mesh)
+        n_free = len(prob.free)
+        assert (n_free > eigensolve._DENSE_CUTOFF) == (steps is not None)
+        model = prob._mass_curve_model()
+        assert len(model.start) == n_free < mixed_dn._KRYLOV_STEPS
+        assert np.all(np.isfinite(model.tridiag)) and np.all(np.isfinite(model.c))
+        for fraction in (0.1, 0.5, 0.9):
+            xi = fraction * prob.ground.value
+            f, fp, _ = prob.mass_function_with_derivative(xi)
+            f_model, fp_model, _ = prob._model_curve(xi)
+            assert abs(f_model - f) <= 1e-12 * f
+            assert abs(fp_model - fp) <= 1e-12 * fp
+
+    @pytest.mark.parametrize("mass", [0.01, 1.0, 100.0])
+    def test_factorization_budget(self, square_l3, mass, monkeypatch):
+        # the ground eigensolve's factorization builds the model; each true
+        # Newton step factors once more
+        factorizations, steps = [], []
+        splu = eigensolve.splu
+        step = mixed_dn.MixedProblem.mass_function_with_derivative
+
+        def counted_splu(a):
+            factorizations.append(a.shape)
+            return splu(a)
+
+        def counted_step(self, xi):
+            steps.append(xi)
+            return step(self, xi)
+
+        monkeypatch.setattr(eigensolve, "splu", counted_splu)
+        monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
+        mixed_dn.MixedProblem(square_l3).optimal_eigenvalue(mass)
+        assert len(factorizations) <= 1 + len(steps)
+
+    def test_factorization_released_once_the_model_exists(self, square_l3):
+        prob = mixed_dn.MixedProblem(square_l3)
+        model = prob._mass_curve_model()
+        assert prob._factor is None
+        prob.optimal_eigenvalue(2.0)
+        assert prob._mass_curve_model() is model
+
+
 class TestOptimalEigenvalue:
     def test_small_mass_volume_scaling(self, square_l3):
         xi = mixed_dn.MixedProblem(square_l3).optimal_eigenvalue(1e-3)
@@ -228,7 +297,8 @@ class TestOptimalSigma:
         assert opt.mass_defect / opt.mass <= 0.05
 
     def test_reuses_last_newton_resolvent(self, square_l3, monkeypatch):
-        # one SPD solve per Newton step: the root's resolvent is not redone
+        # the Lanczos model's root needs one true step, whose resolvent is
+        # not redone
         prob = mixed_dn.MixedProblem(square_l3)
         solves, steps = [], []
         solve = mixed_dn.solve_spd
@@ -245,7 +315,7 @@ class TestOptimalSigma:
         monkeypatch.setattr(mixed_dn, "solve_spd", counted_solve)
         monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
         opt = prob.optimal_sigma(1.0)
-        assert len(steps) >= 2
+        assert len(steps) == 1
         assert len(solves) == len(steps)
         assert steps[-1] == opt.value
 

@@ -1,17 +1,22 @@
-"""Property tests: random nonnegative nodal coefficients on small meshes.
+"""Property tests on small meshes.
 
-The lowest Robin eigenvalue, which runs on the mesh's shared operators, is
-checked against a dense generalized solve on freshly assembled matrices, and
-for monotonicity under sigma -> c sigma with c >= 1.  Both checks are 1e-9
-relative, plus a round-off floor of 1e-12 ||K + B||_inf that covers the zero
-eigenvalue of an all-zero (Neumann) coefficient.
+Random nonnegative nodal coefficients: the lowest Robin eigenvalue, which
+runs on the mesh's shared operators, is checked against a dense generalized
+solve on freshly assembled matrices, and for monotonicity under
+sigma -> c sigma with c >= 1.  Both checks are 1e-9 relative, plus a
+round-off floor of 1e-12 ||K + B||_inf that covers the zero eigenvalue of an
+all-zero (Neumann) coefficient.
+
+Random masses: the optimal eigenvalue, whose Newton loop starts from the
+Lanczos model's root, must reproduce the mass on a true resolvent solve and
+lie between the closed-form bounds.
 """
 
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from robinspec import assembly, robin
+from robinspec import assembly, bounds, mixed_dn, robin
 from robinspec.assembly import SigmaField
 
 from conftest import interval_mesh, square_mesh
@@ -63,3 +68,20 @@ def test_monotone_under_coefficient_scaling(case, c):
     lam_c = robin.lowest_eigenvalue(mesh, SigmaField.nodal(c * values)).value
     a, _ = fresh_pencil(mesh, c * values)
     assert lam_c >= lam - RTOL * abs(lam) - round_off(a)
+
+
+PROBLEMS = {name: mixed_dn.MixedProblem(mesh) for name, mesh in MESHES.items()}
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(PROBLEMS)), st.floats(-3.0, 5.0))
+def test_optimal_eigenvalue_certified_and_bounded(name, log_mass):
+    prob = PROBLEMS[name]
+    mass = 10.0 ** log_mass
+    xi = prob.optimal_eigenvalue(mass)
+    f, _, _ = prob.mass_function_with_derivative(xi)
+    assert abs(f - mass) <= 1e-10 * max(mass, 1.0)
+    e1, volume = prob.ground.value, prob.volume
+    lower = bounds.optimal_lower_bound(mass, e1, volume)
+    upper = bounds.optimal_upper_bound(mass, e1, volume, prob.ground.integral)
+    assert lower * (1.0 - 1e-12) <= xi <= upper * (1.0 + 1e-12)
