@@ -18,7 +18,7 @@ import numpy as np
 
 from . import assembly, exact1d, geometry, mixed_dn, robin
 from .assembly import SigmaField
-from .eigensolve import smallest_eigs
+from .eigensolve import CoefficientFamily
 from .errors import ArgumentError
 from .geometry import DomainSpec, Mesh
 
@@ -334,16 +334,19 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid,
     """Lowest eigenvalue of the rescaled domain for each scale factor.
 
     Rescaling is realized as coefficient scaling on the fixed mesh: the
-    smallest eigenvalue of (eps^-2 K + eps^-1 B) x = lambda M x.
+    smallest eigenvalue of (eps^-2 K + eps^-1 B) x = lambda M x.  The grid
+    is one coefficient family whose reference is the unscaled pencil K + B.
     """
+    eps_grid = list(eps_grid)
+    if any(eps <= 0 for eps in eps_grid):
+        raise ArgumentError("scale factors must be positive")
     ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
+    family = CoefficientFamily(ops.mass, reference=ops.stiffness + bmat, seed=seed)
     rows: List[ScalingRow] = []
     for eps in eps_grid:
-        if eps <= 0:
-            raise ArgumentError("scale factors must be positive")
         a = ops.stiffness / (eps * eps) + bmat / eps
-        lam = float(smallest_eigs(a, ops.mass, k=1, seed=seed).values[0])
+        lam = float(family.lowest(a).values[0])
         rows.append(ScalingRow(float(eps), lam, eps * lam, eps * eps * lam))
     return rows
 

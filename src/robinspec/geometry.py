@@ -359,39 +359,37 @@ def _refine_1d(mesh: Mesh) -> Mesh:
 
 
 def _refine_2d(mesh: Mesh) -> Mesh:
-    elems = mesh.elements
+    """Red refinement.  Edge midpoints are numbered after the old nodes in
+    the order their edges first occur, element by element, along the sides
+    (v0, v1), (v1, v2), (v2, v0)."""
+    elems = np.asarray(mesh.elements, dtype=np.int64)
     nv = mesh.num_nodes
-    edges = {}
+    sides = elems[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = sides.min(axis=1), sides.max(axis=1)
+    keys, first, inverse = np.unique(lo * nv + hi, return_index=True,
+                                     return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[by_first] = np.arange(len(keys))
+    m01, m12, m20 = (nv + rank[inverse]).reshape(-1, 3).T
+    v0, v1, v2 = elems.T
+    children = np.stack([np.column_stack([v0, m01, m20]),
+                         np.column_stack([v1, m12, m01]),
+                         np.column_stack([v2, m20, m12]),
+                         np.column_stack([m01, m12, m20])], axis=1).reshape(-1, 3)
 
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in edges:
-            edges[key] = nv + len(edges)
-        return edges[key]
+    ends = first[by_first]
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[lo[ends]] + mesh.nodes[hi[ends]])])
 
-    children = np.empty((4 * len(elems), 3), dtype=np.int64)
-    for t, (v0, v1, v2) in enumerate(elems):
-        m01 = midpoint(v0, v1)
-        m12 = midpoint(v1, v2)
-        m20 = midpoint(v2, v0)
-        children[4 * t + 0] = (v0, m01, m20)
-        children[4 * t + 1] = (v1, m12, m01)
-        children[4 * t + 2] = (v2, m20, m12)
-        children[4 * t + 3] = (m01, m12, m20)
-
-    new_coords = np.empty((len(edges), 2))
-    for (i, j), idx in edges.items():
-        new_coords[idx - nv] = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-    nodes = np.vstack([mesh.nodes, new_coords])
-
-    nb = len(mesh.boundary)
-    new_bdry = np.empty((2 * nb, 2), dtype=np.int64)
-    new_marks = np.empty(2 * nb, dtype=np.int64)
-    for e, (v0, v1) in enumerate(mesh.boundary):
-        m = midpoint(v0, v1)
-        new_bdry[2 * e] = (v0, m)
-        new_bdry[2 * e + 1] = (m, v1)
-        new_marks[2 * e] = new_marks[2 * e + 1] = mesh.boundary_markers[e]
+    bdry = np.asarray(mesh.boundary, dtype=np.int64)
+    bkeys = bdry.min(axis=1) * nv + bdry.max(axis=1)
+    pos = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
+    if np.any(keys[pos] != bkeys):
+        raise GeometryError("boundary edge is not an element edge")
+    mid = nv + rank[pos]
+    new_bdry = np.stack([np.column_stack([bdry[:, 0], mid]),
+                         np.column_stack([mid, bdry[:, 1]])], axis=1).reshape(-1, 2)
+    new_marks = np.repeat(np.asarray(mesh.boundary_markers, dtype=np.int64), 2)
 
     if mesh.projection is not None:
         cx, cy, r = mesh.projection

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import assembly, robin
 from .assembly import SigmaField
-from .eigensolve import shifted_factor, smallest_eigs, solve_spd
+from .eigensolve import CoefficientFamily, shifted_factor, smallest_eigs, solve_spd
 from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
@@ -122,14 +122,22 @@ class _MassCurveModel:
 def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float):
     """Newton on curve(xi) = (F, F', payload) for F(xi) = mass, safeguarded
     by bisection inside (0, hi) and stopping at |F - mass| <= target or on
-    a step that no longer moves xi.  Returns (xi, payload), or (xi, None)
-    when the step cap ends the loop on an unevaluated xi."""
+    a step that no longer moves xi.  With a positive target it also stops
+    on a step that removes less than half of |F - mass|: started near the
+    root, Newton removes far more, so F is at its evaluation floor above the
+    target, and the evaluated xi with the smallest |F - mass| is returned.
+    Returns (xi, payload), or (xi, None) when the step cap ends the loop on
+    an unevaluated xi."""
     lo = 0.0
+    best = None
     for _ in range(_MAX_NEWTON):
         f, fp, payload = curve(xi)
         err = f - mass
         if abs(err) <= target:
             return xi, payload
+        if target > 0.0 and best is not None and abs(err) > 0.5 * best[0]:
+            return (xi, payload) if abs(err) < best[0] else best[1:]
+        best = (abs(err), xi, payload)
         if err < 0:
             lo = xi
         else:
@@ -314,7 +322,8 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     gamma, rescales each to the prescribed mass, and requires the perturbed
     eigenvalue to stay below the optimal one (up to tol_fem).  Also records
     the quotient of the optimal minimiser under each perturbed coefficient,
-    which is invariant because the minimiser equals 1 on gamma.
+    which is invariant because the minimiser equals 1 on gamma.  The trials
+    form one coefficient family whose reference is the optimal pencil.
     """
     prob = MixedProblem(mesh, seed=seed)
     opt = prob.optimal_sigma(mass)
@@ -328,6 +337,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     violations = 0
     base = np.asarray(opt.sigma.values, dtype=float)
     g_idx = prob.fixed
+    family = CoefficientFamily(mmat, reference=kmat + b_opt, seed=seed)
     for _ in range(trials):
         factor = rng.uniform(0.2, 1.8, size=len(g_idx))
         vals = np.zeros(mesh.num_nodes)
@@ -335,7 +345,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
         b_trial = assembly.assemble_boundary_mass(mesh, SigmaField.nodal(vals, support="gamma"))
         # B is linear in sigma: rescale the trial to the prescribed mass
         b_trial = b_trial * (mass / float(ones @ (b_trial @ ones)))
-        lam = float(smallest_eigs(kmat + b_trial, mmat, k=1, seed=seed).values[0])
+        lam = float(family.lowest(kmat + b_trial).values[0])
         q_trial = _rayleigh(kmat, b_trial, mmat, u_m)
         boundary_term = float(u_m @ (b_trial @ u_m))
         bad = lam > opt.lambda_check + tol_fem

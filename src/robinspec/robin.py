@@ -9,7 +9,7 @@ import numpy as np
 
 from . import assembly, geometry
 from .assembly import SigmaField
-from .eigensolve import EigResult, smallest_eigs
+from .eigensolve import CoefficientFamily, EigResult, smallest_eigs
 from .errors import ArgumentError, ResolutionError
 from .geometry import GAMMA, Mesh
 
@@ -71,7 +71,8 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
 
     Step n places the constant mass/length(support) on the gamma edges lying
     entirely inside the ball of radius 2^-n around the given boundary point.
-    Raises ResolutionError once no edge fits inside the ball.
+    The steps form one coefficient family.  Raises ResolutionError once no
+    edge fits inside the ball.
     """
     if mesh.dim != 2:
         raise ArgumentError("concentration sweep requires a planar mesh")
@@ -82,6 +83,8 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     d1 = np.linalg.norm(mesh.nodes[mesh.boundary[:, 1]] - pt, axis=1)
     lengths = geometry.boundary_edge_lengths(mesh)
     on_gamma = mesh.boundary_markers == GAMMA
+    ops = assembly.operators(mesh)
+    family = CoefficientFamily(ops.mass, tol=tol, seed=seed)
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
         r = 2.0 ** (-n)
@@ -92,6 +95,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
                 f"no gamma edge fits inside radius {r}: refine the mesh")
         alpha = mass / total
         values = np.where(support, alpha, 0.0)
-        res = lowest_eigenvalue(mesh, SigmaField.per_edge(values), tol=tol, seed=seed)
-        rows.append(ConcentrationRow(n, r, total, alpha, res.value))
+        b = assembly.assemble_boundary_mass(mesh, SigmaField.per_edge(values))
+        lam = float(family.lowest(ops.stiffness + b).values[0])
+        rows.append(ConcentrationRow(n, r, total, alpha, lam))
     return rows

@@ -1,0 +1,185 @@
+"""Coefficient families: LOBPCG on one shared shifted LU.
+
+The family solver must reproduce the shift-invert ARPACK path member by
+member, fall back to ARPACK (and refactor) where its reference is poor, keep
+to one factorization per family, and keep LOBPCG's warnings to itself.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from robinspec import assembly, bounds, eigensolve, mixed_dn, robin
+from robinspec.assembly import SigmaField
+from robinspec.errors import ConvergenceError
+
+from conftest import square_mesh
+
+EPS_GRID = [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3]
+AGREEMENT_RTOL = 1e-9
+MESHES = {level: square_mesh(level) for level in (4, 5)}
+
+
+@pytest.fixture
+def members(monkeypatch):
+    """Records (a, result, family) for every family member solved."""
+    seen = []
+    lowest = eigensolve.CoefficientFamily.lowest
+
+    def recorded(self, a):
+        res = lowest(self, a)
+        seen.append((a, res, self))
+        return res
+
+    monkeypatch.setattr(eigensolve.CoefficientFamily, "lowest", recorded)
+    return seen
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts sparse factorizations through eigensolve's module-level splu."""
+    count = [0]
+    splu = eigensolve.splu
+
+    def counted(a):
+        count[0] += 1
+        return splu(a)
+
+    monkeypatch.setattr(eigensolve, "splu", counted)
+    return count
+
+
+def families(seen):
+    return list({id(fam): fam for _, _, fam in seen}.values())
+
+
+def assert_agrees_with_arpack(seen):
+    m = seen[0][2].m
+    for a, res, _ in seen:
+        ref = eigensolve.smallest_eigs(a, m).values[0]
+        assert abs(res.values[0] - ref) <= AGREEMENT_RTOL * abs(ref)
+        assert res.iterations > 0
+
+
+def run_family(level, which):
+    mesh = MESHES[level]
+    if which == "maximality":
+        return mixed_dn.verify_maximality(mesh, 1.0, trials=8, seed=3)
+    if which == "scaling":
+        return bounds.scaling_table(mesh, SigmaField.constant(1.0), EPS_GRID, seed=3)
+    return robin.concentration_sweep(mesh, 1.0, (0.4, 0.0), level - 1, seed=3)
+
+
+class TestAgreementWithArpack:
+    @pytest.mark.parametrize("level", sorted(MESHES))
+    def test_maximality_trials(self, level, members):
+        rep = run_family(level, "maximality")
+        assert len(members) == 8 and rep.passed
+        assert [t.eigenvalue for t in rep.trials] == [r.values[0] for _, r, _ in members]
+        assert_agrees_with_arpack(members)
+
+    @pytest.mark.parametrize("level", sorted(MESHES))
+    def test_scale_grid(self, level, members):
+        rows = run_family(level, "scaling")
+        assert len(members) == len(EPS_GRID)
+        assert [r.eigenvalue for r in rows] == [r.values[0] for _, r, _ in members]
+        assert_agrees_with_arpack(members)
+
+    @pytest.mark.parametrize("level", sorted(MESHES))
+    def test_concentration_sweep(self, level, members):
+        rows = run_family(level, "concentration")
+        lams = [r.eigenvalue for r in rows]
+        assert lams == [r.values[0] for _, r, _ in members]
+        assert all(b < a for a, b in zip(lams, lams[1:]))
+        assert_agrees_with_arpack(members)
+
+
+class TestFactorizationBudget:
+    @pytest.mark.parametrize("which", ["scaling", "concentration"])
+    @pytest.mark.parametrize("level", sorted(MESHES))
+    def test_one_factorization_per_family(self, level, which, members, factorizations):
+        run_family(level, which)
+        (fam,) = families(members)
+        assert fam.fallbacks <= 1
+        assert factorizations[0] == 1 + fam.fallbacks
+
+    @pytest.mark.parametrize("level", sorted(MESHES))
+    def test_maximality(self, level, members, factorizations):
+        # ground state, one Newton step and lambda_check, then the family
+        run_family(level, "maximality")
+        (fam,) = families(members)
+        assert fam.fallbacks == 0
+        assert factorizations[0] == 4
+
+
+class TestFallback:
+    def pencil(self):
+        mesh = MESHES[4]
+        ops = assembly.operators(mesh)
+        b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
+        return ops.stiffness, b, ops.mass
+
+    def test_poor_reference_falls_back_gated_and_refactored(self, factorizations):
+        k, b, m = self.pencil()
+        # a near-Dirichlet reference preconditions a near-Neumann member badly
+        fam = eigensolve.CoefficientFamily(m, reference=k + 1e6 * b, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fam.lowest(k + 1e-3 * b)
+        assert fam.fallbacks == 1
+        assert factorizations[0] == 2
+        # the member's LU is the new reference: its neighbour needs no refactor
+        fam.lowest(k + 2e-3 * b)
+        assert fam.fallbacks == 1
+        assert factorizations[0] == 2
+        # the fallback is today's ARPACK path, residual gate included
+        arpack = eigensolve.smallest_eigs(k + 1e-3 * b, m, seed=5)
+        np.testing.assert_array_equal(res.values, arpack.values)
+        np.testing.assert_array_equal(res.residuals, arpack.residuals)
+
+    def test_cap_exceeded_raises_in_smallest_eigs(self):
+        k, b, m = self.pencil()
+        reference = eigensolve.shifted_factor(k + 1e6 * b, m)
+        guess = reference[1].solve(m @ np.ones(m.shape[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as info:
+                eigensolve.smallest_eigs(k + 1e-3 * b, m, precondition=reference,
+                                         guess=guess)
+        assert info.value.diagnostics["iterations"] > eigensolve._LOBPCG_STEPS
+
+
+    def test_cap_applies_even_below_the_gate(self):
+        # an exact preconditioner converges fast, but never to a zero-width
+        # tolerance: the cap ends the run however small the residual is
+        k, b, m = self.pencil()
+        _, lu = eigensolve.shifted_factor(k + b, m)
+        x0 = lu.solve(m @ np.ones(m.shape[0])).reshape(-1, 1)
+        with pytest.raises(ConvergenceError) as info:
+            eigensolve._lobpcg(k + b, m, lu, x0, 1e-300)
+        assert info.value.diagnostics["iterations"] == eigensolve._LOBPCG_STEPS + 1
+
+
+class TestPreconditionedPath:
+    def test_value_is_rayleigh_quotient_of_normalised_vector(self):
+        mesh = MESHES[4]
+        ops = assembly.operators(mesh)
+        a = ops.stiffness + assembly.assemble_boundary_mass(mesh, SigmaField.constant(2.0))
+        factor = eigensolve.shifted_factor(a, ops.mass)
+        guess = factor[1].solve(ops.load)
+        res = eigensolve.smallest_eigs(a, ops.mass, precondition=factor, guess=guess)
+        x = res.vectors[:, 0]
+        assert x @ (ops.mass @ x) == pytest.approx(1.0, rel=1e-14)
+        assert res.values[0] == pytest.approx(x @ (a @ x), rel=1e-13)
+        assert 0 < res.iterations <= eigensolve._LOBPCG_STEPS
+
+    def test_dense_members_skip_the_factorization(self, factorizations):
+        mesh = square_mesh(0)
+        ops = assembly.operators(mesh)
+        assert mesh.num_nodes <= eigensolve._DENSE_CUTOFF
+        fam = eigensolve.CoefficientFamily(ops.mass, reference=ops.stiffness)
+        res = fam.lowest(ops.stiffness + ops.mass)
+        assert factorizations[0] == 0 and res.iterations == 0
+        np.testing.assert_array_equal(
+            res.values, eigensolve.smallest_eigs(ops.stiffness + ops.mass, ops.mass).values)

@@ -123,6 +123,83 @@ class TestRefine:
         assert bset <= set(count)
 
 
+def loop_refine_2d(mesh):
+    """Red refinement by a Python loop over the elements: the reference the
+    vectorised geometry._refine_2d must reproduce bit for bit."""
+    elems = mesh.elements
+    nv = mesh.num_nodes
+    edges = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in edges:
+            edges[key] = nv + len(edges)
+        return edges[key]
+
+    children = np.empty((4 * len(elems), 3), dtype=np.int64)
+    for t, (v0, v1, v2) in enumerate(elems):
+        m01 = midpoint(v0, v1)
+        m12 = midpoint(v1, v2)
+        m20 = midpoint(v2, v0)
+        children[4 * t + 0] = (v0, m01, m20)
+        children[4 * t + 1] = (v1, m12, m01)
+        children[4 * t + 2] = (v2, m20, m12)
+        children[4 * t + 3] = (m01, m12, m20)
+
+    new_coords = np.empty((len(edges), 2))
+    for (i, j), idx in edges.items():
+        new_coords[idx - nv] = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
+    nodes = np.vstack([mesh.nodes, new_coords])
+
+    nb = len(mesh.boundary)
+    new_bdry = np.empty((2 * nb, 2), dtype=np.int64)
+    new_marks = np.empty(2 * nb, dtype=np.int64)
+    for e, (v0, v1) in enumerate(mesh.boundary):
+        m = midpoint(v0, v1)
+        new_bdry[2 * e] = (v0, m)
+        new_bdry[2 * e + 1] = (m, v1)
+        new_marks[2 * e] = new_marks[2 * e + 1] = mesh.boundary_markers[e]
+
+    if mesh.projection is not None:
+        cx, cy, r = mesh.projection
+        bnodes = np.unique(new_bdry)
+        vec = nodes[bnodes] - (cx, cy)
+        norm = np.hypot(vec[:, 0], vec[:, 1])
+        nodes[bnodes] = (cx, cy) + vec * (r / norm)[:, None]
+
+    return geometry._make_mesh(2, nodes, children, new_bdry, new_marks,
+                               level=mesh.level + 1, projection=mesh.projection)
+
+
+L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
+class TestRefineMatchesLoop:
+    @pytest.mark.parametrize("base", [
+        lambda: square_mesh(0, gamma=geometry.gamma_sides(0)),
+        lambda: triangle_mesh(0),
+        lambda: disk_mesh(0, gamma=geometry.gamma_arcs([(0.0, 2.0)])),
+        lambda: geometry.build_mesh(geometry.polygon(L_SHAPE, gamma=geometry.gamma_sides(1, 3)), 0.9),
+    ], ids=["square", "triangle", "disk", "l-shape"])
+    def test_bit_identical_at_levels_1_to_4(self, base):
+        mesh = base()
+        for level in range(1, 5):
+            fine, ref = geometry.refine(mesh), loop_refine_2d(mesh)
+            for field in ("nodes", "elements", "boundary", "boundary_markers"):
+                got, want = getattr(fine, field), getattr(ref, field)
+                assert got.dtype == want.dtype, (level, field)
+                np.testing.assert_array_equal(got, want, err_msg=f"level {level} {field}")
+            assert (fine.level, fine.projection) == (ref.level, ref.projection)
+            mesh = fine
+
+    def test_boundary_edge_outside_elements_rejected(self):
+        # (1, 3) crosses the square; the elements split it along (0, 2)
+        broken = geometry._make_mesh(2, [[0, 0], [1, 0], [1, 1], [0, 1]],
+                                     [[0, 1, 2], [0, 2, 3]], [[0, 1], [1, 3]], [0, 0])
+        with pytest.raises(GeometryError):
+            geometry.refine(broken)
+
+
 class TestMeasures:
     def test_square_area_perimeter(self):
         mesh = square_mesh(2)

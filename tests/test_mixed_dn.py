@@ -9,7 +9,7 @@ from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError, RangeError
 from robinspec.exact1d import optimal_eigenvalue_interval
 
-from conftest import disk_mesh, interval_mesh, square_mesh
+from conftest import disk_mesh, interval_mesh, refined, square_mesh
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -194,6 +194,46 @@ class TestMassCurveModel:
         assert prob._factor is None
         prob.optimal_eigenvalue(2.0)
         assert prob._mass_curve_model() is model
+
+
+@pytest.fixture(scope="module")
+def interval_l10_problem():
+    # the CLI's interval at level 10: one element refined ten times
+    return mixed_dn.MixedProblem(refined(interval_mesh(1), 10))
+
+
+class TestEvaluationFloor:
+    @pytest.mark.parametrize("mass", [1e2, 1e3, 1e4, 1e5])
+    def test_true_loop_stops_at_the_floor_on_its_best_step(
+            self, interval_l10_problem, mass, monkeypatch):
+        # 1e-10 m lies below the float64 floor of F here: the true loop must
+        # stop within a few solves on the best xi it evaluated
+        prob = interval_l10_problem
+        seen = []
+        step = mixed_dn.MixedProblem.mass_function_with_derivative
+
+        def counted_step(self, xi):
+            out = step(self, xi)
+            seen.append(abs(out[0] - mass))
+            return out
+
+        monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
+        xi, u = prob._invert_mass_curve(mass)
+        assert len(seen) <= 6
+        f, _, u_again = step(prob, xi)
+        np.testing.assert_array_equal(u, u_again)
+        assert abs(f - mass) == min(seen)
+        assert abs(f - mass) <= 1e-6 * mass
+
+
+    def test_floor_stop_returns_the_better_of_the_last_two(self):
+        # a curve stuck at its floor: the second evaluation is worse
+        errors = iter([4e-4, -9e-4])
+
+        def curve(xi):
+            return 1.0 + next(errors), 1e3, xi
+
+        assert mixed_dn._safeguarded_newton(curve, 1.0, 0.5, 1.0, 1e-10) == (0.5, 0.5)
 
 
 class TestOptimalEigenvalue:

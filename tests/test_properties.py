@@ -7,6 +7,10 @@ sigma -> c sigma with c >= 1.  Both checks are 1e-9 relative, plus a
 round-off floor of 1e-12 ||K + B||_inf that covers the zero eigenvalue of an
 all-zero (Neumann) coefficient.
 
+Random families of nonnegative nodal coefficients, solved in order by one
+`CoefficientFamily` (LOBPCG on one shared LU, ARPACK where that fails), are
+held to the same dense check member by member.
+
 Random masses: the optimal eigenvalue, whose Newton loop starts from the
 Lanczos model's root, must reproduce the mass on a true resolvent solve and
 lie between the closed-form bounds.
@@ -16,7 +20,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from robinspec import assembly, bounds, mixed_dn, robin
+from robinspec import assembly, bounds, eigensolve, mixed_dn, robin
 from robinspec.assembly import SigmaField
 
 from conftest import interval_mesh, square_mesh
@@ -68,6 +72,36 @@ def test_monotone_under_coefficient_scaling(case, c):
     lam_c = robin.lowest_eigenvalue(mesh, SigmaField.nodal(c * values)).value
     a, _ = fresh_pencil(mesh, c * values)
     assert lam_c >= lam - RTOL * abs(lam) - round_off(a)
+
+
+FAMILY_MESH = square_mesh(3)
+
+
+@st.composite
+def sigma_family(draw):
+    """Two to five nodal coefficients on FAMILY_MESH, drawn like nodal_sigma."""
+    nodes = np.unique(FAMILY_MESH.boundary)
+    members = []
+    for _ in range(draw(st.integers(2, 5))):
+        draws = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                              min_size=len(nodes), max_size=len(nodes)))
+        values = np.zeros(FAMILY_MESH.num_nodes)
+        values[nodes] = draws
+        members.append(values)
+    return members
+
+
+@PROPERTY_SETTINGS
+@given(sigma_family())
+def test_coefficient_family_matches_dense_solves(members):
+    ops = assembly.operators(FAMILY_MESH)
+    family = eigensolve.CoefficientFamily(ops.mass)
+    for values in members:
+        b = assembly.assemble_boundary_mass(FAMILY_MESH, SigmaField.nodal(values))
+        lam = family.lowest(ops.stiffness + b).values[0]
+        a, m = fresh_pencil(FAMILY_MESH, values)
+        ref = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)[0]
+        assert abs(lam - ref) <= RTOL * abs(ref) + round_off(a)
 
 
 PROBLEMS = {name: mixed_dn.MixedProblem(mesh) for name, mesh in MESHES.items()}
