@@ -236,25 +236,3 @@ def operators(mesh: Mesh) -> Operators:
             ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load))
     return ops
 
-
-# ---------------------------------------------------------------------------
-# Discrete functionals
-# ---------------------------------------------------------------------------
-
-def integrate(mesh: Mesh, u) -> float:
-    """Exact integral of a nodal P1 function."""
-    m = operators(mesh).mass
-    return float(np.ones(mesh.num_nodes) @ (m @ np.asarray(u, dtype=float)))
-
-
-def l2_norm(mesh: Mesh, u) -> float:
-    m = operators(mesh).mass
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(u @ (m @ u)))
-
-
-def boundary_integral(mesh: Mesh, sigma: SigmaField, u) -> float:
-    """Weighted boundary term: integral of sigma * u^2 over the boundary."""
-    b = assemble_boundary_mass(mesh, sigma)
-    u = np.asarray(u, dtype=float)
-    return float(u @ (b @ u))

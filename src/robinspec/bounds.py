@@ -80,29 +80,6 @@ def optimal_upper_bound(mass: float, e1: float, volume: float,
     return 2.0 * mass * e1 / (mass + volume * e1 + math.sqrt(disc))
 
 
-def upper_bound_test_family(mass: float, e1: float, volume: float,
-                            phi_integral: float):
-    """Optimizing parameter t0 of the interpolated family and the quotient
-    value there (diagnostics for optimal_upper_bound)."""
-    g2 = phi_integral ** 2
-    disc = (volume * e1 - mass) ** 2 + 4.0 * g2 * mass * e1
-    denom = 2.0 * (volume - g2) * mass / volume
-    if denom <= 0.0:  # constant ground state: family degenerates
-        t0 = 1.0
-    else:
-        t0 = (e1 * volume + mass - math.sqrt(disc)) / denom
-    return t0, t0 * mass / volume
-
-
-def quotient_of_family(t: float, mass: float, e1: float, volume: float,
-                       phi_integral: float) -> float:
-    """Rayleigh quotient of the interpolated test function at parameter t."""
-    g2 = phi_integral ** 2
-    num = e1 * volume / g2 * (1.0 - t) ** 2 + mass / volume * t ** 2
-    den = 1.0 + (volume / g2 - 1.0) * (1.0 - t) ** 2
-    return num / den
-
-
 def optimal_eigenvalue_sandwich(mesh: Mesh, mass: float,
                                 rel_tol: float = 0.02) -> BoundReport:
     """Two-sided check of the optimal eigenvalue computed on a mesh.
@@ -275,9 +252,11 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42,
     * integral of u^2 / (dist + alpha)^2 for random functions and the
     Robin ground state.
 
-    The distance enters pointwise at quadrature points (exact polygon
-    distance); with alpha sigma >= 1 the right side is nonpositive and the
-    bound is vacuous, which the sign of the coefficient encodes.  The
+    The domain must be convex: the distance enters pointwise at quadrature
+    points as the distance to the mesh's boundary polygon, and a non-convex
+    mesh raises UnsupportedDomainError.  With alpha sigma >= 1 the right
+    side is nonpositive and the bound is vacuous, which the sign of the
+    coefficient encodes.  The
     quadrature, the distances and the random functions depend only on the
     mesh and the seed, the ground state only on sigma: each is computed
     once and shared by the pairs.

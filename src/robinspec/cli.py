@@ -34,12 +34,14 @@ def _fmt(x: float) -> str:
 
 def _numbers(text, what: str, sep: str = ",", count: Optional[int] = None,
              kind=float) -> list:
-    """The sep-separated numbers in text; malformed input is an ArgumentError."""
+    """The sep-separated finite numbers in text; malformed input is an
+    ArgumentError."""
     try:
         vals = [kind(t) for t in str(text).split(sep) if t != ""]
     except ValueError:
         vals = None
-    if vals is None or (count is not None and len(vals) != count):
+    if (vals is None or not all(math.isfinite(v) for v in vals)
+            or (count is not None and len(vals) != count)):
         raise ArgumentError(f"cannot parse {what} {text!r}")
     return vals
 
@@ -312,8 +314,16 @@ _FLAG_TYPES = {
 _DOMAINS = ["interval", "square", "rect", "triangle", "polygon", "disk"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag that does not parse as an ArgumentError, which ends
+    like every other configuration error."""
+
+    def error(self, message):
+        raise ArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robinspec",
         description="Robin eigenvalue solves, optimal boundary coefficients, "
                     "and bound certification tables.")
@@ -326,12 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config_value(key: str, value) -> None:
-    """A config value must have its flag's type; numbers may also stand in
-    for the string flags (e.g. "sigma": 1.0)."""
+def _check_value(key: str, value) -> None:
+    """An option's value must have its flag's type, and a number must be
+    finite; numbers may also stand in for the string flags (e.g. "sigma": 1.0)."""
     allowed = {int: (int,), float: (int, float)}.get(_FLAG_TYPES.get(key), (str, int, float))
     if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
-        raise ArgumentError(f"config key {key!r} has a value of the wrong type: {value!r}")
+        raise ArgumentError(f"option {key!r} has a value of the wrong type: {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ArgumentError(f"option {key!r} must be finite, got {value!r}")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -345,19 +357,19 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if unknown:
             raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
-            _check_config_value(key, value)
+            _check_value(key, value)
         opts.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
+        _check_value(key, value)
         opts[key] = value
     return opts
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         opts = _merge_options(args)
         return _COMMANDS[args.command](opts)
     except (RobinspecError, OSError, json.JSONDecodeError) as exc:

@@ -3,7 +3,8 @@
 Supported domains are intervals, simple planar polygons (counterclockwise),
 and disks approximated by inscribed polygons whose boundary nodes sit on the
 circle.  A subset of the boundary (gamma) is selected at build time and
-tracked through refinement via per-edge markers.
+tracked through refinement via per-edge markers.  The inradius and the
+distance to the boundary are defined for convex domains only.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ GAMMA = 1
 NOT_GAMMA = 0
 
 _MAX_BUILD_REFINES = 30
+# boundary edges per block in distances_to_boundary
+_SIDE_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +81,8 @@ class DomainSpec:
 
 
 def interval(a: float, b: float, gamma: Optional[GammaSelect] = None) -> DomainSpec:
-    if not b > a:
-        raise GeometryError(f"interval needs a < b, got ({a}, {b})")
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise GeometryError(f"interval needs finite a < b, got ({a}, {b})")
     return DomainSpec("interval", a=float(a), b=float(b), gamma=gamma or gamma_all())
 
 
@@ -87,6 +90,8 @@ def polygon(vertices: Sequence[Sequence[float]], gamma: Optional[GammaSelect] = 
     verts = tuple((float(x), float(y)) for x, y in vertices)
     if len(verts) < 3:
         raise GeometryError("polygon needs at least 3 vertices")
+    if not all(math.isfinite(c) for v in verts for c in v):
+        raise GeometryError("polygon vertices must be finite")
     if _signed_area(verts) <= 0.0:
         raise GeometryError("polygon vertices must be counterclockwise")
     if not _is_simple(verts):
@@ -96,8 +101,8 @@ def polygon(vertices: Sequence[Sequence[float]], gamma: Optional[GammaSelect] = 
 
 def disk(center: Sequence[float], radius: float, segments: int = 16,
          gamma: Optional[GammaSelect] = None) -> DomainSpec:
-    if radius <= 0:
-        raise GeometryError("disk radius must be positive")
+    if not (math.isfinite(radius) and radius > 0 and all(map(math.isfinite, center))):
+        raise GeometryError("disk needs a finite center and a finite positive radius")
     if segments < 8:
         raise GeometryError("disk needs at least 8 boundary segments")
     return DomainSpec("disk", center=(float(center[0]), float(center[1])),
@@ -203,7 +208,7 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
     Disks are meshed as inscribed polygons with all boundary nodes on the
     circle; refining a disk mesh keeps projecting new boundary nodes.
     """
-    if target_h <= 0:
+    if not target_h > 0:
         raise ArgumentError(f"target_h must be positive, got {target_h}")
     if domain.kind == "interval":
         return _build_interval(domain, target_h)
@@ -478,6 +483,16 @@ def _is_convex(verts: np.ndarray) -> bool:
     return True
 
 
+def _halfplanes(p0: np.ndarray, p1: np.ndarray):
+    """(normals, offsets) of the edges p0[i] -> p1[i] of a ccw boundary: the
+    unit outward normals n_i and o_i = n_i . p0[i], so that the domain side
+    of edge i is n_i . x <= o_i."""
+    t = p1 - p0
+    normals = np.column_stack([t[:, 1], -t[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return normals, np.einsum("ij,ij->i", normals, p0)
+
+
 def _clip_halfplane(poly, normal, offset):
     """Keep the part of a convex polygon with normal.x <= offset."""
     out = []
@@ -509,15 +524,7 @@ def chebyshev_center(domain: DomainSpec) -> Tuple[np.ndarray, float]:
     if not _is_convex(verts):
         raise UnsupportedDomainError("inradius requires a convex polygon")
     n = len(verts)
-    normals = np.empty((n, 2))
-    offsets = np.empty(n)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        t = q - p
-        nv = np.array([t[1], -t[0]])  # outward for ccw polygons
-        nv /= np.linalg.norm(nv)
-        normals[i] = nv
-        offsets[i] = nv @ p
+    normals, offsets = _halfplanes(verts, np.roll(verts, -1, axis=0))
 
     def feasible_region(r):
         poly = [v.copy() for v in verts]
@@ -552,49 +559,39 @@ def inradius(domain: DomainSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def distances_to_boundary(mesh: Mesh, points: np.ndarray) -> np.ndarray:
-    """Exact distance from each point to the mesh's polygonal boundary.
+    """Distance from each point to the boundary of a convex domain.
 
-    No inside test; callers feeding interior quadrature points use this
-    directly.
+    In 2D the mesh's boundary edges must bound a convex polygon.  The
+    distance is then min_i (o_i - n_i . x) over the edges' half-planes,
+    clipped at 0 for points outside.  Edges are taken _SIDE_BLOCK at a
+    time, so no array grows beyond points x _SIDE_BLOCK.  Raises
+    UnsupportedDomainError when a boundary node lies outside some edge's
+    half-plane by more than 1e-12 times the coordinate scale: for a simple
+    polygon that means it is not convex, or not counterclockwise.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
         bx = mesh.nodes[mesh.boundary[:, 0], 0]
         return np.min(np.abs(pts[:, :1] - bx[None, :]), axis=1)
-    p0 = mesh.nodes[mesh.boundary[:, 0]]  # (B, 2)
-    seg = mesh.nodes[mesh.boundary[:, 1]] - p0
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    diff = pts[:, None, :] - p0[None, :, :]  # (P, B, 2)
-    t = np.einsum("pbj,bj->pb", diff, seg) / seg_len2[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    proj = p0[None, :, :] + t[:, :, None] * seg[None, :, :]
-    d = np.linalg.norm(pts[:, None, :] - proj, axis=2)
-    return np.min(d, axis=1)
+    normals, offsets = _halfplanes(mesh.nodes[mesh.boundary[:, 0]],
+                                   mesh.nodes[mesh.boundary[:, 1]])
+    corners = mesh.nodes[boundary_nodes(mesh)]
+    slack = 1e-12 * float(np.max(np.abs(corners)))
 
+    def margins(x, block):
+        """o - n . x for each row of x and each edge of the block."""
+        d = offsets[block] - x[:, :1] * normals[block, 0]
+        d -= x[:, 1:] * normals[block, 1]
+        return d
 
-def _point_inside(mesh: Mesh, point: np.ndarray) -> bool:
-    if mesh.dim == 1:
-        x = point[0]
-        lo = float(mesh.nodes[:, 0].min())
-        hi = float(mesh.nodes[:, 0].max())
-        return lo - 1e-12 <= x <= hi + 1e-12
-    p = mesh.nodes[mesh.elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    rel = point[None, :] - p[:, 0]
-    u = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
-    v = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-    eps = 1e-12
-    return bool(np.any((u >= -eps) & (v >= -eps) & (u + v <= 1 + eps)))
-
-
-def dist_to_boundary(mesh: Mesh, point) -> float:
-    """Distance from an interior point to the boundary; raises if outside."""
-    pt = np.asarray(point, dtype=float).reshape(-1)
-    if not _point_inside(mesh, pt):
-        raise ArgumentError(f"point {pt.tolist()} lies outside the meshed domain")
-    return float(distances_to_boundary(mesh, pt[None, :])[0])
+    dist = np.full(len(pts), np.inf)
+    for lo in range(0, len(offsets), _SIDE_BLOCK):
+        block = slice(lo, lo + _SIDE_BLOCK)
+        if margins(corners, block).min() < -slack:
+            raise UnsupportedDomainError(
+                "distance to the boundary requires a convex domain")
+        np.minimum(dist, margins(pts, block).min(axis=1), out=dist)
+    return np.maximum(dist, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -672,16 +669,27 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    header = raw[0].split()
-    if header[:2] != ["robinspec-mesh", "v1"]:
-        raise ArgumentError(f"not a robinspec-mesh v1 file: {raw[0]!r}")
-    dim = int(header[2])
-    nv, ne, nb = (int(t) for t in raw[1].split())
-    nodes = np.array([[float(t) for t in ln.split()] for ln in raw[2:2 + nv]])
-    elements = np.array([[int(t) for t in ln.split()] for ln in raw[2 + nv:2 + nv + ne]])
-    bdry_rows = [[int(t) for t in ln.split()] for ln in raw[2 + nv + ne:2 + nv + ne + nb]]
-    boundary = np.array([r[:-1] for r in bdry_rows])
-    markers = np.array([r[-1] for r in bdry_rows])
-    return _make_mesh(dim, nodes, elements, boundary, markers)
+    """Read a mesh in the robinspec-mesh v1 format.  An empty, truncated or
+    non-numeric file is an ArgumentError."""
+    try:
+        with open(path) as fh:
+            rows = [ln.split() for ln in fh if ln.strip()]
+        if not rows or rows[0][:2] != ["robinspec-mesh", "v1"]:
+            raise ValueError("no robinspec-mesh v1 header")
+        (dim,) = (int(t) for t in rows[0][2:])
+        nv, ne, nb = (int(t) for t in rows[1])
+        if dim not in (1, 2) or min(nv, ne, nb) < 1 or len(rows) != 2 + nv + ne + nb:
+            raise ValueError("dimension or section sizes do not match the file")
+        nodes = np.array(rows[2:2 + nv], dtype=float)
+        elements = np.array(rows[2 + nv:2 + nv + ne], dtype=np.int64)
+        bdry = np.array(rows[2 + nv + ne:], dtype=np.int64)
+        if (nodes.shape[1], elements.shape[1], bdry.shape[1]) != (dim, dim + 1, dim + 1):
+            raise ValueError("a row has the wrong number of entries")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("non-finite node coordinate")
+        if not (0 <= min(elements.min(), bdry[:, :-1].min())
+                and max(elements.max(), bdry[:, :-1].max()) < nv):
+            raise ValueError("node index out of range")
+    except (IndexError, ValueError) as exc:
+        raise ArgumentError(f"malformed robinspec-mesh v1 file {path}: {exc}") from None
+    return _make_mesh(dim, nodes, elements, bdry[:, :-1], bdry[:, -1])

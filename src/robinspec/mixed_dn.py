@@ -196,9 +196,6 @@ class MixedProblem:
         u[self.free] = u_free
         return u
 
-    def mass_function(self, xi: float) -> float:
-        return self.mass_function_with_derivative(xi)[0]
-
     def mass_function_with_derivative(self, xi: float):
         """Mass curve xi^2 int(U) + xi |Omega|, its (always positive)
         derivative, and the resolvent U both come from."""

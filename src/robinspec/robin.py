@@ -46,10 +46,6 @@ def spectrum(mesh: Mesh, sigma: SigmaField, k: int, tol: float = 1e-10,
     return smallest_eigs(ops.stiffness + b, ops.mass, k=k, tol=tol, seed=seed)
 
 
-def neumann_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> EigResult:
-    return spectrum(mesh, SigmaField.constant(0.0), k, tol=tol, seed=seed)
-
-
 def dirichlet_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> EigResult:
     """First k eigenvalues with the value pinned to zero on the whole boundary."""
     _, k_ff, m_ff = assembly.operators(mesh).restrict(geometry.boundary_nodes(mesh))

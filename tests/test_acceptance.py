@@ -187,7 +187,7 @@ def test_criterion_10_identity_checks():
     assert abs(gs.integral ** 2 - (vol - 0.5 * double_integral)) <= 1e-10
     # free/pinned bracketing of the first three Robin eigenvalues
     rob = robin.spectrum(mesh, SigmaField.constant(1.0), 3).values
-    neu = robin.neumann_spectrum(mesh, 3).values
+    neu = robin.spectrum(mesh, SigmaField.constant(0.0), 3).values
     dir_ = robin.dirichlet_spectrum(mesh, 3).values
     for j in range(3):
         assert neu[j] <= rob[j] + 1e-9

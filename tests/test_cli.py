@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robinspec
 from robinspec import cli, exact1d, geometry, schema
@@ -200,9 +203,12 @@ class TestErrors:
         ["hardy", "--sigma", "1", "--alpha", "0.2,x", "--levels", "1"],
         ["solve", "--config", "{levels_as_text}"],
         ["solve", "--config", "{not_an_object}"],
+        ["solve", "--sigma", "nan", "--levels", "1"],
+        ["solve", "--domain", "disk", "--center", "inf,0", "--sigma", "1", "--levels", "0"],
+        ["solve", "--domain", "disk", "--radius", "nan", "--sigma", "1", "--levels", "0"],
     ], ids=["grid", "sigma", "sigma-grid", "gamma-edges", "gamma-arc", "disk-center",
             "polygon-vertex", "alpha-auto-zero-sigma", "alpha", "config-type",
-            "config-list"])
+            "config-list", "sigma-nan", "disk-center-inf", "radius-nan"])
     def test_malformed_input_exit_2(self, args, tmp_path, capsys):
         configs = {"levels_as_text": {"sigma": 1.0, "levels": "2"}, "not_an_object": 5}
         paths = {}
@@ -214,3 +220,73 @@ class TestErrors:
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
         assert json.loads(err)["error"] == "ArgumentError"
+
+
+def wrong_values(kind):
+    """JSON values that are not a finite number of the flag's type."""
+    other = st.one_of(st.text(max_size=5), st.booleans(),
+                      st.lists(st.integers(), max_size=3),
+                      st.dictionaries(st.text(max_size=3), st.integers(), min_size=1,
+                                      max_size=2),
+                      st.sampled_from([math.nan, math.inf, -math.inf]))
+    if kind is int:
+        return st.one_of(other, st.floats(allow_nan=False, allow_infinity=False))
+    return other
+
+
+@st.composite
+def malformed_configs(draw):
+    """A cheap valid config plus one to three numeric flags of cli._FLAG_TYPES
+    holding values of the wrong type or non-finite numbers."""
+    keys = draw(st.lists(st.sampled_from(sorted(cli._FLAG_TYPES)), min_size=1,
+                         max_size=3, unique=True))
+    config = {"sigma": 1.0, "levels": 0}
+    config.update({key: draw(wrong_values(cli._FLAG_TYPES[key])) for key in keys})
+    return config
+
+
+def assert_exit_2_with_one_json_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "Traceback" not in lines[0]
+    assert json.loads(lines[0])["error"] == "ArgumentError"
+
+
+CLI_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@CLI_SETTINGS
+@given(st.sampled_from(sorted(cli._COMMANDS)), malformed_configs())
+def test_malformed_config_values_exit_2(tmp_path_factory, command, config):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(config))
+    assert_exit_2_with_one_json_line([command, "--config", str(path)])
+
+
+def is_malformed(kind, text):
+    try:
+        return not math.isfinite(kind(text))
+    except ValueError:
+        return True
+
+
+@st.composite
+def malformed_flags(draw):
+    """(flag, text) for a numeric flag of cli._FLAG_TYPES and a text that
+    does not parse as a finite number of its type."""
+    key = draw(st.sampled_from(sorted(cli._FLAG_TYPES)))
+    kind = cli._FLAG_TYPES[key]
+    text = draw(st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e999", "2.5", "", "1,2"]),
+                          st.text(max_size=6))
+                .filter(lambda t: is_malformed(kind, t)))
+    return "--" + key.replace("_", "-"), text
+
+
+@CLI_SETTINGS
+@given(st.sampled_from(sorted(cli._COMMANDS)), malformed_flags())
+def test_malformed_flag_values_exit_2(command, flag):
+    assert_exit_2_with_one_json_line([command, *flag, "--sigma", "1", "--levels", "0"])

@@ -1,9 +1,13 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
-from robinspec import geometry
+from robinspec import bounds, cli, geometry
 from robinspec.errors import ArgumentError, GeometryError, UnsupportedDomainError
 
 from conftest import disk_mesh, interval_mesh, refined, square_mesh, triangle_mesh
@@ -40,6 +44,8 @@ class TestBuildMesh:
     def test_nonpositive_target_h(self):
         with pytest.raises(ArgumentError):
             geometry.build_mesh(geometry.unit_square(), 0.0)
+        with pytest.raises(ArgumentError):
+            geometry.build_mesh(geometry.unit_square(), math.nan)
 
     def test_non_simple_polygon_rejected(self):
         with pytest.raises(GeometryError):
@@ -52,6 +58,21 @@ class TestBuildMesh:
     def test_interval_needs_a_lt_b(self):
         with pytest.raises(GeometryError):
             geometry.interval(1.0, 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: geometry.interval(math.nan, 1.0),
+        lambda: geometry.interval(0.0, math.inf),
+        lambda: geometry.polygon([(0, 0), (1, math.nan), (0, 1)]),
+        lambda: geometry.rectangle(math.inf, 1.0),
+        lambda: geometry.disk((0, 0), math.nan),
+        lambda: geometry.disk((0, 0), math.inf),
+        lambda: geometry.disk((math.nan, 0), 1.0),
+    ], ids=["interval-nan", "interval-inf", "polygon-nan", "rect-inf", "disk-nan",
+            "disk-inf", "disk-center-nan"])
+    def test_non_finite_domain_rejected(self, build):
+        # each would otherwise refine toward a mesh size it can never reach
+        with pytest.raises(GeometryError):
+            build()
 
     def test_nonconvex_polygon_meshes(self):
         lshape = geometry.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -241,18 +262,8 @@ class TestInradius:
         for dom in (geometry.unit_square(),
                     geometry.rectangle(2, 1),
                     geometry.polygon([(0, 0), (1, 0), (0, 1)]),
-                    geometry.polygon([(0, 0), (2, 0), (3, 1.5), (1, 2.5), (-0.5, 1)])):
-            center, r = geometry.chebyshev_center(dom)
-            mesh = geometry.build_mesh(dom, 0.5)
-            assert abs(geometry.dist_to_boundary(mesh, center) - r) < 1e-10
-            # no grid point does better
-            verts = np.array(dom.vertices)
-            xs = np.linspace(verts[:, 0].min(), verts[:, 0].max(), 100)
-            ys = np.linspace(verts[:, 1].min(), verts[:, 1].max(), 100)
-            grid = np.array([(x, y) for x in xs for y in ys])
-            inside = [p for p in grid if geometry._point_inside(mesh, p)]
-            dmax = geometry.distances_to_boundary(mesh, np.array(inside)).max()
-            assert dmax <= r + 1e-10
+                    PENTAGON):
+            assert_center_realizes_radius(dom, grid_n=100)
 
     def test_gauss_volume_estimate(self):
         # |Omega| >= |bdry| * inradius / 2 for convex planar domains
@@ -265,23 +276,184 @@ class TestInradius:
             assert geometry.area(mesh) >= geometry.boundary_length(mesh) * r / 2.0 - 1e-12
 
 
+def segment_distances(mesh, points):
+    """Distance from each point to the nearest boundary segment, by a search
+    over all (point, segment) pairs: the reference the half-plane distances
+    of geometry.distances_to_boundary must reproduce on convex domains."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    p0 = mesh.nodes[mesh.boundary[:, 0]]
+    seg = mesh.nodes[mesh.boundary[:, 1]] - p0
+    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    diff = pts[:, None, :] - p0[None, :, :]
+    t = np.clip(np.einsum("pbj,bj->pb", diff, seg) / seg_len2[None, :], 0.0, 1.0)
+    proj = p0[None, :, :] + t[:, :, None] * seg[None, :, :]
+    return np.min(np.linalg.norm(pts[:, None, :] - proj, axis=2), axis=1)
+
+
+def points_inside(mesh, points):
+    """Which points lie in some element of a planar mesh (barycentric test
+    with a 1e-12 margin), independent of the boundary's half-planes."""
+    p = mesh.nodes[mesh.elements]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    rel = np.asarray(points, dtype=float)[:, None, :] - p[None, :, 0]
+    u = (rel[..., 0] * d2[:, 1] - rel[..., 1] * d2[:, 0]) / det
+    v = (d1[:, 0] * rel[..., 1] - d1[:, 1] * rel[..., 0]) / det
+    eps = 1e-12
+    return np.any((u >= -eps) & (v >= -eps) & (u + v <= 1 + eps), axis=1)
+
+
+def assert_center_realizes_radius(dom, grid_n):
+    """The Chebyshev center lies at distance r from the boundary, and no
+    inside point of a grid_n x grid_n grid lies farther."""
+    center, r = geometry.chebyshev_center(dom)
+    mesh = geometry.build_mesh(dom, 0.5)
+    assert abs(geometry.distances_to_boundary(mesh, center)[0] - r) < 1e-10
+    verts = np.array(dom.vertices)
+    xs = np.linspace(verts[:, 0].min(), verts[:, 0].max(), grid_n)
+    ys = np.linspace(verts[:, 1].min(), verts[:, 1].max(), grid_n)
+    grid = np.array([(x, y) for x in xs for y in ys])
+    inside = grid[points_inside(mesh, grid)]
+    assert geometry.distances_to_boundary(mesh, inside).max() <= r + 1e-10
+
+
+def quadrature_points(mesh):
+    return bounds._quadrature_points(mesh)[0]
+
+
+def diameter(mesh):
+    b = mesh.nodes[np.unique(mesh.boundary)]
+    return float(np.max(np.linalg.norm(b[:, None, :] - b[None, :, :], axis=2)))
+
+
+PENTAGON = geometry.polygon([(0, 0), (2, 0), (3, 1.5), (1, 2.5), (-0.5, 1)])
+
+
 class TestDistance:
     def test_square_center(self):
         mesh = square_mesh(2)
-        assert abs(geometry.dist_to_boundary(mesh, (0.5, 0.5)) - 0.5) < 1e-14
+        assert abs(geometry.distances_to_boundary(mesh, (0.5, 0.5))[0] - 0.5) < 1e-14
 
     def test_square_offcenter(self):
         mesh = square_mesh(2)
-        assert abs(geometry.dist_to_boundary(mesh, (0.25, 0.5)) - 0.25) < 1e-14
+        assert abs(geometry.distances_to_boundary(mesh, (0.25, 0.5))[0] - 0.25) < 1e-14
 
     def test_interval_point(self):
         mesh = interval_mesh(10)
-        assert abs(geometry.dist_to_boundary(mesh, (0.3,)) - 0.3) < 1e-14
+        assert abs(geometry.distances_to_boundary(mesh, (0.3,))[0] - 0.3) < 1e-14
 
-    def test_outside_raises(self):
+    def test_outside_point_clipped_to_zero(self):
         mesh = square_mesh(1)
-        with pytest.raises(ArgumentError):
-            geometry.dist_to_boundary(mesh, (2.0, 2.0))
+        assert not points_inside(mesh, [(2.0, 2.0)])[0]
+        assert geometry.distances_to_boundary(mesh, (2.0, 2.0))[0] == 0.0
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: triangle_mesh(4),
+        lambda: disk_mesh(1),
+        lambda: refined(geometry.build_mesh(PENTAGON, 0.5), 1),
+    ], ids=["triangle", "disk", "pentagon"])
+    def test_matches_segment_search(self, mesh):
+        mesh = mesh()
+        pts = quadrature_points(mesh)
+        got = geometry.distances_to_boundary(mesh, pts)
+        np.testing.assert_allclose(got, segment_distances(mesh, pts),
+                                   rtol=0, atol=1e-15 * diameter(mesh))
+
+    def test_square_bit_identical_to_segment_search(self):
+        mesh = square_mesh(4)
+        pts = quadrature_points(mesh)
+        np.testing.assert_array_equal(geometry.distances_to_boundary(mesh, pts),
+                                      segment_distances(mesh, pts))
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_size_does_not_change_distances(self, block, monkeypatch):
+        mesh = disk_mesh(1)  # 128 boundary edges
+        pts = quadrature_points(mesh)
+        want = geometry.distances_to_boundary(mesh, pts)
+        monkeypatch.setattr(geometry, "_SIDE_BLOCK", block)
+        np.testing.assert_array_equal(geometry.distances_to_boundary(mesh, pts), want)
+
+    def test_memory_bounded_by_points_times_block(self):
+        mesh = disk_mesh(2)  # 256 boundary edges
+        pts = quadrature_points(mesh)
+        assert len(mesh.boundary) >= 4 * geometry._SIDE_BLOCK
+        tracemalloc.start()
+        try:
+            geometry.distances_to_boundary(mesh, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = len(pts) * geometry._SIDE_BLOCK * 8
+        assert peak <= 3 * block_bytes
+
+    def test_nonconvex_rejected(self):
+        mesh = geometry.build_mesh(geometry.polygon(L_SHAPE), 0.5)
+        with pytest.raises(UnsupportedDomainError):
+            geometry.distances_to_boundary(mesh, quadrature_points(mesh))
+
+    def test_clockwise_boundary_rejected(self):
+        mesh = square_mesh(1)
+        flipped = geometry._make_mesh(2, mesh.nodes, mesh.elements,
+                                      mesh.boundary[:, ::-1], mesh.boundary_markers)
+        with pytest.raises(UnsupportedDomainError):
+            geometry.distances_to_boundary(flipped, [(0.5, 0.5)])
+
+    @pytest.mark.parametrize("args", [
+        ["hardy", "--sigma", "1", "--alpha", "0.5"],
+        ["bounds", "--m", "1", "--sigma", "1"],
+    ], ids=["hardy", "inradius"])
+    def test_nonconvex_cli_exit_3(self, args, capsys):
+        vertices = ";".join(f"{x},{y}" for x, y in L_SHAPE)
+        code = cli.main(args + ["--domain", "polygon", "--vertices", vertices,
+                                "--levels", "1"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert json.loads(err)["error"] == "UnsupportedDomainError"
+
+
+@st.composite
+def convex_polygons(draw):
+    """Convex hull of 3-12 random points in the square [-1, 1]^2, kept when
+    no side is shorter than 0.05, no corner turns by less than 1e-3 and the
+    area is at least 0.1."""
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12)))
+    assume(len(np.unique(pts, axis=0)) >= 3)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:  # collinear points
+        assume(False)
+    verts = pts[hull.vertices]  # counterclockwise in 2D
+    edges = np.roll(verts, -1, axis=0) - verts
+    nxt = np.roll(edges, -1, axis=0)
+    turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    assume(hull.volume >= 0.1)
+    assume(np.linalg.norm(edges, axis=1).min() >= 0.05 and turns.min() >= 1e-3)
+    return geometry.polygon(verts.tolist())
+
+
+@settings(max_examples=20, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(convex_polygons())
+def test_random_convex_polygons(dom):
+    mesh = refined(geometry.build_mesh(dom, 0.5), 1)
+    pts = quadrature_points(mesh)
+    np.testing.assert_allclose(geometry.distances_to_boundary(mesh, pts),
+                               segment_distances(mesh, pts),
+                               rtol=0, atol=1e-15 * diameter(mesh))
+    assert_center_realizes_radius(dom, grid_n=30)
+    reports = bounds.hardy_reports(mesh, [(1.0, 0.25), (1.0, 0.5), (4.0, 0.125)],
+                                   trials=5)
+    assert all(rep.violations == 0 for rep in reports)
+
+
+def mesh_text(mesh, tmp_path):
+    path = tmp_path / "mesh.txt"
+    geometry.write_mesh(mesh, path)
+    return path.read_text()
 
 
 class TestMeshFile:
@@ -312,3 +484,82 @@ class TestMeshFile:
         path.write_text("something else\n1 1 1\n")
         with pytest.raises(ArgumentError):
             geometry.read_mesh(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [],
+        lambda lines: lines[:1],
+        lambda lines: lines[:-1],
+        lambda lines: [lines[0].rsplit(" ", 1)[0]] + lines[1:],
+        lambda lines: [lines[0], "3 x 4"] + lines[2:],
+        lambda lines: lines[:2] + ["0.5 abc"] + lines[3:],
+        lambda lines: lines[:2] + ["0.5 nan"] + lines[3:],
+        lambda lines: lines[:2] + ["0.5"] + lines[3:],
+        lambda lines: lines[:-1] + [lines[-1] + " 7"],
+        lambda lines: lines[:-1] + ["0 99 1"],
+        lambda lines: lines[:-1] + ["0 -1 1"],
+        lambda lines: [lines[0].replace("v1 2", "v1 3")] + lines[1:],
+        lambda lines: [lines[0].replace("v1 2", "v1 1")] + lines[1:],
+    ], ids=["empty", "header-only", "last-line-cut", "no-dim", "count-text",
+            "coordinate-text", "coordinate-nan", "short-row", "long-row",
+            "index-too-large", "index-negative", "dim-3", "dim-mismatch"])
+    def test_malformed_file_rejected(self, edit, tmp_path):
+        lines = mesh_text(square_mesh(0), tmp_path).splitlines()
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(edit(lines)))
+        with pytest.raises(ArgumentError):
+            geometry.read_mesh(path)
+
+
+@st.composite
+def random_meshes(draw):
+    """An interval, rectangle, disk or random convex polygon mesh with a
+    random gamma selector, refined 0-2 times."""
+    kind = draw(st.sampled_from(["interval", "rect", "disk", "polygon"]))
+    size = st.floats(1e-3, 1e3)
+    coord = st.floats(-1e3, 1e3)
+    if kind == "interval":
+        a = draw(coord)
+        length = draw(size)
+        dom = geometry.interval(a, a + length,
+                                gamma=geometry.gamma_sides(*draw(st.sets(st.integers(0, 1)))))
+        return geometry.build_mesh(dom, length / draw(st.integers(1, 20)))
+    if kind == "rect":
+        dom = geometry.rectangle(draw(size), draw(size),
+                                 gamma=geometry.gamma_sides(*draw(st.sets(st.integers(0, 3)))))
+    elif kind == "disk":
+        arc = (draw(st.floats(0.0, 6.0)), draw(st.floats(0.0, 6.0)))
+        dom = geometry.disk((draw(coord), draw(coord)), draw(size), draw(st.integers(8, 24)),
+                            gamma=geometry.gamma_arcs([arc]))
+    else:
+        dom = draw(convex_polygons())
+    return refined(geometry.build_mesh(dom, 1e4), draw(st.integers(0, 2)))
+
+
+MESH_FILE_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None,
+                              suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@MESH_FILE_SETTINGS
+@given(random_meshes())
+def test_mesh_file_round_trip_bit_identical(tmp_path_factory, mesh):
+    path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
+    geometry.write_mesh(mesh, path)
+    back = geometry.read_mesh(path)
+    assert back.dim == mesh.dim
+    for field in ("nodes", "elements", "boundary", "boundary_markers"):
+        got, want = getattr(back, field), getattr(mesh, field)
+        assert got.dtype == want.dtype, field
+        np.testing.assert_array_equal(got, want, err_msg=field)
+
+
+@MESH_FILE_SETTINGS
+@given(random_meshes(), st.data())
+def test_truncated_mesh_file_rejected(tmp_path_factory, mesh, data):
+    """Every proper prefix of a mesh file's lines, the empty file included,
+    is an ArgumentError."""
+    lines = mesh_text(mesh, tmp_path_factory.mktemp("mesh")).splitlines(keepends=True)
+    keep = data.draw(st.integers(0, len(lines) - 1))
+    path = tmp_path_factory.mktemp("cut") / "mesh.txt"
+    path.write_text("".join(lines[:keep]))
+    with pytest.raises(ArgumentError):
+        geometry.read_mesh(path)

@@ -100,7 +100,7 @@ class TestMassFunction:
     @pytest.mark.parametrize("xi", [1.0, 4.0, 8.0])
     def test_interval_closed_form(self, xi):
         mesh = interval_mesh(128)
-        f = mixed_dn.MixedProblem(mesh).mass_function(xi)
+        f = mixed_dn.MixedProblem(mesh).mass_function_with_derivative(xi)[0]
         exact = 2.0 * math.sqrt(xi) * math.tan(math.sqrt(xi) / 2.0)
         assert abs(f - exact) / exact <= 1e-3
 
@@ -108,14 +108,15 @@ class TestMassFunction:
         prob = mixed_dn.MixedProblem(square_l3)
         e1 = prob.ground.value
         grid = np.linspace(0.05, 0.9, 12) * e1
-        vals = [prob.mass_function(x) for x in grid]
+        vals = [prob.mass_function_with_derivative(x)[0] for x in grid]
         diffs = np.diff(vals)
         assert np.all(diffs > 0.0)
         assert np.all(np.diff(diffs) > 0.0)
 
     def test_vanishes_at_zero(self, square_l3):
         vol = geometry.area(square_l3)
-        assert mixed_dn.MixedProblem(square_l3).mass_function(1e-6) <= 2e-6 * vol
+        prob = mixed_dn.MixedProblem(square_l3)
+        assert prob.mass_function_with_derivative(1e-6)[0] <= 2e-6 * vol
 
     def test_derivative_positive_and_consistent(self, square_l3):
         prob = mixed_dn.MixedProblem(square_l3)
@@ -124,7 +125,8 @@ class TestMassFunction:
             np.testing.assert_array_equal(u, prob.resolvent_one(xi))
             assert fp > 0.0
             h = 1e-6 * max(1.0, xi)
-            fd = (prob.mass_function(xi + h) - prob.mass_function(xi - h)) / (2 * h)
+            fd = (prob.mass_function_with_derivative(xi + h)[0]
+                  - prob.mass_function_with_derivative(xi - h)[0]) / (2 * h)
             assert abs(fp - fd) / fd <= 1e-5
 
 
@@ -257,7 +259,7 @@ class TestOptimalEigenvalue:
         prob = mixed_dn.MixedProblem(square_l3)
         for m in (0.1, 1.0, 10.0):
             xi = prob.optimal_eigenvalue(m)
-            assert abs(prob.mass_function(xi) - m) <= 1e-10 * max(m, 1.0)
+            assert abs(prob.mass_function_with_derivative(xi)[0] - m) <= 1e-10 * max(m, 1.0)
 
     def test_concave_in_mass(self, square_l3):
         prob = mixed_dn.MixedProblem(square_l3)
