@@ -5,6 +5,16 @@ boundary-mass entries for nodal coefficient fields use the exact
 linear-times-linear edge rule.  Assembled matrices are symmetric CSR and are
 never mutated after assembly; `operators` assembles a mesh's stiffness and
 mass once and shares them between all callers.
+
+`operators` also computes the mesh's nested-dissection ordering once
+(George, SIAM J. Numer. Anal. 1973): a recursive coordinate bisection of the
+node graph in which every separator is ordered after both of its halves.
+Every factorization of a pencil on the mesh uses it.  The graph is the mass
+matrix's pattern, which holds every edge of the mesh.  The stiffness matrix
+drops the edges whose cotangent weight vanishes (right angles opposite
+them), yet the pencils factored hold those edges through M; separators
+found in the thinner graph miss them, and on the triangle at level 6 the
+LU had 1.24 times the fill.
 """
 
 from __future__ import annotations
@@ -186,21 +196,115 @@ def gamma_edge_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
+# Fill-reducing ordering
+# ---------------------------------------------------------------------------
+
+# groups of at most this many nodes are not bisected further
+_ND_LEAF = 16
+
+
+def _nested_dissection(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
+    """Nested-dissection permutation of the graph of a symmetric pattern
+    whose vertices sit at coords: order[i] is the vertex eliminated i-th.
+
+    All groups of one depth are bisected at once.  A group of more than
+    `_ND_LEAF` vertices is cut at its median vertex along the longest side
+    of its box (the root's bounding box, halved at each cut); the endpoints
+    of the cut edges on the side that has fewer of them form the separator.
+    Each group owns a contiguous range of positions: its first half, then
+    its second half, then its separator.  Separators and leaves are ordered
+    along their group's axis.
+    """
+    n, dim = coords.shape
+    upper = sp.triu(pattern, k=1, format="coo")
+    rows, cols = upper.row.astype(np.int64), upper.col.astype(np.int64)
+    # each vertex's rank along each axis, so one integer sort per depth
+    # orders every group's vertices along its own axis
+    rank = np.empty((dim, n), dtype=np.int64)
+    for axis in range(dim):
+        rank[axis, np.argsort(coords[:, axis], kind="stable")] = np.arange(n)
+    low, high = coords.min(axis=0)[None, :], coords.max(axis=0)[None, :]
+    group = np.zeros(n, dtype=np.int64)  # -1 once a vertex has its position
+    start = np.zeros(1, dtype=np.int64)  # first position of each group
+    position = np.empty(n, dtype=np.int64)
+    nodes = np.arange(n)
+    while len(nodes):
+        g = group[nodes]
+        count = len(start)
+        size = np.bincount(g, minlength=count)
+        first = np.cumsum(size) - size
+        axis = np.argmax(high - low, axis=1)
+        ranked = np.argsort(g * n + rank[axis[g], nodes])  # by group, then along
+        median = coords[nodes[ranked[np.minimum(first + size // 2, len(nodes) - 1)]], axis]
+        t = coords[nodes, axis[g]]
+        left = t < median[g]
+        ties = np.bincount(g, weights=left, minlength=count)[g] == 0
+        left[ties] = t[ties] <= median[g][ties]
+        n_left = np.bincount(g, weights=left, minlength=count)
+        split = (size > _ND_LEAF) & (n_left > 0) & (n_left < size)
+
+        side = np.zeros(n, dtype=np.int8)  # 1 first half, 2 second, 3 separator
+        cut_group = split[g]
+        side[nodes[cut_group]] = np.where(left[cut_group], 1, 2)
+        side_r, side_c = side[rows], side[cols]
+        cut = (side_r > 0) & (side_c > 0) & (side_r != side_c)
+        first_end = np.zeros(n, dtype=bool)
+        second_end = np.zeros(n, dtype=bool)
+        first_end[np.where(side_r[cut] == 1, rows[cut], cols[cut])] = True
+        second_end[np.where(side_r[cut] == 1, cols[cut], rows[cut])] = True
+        use_first = (np.bincount(group[first_end], minlength=count)
+                     <= np.bincount(group[second_end], minlength=count))
+        s = side[nodes]
+        s[np.where(use_first[g], first_end[nodes], second_end[nodes])] = 3
+
+        n1 = np.bincount(g, weights=s == 1, minlength=count).astype(np.int64)
+        n2 = np.bincount(g, weights=s == 2, minlength=count).astype(np.int64)
+        placed = (s == 0) | (s == 3)
+        offset = np.where(split, start + n1 + n2, start)
+        # the placed vertices of each group take its range in ranked order
+        in_rank = ranked[placed[ranked]]
+        placed_groups = g[in_rank]
+        position[nodes[in_rank]] = (offset[placed_groups] + np.arange(len(in_rank))
+                                    - np.searchsorted(placed_groups, placed_groups))
+        group[nodes[placed]] = -1
+        halves = ~placed
+        child = np.cumsum(split) - 1
+        group[nodes[halves]] = 2 * child[g[halves]] + (s[halves] == 2)
+        start = np.column_stack([start[split], start[split] + n1[split]]).ravel()
+        cuts = np.arange(int(split.sum()))
+        low_first, high_first = low[split], high[split].copy()
+        high_first[cuts, axis[split]] = median[split]
+        low_second = low[split].copy()
+        low_second[cuts, axis[split]] = median[split]
+        low = np.stack([low_first, low_second], axis=1).reshape(-1, dim)
+        high = np.stack([high_first, high[split]], axis=1).reshape(-1, dim)
+        nodes = nodes[halves]
+        # every cut edge lost its separator end, so no edge joins two groups
+        inside = (group[rows] >= 0) & (group[cols] >= 0)
+        rows, cols = rows[inside], cols[inside]
+    order = np.empty(n, dtype=np.int64)
+    order[position] = np.arange(n)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # Per-mesh operators
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Operators:
-    """Stiffness, mass, load M 1 and volume 1^T M 1 of one mesh.
+    """Stiffness, mass, load M 1, volume 1^T M 1 and the nested-dissection
+    ordering of one mesh.
 
-    Obtained from `operators`, which assembles them once per mesh.  The
-    matrix and load arrays are write-locked, like the mesh's own arrays.
+    Obtained from `operators`, which builds them once per mesh.  The matrix,
+    load and ordering arrays are write-locked, like the mesh's own arrays.
     """
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     load: np.ndarray
     volume: float
+    order: np.ndarray
 
     def restrict(self, fixed):
         """(free, K_ff, M_ff): the free node indices and the matrices with
@@ -212,6 +316,14 @@ class Operators:
             raise ArgumentError("every node is fixed: no degrees of freedom left")
         return free, self.stiffness[free][:, free], self.mass[free][:, free]
 
+    def free_order(self, free: np.ndarray) -> np.ndarray:
+        """The ordering restricted to the free nodes, in the numbering of
+        `restrict`'s matrices; the free nodes keep their relative order."""
+        index = np.full(len(self.order), -1, dtype=np.int64)
+        index[free] = np.arange(len(free))
+        kept = index[self.order]
+        return kept[kept >= 0]
+
 
 # Keyed weakly by mesh; an Operators holds no reference back to its mesh, so
 # an entry lives exactly as long as the mesh does.
@@ -220,7 +332,7 @@ _OPERATORS_LOCK = threading.Lock()
 
 
 def operators(mesh: Mesh) -> Operators:
-    """The mesh's Operators: assembled on the first call, shared after.
+    """The mesh's Operators: built on the first call, shared after.
 
     Safe to call from several threads at once; the mesh is immutable, so the
     cached matrices cannot go stale.
@@ -231,8 +343,9 @@ def operators(mesh: Mesh) -> Operators:
             ones = np.ones(mesh.num_nodes)
             k, m = assemble_stiffness(mesh), assemble_mass(mesh)
             load = m @ ones
-            for arr in (k.data, k.indices, k.indptr, m.data, m.indices, m.indptr, load):
+            order = _nested_dissection(mesh.nodes, m)
+            for arr in (k.data, k.indices, k.indptr, m.data, m.indices, m.indptr, load, order):
                 arr.setflags(write=False)
-            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load))
+            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load), order)
     return ops
 

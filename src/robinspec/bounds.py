@@ -18,7 +18,7 @@ import numpy as np
 
 from . import assembly, exact1d, geometry, mixed_dn, robin
 from .assembly import SigmaField
-from .eigensolve import CoefficientFamily
+from .eigensolve import CoefficientFamily, shifted_factor
 from .errors import ArgumentError
 from .geometry import DomainSpec, Mesh
 
@@ -321,7 +321,8 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid,
         raise ArgumentError("scale factors must be positive")
     ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
-    family = CoefficientFamily(ops.mass, reference=ops.stiffness + bmat, seed=seed)
+    reference = shifted_factor(ops.stiffness + bmat, ops.mass, order=ops.order)
+    family = CoefficientFamily(ops.mass, reference=reference, order=ops.order, seed=seed)
     rows: List[ScalingRow] = []
     for eps in eps_grid:
         a = ops.stiffness / (eps * eps) + bmat / eps

@@ -102,6 +102,7 @@ def _domain_diameter(domain: DomainSpec) -> float:
 def _mesh_at_level(domain: DomainSpec, level: int, target_h: Optional[float]):
     base_h = target_h if target_h is not None else _domain_diameter(domain)
     mesh = build_mesh(domain, base_h)
+    geometry.check_refinement(mesh, level)
     for _ in range(level):
         mesh = geometry.refine(mesh)
     return mesh

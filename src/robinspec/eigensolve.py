@@ -12,6 +12,19 @@ shifted LU of a reference member, each member started from the previous
 member's eigenvector.  A member that LOBPCG does not bring through the
 residual gate within `_LOBPCG_STEPS` iterations is factored and solved by
 shift-invert ARPACK instead, and its LU becomes the new reference.
+
+Every path returns the Rayleigh quotient of its M-normalised vector as the
+eigenvalue, so the value is accurate to the square of the residual and does
+not follow the rounding of the factorization.
+
+Factorizations take an `order`: a fill-reducing permutation, which callers
+on a mesh take from `assembly.operators(mesh).order` (nested dissection of
+the mesh's node graph, restricted to the free nodes where nodes are
+eliminated).  The permuted matrix is factored in that order with diagonal
+pivots, as the matrices factored here are symmetric positive definite, and
+solves permute the right-hand side in and the solution out.  Without an
+order SuperLU picks its own column ordering (COLAMD); that path is for
+matrices that come without a mesh.
 """
 
 from __future__ import annotations
@@ -52,7 +65,30 @@ def _inf_norm_estimate(a: sp.spmatrix) -> float:
     return float(np.max(np.abs(a).sum(axis=1))) if a.shape[0] else 0.0
 
 
-def solve_spd(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+class _OrderedLU:
+    """LU of A[order][:, order]; solve takes and returns vectors (or
+    blocks of columns) in A's numbering."""
+
+    def __init__(self, lu, order: np.ndarray):
+        self.lu = lu
+        self.order = order
+        self.inverse = np.argsort(order)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b[self.order])[self.inverse]
+
+
+def _factor(a: sp.spmatrix, order=None):
+    """Sparse LU of a with a `solve` method: in the given order with
+    diagonal pivots, or by default in SuperLU's COLAMD order."""
+    if order is None:
+        return splu(sp.csc_matrix(a))
+    permuted = sp.csr_matrix(a)[order][:, order].tocsc()
+    return _OrderedLU(splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True}), order)
+
+
+def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
     Direct sparse factorization plus iterative refinement targeting
@@ -60,12 +96,13 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     float64 floor are accepted at backward error 1e-12 relative to
     ||b|| + ||A|| ||x|| instead.  Raises MatrixError on factorization
     breakdown, on a backward-unstable residual, or when negative curvature
-    (b.x < 0) reveals an indefinite matrix.
+    (b.x < 0) reveals an indefinite matrix.  order is a fill-reducing
+    permutation of a's rows and columns (see the module docstring).
     """
     a = sp.csc_matrix(a)
     b = np.asarray(b, dtype=float)
     try:
-        lu = splu(a)
+        lu = _factor(a, order)
     except RuntimeError as exc:
         raise MatrixError(f"factorization breakdown: {exc}") from exc
     x = lu.solve(b)
@@ -89,17 +126,18 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, shift: float | None = None):
+def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, shift: float | None = None,
+                   order=None):
     """(tau, lu): the shift-invert pair `smallest_eigs` uses for the pencil
     (A, M).  tau is `shift`, or by default a small negative multiple of A's
     mean diagonal, so a Neumann kernel leaves A - tau M positive definite;
-    lu is the sparse LU of A - tau M."""
+    lu is the sparse LU of A - tau M, factored in the given order."""
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
     trace = float(a.diagonal().sum())
     tau = shift if shift is not None else -1e-8 * max(trace, 1.0) / a.shape[0]
     try:
-        lu = splu((a - tau * m).tocsc())
+        lu = _factor(a - tau * m, order)
     except RuntimeError as exc:
         raise MatrixError(f"shifted factorization failed: {exc}") from exc
     return tau, lu
@@ -141,16 +179,16 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float):
 def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
                   tol: float = DEFAULT_TOL, seed: int = 42,
                   maxiter: int = MAX_OUTER_ITERATIONS, factor=None,
-                  precondition=None, guess=None) -> EigResult:
+                  precondition=None, guess=None, order=None) -> EigResult:
     """k smallest eigenpairs of the symmetric pencil (A, M), A PSD, M SPD.
 
+    The eigenvalues are the Rayleigh quotients of the M-normalised vectors.
     factor is a `shifted_factor(a, m)` pair to reuse; without one the
-    shift-invert path computes its own.  precondition is a `shifted_factor`
-    pair of a nearby pencil: with it LOBPCG runs from guess (n x k, or n
-    values for k = 1), preconditioned by that LU, and the eigenvalues are
-    the Rayleigh quotients of the M-normalised vectors; a run over the
-    iteration cap or a result that misses the residual gate raises
-    ConvergenceError.  The dense path ignores all three.
+    shift-invert path computes its own, in the given order.  precondition
+    is a `shifted_factor` pair of a nearby pencil: with it LOBPCG runs from
+    guess (n x k, or n values for k = 1), preconditioned by that LU; a run
+    over the iteration cap or a result that misses the residual gate raises
+    ConvergenceError.  The dense path ignores all four.
     """
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
@@ -172,7 +210,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
         vals, vecs, iterations = _lobpcg(a, m, precondition[1], x0,
                                          floor * max(norm_a, 1.0))
     else:
-        tau, lu = factor if factor is not None else shifted_factor(a, m)
+        tau, lu = factor if factor is not None else shifted_factor(a, m, order=order)
         counter = {"n": 0}
 
         def apply_inverse(x):
@@ -192,14 +230,15 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
                              "iterations": counter["n"]}) from exc
         iterations = counter["n"]
 
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    ascending = np.argsort(vals)
+    vecs = vecs[:, ascending]
     # enforce exact M-orthonormality
     gram = vecs.T @ (m @ vecs)
     chol = scipy.linalg.cholesky(gram, lower=True)
     vecs = scipy.linalg.solve_triangular(chol, vecs.T, lower=True).T
-    if iterative:
-        vals = np.einsum("ij,ij->j", vecs, a @ vecs)
+    vals = np.einsum("ij,ij->j", vecs, a @ vecs)
+    ascending = np.argsort(vals, kind="stable")
+    vals, vecs = vals[ascending], vecs[:, ascending]
 
     residuals = np.array([np.linalg.norm(a @ vecs[:, i] - vals[i] * (m @ vecs[:, i]))
                           for i in range(k)])
@@ -217,31 +256,31 @@ class CoefficientFamily:
     """Lowest eigenpairs of a family of pencils (A_j, M) with a common M,
     solved in order on one shared factorization.
 
-    The reference is the shifted LU of `reference` (by default of the first
-    member).  Each member runs LOBPCG preconditioned by it, started from
-    the previous member's eigenvector (the first from LU^-1 M 1).  A member
-    that LOBPCG does not bring through the residual gate within
-    `_LOBPCG_STEPS` iterations is factored and solved by shift-invert
-    ARPACK, and its LU becomes the reference; `fallbacks` counts these.
+    The reference is a `shifted_factor` pair of a nearby pencil (by default
+    the first member's).  Each member runs LOBPCG preconditioned by it,
+    started from the previous member's eigenvector (the first from
+    LU^-1 M 1).  A member that LOBPCG does not bring through the residual
+    gate within `_LOBPCG_STEPS` iterations is factored and solved by
+    shift-invert ARPACK, and its LU becomes the reference; `fallbacks`
+    counts these.  Factorizations use the given order.
     """
 
-    def __init__(self, m: sp.spmatrix, reference: sp.spmatrix | None = None,
+    def __init__(self, m: sp.spmatrix, reference=None, order=None,
                  tol: float = DEFAULT_TOL, seed: int = 42):
         self.m = sp.csr_matrix(m)
+        self.order = order
         self.tol = tol
         self.seed = seed
         self.fallbacks = 0
-        self._factor = None
+        self._factor = reference
         self._guess = None
-        if reference is not None and not _dense(self.m.shape[0], 1):
-            self._factor = shifted_factor(reference, self.m)
 
     def lowest(self, a: sp.spmatrix) -> EigResult:
         """The lowest eigenpair of (a, M)."""
         if _dense(self.m.shape[0], 1):
             return smallest_eigs(a, self.m, tol=self.tol, seed=self.seed)
         if self._factor is None:
-            self._factor = shifted_factor(a, self.m)
+            self._factor = shifted_factor(a, self.m, order=self.order)
         if self._guess is None:
             self._guess = self._factor[1].solve(self.m @ np.ones(self.m.shape[0]))
         try:
@@ -250,7 +289,7 @@ class CoefficientFamily:
         except ConvergenceError:
             self.fallbacks += 1
             self._factor = None  # release the old LU before factoring anew
-            self._factor = shifted_factor(a, self.m)
+            self._factor = shifted_factor(a, self.m, order=self.order)
             res = smallest_eigs(a, self.m, tol=self.tol, seed=self.seed,
                                 factor=self._factor)
         self._guess = res.vectors[:, 0]

@@ -20,7 +20,11 @@ from .errors import ArgumentError, GeometryError, UnsupportedDomainError
 GAMMA = 1
 NOT_GAMMA = 0
 
-_MAX_BUILD_REFINES = 30
+# Largest mesh, in nodes, that build_mesh and check_refinement admit: 30x
+# the largest benchmark mesh (disk level 6, 33,281 nodes).  Refining is
+# refused before it starts, so an oversized request ends as an ArgumentError
+# instead of a process killed for memory.
+_MAX_NODES = 1_000_000
 # boundary edges per block in distances_to_boundary
 _SIDE_BLOCK = 64
 
@@ -218,19 +222,25 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
         mesh = _initial_disk_mesh(domain)
     else:
         raise GeometryError(f"unknown domain kind {domain.kind!r}")
-    for _ in range(_MAX_BUILD_REFINES):
-        if max_element_diameter(mesh) <= target_h:
-            break
+    # a level at most halves the largest diameter, so at least this many
+    # levels are needed; every level adds nodes, so the budget ends the loop
+    halvings = math.log2(max_element_diameter(mesh) / target_h)
+    check_refinement(mesh, int(min(halvings, 64.0)))
+    while max_element_diameter(mesh) > target_h:
+        check_refinement(mesh, 1)
         mesh = refine(mesh)
-    else:
-        raise GeometryError("target_h too small: refinement limit reached")
     return _make_mesh(mesh.dim, mesh.nodes, mesh.elements, mesh.boundary,
                       mesh.boundary_markers, level=0, projection=mesh.projection)
 
 
 def _build_interval(domain: DomainSpec, target_h: float) -> Mesh:
     a, b = domain.a, domain.b
-    n = max(1, int(math.ceil((b - a) / target_h - 1e-12)))
+    count = (b - a) / target_h - 1e-12
+    if count + 1 > _MAX_NODES:
+        raise ArgumentError(
+            f"target_h {target_h} needs about {count:.3g} elements, "
+            f"above the budget of {_MAX_NODES} nodes")
+    n = max(1, int(math.ceil(count)))
     nodes = np.linspace(a, b, n + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     boundary = np.array([[0], [n]])
@@ -348,6 +358,25 @@ def refine(mesh: Mesh) -> Mesh:
     if mesh.dim == 1:
         return _refine_1d(mesh)
     return _refine_2d(mesh)
+
+
+def check_refinement(mesh: Mesh, levels: int) -> None:
+    """Raise ArgumentError when refining the mesh `levels` times would give
+    more than `_MAX_NODES` nodes.  The count is predicted from the node,
+    element and boundary-facet counts, without refining: a 1D level adds
+    one node per element; a 2D level adds one per edge, and a conforming
+    triangulation has (3 elements + boundary edges) / 2 edges."""
+    nodes, elements, facets = mesh.num_nodes, mesh.num_elements, len(mesh.boundary)
+    for _ in range(max(levels, 0)):
+        if mesh.dim == 1:
+            nodes, elements = nodes + elements, 2 * elements
+        else:
+            nodes += (3 * elements + facets) // 2
+            elements, facets = 4 * elements, 2 * facets
+        if nodes > _MAX_NODES:
+            raise ArgumentError(
+                f"{levels} refinement levels of a mesh with {mesh.num_nodes} nodes "
+                f"exceed the budget of {_MAX_NODES} nodes")
 
 
 def _refine_1d(mesh: Mesh) -> Mesh:

@@ -169,8 +169,10 @@ class MixedProblem:
         self.volume = ops.volume
         self.fixed = gamma_nodes(mesh)
         self.free, self.k_ff, self.m_ff = ops.restrict(self.fixed)
+        self.order = ops.order
+        self.free_order = ops.free_order(self.free)
         self.load = ops.load[self.free]
-        self._factor = shifted_factor(self.k_ff, self.m_ff)
+        self._factor = shifted_factor(self.k_ff, self.m_ff, order=self.free_order)
         self._model = None
         self._model_lock = threading.Lock()
         res = smallest_eigs(self.k_ff, self.m_ff, k=1, tol=tol, seed=seed,
@@ -191,7 +193,7 @@ class MixedProblem:
     def resolvent_one(self, xi: float) -> np.ndarray:
         """Solve (K - xi M) u = M 1 on free nodes; zero on gamma nodes."""
         self._check_xi(xi)
-        u_free = solve_spd(self.k_ff - xi * self.m_ff, self.load)
+        u_free = solve_spd(self.k_ff - xi * self.m_ff, self.load, order=self.free_order)
         u = np.zeros(self.mesh.num_nodes)
         u[self.free] = u_free
         return u
@@ -255,6 +257,12 @@ class MixedProblem:
         tridiagonal system instead (sharper in smooth regions, but it
         overshoots negative at corners where the true flux vanishes).
         """
+        return self._optimal_sigma(mass, recovery)[0]
+
+    def _optimal_sigma(self, mass: float, recovery: str = "lumped"):
+        """(OptimalSigma, factor): the result of `optimal_sigma` and the
+        `shifted_factor` pair of the recovered Robin pencil (K + B(sigma), M)
+        that its lambda_check was solved on."""
         if recovery not in ("lumped", "consistent"):
             raise ArgumentError(f"unknown recovery mode {recovery!r}")
         xi, u = self._invert_mass_curve(mass)
@@ -276,13 +284,17 @@ class MixedProblem:
         sigma_min_raw = float(sigma_vals[g_idx].min())
         sigma_vals = np.maximum(sigma_vals, 0.0)
         sigma = SigmaField.nodal(sigma_vals, support="gamma")
-        recovered_mass = float(ones @ (assembly.assemble_boundary_mass(self.mesh, sigma) @ ones))
+        b = assembly.assemble_boundary_mass(self.mesh, sigma)
+        recovered_mass = float(ones @ (b @ ones))
         minimizer = xi * u + 1.0
-        check = robin.lowest_eigenvalue(self.mesh, sigma, tol=self.tol, seed=self.seed)
-        return OptimalSigma(mass=mass, value=xi, resolvent=u, sigma=sigma,
-                            minimizer=minimizer, mass_defect=abs(recovered_mass - mass),
-                            lambda_check=check.value, ground=self.ground,
-                            sigma_min_raw=sigma_min_raw)
+        factor = shifted_factor(self.stiffness + b, self.mass_matrix, order=self.order)
+        check = robin.lowest_eigenvalue(self.mesh, sigma, tol=self.tol, seed=self.seed,
+                                        factor=factor)
+        opt = OptimalSigma(mass=mass, value=xi, resolvent=u, sigma=sigma,
+                           minimizer=minimizer, mass_defect=abs(recovered_mass - mass),
+                           lambda_check=check.value, ground=self.ground,
+                           sigma_min_raw=sigma_min_raw)
+        return opt, factor
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +332,11 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     eigenvalue to stay below the optimal one (up to tol_fem).  Also records
     the quotient of the optimal minimiser under each perturbed coefficient,
     which is invariant because the minimiser equals 1 on gamma.  The trials
-    form one coefficient family whose reference is the optimal pencil.
+    form one coefficient family whose reference is the factorization of the
+    optimal pencil that lambda_check was solved on.
     """
     prob = MixedProblem(mesh, seed=seed)
-    opt = prob.optimal_sigma(mass)
+    opt, reference = prob._optimal_sigma(mass)
     kmat, mmat = prob.stiffness, prob.mass_matrix
     b_opt = assembly.assemble_boundary_mass(mesh, opt.sigma)
     u_m = opt.minimizer
@@ -334,7 +347,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     violations = 0
     base = np.asarray(opt.sigma.values, dtype=float)
     g_idx = prob.fixed
-    family = CoefficientFamily(mmat, reference=kmat + b_opt, seed=seed)
+    family = CoefficientFamily(mmat, reference=reference, order=prob.order, seed=seed)
     for _ in range(trials):
         factor = rng.uniform(0.2, 1.8, size=len(g_idx))
         vals = np.zeros(mesh.num_nodes)

@@ -29,9 +29,11 @@ class RobinResult:
 
 
 def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, tol: float = 1e-10,
-                      seed: int = 42) -> RobinResult:
-    """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser."""
-    res = spectrum(mesh, sigma, 1, tol=tol, seed=seed)
+                      seed: int = 42, factor=None) -> RobinResult:
+    """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser.
+
+    factor is a `shifted_factor` pair of that pencil to reuse."""
+    res = spectrum(mesh, sigma, 1, tol=tol, seed=seed, factor=factor)
     psi = res.vectors[:, 0].copy()
     if float(np.ones(len(psi)) @ (assembly.operators(mesh).mass @ psi)) < 0.0:
         psi = -psi
@@ -39,17 +41,19 @@ def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, tol: float = 1e-10,
 
 
 def spectrum(mesh: Mesh, sigma: SigmaField, k: int, tol: float = 1e-10,
-             seed: int = 42) -> EigResult:
-    """First k Robin eigenpairs."""
+             seed: int = 42, factor=None) -> EigResult:
+    """First k Robin eigenpairs; factor as in `lowest_eigenvalue`."""
     ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, sigma)
-    return smallest_eigs(ops.stiffness + b, ops.mass, k=k, tol=tol, seed=seed)
+    return smallest_eigs(ops.stiffness + b, ops.mass, k=k, tol=tol, seed=seed,
+                         factor=factor, order=ops.order)
 
 
 def dirichlet_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> EigResult:
     """First k eigenvalues with the value pinned to zero on the whole boundary."""
-    _, k_ff, m_ff = assembly.operators(mesh).restrict(geometry.boundary_nodes(mesh))
-    return smallest_eigs(k_ff, m_ff, k=k, tol=tol, seed=seed)
+    ops = assembly.operators(mesh)
+    free, k_ff, m_ff = ops.restrict(geometry.boundary_nodes(mesh))
+    return smallest_eigs(k_ff, m_ff, k=k, tol=tol, seed=seed, order=ops.free_order(free))
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     lengths = geometry.boundary_edge_lengths(mesh)
     on_gamma = mesh.boundary_markers == GAMMA
     ops = assembly.operators(mesh)
-    family = CoefficientFamily(ops.mass, tol=tol, seed=seed)
+    family = CoefficientFamily(ops.mass, order=ops.order, tol=tol, seed=seed)
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
         r = 2.0 ** (-n)

@@ -205,6 +205,8 @@ class TestOperators:
 
     def test_cached_arrays_are_write_locked(self):
         ops = assembly.operators(square_mesh(1))
+        with pytest.raises(ValueError):
+            ops.order[0] = 0
         for mat in (ops.stiffness, ops.mass):
             for arr in (mat.data, mat.indices, mat.indptr):
                 with pytest.raises(ValueError):
@@ -216,14 +218,21 @@ class TestOperators:
 
     def test_concurrent_first_access_assembles_once(self, monkeypatch):
         calls = []
+        orderings = []
         stiffness = assembly.assemble_stiffness
+        dissection = assembly._nested_dissection
 
         def slow_stiffness(m):
             calls.append(m)
             time.sleep(0.02)
             return stiffness(m)
 
+        def counted_dissection(coords, pattern):
+            orderings.append(coords)
+            return dissection(coords, pattern)
+
         monkeypatch.setattr(assembly, "assemble_stiffness", slow_stiffness)
+        monkeypatch.setattr(assembly, "_nested_dissection", counted_dissection)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -238,6 +247,7 @@ class TestOperators:
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     results = list(pool.map(first_access, range(4), timeout=30))
                 assert calls.count(mesh) == 1
+                assert sum(coords is mesh.nodes for coords in orderings) == 1
                 assert all(ops is results[0] for ops in results)
         finally:
             sys.setswitchinterval(interval)

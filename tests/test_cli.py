@@ -290,3 +290,17 @@ def malformed_flags(draw):
 @given(st.sampled_from(sorted(cli._COMMANDS)), malformed_flags())
 def test_malformed_flag_values_exit_2(command, flag):
     assert_exit_2_with_one_json_line([command, *flag, "--sigma", "1", "--levels", "0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--sigma", "1", "--levels", "40"],
+    ["solve", "--domain", "disk", "--sigma", "1", "--levels", "40"],
+    ["solve", "--domain", "interval", "--sigma", "1", "--levels", "40"],
+    ["bounds", "--m", "1", "--levels", "1000000000"],
+    ["solve", "--sigma", "1", "--target-h", "1e-300", "--levels", "0"],
+    ["solve", "--domain", "interval", "--sigma", "1", "--target-h", "1e-300"],
+    ["optimal", "--domain", "disk", "--target-h", "1e-12", "--levels", "0"],
+], ids=["levels-square", "levels-disk", "levels-interval", "levels-huge",
+        "target-h-square", "target-h-interval", "target-h-disk"])
+def test_meshes_over_the_node_budget_exit_2(argv):
+    assert_exit_2_with_one_json_line(argv)

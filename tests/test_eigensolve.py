@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from robinspec import assembly, eigensolve, geometry
+from robinspec.assembly import SigmaField
 from robinspec.errors import MatrixError
 
 from conftest import interval_mesh, square_mesh
@@ -140,3 +141,19 @@ class TestSmallestEigs:
         r2 = eigensolve.smallest_eigs(k + m, m, k=2, seed=42)
         np.testing.assert_array_equal(r1.values, r2.values)
         np.testing.assert_array_equal(r1.vectors, r2.vectors)
+
+
+class TestRayleighQuotient:
+    # on the interval with 1024 elements ARPACK's Ritz values follow the
+    # LU's rounding (1e-10 relative); their vectors' quotients do not
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "arpack"])
+    def test_values_are_quotients_of_normalised_vectors(self, dense):
+        mesh = square_mesh(1) if dense else interval_mesh(1024)
+        ops = assembly.operators(mesh)
+        a = ops.stiffness + assembly.assemble_boundary_mass(mesh, SigmaField.constant(2.0))
+        res = eigensolve.smallest_eigs(a, ops.mass, k=3, order=ops.order)
+        assert (res.iterations == 0) == dense
+        assert np.all(np.diff(res.values) >= 0.0)
+        for lam, x in zip(res.values, res.vectors.T):
+            assert x @ (ops.mass @ x) == pytest.approx(1.0, rel=1e-14)
+            assert lam == pytest.approx(x @ (a @ x), rel=1e-14)

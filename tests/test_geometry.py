@@ -94,6 +94,42 @@ class TestBuildMesh:
         assert abs(frac - 0.5) < 0.1
 
 
+class TestNodeBudget:
+    @pytest.mark.parametrize("make", [square_mesh, triangle_mesh, disk_mesh,
+                                      lambda level: interval_mesh(3)])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_prediction_is_the_refined_node_count(self, make, levels, monkeypatch):
+        mesh = make(0)
+        nodes = refined(mesh, levels).num_nodes
+        monkeypatch.setattr(geometry, "_MAX_NODES", nodes)
+        geometry.check_refinement(mesh, levels)
+        monkeypatch.setattr(geometry, "_MAX_NODES", nodes - 1)
+        with pytest.raises(ArgumentError):
+            geometry.check_refinement(mesh, levels)
+
+    @pytest.mark.parametrize("domain", [geometry.unit_square(), geometry.interval(0.0, 1.0),
+                                        geometry.disk((0.0, 0.0), 1.0, 16)],
+                             ids=["square", "interval", "disk"])
+    @pytest.mark.parametrize("target_h", [1e-300, 1e-9])
+    def test_tiny_target_h_refused_before_refining(self, domain, target_h, monkeypatch):
+        refine = geometry.refine
+        sizes = []
+
+        def counted(mesh):
+            sizes.append(mesh.num_nodes)
+            return refine(mesh)
+
+        monkeypatch.setattr(geometry, "refine", counted)
+        with pytest.raises(ArgumentError):
+            geometry.build_mesh(domain, target_h)
+        assert sizes == []
+
+    def test_budget_admits_the_benchmark_meshes(self):
+        base = geometry.build_mesh(geometry.disk((0.0, 0.0), 1.0, 16), 2.0)
+        geometry.check_refinement(base, 6)
+        assert refined(base, 6).num_nodes * 30 <= geometry._MAX_NODES
+
+
 class TestRefine:
     def test_interval_bisection(self):
         mesh = interval_mesh(2)

@@ -177,9 +177,9 @@ class TestMassCurveModel:
         splu = eigensolve.splu
         step = mixed_dn.MixedProblem.mass_function_with_derivative
 
-        def counted_splu(a):
+        def counted_splu(a, **kwargs):
             factorizations.append(a.shape)
-            return splu(a)
+            return splu(a, **kwargs)
 
         def counted_step(self, xi):
             steps.append(xi)
@@ -346,9 +346,9 @@ class TestOptimalSigma:
         solve = mixed_dn.solve_spd
         step = mixed_dn.MixedProblem.mass_function_with_derivative
 
-        def counted_solve(a, b):
+        def counted_solve(a, b, **kwargs):
             solves.append(b)
-            return solve(a, b)
+            return solve(a, b, **kwargs)
 
         def counted_step(self, xi):
             steps.append(xi)
