@@ -6,22 +6,24 @@ linear-times-linear edge rule.  Assembled matrices are symmetric CSR and are
 never mutated after assembly; `operators` assembles a mesh's stiffness and
 mass once and shares them between all callers.
 
-`operators` also computes the mesh's nested-dissection ordering once
-(George, SIAM J. Numer. Anal. 1973): a recursive coordinate bisection of the
-node graph in which every separator is ordered after both of its halves.
-Every factorization of a pencil on the mesh uses it.  The graph is the mass
-matrix's pattern, which holds every edge of the mesh.  The stiffness matrix
-drops the edges whose cotangent weight vanishes (right angles opposite
-them), yet the pencils factored hold those edges through M; separators
-found in the thinner graph miss them, and on the triangle at level 6 the
-LU had 1.24 times the fill.
+`Operators.order` is the mesh's nested-dissection ordering (George, SIAM J.
+Numer. Anal. 1973): a recursive coordinate bisection of the node graph in
+which every separator is ordered after both of its halves.  It is computed
+at the first factorization of a pencil on the mesh, once, and every
+factorization on the mesh uses it; meshes that are only multiplied with,
+such as the finer levels of a `converge` chain, are never ordered.  The
+graph is the mass matrix's pattern, which holds every edge of the mesh.
+The stiffness matrix drops the edges whose cotangent weight vanishes (right
+angles opposite them), yet the pencils factored hold those edges through M;
+separators found in the thinner graph miss them, and on the triangle at
+level 6 the LU had 1.24 times the fill.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -296,15 +298,30 @@ class Operators:
     """Stiffness, mass, load M 1, volume 1^T M 1 and the nested-dissection
     ordering of one mesh.
 
-    Obtained from `operators`, which builds them once per mesh.  The matrix,
-    load and ordering arrays are write-locked, like the mesh's own arrays.
+    Obtained from `operators`, which builds them once per mesh.  The
+    ordering is computed on first access to `order`, once, under a lock, so
+    a mesh whose pencils never reach a factorization is never ordered.  The
+    matrix, load and ordering arrays are write-locked, like the mesh's own
+    arrays.
     """
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     load: np.ndarray
     volume: float
-    order: np.ndarray
+    _nodes: np.ndarray = field(repr=False)
+    _order: Optional[np.ndarray] = field(default=None, repr=False)
+    _order_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def order(self) -> np.ndarray:
+        """The nested-dissection ordering of the mesh's nodes."""
+        with self._order_lock:
+            if self._order is None:
+                order = _nested_dissection(self._nodes, self.mass)
+                order.setflags(write=False)
+                object.__setattr__(self, "_order", order)
+        return self._order
 
     def restrict(self, fixed):
         """(free, K_ff, M_ff): the free node indices and the matrices with
@@ -325,8 +342,8 @@ class Operators:
         return kept[kept >= 0]
 
 
-# Keyed weakly by mesh; an Operators holds no reference back to its mesh, so
-# an entry lives exactly as long as the mesh does.
+# Keyed weakly by mesh; an Operators holds no reference back to its mesh (only
+# to its node array), so an entry lives exactly as long as the mesh does.
 _OPERATORS: weakref.WeakKeyDictionary[Mesh, Operators] = weakref.WeakKeyDictionary()
 _OPERATORS_LOCK = threading.Lock()
 
@@ -343,9 +360,7 @@ def operators(mesh: Mesh) -> Operators:
             ones = np.ones(mesh.num_nodes)
             k, m = assemble_stiffness(mesh), assemble_mass(mesh)
             load = m @ ones
-            order = _nested_dissection(mesh.nodes, m)
-            for arr in (k.data, k.indices, k.indptr, m.data, m.indices, m.indptr, load, order):
+            for arr in (k.data, k.indices, k.indptr, m.data, m.indices, m.indptr, load):
                 arr.setflags(write=False)
-            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load), order)
+            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load), mesh.nodes)
     return ops
-

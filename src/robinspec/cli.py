@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import bounds, exact1d, geometry, mixed_dn, robin
+from . import bounds, eigensolve, exact1d, geometry, mixed_dn, robin
 from .assembly import SigmaField
 from .errors import ArgumentError, RobinspecError
 from .geometry import DomainSpec, build_mesh, gamma_arcs, gamma_all, gamma_none, gamma_sides
@@ -251,23 +251,30 @@ def cmd_hardy(opts: dict) -> int:
 
 
 def cmd_converge(opts: dict) -> int:
+    """Levels 1..--levels of one refinement chain.  order is log2 of the
+    ratio of successive diffs; it is left empty when either diff is within
+    `eigensolve.eigenvalue_floor` of its eigenvalue, where the difference is
+    round-off rather than discretization error."""
     domain = _domain_from(opts)
     levels = opts["levels"]
+    base = _mesh_at_level(domain, 0, opts.get("target_h"))
+    geometry.check_refinement(base, levels)
     values = []
     hs = []
     dofs = []
-    for lvl in range(1, levels + 1):
-        mesh = _mesh_at_level(domain, lvl, opts.get("target_h"))
-        sigma = _sigma_from(opts, mesh)
-        values.append(robin.lowest_eigenvalue(mesh, sigma, seed=opts["seed"]).value)
+    for mesh, res in robin.refinement_levels(base, levels, lambda mesh: _sigma_from(opts, mesh),
+                                             seed=opts["seed"]):
+        values.append(res.value)
         hs.append(geometry.max_element_diameter(mesh))
         dofs.append(mesh.num_nodes)
     rows = [["level", "h", "dofs", "lambda1", "diff", "order"]]
     diffs = [abs(values[i] - values[i + 1]) for i in range(len(values) - 1)]
+    resolved = [diffs[i] > eigensolve.eigenvalue_floor(max(abs(values[i]), abs(values[i + 1])))
+                for i in range(len(diffs))]
     for i, lam in enumerate(values):
         diff = _fmt(diffs[i]) if i < len(diffs) else ""
         order = ""
-        if i + 1 < len(diffs) and diffs[i + 1] > 0:
+        if i + 1 < len(diffs) and resolved[i] and resolved[i + 1]:
             order = _fmt(math.log2(diffs[i] / diffs[i + 1]))
         rows.append([str(i + 1), _fmt(hs[i]), str(dofs[i]), _fmt(lam), diff, order])
     _emit_text(_csv(rows), opts.get("out"))

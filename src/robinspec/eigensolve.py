@@ -13,6 +13,16 @@ member's eigenvector.  A member that LOBPCG does not bring through the
 residual gate within `_LOBPCG_STEPS` iterations is factored and solved by
 shift-invert ARPACK instead, and its LU becomes the new reference.
 
+One problem on a chain of uniformly refined meshes is solved on one
+factorization too: `RefinementChain` factors its first level above dense
+size and solves every finer level by LOBPCG from the prolonged eigenvector
+of the level below (nested iteration, Knyazev and Neymeyr, ETNA 2003).  The
+preconditioner is one symmetric V-cycle for A - tau M: `_SWEEPS` damped
+Jacobi steps, the coarse correction through the level below's cycle (down
+to the one LU), and `_SWEEPS` Jacobi steps again.  A level over the LOBPCG
+cap is factored and solved by shift-invert ARPACK, and so is every finer
+level.
+
 Every path returns the Rayleigh quotient of its M-normalised vector as the
 eigenvalue, so the value is accurate to the square of the residual and does
 not follow the rounding of the factorization.
@@ -22,7 +32,10 @@ on a mesh take from `assembly.operators(mesh).order` (nested dissection of
 the mesh's node graph, restricted to the free nodes where nodes are
 eliminated).  The permuted matrix is factored in that order with diagonal
 pivots, as the matrices factored here are symmetric positive definite, and
-solves permute the right-hand side in and the solution out.  Without an
+solves permute the right-hand side in and the solution out.  The order may
+also be given as a function returning it, which is called only when a
+factorization is made, so callers that may not factor (a dense-size
+pencil, a pencil with a ready factor) do not compute it.  Without an
 order SuperLU picks its own column ordering (COLAMD); that path is for
 matrices that come without a mesh.
 """
@@ -43,6 +56,10 @@ DEFAULT_TOL = 1e-10
 MAX_OUTER_ITERATIONS = 500
 _DENSE_CUTOFF = 40
 _LOBPCG_STEPS = 40
+# Jacobi steps before and after the V-cycle's coarse correction, and their
+# weight omega times d + 1 (below 2, see _VCycle)
+_SWEEPS = 2
+_SMOOTHING = 1.6
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +96,13 @@ class _OrderedLU:
 
 
 def _factor(a: sp.spmatrix, order=None):
-    """Sparse LU of a with a `solve` method: in the given order with
-    diagonal pivots, or by default in SuperLU's COLAMD order."""
+    """Sparse LU of a with a `solve` method: in the given order (or the
+    order a given function returns) with diagonal pivots, or by default in
+    SuperLU's COLAMD order."""
     if order is None:
         return splu(sp.csc_matrix(a))
+    if callable(order):
+        order = order()
     permuted = sp.csr_matrix(a)[order][:, order].tocsc()
     return _OrderedLU(splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True}), order)
@@ -143,6 +163,19 @@ def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, shift: float | None = None,
     return tau, lu
 
 
+def _gate_floor(tol: float) -> float:
+    """The relative tolerance of `smallest_eigs`' residual gate."""
+    return max(tol, 1e-12)
+
+
+def eigenvalue_floor(value: float) -> float:
+    """The smallest difference between eigenvalues near `value` that
+    `smallest_eigs` at `DEFAULT_TOL` resolves: the gate's relative
+    tolerance times max(|value|, 1).  Differences below it may be
+    round-off, or where each solve stopped inside the gate."""
+    return _gate_floor(DEFAULT_TOL) * max(abs(value), 1.0)
+
+
 def _dense(n: int, k: int) -> bool:
     return n <= max(_DENSE_CUTOFF, 2 * k + 2)
 
@@ -196,7 +229,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
     if not 1 <= k <= n:
         raise ConvergenceError(f"need 1 <= k <= {n}, got k={k}")
     norm_a = _inf_norm_estimate(a)
-    floor = max(tol, 1e-12)
+    floor = _gate_floor(tol)
 
     dense = _dense(n, k)
     iterative = precondition is not None and not dense
@@ -293,4 +326,91 @@ class CoefficientFamily:
             res = smallest_eigs(a, self.m, tol=self.tol, seed=self.seed,
                                 factor=self._factor)
         self._guess = res.vectors[:, 0]
+        return res
+
+
+class _VCycle:
+    """One symmetric V-cycle for S = A - tau M on a refined mesh, with
+    `_OrderedLU`'s solve contract: `_SWEEPS` damped-Jacobi steps on S from
+    zero, the coarse correction P coarse.solve(P^T r), and `_SWEEPS` more.
+
+    With W = omega diag(S)^-1, Q = (I - W S)^_SWEEPS and C the coarse solve,
+    the cycle is B = S^-1 - Q S^-1 Q^T + Q P C P^T Q^T, symmetric when C is.
+    For P1 elements in d dimensions lambda_max(W S) <= omega (d + 1), which
+    the weight keeps below 2, so the smoother contracts in the S-norm,
+    S^-1 - Q S^-1 Q^T is positive definite, and so is B whenever C is
+    positive semidefinite.
+    """
+
+    def __init__(self, shifted: sp.csr_matrix, prolongation: sp.spmatrix, coarse,
+                 omega: float):
+        self.shifted = shifted
+        self.prolongation = sp.csr_matrix(prolongation)
+        self.restriction = self.prolongation.T.tocsr()
+        self.coarse = coarse
+        self.weights = omega / shifted.diagonal()
+
+    def _smooth(self, x: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+        for _ in range(_SWEEPS):
+            x = x + w * (b - self.shifted @ x)
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        w = self.weights if b.ndim == 1 else self.weights[:, None]
+        x = self._smooth(np.zeros_like(b), b, w)
+        x = x + self.prolongation @ self.coarse.solve(self.restriction @ (b - self.shifted @ x))
+        return self._smooth(x, b, w)
+
+
+class RefinementChain:
+    """Lowest eigenpairs of one problem on a chain of uniformly refined
+    meshes, solved coarse to fine by nested iteration (Knyazev and Neymeyr,
+    ETNA 15, 2003) on one factorization, at `DEFAULT_TOL`.
+
+    Levels of dense size are solved densely.  The first level above that
+    size is factored and solved by shift-invert ARPACK, as `smallest_eigs`
+    solves it on its own, and its `shifted_factor` pair is the bottom of a
+    multigrid hierarchy.  Every finer level runs LOBPCG from the prolonged
+    eigenvector of the level below, preconditioned by one `_VCycle` on the
+    same shift whose coarse solve is the level below's cycle (or the LU).
+    A level that LOBPCG does not bring through the residual gate within
+    `_LOBPCG_STEPS` iterations is factored and solved by ARPACK, and so is
+    every level after it; `fallbacks` is 1 from that level on, 0 before.
+    """
+
+    def __init__(self, dim: int, seed: int = 42):
+        self.omega = _SMOOTHING / (dim + 1)
+        self.seed = seed
+        self.fallbacks = 0
+        self._pair = None  # (tau, solver) of the last level while nested
+        self._vector = None
+
+    def lowest(self, a: sp.spmatrix, m: sp.spmatrix, prolongation: sp.spmatrix,
+               order) -> EigResult:
+        """The lowest eigenpair of the next level's pencil (a, m).
+
+        prolongation maps the previous level's vectors onto this level's
+        nodes (the first level ignores it); order is this level's
+        fill-reducing order, or a function returning it, as in `_factor`.
+        """
+        a = sp.csr_matrix(a)
+        m = sp.csr_matrix(m)
+        if self._pair is not None:
+            tau, coarse = self._pair
+            cycle = _VCycle((a - tau * m).tocsr(), prolongation, coarse, self.omega)
+            try:
+                res = smallest_eigs(a, m, seed=self.seed, precondition=(tau, cycle),
+                                    guess=prolongation @ self._vector)
+            except ConvergenceError:
+                self.fallbacks = 1
+                self._pair = self._vector = None  # release the hierarchy
+            else:
+                self._pair, self._vector = (tau, cycle), res.vectors[:, 0]
+                return res
+        if _dense(a.shape[0], 1):
+            return smallest_eigs(a, m, seed=self.seed)
+        factor = shifted_factor(a, m, order=order)
+        res = smallest_eigs(a, m, seed=self.seed, factor=factor)
+        if not self.fallbacks:
+            self._pair, self._vector = factor, res.vectors[:, 0]
         return res

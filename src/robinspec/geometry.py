@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ArgumentError, GeometryError, UnsupportedDomainError
 
@@ -355,6 +356,27 @@ def refine(mesh: Mesh) -> Mesh:
     Boundary markers are inherited by child edges; on disk meshes the new
     boundary midpoints are projected back onto the circle.
     """
+    return _refine(mesh)[0]
+
+
+def refine_with_prolongation(mesh: Mesh) -> Tuple[Mesh, sp.csr_matrix]:
+    """(refine(mesh), P): P is the P1 interpolation from the mesh onto the
+    refined mesh, a sparse (refined nodes x nodes) matrix: the identity on
+    the old nodes and the mean of its edge's two ends at each midpoint.  On
+    a disk the boundary midpoints are projected onto the circle, outside
+    the coarse mesh; they take the mean too, so there P reproduces
+    constants but not linear functions."""
+    fine, ends = _refine(mesh)
+    nv, ne = mesh.num_nodes, len(ends)
+    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
+    cols = np.concatenate([np.arange(nv), ends.ravel()])
+    data = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+    return fine, sp.csr_matrix((data, (rows, cols)), shape=(fine.num_nodes, nv))
+
+
+def _refine(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
+    """(refined mesh, ends): the midpoint of edge i is the refined mesh's
+    node num_nodes + i, halfway between the nodes ends[i]."""
     if mesh.dim == 1:
         return _refine_1d(mesh)
     return _refine_2d(mesh)
@@ -379,7 +401,8 @@ def check_refinement(mesh: Mesh, levels: int) -> None:
                 f"exceed the budget of {_MAX_NODES} nodes")
 
 
-def _refine_1d(mesh: Mesh) -> Mesh:
+def _refine_1d(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
+    """Bisection; the edges are the elements, in their order."""
     nodes = mesh.nodes[:, 0]
     elems = mesh.elements
     mids = 0.5 * (nodes[elems[:, 0]] + nodes[elems[:, 1]])
@@ -389,10 +412,10 @@ def _refine_1d(mesh: Mesh) -> Mesh:
     right = np.column_stack([mid_idx, elems[:, 1]])
     new_elems = np.vstack([left, right])
     return _make_mesh(1, new_nodes, new_elems, mesh.boundary, mesh.boundary_markers,
-                      level=mesh.level + 1, projection=mesh.projection)
+                      level=mesh.level + 1, projection=mesh.projection), elems
 
 
-def _refine_2d(mesh: Mesh) -> Mesh:
+def _refine_2d(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
     """Red refinement.  Edge midpoints are numbered after the old nodes in
     the order their edges first occur, element by element, along the sides
     (v0, v1), (v1, v2), (v2, v0)."""
@@ -412,8 +435,9 @@ def _refine_2d(mesh: Mesh) -> Mesh:
                          np.column_stack([v2, m20, m12]),
                          np.column_stack([m01, m12, m20])], axis=1).reshape(-1, 3)
 
-    ends = first[by_first]
-    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[lo[ends]] + mesh.nodes[hi[ends]])])
+    at = first[by_first]
+    ends = np.column_stack([lo[at], hi[at]])
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])])
 
     bdry = np.asarray(mesh.boundary, dtype=np.int64)
     bkeys = bdry.min(axis=1) * nv + bdry.max(axis=1)
@@ -433,7 +457,7 @@ def _refine_2d(mesh: Mesh) -> Mesh:
         nodes[bnodes] = (cx, cy) + vec * (r / norm)[:, None]
 
     return _make_mesh(2, nodes, children, new_bdry, new_marks,
-                      level=mesh.level + 1, projection=mesh.projection)
+                      level=mesh.level + 1, projection=mesh.projection), ends
 
 
 # ---------------------------------------------------------------------------

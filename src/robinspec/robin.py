@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
 from . import assembly, geometry
 from .assembly import SigmaField
-from .eigensolve import CoefficientFamily, EigResult, smallest_eigs
+from .eigensolve import CoefficientFamily, EigResult, RefinementChain, smallest_eigs
 from .errors import ArgumentError, ResolutionError
 from .geometry import GAMMA, Mesh
 
@@ -33,11 +33,30 @@ def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, tol: float = 1e-10,
     """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser.
 
     factor is a `shifted_factor` pair of that pencil to reuse."""
-    res = spectrum(mesh, sigma, 1, tol=tol, seed=seed, factor=factor)
+    return _robin_result(mesh, spectrum(mesh, sigma, 1, tol=tol, seed=seed, factor=factor))
+
+
+def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
     psi = res.vectors[:, 0].copy()
     if float(np.ones(len(psi)) @ (assembly.operators(mesh).mass @ psi)) < 0.0:
         psi = -psi
     return RobinResult(float(res.values[0]), psi, float(res.residuals[0]), mesh.level)
+
+
+def refinement_levels(base: Mesh, levels: int, sigma_of: Callable[[Mesh], SigmaField],
+                      seed: int = 42) -> Iterator[Tuple[Mesh, RobinResult]]:
+    """(mesh, lowest Robin eigenpair) on each of `levels` successive
+    refinements of base, solved as one `RefinementChain`; sigma_of(mesh) is
+    the boundary coefficient on a mesh.  Each value is the one
+    `lowest_eigenvalue` gives on its mesh, up to the eigensolver's gate."""
+    chain = RefinementChain(base.dim, seed=seed)
+    mesh = base
+    for _ in range(levels):
+        mesh, p = geometry.refine_with_prolongation(mesh)
+        ops = assembly.operators(mesh)
+        b = assembly.assemble_boundary_mass(mesh, sigma_of(mesh))
+        res = chain.lowest(ops.stiffness + b, ops.mass, p, lambda: ops.order)
+        yield mesh, _robin_result(mesh, res)
 
 
 def spectrum(mesh: Mesh, sigma: SigmaField, k: int, tol: float = 1e-10,
@@ -46,14 +65,15 @@ def spectrum(mesh: Mesh, sigma: SigmaField, k: int, tol: float = 1e-10,
     ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, sigma)
     return smallest_eigs(ops.stiffness + b, ops.mass, k=k, tol=tol, seed=seed,
-                         factor=factor, order=ops.order)
+                         factor=factor, order=lambda: ops.order)
 
 
 def dirichlet_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> EigResult:
     """First k eigenvalues with the value pinned to zero on the whole boundary."""
     ops = assembly.operators(mesh)
     free, k_ff, m_ff = ops.restrict(geometry.boundary_nodes(mesh))
-    return smallest_eigs(k_ff, m_ff, k=k, tol=tol, seed=seed, order=ops.free_order(free))
+    return smallest_eigs(k_ff, m_ff, k=k, tol=tol, seed=seed,
+                         order=lambda: ops.free_order(free))
 
 
 @dataclass(frozen=True)
@@ -84,7 +104,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     lengths = geometry.boundary_edge_lengths(mesh)
     on_gamma = mesh.boundary_markers == GAMMA
     ops = assembly.operators(mesh)
-    family = CoefficientFamily(ops.mass, order=ops.order, tol=tol, seed=seed)
+    family = CoefficientFamily(ops.mass, order=lambda: ops.order, tol=tol, seed=seed)
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
         r = 2.0 ** (-n)

@@ -216,6 +216,12 @@ class TestOperators:
         with pytest.raises(ValueError):
             ops.load[0] = 0.0
 
+    def test_fields_are_read_only(self):
+        ops = assembly.operators(square_mesh(1))
+        for name in ("stiffness", "mass", "load", "volume", "order"):
+            with pytest.raises(AttributeError):
+                setattr(ops, name, getattr(ops, name))
+
     def test_concurrent_first_access_assembles_once(self, monkeypatch):
         calls = []
         orderings = []
@@ -227,12 +233,13 @@ class TestOperators:
             time.sleep(0.02)
             return stiffness(m)
 
-        def counted_dissection(coords, pattern):
+        def slow_dissection(coords, pattern):
             orderings.append(coords)
+            time.sleep(0.02)
             return dissection(coords, pattern)
 
         monkeypatch.setattr(assembly, "assemble_stiffness", slow_stiffness)
-        monkeypatch.setattr(assembly, "_nested_dissection", counted_dissection)
+        monkeypatch.setattr(assembly, "_nested_dissection", slow_dissection)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -242,16 +249,24 @@ class TestOperators:
 
                 def first_access(_):
                     barrier.wait(timeout=10)
-                    return assembly.operators(mesh)
+                    ops = assembly.operators(mesh)
+                    return ops, ops.order
 
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     results = list(pool.map(first_access, range(4), timeout=30))
                 assert calls.count(mesh) == 1
                 assert sum(coords is mesh.nodes for coords in orderings) == 1
-                assert all(ops is results[0] for ops in results)
+                assert all(ops is results[0][0] for ops, _ in results)
+                assert all(order is results[0][1] for _, order in results)
         finally:
             sys.setswitchinterval(interval)
         assert len(calls) == 5
+        # operators alone assembles but does not order
+        mesh = square_mesh(2)
+        ops = assembly.operators(mesh)
+        assert len(calls) == 6 and len(orderings) == 5
+        assert ops.order is ops.order
+        assert len(orderings) == 6
 
 
 class TestFunctionals:

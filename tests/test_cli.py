@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robinspec
-from robinspec import cli, exact1d, geometry, schema
+from robinspec import cli, eigensolve, exact1d, geometry, schema
 from robinspec.errors import ConvergenceError
 
 
@@ -300,7 +300,14 @@ def test_malformed_flag_values_exit_2(command, flag):
     ["solve", "--sigma", "1", "--target-h", "1e-300", "--levels", "0"],
     ["solve", "--domain", "interval", "--sigma", "1", "--target-h", "1e-300"],
     ["optimal", "--domain", "disk", "--target-h", "1e-12", "--levels", "0"],
+    ["converge", "--sigma", "1", "--levels", "40"],
+    ["converge", "--domain", "disk", "--sigma", "1", "--levels", "40"],
+    ["converge", "--domain", "interval", "--sigma", "1", "--levels", "40"],
 ], ids=["levels-square", "levels-disk", "levels-interval", "levels-huge",
-        "target-h-square", "target-h-interval", "target-h-disk"])
-def test_meshes_over_the_node_budget_exit_2(argv):
+        "target-h-square", "target-h-interval", "target-h-disk",
+        "converge-square", "converge-disk", "converge-interval"])
+def test_meshes_over_the_node_budget_exit_2(argv, monkeypatch):
+    factorizations = []
+    monkeypatch.setattr(eigensolve, "splu", lambda *args, **kwargs: factorizations.append(1))
     assert_exit_2_with_one_json_line(argv)
+    assert factorizations == []

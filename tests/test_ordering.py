@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from robinspec import assembly, cli, eigensolve, geometry
+from robinspec import assembly, cli, eigensolve, geometry, robin
 
 from conftest import disk_mesh, interval_mesh, square_mesh, triangle_mesh
 
@@ -146,3 +146,39 @@ def test_cli_factors_only_in_mesh_order(argv, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert calls
     assert all(kw.get("permc_spec") == "NATURAL" for kw in calls)
+
+
+class TestOrderedOnlyWhenFactored:
+    """The ordering is computed by the first factorization on a mesh, so
+    solves that factor nothing leave it uncomputed."""
+
+    @pytest.fixture
+    def orderings(self, monkeypatch):
+        calls = []
+        dissection = assembly._nested_dissection
+
+        def counted(coords, pattern):
+            calls.append(len(coords))
+            return dissection(coords, pattern)
+
+        monkeypatch.setattr(assembly, "_nested_dissection", counted)
+        return calls
+
+    def test_dense_spectra_are_not_ordered(self, orderings):
+        mesh = square_mesh(1)
+        assert mesh.num_nodes <= eigensolve._DENSE_CUTOFF
+        robin.spectrum(mesh, assembly.SigmaField.constant(1.0), 1)
+        robin.dirichlet_spectrum(mesh, 1)
+        robin.concentration_sweep(mesh, 1.0, (0.5, 0.0), 1)
+        assert orderings == []
+
+    def test_spectrum_with_a_ready_factor_is_not_ordered(self, orderings):
+        mesh = square_mesh(3)
+        sigma = assembly.SigmaField.constant(1.0)
+        ops = assembly.operators(mesh)
+        a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
+        factor = eigensolve.shifted_factor(a, ops.mass)
+        robin.lowest_eigenvalue(mesh, sigma, factor=factor)
+        assert orderings == []
+        robin.lowest_eigenvalue(mesh, sigma)
+        assert orderings == [mesh.num_nodes]

@@ -10,7 +10,10 @@ The reference file was recorded before the per-mesh operator object
 replaced the separate K/M assemblies.  ``bounds-interval`` and
 ``optimal-square`` were re-recorded when the Newton loop started from the
 Lanczos model's root, which puts xi on the round-off root of the mass curve
-rather than anywhere inside the 1e-10 stopping band.  Re-record an entry only
+rather than anywhere inside the 1e-10 stopping band.  ``converge-disk`` was
+recorded from per-level shift-invert solves, before ``converge`` became one
+refinement chain; disk refinement projects boundary midpoints onto the
+circle, so its levels are not nested.  Re-record an entry only
 when a change is meant to move its numbers, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_reference_outputs.py
@@ -48,6 +51,7 @@ COMMANDS = {
     "hardy-triangle": "hardy --domain triangle --sigma 1 --alpha 0.1,auto --trials 5 --levels 3",
     "converge-interval": "converge --domain interval --sigma-a 1 --sigma-b 1 --levels 3",
     "converge-square": "converge --domain square --sigma 1 --levels 3",
+    "converge-disk": "converge --domain disk --sigma 1 --levels 3",
 }
 
 
