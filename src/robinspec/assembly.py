@@ -162,18 +162,14 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return _symmetrize(sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr())
 
 
-def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField,
-                           gamma_only: bool = False) -> sp.csr_matrix:
-    """Boundary mass matrix weighted by sigma.
-
-    With ``gamma_only`` the integration runs over gamma-marked facets only
-    (used for flux recovery and gamma-restricted coefficients).
-    """
+def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField) -> sp.csr_matrix:
+    """Boundary mass matrix weighted by sigma, integrated over the facets of
+    sigma's support."""
     n = mesh.num_nodes
     vals = sigma.edge_values(mesh)
     bdry = mesh.boundary
     lengths = boundary_edge_lengths(mesh)
-    if gamma_only or sigma.support == "gamma":
+    if sigma.support == "gamma":
         keep = mesh.boundary_markers == GAMMA
         vals, bdry, lengths = vals[keep], bdry[keep], lengths[keep]
     if mesh.dim == 1:
@@ -194,7 +190,7 @@ def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField,
 
 def gamma_edge_mass(mesh: Mesh) -> sp.csr_matrix:
     """Unweighted boundary mass over gamma facets (flux-recovery weight)."""
-    return assemble_boundary_mass(mesh, SigmaField.constant(1.0), gamma_only=True)
+    return assemble_boundary_mass(mesh, SigmaField("constant", value=1.0, support="gamma"))
 
 
 # ---------------------------------------------------------------------------

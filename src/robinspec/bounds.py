@@ -24,6 +24,10 @@ from .geometry import DomainSpec, Mesh
 
 _BESSEL_TERMS = 40
 _BESSEL_XMAX = 12.0
+# relative slack of the inradius and optimal-eigenvalue reports, and of the
+# Hardy check, for solver and quadrature noise
+_REPORT_RTOL = 0.02
+_HARDY_RTOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +48,9 @@ class BoundReport:
     passed: bool
 
 
-def _make_report(quantity: str, lower: float, computed: float, upper: float,
-                 rel_tol: float) -> BoundReport:
-    tol = rel_tol * max(abs(lower), abs(upper))
+def _make_report(quantity: str, lower: float, computed: float,
+                 upper: float) -> BoundReport:
+    tol = _REPORT_RTOL * max(abs(lower), abs(upper))
     passed = (lower - tol <= computed) and (computed <= upper + tol)
     return BoundReport(quantity, lower, computed, upper,
                        computed - lower, upper - computed, tol, passed)
@@ -80,13 +84,13 @@ def optimal_upper_bound(mass: float, e1: float, volume: float,
     return 2.0 * mass * e1 / (mass + volume * e1 + math.sqrt(disc))
 
 
-def optimal_eigenvalue_sandwich(mesh: Mesh, mass: float,
-                                rel_tol: float = 0.02) -> BoundReport:
+def optimal_eigenvalue_sandwich(mesh: Mesh, mass: float) -> BoundReport:
     """Two-sided check of the optimal eigenvalue computed on a mesh.
 
     Uses the same-mesh pinned ground state, so the inequalities hold
-    discretely; rel_tol only absorbs solver noise.  The reported upper
-    bound is the tighter one (it implies the factor-two bound).
+    discretely; the report's tolerance only absorbs solver noise.  The
+    reported upper bound is the tighter one (it implies the factor-two
+    bound).
     """
     prob = mixed_dn.MixedProblem(mesh)
     ground = prob.ground
@@ -94,7 +98,7 @@ def optimal_eigenvalue_sandwich(mesh: Mesh, mass: float,
     lower = optimal_lower_bound(mass, ground.value, prob.volume)
     upper = optimal_upper_bound(mass, ground.value, prob.volume, ground.integral)
     return _make_report(f"optimal eigenvalue mass={mass:g}",
-                        lower, computed, upper, rel_tol)
+                        lower, computed, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +152,11 @@ def unit_ball_dirichlet_eigenvalue(n: int) -> float:
     raise ArgumentError(f"no Bessel zero found below {_BESSEL_XMAX} for nu={nu}")
 
 
-def ball_eigenvalue_dimension_bound(n: int) -> float:
-    """Berezin/Li-Yau style lower bound 4n/(n+2) Gamma(1+n/2)^(4/n)."""
-    return 4.0 * n / (n + 2.0) * math.gamma(1.0 + 0.5 * n) ** (4.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # Inradius sandwiches
 # ---------------------------------------------------------------------------
 
-def dirichlet_inradius_report(mesh: Mesh, domain: DomainSpec,
-                              rel_tol: float = 0.02) -> BoundReport:
+def dirichlet_inradius_report(mesh: Mesh, domain: DomainSpec) -> BoundReport:
     """Check 1/4 R^-2 <= lambda_D <= K_n R^-2 on a convex domain."""
     r = geometry.inradius(domain)
     n = domain.dim
@@ -169,11 +167,11 @@ def dirichlet_inradius_report(mesh: Mesh, domain: DomainSpec,
     lower = 0.25 / r ** 2
     upper = unit_ball_dirichlet_eigenvalue(n) / r ** 2
     return _make_report("dirichlet eigenvalue vs inradius", lower, float(lam),
-                        upper, rel_tol)
+                        upper)
 
 
 def robin_inradius_report(mesh: Optional[Mesh], domain: DomainSpec,
-                          sigma_const: float, rel_tol: float = 0.02) -> BoundReport:
+                          sigma_const: float) -> BoundReport:
     """Check the convex two-sided bound
     sigma / (4 R (1 + sigma R)) <= lambda <= 2 K_n sigma / (R (1 + sigma R))
     for a constant coefficient."""
@@ -192,7 +190,7 @@ def robin_inradius_report(mesh: Optional[Mesh], domain: DomainSpec,
     lower = 0.25 * scale
     upper = 2.0 * unit_ball_dirichlet_eigenvalue(n) * scale
     return _make_report(f"robin eigenvalue vs inradius sigma={sigma_const:g}",
-                        lower, float(lam), upper, rel_tol)
+                        lower, float(lam), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +243,11 @@ def _quadrature_points(mesh: Mesh):
     return pts, wts, pairs, coeff
 
 
-def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42,
-                  rel_tol: float = 1e-3) -> List[HardyReport]:
+def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42) -> List[HardyReport]:
     """One report per (sigma, alpha) pair, checking the convex-domain bound
     |grad u|^2 + sigma |u|^2_bdry >= alpha sigma (1 - alpha sigma)
     * integral of u^2 / (dist + alpha)^2 for random functions and the
-    Robin ground state.
+    Robin ground state, each to within `_HARDY_RTOL` of the right side.
 
     The domain must be convex: the distance enters pointwise at quadrature
     points as the distance to the mesh's boundary polygon, and a non-convex
@@ -264,6 +261,8 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42,
     pairs = list(pairs)
     if any(s < 0 or a <= 0 for s, a in pairs):
         raise ArgumentError("need sigma >= 0 and alpha > 0")
+    if trials < 0:
+        raise ArgumentError(f"trials must be nonnegative, got {trials}")
     kmat = assembly.operators(mesh).stiffness
     b1 = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
     pts, wts, idx, coeff = _quadrature_points(mesh)
@@ -288,7 +287,7 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42,
         for k_form, b_form, u_q in random_forms + [ground_forms[sigma_const]]:
             lhs = float(k_form + sigma_const * b_form)
             rhs = coef * float(np.sum(weight * u_q * u_q))
-            bad = lhs < rhs - rel_tol * abs(rhs) - 1e-12 * max(lhs, 1.0)
+            bad = lhs < rhs - _HARDY_RTOL * abs(rhs) - 1e-12 * max(lhs, 1.0)
             violations += bad
             rows.append(HardyTrial(lhs, rhs, bool(bad)))
         reports.append(HardyReport(sigma_const, alpha, coef, rows, violations,

@@ -173,7 +173,7 @@ def cmd_solve(opts: dict) -> int:
 def cmd_optimal(opts: dict) -> int:
     domain = _domain_from(opts)
     mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
-    mass = _parse_grid(opts["m"])[0]
+    (mass,) = _numbers(opts["m"], "mass", count=1)
     opt = mixed_dn.MixedProblem(mesh, seed=opts["seed"]).optimal_sigma(mass)
     payload = {
         "m": float(_fmt(opt.mass)),
@@ -319,6 +319,7 @@ _FLAG_TYPES = {
     "segments": int, "sigma_a": float, "sigma_b": float, "trials": int,
     "levels": int, "target_h": float, "seed": int,
 }
+_NONNEGATIVE = ("levels", "trials", "seed")
 _DOMAINS = ["interval", "square", "rect", "triangle", "polygon", "disk"]
 
 
@@ -345,13 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_value(key: str, value) -> None:
-    """An option's value must have its flag's type, and a number must be
-    finite; numbers may also stand in for the string flags (e.g. "sigma": 1.0)."""
+    """An option's value must have its flag's type, a number must be finite,
+    and the integers of `_NONNEGATIVE` must not be negative; numbers may
+    also stand in for the string flags (e.g. "sigma": 1.0)."""
     allowed = {int: (int,), float: (int, float)}.get(_FLAG_TYPES.get(key), (str, int, float))
     if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
         raise ArgumentError(f"option {key!r} has a value of the wrong type: {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ArgumentError(f"option {key!r} must be finite, got {value!r}")
+    if key in _NONNEGATIVE and value is not None and value < 0:
+        raise ArgumentError(f"option {key!r} must be nonnegative, got {value!r}")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:

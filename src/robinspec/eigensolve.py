@@ -52,8 +52,9 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, lobp
 
 from .errors import ConvergenceError, MatrixError
 
+# the relative tolerance of the eigenpair residual gate
 DEFAULT_TOL = 1e-10
-MAX_OUTER_ITERATIONS = 500
+_MAX_OUTER_ITERATIONS = 500
 _DENSE_CUTOFF = 40
 _LOBPCG_STEPS = 40
 # Jacobi steps before and after the V-cycle's coarse correction, and their
@@ -146,16 +147,14 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
     return x
 
 
-def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, shift: float | None = None,
-                   order=None):
+def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, order=None):
     """(tau, lu): the shift-invert pair `smallest_eigs` uses for the pencil
-    (A, M).  tau is `shift`, or by default a small negative multiple of A's
-    mean diagonal, so a Neumann kernel leaves A - tau M positive definite;
-    lu is the sparse LU of A - tau M, factored in the given order."""
+    (A, M).  tau is a small negative multiple of A's mean diagonal, so a
+    Neumann kernel leaves A - tau M positive definite; lu is the sparse LU
+    of A - tau M, factored in the given order."""
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
-    trace = float(a.diagonal().sum())
-    tau = shift if shift is not None else -1e-8 * max(trace, 1.0) / a.shape[0]
+    tau = -1e-8 * max(float(a.diagonal().sum()), 1.0) / a.shape[0]
     try:
         lu = _factor(a - tau * m, order)
     except RuntimeError as exc:
@@ -163,17 +162,12 @@ def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, shift: float | None = None,
     return tau, lu
 
 
-def _gate_floor(tol: float) -> float:
-    """The relative tolerance of `smallest_eigs`' residual gate."""
-    return max(tol, 1e-12)
-
-
 def eigenvalue_floor(value: float) -> float:
     """The smallest difference between eigenvalues near `value` that
-    `smallest_eigs` at `DEFAULT_TOL` resolves: the gate's relative
-    tolerance times max(|value|, 1).  Differences below it may be
-    round-off, or where each solve stopped inside the gate."""
-    return _gate_floor(DEFAULT_TOL) * max(abs(value), 1.0)
+    `smallest_eigs` resolves: `DEFAULT_TOL` times max(|value|, 1).
+    Differences below it may be round-off, or where each solve stopped
+    inside the gate."""
+    return DEFAULT_TOL * max(abs(value), 1.0)
 
 
 def _dense(n: int, k: int) -> bool:
@@ -209,13 +203,12 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float):
     return vals, vecs, counter["n"]
 
 
-def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
-                  tol: float = DEFAULT_TOL, seed: int = 42,
-                  maxiter: int = MAX_OUTER_ITERATIONS, factor=None,
-                  precondition=None, guess=None, order=None) -> EigResult:
+def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1, seed: int = 42,
+                  factor=None, precondition=None, guess=None, order=None) -> EigResult:
     """k smallest eigenpairs of the symmetric pencil (A, M), A PSD, M SPD.
 
-    The eigenvalues are the Rayleigh quotients of the M-normalised vectors.
+    The eigenvalues are the Rayleigh quotients of the M-normalised vectors,
+    and each residual must lie within `DEFAULT_TOL` times the pencil's scale.
     factor is a `shifted_factor(a, m)` pair to reuse; without one the
     shift-invert path computes its own, in the given order.  precondition
     is a `shifted_factor` pair of a nearby pencil: with it LOBPCG runs from
@@ -229,7 +222,6 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
     if not 1 <= k <= n:
         raise ConvergenceError(f"need 1 <= k <= {n}, got k={k}")
     norm_a = _inf_norm_estimate(a)
-    floor = _gate_floor(tol)
 
     dense = _dense(n, k)
     iterative = precondition is not None and not dense
@@ -241,7 +233,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
         # the gate's bound at lambda = 0, never above the bound at lambda
         x0 = np.asarray(guess, dtype=float).reshape(n, k)
         vals, vecs, iterations = _lobpcg(a, m, precondition[1], x0,
-                                         floor * max(norm_a, 1.0))
+                                         DEFAULT_TOL * max(norm_a, 1.0))
     else:
         tau, lu = factor if factor is not None else shifted_factor(a, m, order=order)
         counter = {"n": 0}
@@ -255,7 +247,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
         v0 = rng.standard_normal(n)
         try:
             vals, vecs = eigsh(a, k=k, M=m, sigma=tau, OPinv=op_inv,
-                               v0=v0, maxiter=maxiter)
+                               v0=v0, maxiter=_MAX_OUTER_ITERATIONS)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(
                 "eigensolver did not converge",
@@ -276,7 +268,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1,
     residuals = np.array([np.linalg.norm(a @ vecs[:, i] - vals[i] * (m @ vecs[:, i]))
                           for i in range(k)])
     scale = norm_a + np.abs(vals).max(initial=0.0) * _inf_norm_estimate(m)
-    bound = floor * max(scale, 1.0)
+    bound = DEFAULT_TOL * max(scale, 1.0)
     if np.any(residuals > bound):
         raise ConvergenceError(
             "eigenpair residual above tolerance",
@@ -298,11 +290,9 @@ class CoefficientFamily:
     counts these.  Factorizations use the given order.
     """
 
-    def __init__(self, m: sp.spmatrix, reference=None, order=None,
-                 tol: float = DEFAULT_TOL, seed: int = 42):
+    def __init__(self, m: sp.spmatrix, reference=None, order=None, seed: int = 42):
         self.m = sp.csr_matrix(m)
         self.order = order
-        self.tol = tol
         self.seed = seed
         self.fallbacks = 0
         self._factor = reference
@@ -311,20 +301,19 @@ class CoefficientFamily:
     def lowest(self, a: sp.spmatrix) -> EigResult:
         """The lowest eigenpair of (a, M)."""
         if _dense(self.m.shape[0], 1):
-            return smallest_eigs(a, self.m, tol=self.tol, seed=self.seed)
+            return smallest_eigs(a, self.m, seed=self.seed)
         if self._factor is None:
             self._factor = shifted_factor(a, self.m, order=self.order)
         if self._guess is None:
             self._guess = self._factor[1].solve(self.m @ np.ones(self.m.shape[0]))
         try:
-            res = smallest_eigs(a, self.m, tol=self.tol, seed=self.seed,
-                                precondition=self._factor, guess=self._guess)
+            res = smallest_eigs(a, self.m, seed=self.seed, precondition=self._factor,
+                                guess=self._guess)
         except ConvergenceError:
             self.fallbacks += 1
             self._factor = None  # release the old LU before factoring anew
             self._factor = shifted_factor(a, self.m, order=self.order)
-            res = smallest_eigs(a, self.m, tol=self.tol, seed=self.seed,
-                                factor=self._factor)
+            res = smallest_eigs(a, self.m, seed=self.seed, factor=self._factor)
         self._guess = res.vectors[:, 0]
         return res
 
@@ -365,7 +354,7 @@ class _VCycle:
 class RefinementChain:
     """Lowest eigenpairs of one problem on a chain of uniformly refined
     meshes, solved coarse to fine by nested iteration (Knyazev and Neymeyr,
-    ETNA 15, 2003) on one factorization, at `DEFAULT_TOL`.
+    ETNA 15, 2003) on one factorization.
 
     Levels of dense size are solved densely.  The first level above that
     size is factored and solved by shift-invert ARPACK, as `smallest_eigs`

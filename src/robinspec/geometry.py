@@ -110,6 +110,9 @@ def disk(center: Sequence[float], radius: float, segments: int = 16,
         raise GeometryError("disk needs a finite center and a finite positive radius")
     if segments < 8:
         raise GeometryError("disk needs at least 8 boundary segments")
+    if segments + 1 > _MAX_NODES:
+        raise ArgumentError(
+            f"{segments} boundary segments exceed the budget of {_MAX_NODES} nodes")
     return DomainSpec("disk", center=(float(center[0]), float(center[1])),
                       radius=float(radius), segments=int(segments),
                       gamma=gamma or gamma_all())
@@ -226,7 +229,7 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
     # a level at most halves the largest diameter, so at least this many
     # levels are needed; every level adds nodes, so the budget ends the loop
     halvings = math.log2(max_element_diameter(mesh) / target_h)
-    check_refinement(mesh, int(min(halvings, 64.0)))
+    check_refinement(mesh, max(int(min(halvings, 64.0)), 0))
     while max_element_diameter(mesh) > target_h:
         check_refinement(mesh, 1)
         mesh = refine(mesh)
@@ -387,9 +390,12 @@ def check_refinement(mesh: Mesh, levels: int) -> None:
     more than `_MAX_NODES` nodes.  The count is predicted from the node,
     element and boundary-facet counts, without refining: a 1D level adds
     one node per element; a 2D level adds one per edge, and a conforming
-    triangulation has (3 elements + boundary edges) / 2 edges."""
+    triangulation has (3 elements + boundary edges) / 2 edges.  A negative
+    `levels` is an ArgumentError too."""
+    if levels < 0:
+        raise ArgumentError(f"refinement levels must be nonnegative, got {levels}")
     nodes, elements, facets = mesh.num_nodes, mesh.num_elements, len(mesh.boundary)
-    for _ in range(max(levels, 0)):
+    for _ in range(levels):
         if mesh.dim == 1:
             nodes, elements = nodes + elements, 2 * elements
         else:
@@ -497,19 +503,6 @@ def boundary_edge_lengths(mesh: Mesh) -> np.ndarray:
     p0 = mesh.nodes[mesh.boundary[:, 0]]
     p1 = mesh.nodes[mesh.boundary[:, 1]]
     return np.linalg.norm(p1 - p0, axis=1)
-
-
-def boundary_length(mesh: Mesh, subset: str = "all") -> float:
-    """Total surface measure of the boundary or of its gamma subset.
-
-    In 1D the surface measure is the counting measure with unit weights.
-    """
-    lengths = boundary_edge_lengths(mesh)
-    if subset == "all":
-        return float(lengths.sum())
-    if subset == "gamma":
-        return float(lengths[mesh.boundary_markers == GAMMA].sum())
-    raise ArgumentError(f"subset must be 'all' or 'gamma', got {subset!r}")
 
 
 def gamma_nodes(mesh: Mesh) -> np.ndarray:

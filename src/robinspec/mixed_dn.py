@@ -33,6 +33,7 @@ _MASS_RTOL = 1e-10
 _MAX_NEWTON = 80
 _KRYLOV_STEPS = 20
 _KRYLOV_BREAKDOWN = 1e-12
+_MAXIMALITY_SLACK = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +160,9 @@ class MixedProblem:
     first mass-curve inversion builds the Lanczos model from it, then freed.
     """
 
-    def __init__(self, mesh: Mesh, tol: float = 1e-10, seed: int = 42):
+    def __init__(self, mesh: Mesh, seed: int = 42):
         ops = assembly.operators(mesh)
         self.mesh = mesh
-        self.tol = tol
         self.seed = seed
         self.stiffness = ops.stiffness
         self.mass_matrix = ops.mass
@@ -175,8 +175,7 @@ class MixedProblem:
         self._factor = shifted_factor(self.k_ff, self.m_ff, order=self.free_order)
         self._model = None
         self._model_lock = threading.Lock()
-        res = smallest_eigs(self.k_ff, self.m_ff, k=1, tol=tol, seed=seed,
-                            factor=self._factor)
+        res = smallest_eigs(self.k_ff, self.m_ff, k=1, seed=seed, factor=self._factor)
         phi = np.zeros(mesh.num_nodes)
         phi[self.free] = res.vectors[:, 0]
         integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
@@ -246,25 +245,21 @@ class MixedProblem:
         return _safeguarded_newton(self.mass_function_with_derivative, mass, xi, hi,
                                    _MASS_RTOL * max(mass, 1.0))
 
-    def optimal_sigma(self, mass: float, recovery: str = "lumped") -> OptimalSigma:
+    def optimal_sigma(self, mass: float) -> OptimalSigma:
         """Optimal coefficient of the given mass by variational flux recovery.
 
         The flux on gamma satisfies W g = (K U - xi M U - M 1)|gamma with W
-        the gamma-edge mass matrix; the coefficient is -xi g.  By default W
-        is lumped (divide by the hat-function boundary integrals), which
-        keeps the recovered field nonnegative at corners and reproduces the
-        prescribed mass exactly; ``recovery="consistent"`` solves the full
-        tridiagonal system instead (sharper in smooth regions, but it
-        overshoots negative at corners where the true flux vanishes).
+        the gamma-edge mass matrix; the coefficient is -xi g.  W is lumped
+        (divide by the hat-function boundary integrals), which keeps the
+        recovered field nonnegative at corners and reproduces the prescribed
+        mass exactly.
         """
-        return self._optimal_sigma(mass, recovery)[0]
+        return self._optimal_sigma(mass)[0]
 
-    def _optimal_sigma(self, mass: float, recovery: str = "lumped"):
+    def _optimal_sigma(self, mass: float):
         """(OptimalSigma, factor): the result of `optimal_sigma` and the
         `shifted_factor` pair of the recovered Robin pencil (K + B(sigma), M)
         that its lambda_check was solved on."""
-        if recovery not in ("lumped", "consistent"):
-            raise ArgumentError(f"unknown recovery mode {recovery!r}")
         xi, u = self._invert_mass_curve(mass)
         if u is None:
             u = self.resolvent_one(xi)
@@ -273,12 +268,8 @@ class MixedProblem:
                     - self.mass_matrix @ ones)
         w = assembly.gamma_edge_mass(self.mesh)
         g_idx = self.fixed
-        w_gg = w[g_idx][:, g_idx]
-        if recovery == "consistent":
-            flux = solve_spd(w_gg.tocsc(), residual[g_idx])
-        else:
-            weights = np.asarray(w_gg.sum(axis=1)).ravel()
-            flux = residual[g_idx] / weights
+        weights = np.asarray(w[g_idx][:, g_idx].sum(axis=1)).ravel()
+        flux = residual[g_idx] / weights
         sigma_vals = np.zeros(self.mesh.num_nodes)
         sigma_vals[g_idx] = -xi * flux
         sigma_min_raw = float(sigma_vals[g_idx].min())
@@ -288,8 +279,7 @@ class MixedProblem:
         recovered_mass = float(ones @ (b @ ones))
         minimizer = xi * u + 1.0
         factor = shifted_factor(self.stiffness + b, self.mass_matrix, order=self.order)
-        check = robin.lowest_eigenvalue(self.mesh, sigma, tol=self.tol, seed=self.seed,
-                                        factor=factor)
+        check = robin.lowest_eigenvalue(self.mesh, sigma, seed=self.seed, factor=factor)
         opt = OptimalSigma(mass=mass, value=xi, resolvent=u, sigma=sigma,
                            minimizer=minimizer, mass_defect=abs(recovered_mass - mass),
                            lambda_check=check.value, ground=self.ground,
@@ -324,17 +314,20 @@ def _rayleigh(kmat, bmat, mmat, u) -> float:
 
 
 def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
-                      tol_fem: float = 1e-6, seed: int = 42) -> MaximalityReport:
+                      seed: int = 42) -> MaximalityReport:
     """Randomized check that no admissible coefficient beats the optimum.
 
-    Draws nonnegative nodal perturbations of the optimal coefficient on
-    gamma, rescales each to the prescribed mass, and requires the perturbed
-    eigenvalue to stay below the optimal one (up to tol_fem).  Also records
+    Draws `trials` nonnegative nodal perturbations of the optimal
+    coefficient on gamma, rescales each to the prescribed mass, and requires
+    the perturbed eigenvalue to stay below the optimal one (up to
+    `_MAXIMALITY_SLACK`, for discretization noise).  Also records
     the quotient of the optimal minimiser under each perturbed coefficient,
     which is invariant because the minimiser equals 1 on gamma.  The trials
     form one coefficient family whose reference is the factorization of the
     optimal pencil that lambda_check was solved on.
     """
+    if trials < 0:
+        raise ArgumentError(f"trials must be nonnegative, got {trials}")
     prob = MixedProblem(mesh, seed=seed)
     opt, reference = prob._optimal_sigma(mass)
     kmat, mmat = prob.stiffness, prob.mass_matrix
@@ -358,7 +351,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
         lam = float(family.lowest(kmat + b_trial).values[0])
         q_trial = _rayleigh(kmat, b_trial, mmat, u_m)
         boundary_term = float(u_m @ (b_trial @ u_m))
-        bad = lam > opt.lambda_check + tol_fem
+        bad = lam > opt.lambda_check + _MAXIMALITY_SLACK
         violations += bad
         rows.append(MaximalityTrial(lam, q_trial, boundary_term, bool(bad)))
     return MaximalityReport(mass=mass, optimal_value=opt.value,

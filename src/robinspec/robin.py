@@ -28,12 +28,12 @@ class RobinResult:
     level: int
 
 
-def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, tol: float = 1e-10,
-                      seed: int = 42, factor=None) -> RobinResult:
+def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, seed: int = 42,
+                      factor=None) -> RobinResult:
     """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser.
 
     factor is a `shifted_factor` pair of that pencil to reuse."""
-    return _robin_result(mesh, spectrum(mesh, sigma, 1, tol=tol, seed=seed, factor=factor))
+    return _robin_result(mesh, spectrum(mesh, sigma, 1, seed=seed, factor=factor))
 
 
 def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
@@ -59,21 +59,20 @@ def refinement_levels(base: Mesh, levels: int, sigma_of: Callable[[Mesh], SigmaF
         yield mesh, _robin_result(mesh, res)
 
 
-def spectrum(mesh: Mesh, sigma: SigmaField, k: int, tol: float = 1e-10,
-             seed: int = 42, factor=None) -> EigResult:
+def spectrum(mesh: Mesh, sigma: SigmaField, k: int, seed: int = 42,
+             factor=None) -> EigResult:
     """First k Robin eigenpairs; factor as in `lowest_eigenvalue`."""
     ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, sigma)
-    return smallest_eigs(ops.stiffness + b, ops.mass, k=k, tol=tol, seed=seed,
-                         factor=factor, order=lambda: ops.order)
+    return smallest_eigs(ops.stiffness + b, ops.mass, k=k, seed=seed, factor=factor,
+                         order=lambda: ops.order)
 
 
-def dirichlet_spectrum(mesh: Mesh, k: int, tol: float = 1e-10, seed: int = 42) -> EigResult:
+def dirichlet_spectrum(mesh: Mesh, k: int, seed: int = 42) -> EigResult:
     """First k eigenvalues with the value pinned to zero on the whole boundary."""
     ops = assembly.operators(mesh)
     free, k_ff, m_ff = ops.restrict(geometry.boundary_nodes(mesh))
-    return smallest_eigs(k_ff, m_ff, k=k, tol=tol, seed=seed,
-                         order=lambda: ops.free_order(free))
+    return smallest_eigs(k_ff, m_ff, k=k, seed=seed, order=lambda: ops.free_order(free))
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class ConcentrationRow:
 
 
 def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
-                        tol: float = 1e-10, seed: int = 42) -> List[ConcentrationRow]:
+                        seed: int = 42) -> List[ConcentrationRow]:
     """Eigenvalues for coefficients of fixed mass concentrating at a point.
 
     Step n places the constant mass/length(support) on the gamma edges lying
@@ -104,7 +103,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     lengths = geometry.boundary_edge_lengths(mesh)
     on_gamma = mesh.boundary_markers == GAMMA
     ops = assembly.operators(mesh)
-    family = CoefficientFamily(ops.mass, order=lambda: ops.order, tol=tol, seed=seed)
+    family = CoefficientFamily(ops.mass, order=lambda: ops.order, seed=seed)
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
         r = 2.0 ** (-n)

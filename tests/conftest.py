@@ -8,6 +8,16 @@ refinements of that base.
 import pytest
 
 from robinspec import geometry
+from robinspec.geometry import GAMMA
+
+
+def boundary_length(mesh, subset="all"):
+    """Total surface measure of the boundary or of its gamma subset; in 1D
+    the counting measure with unit weights."""
+    lengths = geometry.boundary_edge_lengths(mesh)
+    if subset == "gamma":
+        lengths = lengths[mesh.boundary_markers == GAMMA]
+    return float(lengths.sum())
 
 
 def refined(mesh, times):

@@ -47,7 +47,7 @@ def test_criterion_02_optimal_sigma_pipeline_square():
     assert opt.mass_defect / opt.mass <= 1e-3
     rel_dual = abs(opt.lambda_check - opt.value) / opt.value
     assert rel_dual <= 1e-3
-    rep = mixed_dn.verify_maximality(mesh, 1.0, trials=20, tol_fem=1e-6)
+    rep = mixed_dn.verify_maximality(mesh, 1.0, trials=20)
     assert rep.violations == 0
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -79,7 +79,7 @@ def test_criterion_04_two_sided_mass_bounds():
     masses = (0.1, 1.0, 10.0, 100.0)
     for mesh in (square_mesh(3), disk_mesh(2)):
         for m in masses:
-            rep = bounds.optimal_eigenvalue_sandwich(mesh, m, rel_tol=0.02)
+            rep = bounds.optimal_eigenvalue_sandwich(mesh, m)
             assert rep.passed, (rep, m)
             assert rep.upper <= 2.0 * rep.lower + 1e-12
     # interval in closed form, root-finder tolerance only
@@ -143,7 +143,7 @@ def test_criterion_07_convex_inradius_sandwich():
     ]
     for mesh, dom in cases:
         for s in sigmas:
-            rep = bounds.robin_inradius_report(mesh, dom, s, rel_tol=0.02)
+            rep = bounds.robin_inradius_report(mesh, dom, s)
             assert rep.passed, (dom.kind, s, rep)
     _report(7, f"K2 = {k2:.6f}; K_N >= N for N=1..10; sandwich passes on "
                f"square/rect/triangle/disk/interval for sigma in {sigmas}")
@@ -153,8 +153,7 @@ def test_criterion_08_hardy_property_suite():
     meshes = {"square": square_mesh(3), "triangle": triangle_mesh(3)}
     for label, mesh in meshes.items():
         pairs = [(s, alpha) for s in (0.5, 2.0) for alpha in (0.1, 0.25, 0.5 / s, 1.0)]
-        for (s, alpha), rep in zip(pairs, bounds.hardy_reports(mesh, pairs, trials=25,
-                                                               rel_tol=1e-3)):
+        for (s, alpha), rep in zip(pairs, bounds.hardy_reports(mesh, pairs, trials=25)):
             assert rep.violations == 0, (label, s, alpha)
             if alpha == 0.5 / s:
                 assert abs(rep.coefficient - 0.25) <= 1e-15

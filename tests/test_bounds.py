@@ -13,6 +13,11 @@ from conftest import disk_mesh, interval_mesh, square_mesh, triangle_mesh
 K2_REFERENCE = 5.783185962946783  # square of the first J0 zero (scipy jn_zeros)
 
 
+def ball_eigenvalue_dimension_bound(n):
+    """Berezin/Li-Yau style lower bound 4n/(n+2) Gamma(1+n/2)^(4/n)."""
+    return 4.0 * n / (n + 2.0) * math.gamma(1.0 + 0.5 * n) ** (4.0 / n)
+
+
 def upper_bound_test_family(mass, e1, volume, phi_integral):
     """Optimizing parameter t0 of the interpolated test family and the
     quotient value there: the oracle of bounds.optimal_upper_bound."""
@@ -124,7 +129,7 @@ class TestBallEigenvalue:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_dimension_lower_bounds(self, n):
         kn = bounds.unit_ball_dirichlet_eigenvalue(n)
-        assert kn >= bounds.ball_eigenvalue_dimension_bound(n) - 1e-12
+        assert kn >= ball_eigenvalue_dimension_bound(n) - 1e-12
         assert kn >= n - 1e-12
 
     def test_bessel_series_zero(self):
@@ -230,6 +235,10 @@ class TestHardy:
     def test_invalid_pair_rejected(self, square_l3):
         with pytest.raises(ArgumentError):
             bounds.hardy_reports(square_l3, [(1.0, 0.5), (-1.0, 0.5)])
+
+    def test_negative_trials_rejected(self, square_l3):
+        with pytest.raises(ArgumentError):
+            bounds.hardy_reports(square_l3, [(1.0, 0.5)], trials=-1)
 
 
 class TestScaling:

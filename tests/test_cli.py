@@ -206,11 +206,20 @@ class TestErrors:
         ["solve", "--sigma", "nan", "--levels", "1"],
         ["solve", "--domain", "disk", "--center", "inf,0", "--sigma", "1", "--levels", "0"],
         ["solve", "--domain", "disk", "--radius", "nan", "--sigma", "1", "--levels", "0"],
+        ["solve", "--sigma", "1", "--levels", "-2"],
+        ["converge", "--sigma", "1", "--levels", "-1"],
+        ["solve", "--config", "{negative_levels}"],
+        ["hardy", "--sigma", "1", "--trials", "-3", "--levels", "1"],
+        ["hardy", "--sigma", "1", "--seed", "-1", "--levels", "1"],
+        ["optimal", "--m", "1,5", "--levels", "1"],
     ], ids=["grid", "sigma", "sigma-grid", "gamma-edges", "gamma-arc", "disk-center",
             "polygon-vertex", "alpha-auto-zero-sigma", "alpha", "config-type",
-            "config-list", "sigma-nan", "disk-center-inf", "radius-nan"])
+            "config-list", "sigma-nan", "disk-center-inf", "radius-nan",
+            "levels-negative", "converge-levels-negative", "config-levels-negative",
+            "trials-negative", "seed-negative", "optimal-mass-grid"])
     def test_malformed_input_exit_2(self, args, tmp_path, capsys):
-        configs = {"levels_as_text": {"sigma": 1.0, "levels": "2"}, "not_an_object": 5}
+        configs = {"levels_as_text": {"sigma": 1.0, "levels": "2"}, "not_an_object": 5,
+                   "negative_levels": {"sigma": 1.0, "levels": -1}}
         paths = {}
         for name, content in configs.items():
             paths[name] = tmp_path / f"{name}.json"
@@ -222,26 +231,30 @@ class TestErrors:
         assert json.loads(err)["error"] == "ArgumentError"
 
 
-def wrong_values(kind):
-    """JSON values that are not a finite number of the flag's type."""
-    other = st.one_of(st.text(max_size=5), st.booleans(),
-                      st.lists(st.integers(), max_size=3),
-                      st.dictionaries(st.text(max_size=3), st.integers(), min_size=1,
-                                      max_size=2),
-                      st.sampled_from([math.nan, math.inf, -math.inf]))
-    if kind is int:
-        return st.one_of(other, st.floats(allow_nan=False, allow_infinity=False))
-    return other
+def wrong_values(key):
+    """JSON values that are not a finite number of the flag's type, or,
+    for a flag of cli._NONNEGATIVE, negative integers."""
+    values = st.one_of(st.text(max_size=5), st.booleans(),
+                       st.lists(st.integers(), max_size=3),
+                       st.dictionaries(st.text(max_size=3), st.integers(), min_size=1,
+                                       max_size=2),
+                       st.sampled_from([math.nan, math.inf, -math.inf]))
+    if cli._FLAG_TYPES[key] is int:
+        values = st.one_of(values, st.floats(allow_nan=False, allow_infinity=False))
+    if key in cli._NONNEGATIVE:
+        values = st.one_of(values, st.integers(max_value=-1))
+    return values
 
 
 @st.composite
 def malformed_configs(draw):
     """A cheap valid config plus one to three numeric flags of cli._FLAG_TYPES
-    holding values of the wrong type or non-finite numbers."""
+    holding values of the wrong type, non-finite numbers or negative values
+    of cli._NONNEGATIVE flags."""
     keys = draw(st.lists(st.sampled_from(sorted(cli._FLAG_TYPES)), min_size=1,
                          max_size=3, unique=True))
     config = {"sigma": 1.0, "levels": 0}
-    config.update({key: draw(wrong_values(cli._FLAG_TYPES[key])) for key in keys})
+    config.update({key: draw(wrong_values(key)) for key in keys})
     return config
 
 
@@ -267,22 +280,23 @@ def test_malformed_config_values_exit_2(tmp_path_factory, command, config):
     assert_exit_2_with_one_json_line([command, "--config", str(path)])
 
 
-def is_malformed(kind, text):
+def is_malformed(key, text):
     try:
-        return not math.isfinite(kind(text))
+        value = cli._FLAG_TYPES[key](text)
     except ValueError:
         return True
+    return not math.isfinite(value) or (key in cli._NONNEGATIVE and value < 0)
 
 
 @st.composite
 def malformed_flags(draw):
     """(flag, text) for a numeric flag of cli._FLAG_TYPES and a text that
-    does not parse as a finite number of its type."""
+    does not parse as a finite number of its type, or is negative for a
+    flag of cli._NONNEGATIVE."""
     key = draw(st.sampled_from(sorted(cli._FLAG_TYPES)))
-    kind = cli._FLAG_TYPES[key]
     text = draw(st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e999", "2.5", "", "1,2"]),
-                          st.text(max_size=6))
-                .filter(lambda t: is_malformed(kind, t)))
+                          st.integers(max_value=-1).map(str), st.text(max_size=6))
+                .filter(lambda t: is_malformed(key, t)))
     return "--" + key.replace("_", "-"), text
 
 
@@ -303,9 +317,10 @@ def test_malformed_flag_values_exit_2(command, flag):
     ["converge", "--sigma", "1", "--levels", "40"],
     ["converge", "--domain", "disk", "--sigma", "1", "--levels", "40"],
     ["converge", "--domain", "interval", "--sigma", "1", "--levels", "40"],
+    ["solve", "--domain", "disk", "--segments", "1000000", "--sigma", "1", "--levels", "0"],
 ], ids=["levels-square", "levels-disk", "levels-interval", "levels-huge",
         "target-h-square", "target-h-interval", "target-h-disk",
-        "converge-square", "converge-disk", "converge-interval"])
+        "converge-square", "converge-disk", "converge-interval", "segments-disk"])
 def test_meshes_over_the_node_budget_exit_2(argv, monkeypatch):
     factorizations = []
     monkeypatch.setattr(eigensolve, "splu", lambda *args, **kwargs: factorizations.append(1))

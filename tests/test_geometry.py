@@ -10,7 +10,8 @@ from scipy.spatial import ConvexHull, QhullError
 from robinspec import bounds, cli, geometry
 from robinspec.errors import ArgumentError, GeometryError, UnsupportedDomainError
 
-from conftest import disk_mesh, interval_mesh, refined, square_mesh, triangle_mesh
+from conftest import (boundary_length, disk_mesh, interval_mesh, refined, square_mesh,
+                      triangle_mesh)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -85,12 +86,12 @@ class TestBuildMesh:
         marked = mesh.boundary[mesh.boundary_markers == geometry.GAMMA]
         ys = mesh.nodes[np.unique(marked), 1]
         assert np.all(np.abs(ys) < 1e-14)
-        assert abs(geometry.boundary_length(mesh, "gamma") - 1.0) < 1e-12
+        assert abs(boundary_length(mesh, "gamma") - 1.0) < 1e-12
 
     def test_gamma_arc_on_disk(self):
         dom = geometry.disk((0, 0), 1.0, 32, gamma=geometry.gamma_arcs([(0.0, math.pi)]))
         mesh = geometry.build_mesh(dom, 0.5)
-        frac = geometry.boundary_length(mesh, "gamma") / geometry.boundary_length(mesh)
+        frac = boundary_length(mesh, "gamma") / boundary_length(mesh)
         assert abs(frac - 0.5) < 0.1
 
 
@@ -123,6 +124,16 @@ class TestNodeBudget:
         with pytest.raises(ArgumentError):
             geometry.build_mesh(domain, target_h)
         assert sizes == []
+
+    def test_negative_levels_refused(self):
+        with pytest.raises(ArgumentError):
+            geometry.check_refinement(square_mesh(0), -1)
+
+    def test_disk_segments_over_the_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_NODES", 101)
+        geometry.disk((0.0, 0.0), 1.0, 100)
+        with pytest.raises(ArgumentError):
+            geometry.disk((0.0, 0.0), 1.0, 101)
 
     def test_budget_admits_the_benchmark_meshes(self):
         base = geometry.build_mesh(geometry.disk((0.0, 0.0), 1.0, 16), 2.0)
@@ -158,9 +169,9 @@ class TestRefine:
 
     def test_markers_inherited(self):
         mesh = square_mesh(0, gamma=geometry.gamma_sides(0))
-        g0 = geometry.boundary_length(mesh, "gamma")
+        g0 = boundary_length(mesh, "gamma")
         fine = refined(mesh, 3)
-        assert abs(geometry.boundary_length(fine, "gamma") - g0) < 1e-12
+        assert abs(boundary_length(fine, "gamma") - g0) < 1e-12
 
     def test_orientation_positive(self):
         mesh = refined(disk_mesh(0), 2)
@@ -261,17 +272,17 @@ class TestMeasures:
     def test_square_area_perimeter(self):
         mesh = square_mesh(2)
         assert abs(geometry.area(mesh) - 1.0) < 1e-12
-        assert abs(geometry.boundary_length(mesh) - 4.0) < 1e-12
+        assert abs(boundary_length(mesh) - 4.0) < 1e-12
 
     def test_interval_counting_measure(self):
         mesh = interval_mesh(8)
         assert abs(geometry.area(mesh) - 1.0) < 1e-12
-        assert geometry.boundary_length(mesh) == 2.0
+        assert boundary_length(mesh) == 2.0
 
     def test_right_triangle(self):
         mesh = triangle_mesh(1)
         assert abs(geometry.area(mesh) - 0.5) < 1e-12
-        assert abs(geometry.boundary_length(mesh) - (2.0 + SQRT2)) < 1e-12
+        assert abs(boundary_length(mesh) - (2.0 + SQRT2)) < 1e-12
 
 
 class TestInradius:
@@ -309,7 +320,7 @@ class TestInradius:
                     geometry.polygon([(0, 0), (2, 0), (3, 1.5), (1, 2.5), (-0.5, 1)])):
             mesh = geometry.build_mesh(dom, 0.5)
             r = geometry.inradius(dom)
-            assert geometry.area(mesh) >= geometry.boundary_length(mesh) * r / 2.0 - 1e-12
+            assert geometry.area(mesh) >= boundary_length(mesh) * r / 2.0 - 1e-12
 
 
 def segment_distances(mesh, points):

@@ -9,7 +9,7 @@ from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError, RangeError
 from robinspec.exact1d import optimal_eigenvalue_interval
 
-from conftest import disk_mesh, interval_mesh, refined, square_mesh
+from conftest import boundary_length, disk_mesh, interval_mesh, refined, square_mesh
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -288,7 +288,7 @@ class TestOptimalSigma:
         vals = np.asarray(opt.sigma.values)[gi]
         spread = (vals.max() - vals.min()) / vals.mean()
         assert spread <= 0.02
-        assert abs(vals.mean() - m / geometry.boundary_length(mesh)) <= 1e-6
+        assert abs(vals.mean() - m / boundary_length(mesh)) <= 1e-6
 
     def test_square_mass_and_duality(self, square_l4):
         opt = mixed_dn.MixedProblem(square_l4).optimal_sigma(1.0)
@@ -330,13 +330,6 @@ class TestOptimalSigma:
         support = np.nonzero(vals)[0]
         # right half-circle only (junction nodes sit at x = 0)
         assert np.all(mesh.nodes[support, 0] > -1e-9)
-
-    def test_consistent_recovery_mode(self, square_l3):
-        # sharper interior values, but corner overshoot is clipped; the
-        # mass defect then reflects the clipped amount
-        opt = mixed_dn.MixedProblem(square_l3).optimal_sigma(1.0, recovery="consistent")
-        assert opt.sigma_min_raw < 0.0
-        assert opt.mass_defect / opt.mass <= 0.05
 
     def test_reuses_last_newton_resolvent(self, square_l3, monkeypatch):
         # the Lanczos model's root needs one true step, whose resolvent is
@@ -383,9 +376,13 @@ class TestOptimalSigma:
 
 class TestMaximality:
     def test_square_twenty_trials(self, square_l3):
-        rep = mixed_dn.verify_maximality(square_l3, 1.0, trials=20, tol_fem=1e-6)
+        rep = mixed_dn.verify_maximality(square_l3, 1.0, trials=20)
         assert rep.passed
         assert rep.violations == 0
+
+    def test_negative_trials_rejected(self, square_l3):
+        with pytest.raises(ArgumentError):
+            mixed_dn.verify_maximality(square_l3, 1.0, trials=-1)
 
     def test_quotient_invariance(self, square_l3):
         rep = mixed_dn.verify_maximality(square_l3, 1.0, trials=5)
