@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds, eigensolve, exact1d, geometry, mixed_dn, robin
 from .assembly import SigmaField
-from .errors import ArgumentError, RobinspecError
+from .errors import ArgumentError, GeometryError, RobinspecError, UnsupportedDomainError
 from .geometry import DomainSpec, build_mesh, gamma_arcs, gamma_all, gamma_none, gamma_sides
 
 # Each worker factors its own problem and the work is compiled code, so
@@ -387,7 +387,10 @@ def main(argv=None) -> int:
     except (RobinspecError, OSError, json.JSONDecodeError) as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(diagnostic) + "\n")
-        return 2 if isinstance(exc, (ArgumentError, json.JSONDecodeError, OSError)) else 3
+        malformed = (ArgumentError, GeometryError, json.JSONDecodeError, OSError)
+        if isinstance(exc, malformed) and not isinstance(exc, UnsupportedDomainError):
+            return 2
+        return 3
 
 
 if __name__ == "__main__":

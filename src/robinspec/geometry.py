@@ -26,8 +26,10 @@ NOT_GAMMA = 0
 # refused before it starts, so an oversized request ends as an ArgumentError
 # instead of a process killed for memory.
 _MAX_NODES = 1_000_000
-# boundary edges per block in distances_to_boundary
+# boundary sides per block in _margins
 _SIDE_BLOCK = 64
+# triples of sides per block in chebyshev_center
+_TRIPLE_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +250,7 @@ def _build_interval(domain: DomainSpec, target_h: float) -> Mesh:
     nodes = np.linspace(a, b, n + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     boundary = np.array([[0], [n]])
-    sel = domain.gamma
-    if sel.kind == "all":
-        markers = np.array([GAMMA, GAMMA])
-    elif sel.kind == "none":
-        markers = np.array([NOT_GAMMA, NOT_GAMMA])
-    elif sel.kind == "sides":
-        markers = np.array([GAMMA if 0 in sel.sides else NOT_GAMMA,
-                            GAMMA if 1 in sel.sides else NOT_GAMMA])
-    else:
-        raise ArgumentError("interval gamma selector must be all/none/sides")
+    markers = _side_markers(domain, 2)
     return _make_mesh(1, nodes, elements, boundary, markers)
 
 
@@ -516,83 +509,85 @@ def boundary_nodes(mesh: Mesh) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Inradius (Chebyshev center) for convex domains
+# Convex polygons as half-planes: inradius and distance to the boundary
 # ---------------------------------------------------------------------------
 
-def _is_convex(verts: np.ndarray) -> bool:
-    n = len(verts)
-    for i in range(n):
-        a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross < -1e-12:
-            return False
-    return True
-
-
 def _halfplanes(p0: np.ndarray, p1: np.ndarray):
-    """(normals, offsets) of the edges p0[i] -> p1[i] of a ccw boundary: the
-    unit outward normals n_i and o_i = n_i . p0[i], so that the domain side
-    of edge i is n_i . x <= o_i."""
+    """(normals, offsets) of the sides p0[i] -> p1[i] of a convex ccw
+    boundary: the unit outward normals n_i and o_i = n_i . p0[i], so that
+    the domain side of side i is n_i . x <= o_i.
+
+    On a closed boundary every vertex starts a side, and a simple polygon
+    is convex and counterclockwise exactly when all of them lie in every
+    side's half-plane.  Raises UnsupportedDomainError when one lies outside
+    by more than 1e-12 times the coordinate scale.
+    """
     t = p1 - p0
     normals = np.column_stack([t[:, 1], -t[:, 0]])
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    return normals, np.einsum("ij,ij->i", normals, p0)
+    offsets = np.einsum("ij,ij->i", normals, p0)
+    if _margins(normals, offsets, p0).min() < -1e-12 * float(np.max(np.abs(p0))):
+        raise UnsupportedDomainError(
+            "inradius and boundary distance require a convex domain")
+    return normals, offsets
 
 
-def _clip_halfplane(poly, normal, offset):
-    """Keep the part of a convex polygon with normal.x <= offset."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        fp = normal @ p - offset
-        fq = normal @ q - offset
-        if fp <= 0:
-            out.append(p)
-        if (fp <= 0) != (fq <= 0):
-            t = fp / (fp - fq)
-            out.append(p + t * (q - p))
+def _margins(normals, offsets, x) -> np.ndarray:
+    """min_i (o_i - n_i . x) for each row of x: the distance to the nearest
+    side line, negative outside.  Sides are taken _SIDE_BLOCK at a time in
+    two len(x) x _SIDE_BLOCK buffers, allocated once."""
+    out = np.full(len(x), np.inf)
+    width = min(len(offsets), _SIDE_BLOCK)
+    d_buf, t_buf = np.empty((len(x), width)), np.empty((len(x), width))
+    for lo in range(0, len(offsets), _SIDE_BLOCK):
+        n, o = normals[lo:lo + _SIDE_BLOCK], offsets[lo:lo + _SIDE_BLOCK]
+        d, t = d_buf[:, :len(o)], t_buf[:, :len(o)]
+        np.subtract(o, np.multiply(x[:, :1], n[:, 0], out=d), out=d)
+        d -= np.multiply(x[:, 1:], n[:, 1], out=t)
+        np.minimum(out, d.min(axis=1), out=out)
     return out
 
 
 def chebyshev_center(domain: DomainSpec) -> Tuple[np.ndarray, float]:
     """Center and radius of the largest inscribed ball of a convex domain.
 
-    Computed by bisection on the radius with a half-plane feasibility test
-    (clipping the polygon by inward-shifted edge half-planes), absolute
-    tolerance 1e-12 on the radius.
+    For a polygon this is the optimum of the LP max r s.t. n_i . c + r <= o_i
+    (Boyd & Vandenberghe, Convex Optimization, 8.5.1), which is attained
+    where three side lines are active.  Each triple of sides with a
+    nonsingular system n . c + r = o gives the point c equidistant from
+    its lines; c scores the distance min_i (o_i - n_i . c) to the nearest
+    side line, and the best score is the inradius.  Triples are taken
+    _TRIPLE_BLOCK at a time, so no temporary grows beyond _TRIPLE_BLOCK x
+    _SIDE_BLOCK.  Where the optimum is not unique (a rectangle), the first
+    best triple's point is the center.
     """
     if domain.kind == "interval":
         return np.array([0.5 * (domain.a + domain.b)]), 0.5 * (domain.b - domain.a)
     if domain.kind == "disk":
         return np.array(domain.center, dtype=float), domain.radius
     verts = np.array(domain.vertices, dtype=float)
-    if not _is_convex(verts):
-        raise UnsupportedDomainError("inradius requires a convex polygon")
-    n = len(verts)
     normals, offsets = _halfplanes(verts, np.roll(verts, -1, axis=0))
-
-    def feasible_region(r):
-        poly = [v.copy() for v in verts]
-        for i in range(n):
-            poly = _clip_halfplane(poly, normals[i], offsets[i] - r)
-            if not poly:
-                return None
-        return poly
-
-    lo, hi = 0.0, 0.5 * float(np.max(np.linalg.norm(verts - verts.mean(axis=0), axis=1))) * 2.0
-    region = feasible_region(lo)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        reg = feasible_region(mid)
-        if reg:
-            lo, region = mid, reg
-        else:
-            hi = mid
-    center = np.mean(np.array(region), axis=0)
-    # exact distance of the found center to the edge lines
-    radius = float(np.min(offsets - normals @ center))
-    return center, radius
+    n = len(verts)
+    j, k = np.triu_indices(n, 1)
+    best, center = -np.inf, None
+    for i in range(n - 2):
+        for lo in range(np.searchsorted(j, i + 1), len(j), _TRIPLE_BLOCK):
+            # the triples (i, j, k) with i < j < k; subtracting side i's
+            # equation leaves the 2x2 system a . c = p, b . c = q
+            jk = slice(lo, lo + _TRIPLE_BLOCK)
+            a, b = normals[j[jk]] - normals[i], normals[k[jk]] - normals[i]
+            p, q = offsets[j[jk]] - offsets[i], offsets[k[jk]] - offsets[i]
+            det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+            ok = det != 0.0
+            if not ok.any():
+                continue
+            c = np.column_stack([p * b[:, 1] - q * a[:, 1],
+                                 q * a[:, 0] - p * b[:, 0]])[ok] / det[ok, None]
+            score = _margins(normals, offsets, c)
+            m = int(np.argmax(score))
+            if score[m] > best:
+                best, center = float(score[m]), c[m]
+    return center, best
 
 
 def inradius(domain: DomainSpec) -> float:
@@ -600,20 +595,13 @@ def inradius(domain: DomainSpec) -> float:
     return chebyshev_center(domain)[1]
 
 
-# ---------------------------------------------------------------------------
-# Distance to the boundary
-# ---------------------------------------------------------------------------
-
 def distances_to_boundary(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the boundary of a convex domain.
 
-    In 2D the mesh's boundary edges must bound a convex polygon.  The
-    distance is then min_i (o_i - n_i . x) over the edges' half-planes,
-    clipped at 0 for points outside.  Edges are taken _SIDE_BLOCK at a
-    time, so no array grows beyond points x _SIDE_BLOCK.  Raises
-    UnsupportedDomainError when a boundary node lies outside some edge's
-    half-plane by more than 1e-12 times the coordinate scale: for a simple
-    polygon that means it is not convex, or not counterclockwise.
+    In 2D the mesh's boundary edges must bound a convex polygon
+    (_halfplanes raises UnsupportedDomainError otherwise).  The distance is
+    then min_i (o_i - n_i . x) over the edges' half-planes, clipped at 0
+    for points outside; no array grows beyond points x _SIDE_BLOCK.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
@@ -621,23 +609,7 @@ def distances_to_boundary(mesh: Mesh, points: np.ndarray) -> np.ndarray:
         return np.min(np.abs(pts[:, :1] - bx[None, :]), axis=1)
     normals, offsets = _halfplanes(mesh.nodes[mesh.boundary[:, 0]],
                                    mesh.nodes[mesh.boundary[:, 1]])
-    corners = mesh.nodes[boundary_nodes(mesh)]
-    slack = 1e-12 * float(np.max(np.abs(corners)))
-
-    def margins(x, block):
-        """o - n . x for each row of x and each edge of the block."""
-        d = offsets[block] - x[:, :1] * normals[block, 0]
-        d -= x[:, 1:] * normals[block, 1]
-        return d
-
-    dist = np.full(len(pts), np.inf)
-    for lo in range(0, len(offsets), _SIDE_BLOCK):
-        block = slice(lo, lo + _SIDE_BLOCK)
-        if margins(corners, block).min() < -slack:
-            raise UnsupportedDomainError(
-                "distance to the boundary requires a convex domain")
-        np.minimum(dist, margins(pts, block).min(axis=1), out=dist)
-    return np.maximum(dist, 0.0)
+    return np.maximum(_margins(normals, offsets, pts), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -136,18 +136,24 @@ class TestMeshExport:
         assert abs(geometry.area(mesh) - math.pi) / math.pi <= 0.05
 
 
+def run_cli_process(args, cwd, timeout=None):
+    """Run the CLI in a child process in `cwd`.  The child runs away from
+    the repo, so a relative PYTHONPATH entry (``PYTHONPATH=src``) would no
+    longer find the package: the directory holding the imported robinspec
+    goes first, as an absolute path."""
+    package_root = str(Path(robinspec.__file__).resolve().parent.parent)
+    inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
+    return subprocess.run([sys.executable, "-m", "robinspec.cli", *args],
+                          capture_output=True, cwd=cwd, env=env, timeout=timeout)
+
+
 class TestReproducibility:
     def test_byte_identical_runs(self, tmp_path):
-        # The children run away from the repo, so a relative PYTHONPATH entry
-        # (``PYTHONPATH=src``) would no longer find the package: put the
-        # directory holding the imported robinspec first, as an absolute path.
-        package_root = str(Path(robinspec.__file__).resolve().parent.parent)
-        inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
-        cmd = [sys.executable, "-m", "robinspec.cli", "solve", "--domain",
-               "square", "--sigma", "1", "--levels", "3", "--seed", "42"]
-        a = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
-        b = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
+        cmd = ["solve", "--domain", "square", "--sigma", "1", "--levels", "3",
+               "--seed", "42"]
+        a = run_cli_process(cmd, tmp_path)
+        b = run_cli_process(cmd, tmp_path)
         assert a.returncode == b.returncode == 0, (a.stderr, b.stderr)
         assert a.stdout
         schema.validate(json.loads(a.stdout), schema.load_schema("solve"))
@@ -162,6 +168,12 @@ class TestReproducibility:
         assert code1 == code2 == 0
         assert json.loads(out1)["level"] == 2
         assert json.loads(out2)["level"] == 3
+
+
+# the cases of test_malformed_input_exit_2 whose domain cannot be built: they
+# end as a GeometryError, every other case as an ArgumentError
+UNBUILDABLE_DOMAINS = {"interval-reversed", "rect-negative-width", "disk-four-segments",
+                       "polygon-duplicate-vertex"}
 
 
 class TestErrors:
@@ -212,12 +224,19 @@ class TestErrors:
         ["hardy", "--sigma", "1", "--trials", "-3", "--levels", "1"],
         ["hardy", "--sigma", "1", "--seed", "-1", "--levels", "1"],
         ["optimal", "--m", "1,5", "--levels", "1"],
+        ["solve", "--domain", "interval", "--gamma", "edges=0,7", "--sigma", "1"],
+        ["solve", "--domain", "interval", "--a", "1", "--b", "0", "--sigma", "1"],
+        ["solve", "--domain", "rect", "--width", "-1", "--sigma", "1"],
+        ["solve", "--domain", "disk", "--segments", "4", "--sigma", "1"],
+        ["solve", "--domain", "polygon", "--vertices", "0,0;1,0;1,0;0,1", "--sigma", "1"],
     ], ids=["grid", "sigma", "sigma-grid", "gamma-edges", "gamma-arc", "disk-center",
             "polygon-vertex", "alpha-auto-zero-sigma", "alpha", "config-type",
             "config-list", "sigma-nan", "disk-center-inf", "radius-nan",
             "levels-negative", "converge-levels-negative", "config-levels-negative",
-            "trials-negative", "seed-negative", "optimal-mass-grid"])
-    def test_malformed_input_exit_2(self, args, tmp_path, capsys):
+            "trials-negative", "seed-negative", "optimal-mass-grid",
+            "interval-gamma-edges", "interval-reversed", "rect-negative-width",
+            "disk-four-segments", "polygon-duplicate-vertex"])
+    def test_malformed_input_exit_2(self, args, tmp_path, capsys, request):
         configs = {"levels_as_text": {"sigma": 1.0, "levels": "2"}, "not_an_object": 5,
                    "negative_levels": {"sigma": 1.0, "levels": -1}}
         paths = {}
@@ -228,7 +247,18 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
-        assert json.loads(err)["error"] == "ArgumentError"
+        bad_domain = request.node.callspec.id in UNBUILDABLE_DOMAINS
+        assert json.loads(err)["error"] == ("GeometryError" if bad_domain else "ArgumentError")
+
+
+def test_large_rectangle_inradius_report_finishes(tmp_path):
+    # a 2e5 x 1e5 rectangle has an inradius of 5e4, where an absolute 1e-12
+    # tolerance on the radius is below one ulp
+    run = run_cli_process(["bounds", "--domain", "rect", "--width", "200000",
+                           "--height", "100000", "--sigma", "1", "--levels", "2"],
+                          tmp_path, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert "robin eigenvalue vs inradius sigma=1" in run.stdout.decode()
 
 
 def wrong_values(key):

@@ -240,6 +240,11 @@ def loop_refine_2d(mesh):
 
 
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+L_SHAPE_SCALES = (1e-9, 1e-6, 1.0, 1e6)
+
+
+def scaled_l_shape(scale):
+    return geometry.polygon([(scale * x, scale * y) for x, y in L_SHAPE])
 
 
 class TestRefineMatchesLoop:
@@ -301,14 +306,19 @@ class TestInradius:
         assert abs(geometry.inradius(dom) - 0.2928932188134525) < 1e-9
 
     def test_nonconvex_rejected(self):
-        lshape = geometry.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
-        with pytest.raises(UnsupportedDomainError):
-            geometry.inradius(lshape)
+        # the convexity test is scale-free: the reflex corner is found at
+        # every scale
+        for scale in L_SHAPE_SCALES:
+            with pytest.raises(UnsupportedDomainError):
+                geometry.inradius(scaled_l_shape(scale))
 
     def test_center_realizes_radius(self):
+        # the square with a vertex inside its top side has two sides with one
+        # normal, so some triples of sides have no equidistant point
         for dom in (geometry.unit_square(),
                     geometry.rectangle(2, 1),
                     geometry.polygon([(0, 0), (1, 0), (0, 1)]),
+                    geometry.polygon([(0, 0), (1, 0), (1, 1), (0.5, 1), (0, 1)]),
                     PENTAGON):
             assert_center_realizes_radius(dom, grid_n=100)
 
@@ -351,18 +361,19 @@ def points_inside(mesh, points):
     return np.any((u >= -eps) & (v >= -eps) & (u + v <= 1 + eps), axis=1)
 
 
-def assert_center_realizes_radius(dom, grid_n):
+def assert_center_realizes_radius(dom, grid_n, scale=1.0):
     """The Chebyshev center lies at distance r from the boundary, and no
-    inside point of a grid_n x grid_n grid lies farther."""
+    inside point of a grid_n x grid_n grid lies farther; lengths and
+    tolerances are in units of `scale`."""
     center, r = geometry.chebyshev_center(dom)
-    mesh = geometry.build_mesh(dom, 0.5)
-    assert abs(geometry.distances_to_boundary(mesh, center)[0] - r) < 1e-10
+    mesh = geometry.build_mesh(dom, 0.5 * scale)
+    assert abs(geometry.distances_to_boundary(mesh, center)[0] - r) < 1e-10 * scale
     verts = np.array(dom.vertices)
     xs = np.linspace(verts[:, 0].min(), verts[:, 0].max(), grid_n)
     ys = np.linspace(verts[:, 1].min(), verts[:, 1].max(), grid_n)
     grid = np.array([(x, y) for x in xs for y in ys])
     inside = grid[points_inside(mesh, grid)]
-    assert geometry.distances_to_boundary(mesh, inside).max() <= r + 1e-10
+    assert geometry.distances_to_boundary(mesh, inside).max() <= r + 1e-10 * scale
 
 
 def quadrature_points(mesh):
@@ -435,9 +446,10 @@ class TestDistance:
         assert peak <= 3 * block_bytes
 
     def test_nonconvex_rejected(self):
-        mesh = geometry.build_mesh(geometry.polygon(L_SHAPE), 0.5)
-        with pytest.raises(UnsupportedDomainError):
-            geometry.distances_to_boundary(mesh, quadrature_points(mesh))
+        for scale in L_SHAPE_SCALES:
+            mesh = geometry.build_mesh(scaled_l_shape(scale), 0.5 * scale)
+            with pytest.raises(UnsupportedDomainError):
+                geometry.distances_to_boundary(mesh, quadrature_points(mesh))
 
     def test_clockwise_boundary_rejected(self):
         mesh = square_mesh(1)
@@ -492,6 +504,11 @@ def test_random_convex_polygons(dom):
                                segment_distances(mesh, pts),
                                rtol=0, atol=1e-15 * diameter(mesh))
     assert_center_realizes_radius(dom, grid_n=30)
+    r = geometry.inradius(dom)
+    for scale in (1e-9, 1e-6, 1e6):
+        scaled = geometry.polygon((scale * np.array(dom.vertices)).tolist())
+        assert abs(geometry.inradius(scaled) - scale * r) <= 1e-13 * scale * r
+        assert_center_realizes_radius(scaled, grid_n=30, scale=scale)
     reports = bounds.hardy_reports(mesh, [(1.0, 0.25), (1.0, 0.5), (4.0, 0.125)],
                                    trials=5)
     assert all(rep.violations == 0 for rep in reports)
