@@ -163,7 +163,7 @@ def dirichlet_inradius_report(mesh: Mesh, domain: DomainSpec) -> BoundReport:
     if n == 1:
         lam = (math.pi / (domain.b - domain.a)) ** 2
     else:
-        lam = robin.dirichlet_spectrum(mesh, 1).values[0]
+        lam = robin.dirichlet_eigenvalue(mesh)
     lower = 0.25 / r ** 2
     upper = unit_ball_dirichlet_eigenvalue(n) / r ** 2
     return _make_report("dirichlet eigenvalue vs inradius", lower, float(lam),
@@ -307,8 +307,7 @@ class ScalingRow:
     eps2_eigenvalue: float
 
 
-def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid,
-                  seed: int = 42) -> List[ScalingRow]:
+def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
     """Lowest eigenvalue of the rescaled domain for each scale factor.
 
     Rescaling is realized as coefficient scaling on the fixed mesh: the
@@ -321,11 +320,11 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid,
     ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
     reference = shifted_factor(ops.stiffness + bmat, ops.mass, order=ops.order)
-    family = CoefficientFamily(ops.mass, reference=reference, order=ops.order, seed=seed)
+    family = CoefficientFamily(ops.mass, reference=reference, order=ops.order)
     rows: List[ScalingRow] = []
     for eps in eps_grid:
         a = ops.stiffness / (eps * eps) + bmat / eps
-        lam = float(family.lowest(a).values[0])
+        lam = family.lowest(a).value
         rows.append(ScalingRow(float(eps), lam, eps * lam, eps * eps * lam))
     return rows
 

@@ -157,7 +157,7 @@ def cmd_solve(opts: dict) -> int:
     domain = _domain_from(opts)
     mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
     sigma = _sigma_from(opts, mesh)
-    res = robin.lowest_eigenvalue(mesh, sigma, seed=opts["seed"])
+    res = robin.lowest_eigenvalue(mesh, sigma)
     h = geometry.max_element_diameter(mesh)
     payload = {
         "lambda1": float(_fmt(res.value)),
@@ -174,7 +174,7 @@ def cmd_optimal(opts: dict) -> int:
     domain = _domain_from(opts)
     mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
     (mass,) = _numbers(opts["m"], "mass", count=1)
-    opt = mixed_dn.MixedProblem(mesh, seed=opts["seed"]).optimal_sigma(mass)
+    opt = mixed_dn.MixedProblem(mesh).optimal_sigma(mass)
     payload = {
         "m": float(_fmt(opt.mass)),
         "xi": float(_fmt(opt.value)),
@@ -221,7 +221,7 @@ def cmd_scaling(opts: dict) -> int:
     mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
     sigma = _sigma_from(opts, mesh)
     eps_grid = _parse_grid(opts["eps"])
-    table = bounds.scaling_table(mesh, sigma, eps_grid, seed=opts["seed"])
+    table = bounds.scaling_table(mesh, sigma, eps_grid)
     shrink, expand = bounds.scaling_limits(mesh, sigma)
     rows = [["eps", "lambda1", "eps_lambda1", "eps2_lambda1",
              "shrink_limit", "expand_limit"]]
@@ -262,8 +262,7 @@ def cmd_converge(opts: dict) -> int:
     values = []
     hs = []
     dofs = []
-    for mesh, res in robin.refinement_levels(base, levels, lambda mesh: _sigma_from(opts, mesh),
-                                             seed=opts["seed"]):
+    for mesh, res in robin.refinement_levels(base, levels, lambda mesh: _sigma_from(opts, mesh)):
         values.append(res.value)
         hs.append(geometry.max_element_diameter(mesh))
         dofs.append(mesh.num_nodes)

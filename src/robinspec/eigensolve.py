@@ -1,31 +1,34 @@
-"""Sparse SPD linear solves and smallest eigenpairs of A x = lambda M x.
+"""Sparse SPD linear solves and the lowest eigenpair of A x = lambda M x.
 
-The eigensolver runs shift-invert Lanczos (ARPACK) with a small negative
-shift so that a Neumann kernel does not break the factorization; tiny
-problems fall back to a dense generalized solve.  Start vectors come from a
-fixed seed, so repeated runs are bit-for-bit reproducible.
+Every eigensolve returns the lowest eigenpair only.  Pencils of dense size
+(n <= 40) are solved by a dense generalized eigensolve; every larger pencil
+runs LOBPCG (Knyazev, SISC 23, 2001) for one vector, preconditioned by the
+LU of a shifted pencil A - tau M (`shifted_factor`).
 
-A family of pencils (A_j, M) that share M, such as one Robin problem under
-a range of boundary coefficients, is solved on one shared factorization:
-`CoefficientFamily` runs LOBPCG (Knyazev, SISC 2001) preconditioned by the
-shifted LU of a reference member, each member started from the previous
-member's eigenvector.  A member that LOBPCG does not bring through the
-residual gate within `_LOBPCG_STEPS` iterations is factored and solved by
-shift-invert ARPACK instead, and its LU becomes the new reference.
+A pencil solved on its own is preconditioned by its own shifted LU and
+started from LU^-1 M 1.  That run stops at round-off, at a residual of
+max(1e-12 |rho| ||M||_inf, 1e-14 max(||A||_inf, 1)) with rho the Rayleigh
+quotient of the start; the floor holds where lambda itself is at round-off
+(sigma = 0) and where the residual cannot be formed more finely.
+It takes a handful of LU applications: 5-9 for sigma from 1 to 1000 on the
+square at level 7 and the disk at level 6, 0 or 1 near sigma = 0.
 
-One problem on a chain of uniformly refined meshes is solved on one
-factorization too: `RefinementChain` factors its first level above dense
-size and solves every finer level by LOBPCG from the prolonged eigenvector
-of the level below (nested iteration, Knyazev and Neymeyr, ETNA 2003).  The
-preconditioner is one symmetric V-cycle for A - tau M: `_SWEEPS` damped
-Jacobi steps, the coarse correction through the level below's cycle (down
-to the one LU), and `_SWEEPS` Jacobi steps again.  A level over the LOBPCG
-cap is factored and solved by shift-invert ARPACK, and so is every finer
-level.
+`CoefficientFamily` solves a family of pencils (A_j, M) that share M, such
+as one Robin problem under a range of boundary coefficients, on the LU of
+one member; `RefinementChain` solves one problem on a chain of uniformly
+refined meshes by nested iteration, preconditioned by V-cycles that end on
+the LU of its first level.  Both stop at `DEFAULT_TOL` times
+max(||A||_inf, 1), and a member or level that LOBPCG cannot bring there
+within `_LOBPCG_STEPS` iterations is factored and solved on its own LU.
 
 Every path returns the Rayleigh quotient of its M-normalised vector as the
-eigenvalue, so the value is accurate to the square of the residual and does
-not follow the rounding of the factorization.
+eigenvalue, so the value is accurate to the square of the residual, and
+every result passes one gate: ||A x - lambda M x|| <= `DEFAULT_TOL` times
+max(||A||_inf + |lambda| ||M||_inf, 1).  A LOBPCG breakdown, a run over the
+step cap and a result over the gate all raise ConvergenceError with the
+same diagnostics: the preconditioner applications (`iterations`), the
+residual reached (`residual`, None where no vector came back) and the
+bound it had to meet (`bound`).
 
 Factorizations take an `order`: a fill-reducing permutation, which callers
 on a mesh take from `assembly.operators(mesh).order` (nested dissection of
@@ -42,21 +45,28 @@ matrices that come without a mesh.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, lobpcg, splu
+from scipy.sparse.linalg import lobpcg, splu
 
 from .errors import ConvergenceError, MatrixError
 
 # the relative tolerance of the eigenpair residual gate
 DEFAULT_TOL = 1e-10
-_MAX_OUTER_ITERATIONS = 500
 _DENSE_CUTOFF = 40
 _LOBPCG_STEPS = 40
+# the round-off stop of a pencil's run on its own LU: relative to the start's
+# Rayleigh quotient, with an absolute floor for eigenvalues at round-off
+_OWN_RTOL = 1e-12
+_OWN_FLOOR = 1e-14
+# catch_warnings swaps the process-wide filter list, so LOBPCG runs in
+# threads (the `bounds` pool) take turns, or one could leave its filter behind
+_WARNINGS_LOCK = threading.Lock()
 # Jacobi steps before and after the V-cycle's coarse correction, and their
 # weight omega times d + 1 (below 2, see _VCycle)
 _SWEEPS = 2
@@ -65,17 +75,16 @@ _SMOOTHING = 1.6
 
 @dataclass(frozen=True, eq=False)
 class EigResult:
-    """Ascending eigenvalues with M-orthonormal eigenvectors.
+    """The lowest eigenvalue and its M-normalised eigenvector.
 
-    residuals[i] = ||A x_i - lambda_i M x_i||_2.
-    iterations counts applications of the factorization: shift-invert
-    steps on the ARPACK path, preconditioner applications on the LOBPCG
-    path, 0 on the dense path.
+    residual = ||A x - value M x||_2.  iterations counts preconditioner
+    applications of LOBPCG: 0 on the dense path, and 0 on a LOBPCG run whose
+    start already meets its stop.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
+    value: float
+    vector: np.ndarray
+    residual: float
     iterations: int
 
 
@@ -148,8 +157,8 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
 
 
 def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, order=None):
-    """(tau, lu): the shift-invert pair `smallest_eigs` uses for the pencil
-    (A, M).  tau is a small negative multiple of A's mean diagonal, so a
+    """(tau, lu): the shifted pair `smallest_eigs` preconditions the pencil
+    (A, M) with.  tau is a small negative multiple of A's mean diagonal, so a
     Neumann kernel leaves A - tau M positive definite; lu is the sparse LU
     of A - tau M, factored in the given order."""
     a = sp.csr_matrix(a)
@@ -170,111 +179,89 @@ def eigenvalue_floor(value: float) -> float:
     return DEFAULT_TOL * max(abs(value), 1.0)
 
 
-def _dense(n: int, k: int) -> bool:
-    return n <= max(_DENSE_CUTOFF, 2 * k + 2)
+def _dense(n: int) -> bool:
+    return n <= _DENSE_CUTOFF
+
+
+def _failure(message: str, iterations: int, residual, bound: float) -> ConvergenceError:
+    return ConvergenceError(message, diagnostics={
+        "iterations": iterations, "residual": residual, "bound": bound})
+
+
+def _normalised(a, m, x: np.ndarray):
+    """(value, x, residual): x M-normalised, its Rayleigh quotient and
+    ||A x - value M x||."""
+    x = x / np.sqrt(x @ (m @ x))
+    value = float(x @ (a @ x))
+    return value, x, float(np.linalg.norm(a @ x - value * (m @ x)))
 
 
 def _lobpcg(a, m, lu, x0: np.ndarray, tol: float):
-    """LOBPCG for the smallest eigenpairs of (A, M) from the columns of
-    x0, preconditioned by lu.solve, to residual tol; returns (values,
-    vectors, number of preconditioner applications).  LOBPCG applies the
-    preconditioner once per iteration until the residual meets tol.  A run
-    that needs more than `_LOBPCG_STEPS` iterations raises ConvergenceError
-    in place of LOBPCG's warning, which is silenced."""
-    counter = {"n": 0}
+    """LOBPCG for the lowest eigenpair of (A, M) from x0, preconditioned by
+    lu.solve, to residual tol; returns (vector, number of preconditioner
+    applications).  LOBPCG applies the preconditioner once per iteration
+    until the residual meets tol, so a start that meets it takes none.  A
+    breakdown, or a run that needs more than `_LOBPCG_STEPS` iterations,
+    raises ConvergenceError in place of LOBPCG's warning, which is
+    silenced."""
+    applications = 0
 
     def precondition(x):
-        counter["n"] += x.shape[1]
+        nonlocal applications
+        applications += x.shape[1]
         return lu.solve(x)
 
-    with warnings.catch_warnings():
+    with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
-            vals, vecs = lobpcg(a, x0, B=m, M=precondition, tol=tol,
-                                maxiter=_LOBPCG_STEPS, largest=False)
+            _, vecs = lobpcg(a, x0.reshape(-1, 1), B=m, M=precondition, tol=tol,
+                             maxiter=_LOBPCG_STEPS, largest=False)
         except (ValueError, np.linalg.LinAlgError) as exc:
-            raise ConvergenceError(
-                f"LOBPCG breakdown: {exc}",
-                diagnostics={"iterations": counter["n"]}) from exc
-    if counter["n"] > _LOBPCG_STEPS * x0.shape[1]:
-        raise ConvergenceError(
-            "LOBPCG did not converge within its iteration cap",
-            diagnostics={"iterations": counter["n"], "tol": tol})
-    return vals, vecs, counter["n"]
+            raise _failure(f"LOBPCG breakdown: {exc}", applications, None, tol) from exc
+    if applications > _LOBPCG_STEPS:
+        raise _failure("LOBPCG did not converge within its iteration cap", applications,
+                       _normalised(a, m, vecs[:, 0])[2], tol)
+    return vecs[:, 0], applications
 
 
-def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, k: int = 1, seed: int = 42,
-                  factor=None, precondition=None, guess=None, order=None) -> EigResult:
-    """k smallest eigenpairs of the symmetric pencil (A, M), A PSD, M SPD.
+def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, precondition=None,
+                  guess=None, order=None) -> EigResult:
+    """The lowest eigenpair of the symmetric pencil (A, M), A PSD, M SPD.
 
-    The eigenvalues are the Rayleigh quotients of the M-normalised vectors,
-    and each residual must lie within `DEFAULT_TOL` times the pencil's scale.
-    factor is a `shifted_factor(a, m)` pair to reuse; without one the
-    shift-invert path computes its own, in the given order.  precondition
-    is a `shifted_factor` pair of a nearby pencil: with it LOBPCG runs from
-    guess (n x k, or n values for k = 1), preconditioned by that LU; a run
-    over the iteration cap or a result that misses the residual gate raises
-    ConvergenceError.  The dense path ignores all four.
+    The eigenvalue is the Rayleigh quotient of the M-normalised vector, and
+    its residual must pass the gate of the module docstring.  Without
+    precondition LOBPCG runs on the pencil's own shifted LU from LU^-1 M 1
+    to round-off; factor is the pencil's `shifted_factor(a, m)` pair to
+    reuse, and without one the pair is made here, in the given order.
+    precondition is a `shifted_factor` pair of a nearby pencil (or a pair
+    whose second item has the same solve): with it LOBPCG runs from guess
+    to `DEFAULT_TOL` times max(||A||_inf, 1).  A breakdown, a run over the
+    step cap or a result over the gate raises ConvergenceError.  The dense
+    path ignores all four.
     """
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
     n = a.shape[0]
-    if not 1 <= k <= n:
-        raise ConvergenceError(f"need 1 <= k <= {n}, got k={k}")
     norm_a = _inf_norm_estimate(a)
-
-    dense = _dense(n, k)
-    iterative = precondition is not None and not dense
-    if dense:
-        vals, vecs = scipy.linalg.eigh(a.toarray(), m.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
-        iterations = 0
-    elif iterative:
-        # the gate's bound at lambda = 0, never above the bound at lambda
-        x0 = np.asarray(guess, dtype=float).reshape(n, k)
-        vals, vecs, iterations = _lobpcg(a, m, precondition[1], x0,
-                                         DEFAULT_TOL * max(norm_a, 1.0))
+    norm_m = _inf_norm_estimate(m)
+    if _dense(n):
+        x, iterations = scipy.linalg.eigh(a.toarray(), m.toarray())[1][:, 0], 0
     else:
-        tau, lu = factor if factor is not None else shifted_factor(a, m, order=order)
-        counter = {"n": 0}
-
-        def apply_inverse(x):
-            counter["n"] += 1
-            return lu.solve(x)
-
-        op_inv = LinearOperator(shape=(n, n), matvec=apply_inverse, dtype=float)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        try:
-            vals, vecs = eigsh(a, k=k, M=m, sigma=tau, OPinv=op_inv,
-                               v0=v0, maxiter=_MAX_OUTER_ITERATIONS)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                "eigensolver did not converge",
-                diagnostics={"converged": len(exc.eigenvalues), "requested": k,
-                             "iterations": counter["n"]}) from exc
-        iterations = counter["n"]
-
-    ascending = np.argsort(vals)
-    vecs = vecs[:, ascending]
-    # enforce exact M-orthonormality
-    gram = vecs.T @ (m @ vecs)
-    chol = scipy.linalg.cholesky(gram, lower=True)
-    vecs = scipy.linalg.solve_triangular(chol, vecs.T, lower=True).T
-    vals = np.einsum("ij,ij->j", vecs, a @ vecs)
-    ascending = np.argsort(vals, kind="stable")
-    vals, vecs = vals[ascending], vecs[:, ascending]
-
-    residuals = np.array([np.linalg.norm(a @ vecs[:, i] - vals[i] * (m @ vecs[:, i]))
-                          for i in range(k)])
-    scale = norm_a + np.abs(vals).max(initial=0.0) * _inf_norm_estimate(m)
-    bound = DEFAULT_TOL * max(scale, 1.0)
-    if np.any(residuals > bound):
-        raise ConvergenceError(
-            "eigenpair residual above tolerance",
-            diagnostics={"residuals": residuals.tolist(), "bound": bound,
-                         "iterations": iterations})
-    return EigResult(vals, vecs, residuals, iterations)
+        if precondition is not None:
+            # the gate's bound at lambda = 0, never above the bound at lambda
+            lu, x0 = precondition[1], np.asarray(guess, dtype=float)
+            tol = DEFAULT_TOL * max(norm_a, 1.0)
+        else:
+            _, lu = factor if factor is not None else shifted_factor(a, m, order=order)
+            x0 = lu.solve(m @ np.ones(n))
+            rho = float(x0 @ (a @ x0)) / float(x0 @ (m @ x0))
+            tol = max(_OWN_RTOL * abs(rho) * norm_m, _OWN_FLOOR * max(norm_a, 1.0))
+        x, iterations = _lobpcg(a, m, lu, x0, tol)
+    value, x, residual = _normalised(a, m, x)
+    bound = DEFAULT_TOL * max(norm_a + abs(value) * norm_m, 1.0)
+    if residual > bound:
+        raise _failure("eigenpair residual above tolerance", iterations, residual, bound)
+    return EigResult(value, x, residual, iterations)
 
 
 class CoefficientFamily:
@@ -284,37 +271,35 @@ class CoefficientFamily:
     The reference is a `shifted_factor` pair of a nearby pencil (by default
     the first member's).  Each member runs LOBPCG preconditioned by it,
     started from the previous member's eigenvector (the first from
-    LU^-1 M 1).  A member that LOBPCG does not bring through the residual
-    gate within `_LOBPCG_STEPS` iterations is factored and solved by
-    shift-invert ARPACK, and its LU becomes the reference; `fallbacks`
-    counts these.  Factorizations use the given order.
+    LU^-1 M 1).  A member that LOBPCG does not bring through the stop
+    within `_LOBPCG_STEPS` iterations is factored and solved on its own LU,
+    which becomes the reference; `fallbacks` counts these.  Factorizations
+    use the given order.
     """
 
-    def __init__(self, m: sp.spmatrix, reference=None, order=None, seed: int = 42):
+    def __init__(self, m: sp.spmatrix, reference=None, order=None):
         self.m = sp.csr_matrix(m)
         self.order = order
-        self.seed = seed
         self.fallbacks = 0
         self._factor = reference
         self._guess = None
 
     def lowest(self, a: sp.spmatrix) -> EigResult:
         """The lowest eigenpair of (a, M)."""
-        if _dense(self.m.shape[0], 1):
-            return smallest_eigs(a, self.m, seed=self.seed)
+        if _dense(self.m.shape[0]):
+            return smallest_eigs(a, self.m)
         if self._factor is None:
             self._factor = shifted_factor(a, self.m, order=self.order)
         if self._guess is None:
             self._guess = self._factor[1].solve(self.m @ np.ones(self.m.shape[0]))
         try:
-            res = smallest_eigs(a, self.m, seed=self.seed, precondition=self._factor,
-                                guess=self._guess)
+            res = smallest_eigs(a, self.m, precondition=self._factor, guess=self._guess)
         except ConvergenceError:
             self.fallbacks += 1
             self._factor = None  # release the old LU before factoring anew
             self._factor = shifted_factor(a, self.m, order=self.order)
-            res = smallest_eigs(a, self.m, seed=self.seed, factor=self._factor)
-        self._guess = res.vectors[:, 0]
+            res = smallest_eigs(a, self.m, factor=self._factor)
+        self._guess = res.vector
         return res
 
 
@@ -357,19 +342,18 @@ class RefinementChain:
     ETNA 15, 2003) on one factorization.
 
     Levels of dense size are solved densely.  The first level above that
-    size is factored and solved by shift-invert ARPACK, as `smallest_eigs`
-    solves it on its own, and its `shifted_factor` pair is the bottom of a
-    multigrid hierarchy.  Every finer level runs LOBPCG from the prolonged
+    size is factored and solved on its own LU, as `smallest_eigs` solves it
+    alone, and its `shifted_factor` pair is the bottom of a multigrid
+    hierarchy.  Every finer level runs LOBPCG from the prolonged
     eigenvector of the level below, preconditioned by one `_VCycle` on the
     same shift whose coarse solve is the level below's cycle (or the LU).
-    A level that LOBPCG does not bring through the residual gate within
-    `_LOBPCG_STEPS` iterations is factored and solved by ARPACK, and so is
-    every level after it; `fallbacks` is 1 from that level on, 0 before.
+    A level that LOBPCG does not bring through the stop within
+    `_LOBPCG_STEPS` iterations is factored and solved on its own LU, and so
+    is every level after it; `fallbacks` is 1 from that level on, 0 before.
     """
 
-    def __init__(self, dim: int, seed: int = 42):
+    def __init__(self, dim: int):
         self.omega = _SMOOTHING / (dim + 1)
-        self.seed = seed
         self.fallbacks = 0
         self._pair = None  # (tau, solver) of the last level while nested
         self._vector = None
@@ -388,18 +372,18 @@ class RefinementChain:
             tau, coarse = self._pair
             cycle = _VCycle((a - tau * m).tocsr(), prolongation, coarse, self.omega)
             try:
-                res = smallest_eigs(a, m, seed=self.seed, precondition=(tau, cycle),
+                res = smallest_eigs(a, m, precondition=(tau, cycle),
                                     guess=prolongation @ self._vector)
             except ConvergenceError:
                 self.fallbacks = 1
                 self._pair = self._vector = None  # release the hierarchy
             else:
-                self._pair, self._vector = (tau, cycle), res.vectors[:, 0]
+                self._pair, self._vector = (tau, cycle), res.vector
                 return res
-        if _dense(a.shape[0], 1):
-            return smallest_eigs(a, m, seed=self.seed)
+        if _dense(a.shape[0]):
+            return smallest_eigs(a, m)
         factor = shifted_factor(a, m, order=order)
-        res = smallest_eigs(a, m, seed=self.seed, factor=factor)
+        res = smallest_eigs(a, m, factor=factor)
         if not self.fallbacks:
-            self._pair, self._vector = factor, res.vectors[:, 0]
+            self._pair, self._vector = factor, res.vector
         return res

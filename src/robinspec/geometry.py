@@ -520,13 +520,17 @@ def _halfplanes(p0: np.ndarray, p1: np.ndarray):
     On a closed boundary every vertex starts a side, and a simple polygon
     is convex and counterclockwise exactly when all of them lie in every
     side's half-plane.  Raises UnsupportedDomainError when one lies outside
-    by more than 1e-12 times the coordinate scale.
+    by more than 1e-12 times the polygon's extent.  The check takes the
+    vertices relative to their centroid, so that neither its slack nor its
+    rounding depends on where the polygon lies.
     """
     t = p1 - p0
     normals = np.column_stack([t[:, 1], -t[:, 0]])
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     offsets = np.einsum("ij,ij->i", normals, p0)
-    if _margins(normals, offsets, p0).min() < -1e-12 * float(np.max(np.abs(p0))):
+    local = p0 - p0.mean(axis=0)
+    extent = float(np.ptp(p0, axis=0).max())
+    if _margins(normals, np.einsum("ij,ij->i", normals, local), local).min() < -1e-12 * extent:
         raise UnsupportedDomainError(
             "inradius and boundary distance require a convex domain")
     return normals, offsets

@@ -160,10 +160,9 @@ class MixedProblem:
     first mass-curve inversion builds the Lanczos model from it, then freed.
     """
 
-    def __init__(self, mesh: Mesh, seed: int = 42):
+    def __init__(self, mesh: Mesh):
         ops = assembly.operators(mesh)
         self.mesh = mesh
-        self.seed = seed
         self.stiffness = ops.stiffness
         self.mass_matrix = ops.mass
         self.volume = ops.volume
@@ -175,13 +174,13 @@ class MixedProblem:
         self._factor = shifted_factor(self.k_ff, self.m_ff, order=self.free_order)
         self._model = None
         self._model_lock = threading.Lock()
-        res = smallest_eigs(self.k_ff, self.m_ff, k=1, seed=seed, factor=self._factor)
+        res = smallest_eigs(self.k_ff, self.m_ff, factor=self._factor)
         phi = np.zeros(mesh.num_nodes)
-        phi[self.free] = res.vectors[:, 0]
+        phi[self.free] = res.vector
         integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
         if integral < 0.0:
             phi, integral = -phi, -integral
-        self.ground = MixedGroundState(float(res.values[0]), phi, integral)
+        self.ground = MixedGroundState(res.value, phi, integral)
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
@@ -279,7 +278,7 @@ class MixedProblem:
         recovered_mass = float(ones @ (b @ ones))
         minimizer = xi * u + 1.0
         factor = shifted_factor(self.stiffness + b, self.mass_matrix, order=self.order)
-        check = robin.lowest_eigenvalue(self.mesh, sigma, seed=self.seed, factor=factor)
+        check = robin.lowest_eigenvalue(self.mesh, sigma, factor=factor)
         opt = OptimalSigma(mass=mass, value=xi, resolvent=u, sigma=sigma,
                            minimizer=minimizer, mass_defect=abs(recovered_mass - mass),
                            lambda_check=check.value, ground=self.ground,
@@ -328,7 +327,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     """
     if trials < 0:
         raise ArgumentError(f"trials must be nonnegative, got {trials}")
-    prob = MixedProblem(mesh, seed=seed)
+    prob = MixedProblem(mesh)
     opt, reference = prob._optimal_sigma(mass)
     kmat, mmat = prob.stiffness, prob.mass_matrix
     b_opt = assembly.assemble_boundary_mass(mesh, opt.sigma)
@@ -340,7 +339,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     violations = 0
     base = np.asarray(opt.sigma.values, dtype=float)
     g_idx = prob.fixed
-    family = CoefficientFamily(mmat, reference=reference, order=prob.order, seed=seed)
+    family = CoefficientFamily(mmat, reference=reference, order=prob.order)
     for _ in range(trials):
         factor = rng.uniform(0.2, 1.8, size=len(g_idx))
         vals = np.zeros(mesh.num_nodes)
@@ -348,7 +347,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
         b_trial = assembly.assemble_boundary_mass(mesh, SigmaField.nodal(vals, support="gamma"))
         # B is linear in sigma: rescale the trial to the prescribed mass
         b_trial = b_trial * (mass / float(ones @ (b_trial @ ones)))
-        lam = float(family.lowest(kmat + b_trial).values[0])
+        lam = family.lowest(kmat + b_trial).value
         q_trial = _rayleigh(kmat, b_trial, mmat, u_m)
         boundary_term = float(u_m @ (b_trial @ u_m))
         bad = lam > opt.lambda_check + _MAXIMALITY_SLACK

@@ -1,4 +1,5 @@
-"""Lowest Robin eigenvalue, Robin spectra, and the shrinking-support sweep."""
+"""Lowest Robin and Dirichlet eigenvalues, refinement levels, and the
+shrinking-support sweep."""
 
 from __future__ import annotations
 
@@ -28,28 +29,30 @@ class RobinResult:
     level: int
 
 
-def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, seed: int = 42,
-                      factor=None) -> RobinResult:
+def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, factor=None) -> RobinResult:
     """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser.
 
     factor is a `shifted_factor` pair of that pencil to reuse."""
-    return _robin_result(mesh, spectrum(mesh, sigma, 1, seed=seed, factor=factor))
+    ops = assembly.operators(mesh)
+    b = assembly.assemble_boundary_mass(mesh, sigma)
+    return _robin_result(mesh, smallest_eigs(ops.stiffness + b, ops.mass, factor=factor,
+                                             order=lambda: ops.order))
 
 
 def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
-    psi = res.vectors[:, 0].copy()
+    psi = res.vector.copy()
     if float(np.ones(len(psi)) @ (assembly.operators(mesh).mass @ psi)) < 0.0:
         psi = -psi
-    return RobinResult(float(res.values[0]), psi, float(res.residuals[0]), mesh.level)
+    return RobinResult(res.value, psi, res.residual, mesh.level)
 
 
-def refinement_levels(base: Mesh, levels: int, sigma_of: Callable[[Mesh], SigmaField],
-                      seed: int = 42) -> Iterator[Tuple[Mesh, RobinResult]]:
+def refinement_levels(base: Mesh, levels: int,
+                      sigma_of: Callable[[Mesh], SigmaField]) -> Iterator[Tuple[Mesh, RobinResult]]:
     """(mesh, lowest Robin eigenpair) on each of `levels` successive
     refinements of base, solved as one `RefinementChain`; sigma_of(mesh) is
     the boundary coefficient on a mesh.  Each value is the one
     `lowest_eigenvalue` gives on its mesh, up to the eigensolver's gate."""
-    chain = RefinementChain(base.dim, seed=seed)
+    chain = RefinementChain(base.dim)
     mesh = base
     for _ in range(levels):
         mesh, p = geometry.refine_with_prolongation(mesh)
@@ -59,20 +62,11 @@ def refinement_levels(base: Mesh, levels: int, sigma_of: Callable[[Mesh], SigmaF
         yield mesh, _robin_result(mesh, res)
 
 
-def spectrum(mesh: Mesh, sigma: SigmaField, k: int, seed: int = 42,
-             factor=None) -> EigResult:
-    """First k Robin eigenpairs; factor as in `lowest_eigenvalue`."""
-    ops = assembly.operators(mesh)
-    b = assembly.assemble_boundary_mass(mesh, sigma)
-    return smallest_eigs(ops.stiffness + b, ops.mass, k=k, seed=seed, factor=factor,
-                         order=lambda: ops.order)
-
-
-def dirichlet_spectrum(mesh: Mesh, k: int, seed: int = 42) -> EigResult:
-    """First k eigenvalues with the value pinned to zero on the whole boundary."""
+def dirichlet_eigenvalue(mesh: Mesh) -> float:
+    """Lowest eigenvalue with the value pinned to zero on the whole boundary."""
     ops = assembly.operators(mesh)
     free, k_ff, m_ff = ops.restrict(geometry.boundary_nodes(mesh))
-    return smallest_eigs(k_ff, m_ff, k=k, seed=seed, order=lambda: ops.free_order(free))
+    return smallest_eigs(k_ff, m_ff, order=lambda: ops.free_order(free)).value
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     Step n places the constant mass/length(support) on the gamma edges lying
     entirely inside the ball of radius 2^-n around the given boundary point.
     The steps form one coefficient family.  Raises ResolutionError once no
-    edge fits inside the ball.
+    edge fits inside the ball.  seed is unused: no step draws at random.
     """
     if mesh.dim != 2:
         raise ArgumentError("concentration sweep requires a planar mesh")
@@ -103,7 +97,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     lengths = geometry.boundary_edge_lengths(mesh)
     on_gamma = mesh.boundary_markers == GAMMA
     ops = assembly.operators(mesh)
-    family = CoefficientFamily(ops.mass, order=lambda: ops.order, seed=seed)
+    family = CoefficientFamily(ops.mass, order=lambda: ops.order)
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
         r = 2.0 ** (-n)
@@ -115,6 +109,6 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
         alpha = mass / total
         values = np.where(support, alpha, 0.0)
         b = assembly.assemble_boundary_mass(mesh, SigmaField.per_edge(values))
-        lam = float(family.lowest(ops.stiffness + b).values[0])
+        lam = family.lowest(ops.stiffness + b).value
         rows.append(ConcentrationRow(n, r, total, alpha, lam))
     return rows

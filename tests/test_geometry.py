@@ -312,6 +312,19 @@ class TestInradius:
             with pytest.raises(UnsupportedDomainError):
                 geometry.inradius(scaled_l_shape(scale))
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_convexity_rule_is_translation_free(self, shift):
+        # a reflex dent of depth 1e-7 in the top side is found wherever the
+        # square lies, and translated convex polygons keep their inradius
+        dent = [(0, 0), (1, 0), (1, 1), (0.5, 1 - 1e-7), (0, 1)]
+        with pytest.raises(UnsupportedDomainError):
+            geometry.inradius(geometry.polygon([(x + shift, y + shift) for x, y in dent]))
+        for verts, radius in (([(0, 0), (1, 0), (1, 1), (0, 1)], 0.5),
+                              ([(0, 0), (1, 0), (0, 1)], 1.0 / (2.0 + SQRT2)),
+                              ([(0, 0), (1, 0), (1, 1), (0.5, 1), (0, 1)], 0.5)):
+            moved = geometry.polygon([(x + shift, y + shift) for x, y in verts])
+            assert abs(geometry.inradius(moved) - radius) <= 1e-9 * max(shift, 1.0)
+
     def test_center_realizes_radius(self):
         # the square with a vertex inside its top side has two sides with one
         # normal, so some triples of sides have no equidistant point

@@ -167,8 +167,8 @@ class TestOrderedOnlyWhenFactored:
     def test_dense_spectra_are_not_ordered(self, orderings):
         mesh = square_mesh(1)
         assert mesh.num_nodes <= eigensolve._DENSE_CUTOFF
-        robin.spectrum(mesh, assembly.SigmaField.constant(1.0), 1)
-        robin.dirichlet_spectrum(mesh, 1)
+        robin.lowest_eigenvalue(mesh, assembly.SigmaField.constant(1.0))
+        robin.dirichlet_eigenvalue(mesh)
         robin.concentration_sweep(mesh, 1.0, (0.5, 0.0), 1)
         assert orderings == []
 

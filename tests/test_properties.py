@@ -8,8 +8,8 @@ round-off floor of 1e-12 ||K + B||_inf that covers the zero eigenvalue of an
 all-zero (Neumann) coefficient.
 
 Random families of nonnegative nodal coefficients, solved in order by one
-`CoefficientFamily` (LOBPCG on one shared LU, ARPACK where that fails), are
-held to the same dense check member by member.
+`CoefficientFamily` (LOBPCG on one shared LU, a member's own LU where that
+fails), are held to the same dense check member by member.
 
 Random masses: the optimal eigenvalue, whose Newton loop starts from the
 Lanczos model's root, must reproduce the mass on a true resolvent solve and
@@ -25,7 +25,7 @@ from robinspec.assembly import SigmaField
 
 from conftest import interval_mesh, square_mesh
 
-# both meshes exceed the dense cutoff, so robin runs shift-invert ARPACK
+# both meshes exceed the dense cutoff, so robin runs LOBPCG on the pencil's LU
 MESHES = {"square": square_mesh(2), "interval": interval_mesh(48)}
 RTOL = 1e-9
 FLOOR = 1e-12
@@ -98,7 +98,7 @@ def test_coefficient_family_matches_dense_solves(members):
     family = eigensolve.CoefficientFamily(ops.mass)
     for values in members:
         b = assembly.assemble_boundary_mass(FAMILY_MESH, SigmaField.nodal(values))
-        lam = family.lowest(ops.stiffness + b).values[0]
+        lam = family.lowest(ops.stiffness + b).value
         a, m = fresh_pencil(FAMILY_MESH, values)
         ref = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)[0]
         assert abs(lam - ref) <= RTOL * abs(ref) + round_off(a)

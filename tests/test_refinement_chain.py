@@ -6,7 +6,7 @@ the level below, preconditioned by a V-cycle over that one factorization.
 The prolongation must be the P1 interpolation refine implies, the cycle
 must be symmetric positive definite, the chain's meshes must be the ones
 `converge` built level by level, and a level LOBPCG cannot finish must
-fall back to ARPACK for good.
+fall back, for good, to solving each level on its own LU.
 """
 
 import contextlib

@@ -8,7 +8,9 @@ from robinspec.assembly import SigmaField
 from robinspec.eigensolve import smallest_eigs
 from robinspec.errors import ResolutionError
 
-from conftest import disk_mesh, interval_mesh, refined, square_mesh
+from conftest import (dense_eigenvalues, dirichlet_spectrum, disk_mesh, interval_mesh, refined,
+                      robin_spectrum, square_mesh)
+from interval_oracles import eigenvalue_branch
 
 # First root of k J1(k) = J0(k) (scipy.special + brentq, xtol=1e-15), squared:
 # the separated unit-disk problem with unit constant coefficient.
@@ -65,26 +67,33 @@ class TestLowestEigenvalue:
 
 
 class TestSpectrum:
+    """Spectra beyond the lowest pair come from dense solves of the same
+    pencils (conftest); the lowest values come from the package."""
+
     def test_sandwich_square(self, square_l3):
         k = 3
-        rob = robin.spectrum(square_l3, SigmaField.constant(1.0), k).values
-        neu = robin.spectrum(square_l3, SigmaField.constant(0.0), k).values
-        dirich = robin.dirichlet_spectrum(square_l3, k).values
+        rob = robin_spectrum(square_l3, 1.0, k)
+        neu = robin_spectrum(square_l3, 0.0, k)
+        dirich = dirichlet_spectrum(square_l3, k)
+        rob[0] = robin.lowest_eigenvalue(square_l3, SigmaField.constant(1.0)).value
+        neu[0] = robin.lowest_eigenvalue(square_l3, SigmaField.constant(0.0)).value
+        dirich[0] = robin.dirichlet_eigenvalue(square_l3)
         for j in range(k):
             assert neu[j] <= rob[j] + 1e-9
             assert rob[j] <= dirich[j] + 1e-9
 
     def test_sigma_zero_is_neumann(self, square_l3):
-        a = robin.spectrum(square_l3, SigmaField.constant(0.0), 3).values
+        a = robin_spectrum(square_l3, 0.0, 3)
         ops = assembly.operators(square_l3)  # the Neumann pencil: no boundary term
-        b = smallest_eigs(ops.stiffness, ops.mass, k=3).values
+        b = dense_eigenvalues(ops.stiffness, ops.mass, 3)
         np.testing.assert_allclose(a, b, atol=1e-12)
+        lam = robin.lowest_eigenvalue(square_l3, SigmaField.constant(0.0)).value
+        assert abs(lam - smallest_eigs(ops.stiffness, ops.mass).value) <= 1e-12
 
     def test_interval_second_branch(self):
         mesh = interval_mesh(128)
-        res = robin.spectrum(mesh, SigmaField.constant(1.0), 2)
-        lam2 = exact1d.eigenvalue_branch(exact1d.IntervalProblem(0, 1, 1, 1), 2)
-        assert abs(res.values[1] - lam2) / lam2 <= 1e-2
+        lam2 = eigenvalue_branch(exact1d.IntervalProblem(0, 1, 1, 1), 2)
+        assert abs(robin_spectrum(mesh, 1.0, 2)[1] - lam2) / lam2 <= 1e-2
 
 
 @pytest.fixture(scope="module")
