@@ -18,7 +18,7 @@ import numpy as np
 
 from . import assembly, exact1d, geometry, mixed_dn, robin
 from .assembly import SigmaField
-from .eigensolve import CoefficientFamily, shifted_factor
+from .eigensolve import NearbyPencils, shifted_factor
 from .errors import ArgumentError
 from .geometry import DomainSpec, Mesh
 
@@ -320,11 +320,11 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
     ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
     reference = shifted_factor(ops.stiffness + bmat, ops.mass, order=ops.order)
-    family = CoefficientFamily(ops.mass, reference=reference, order=ops.order)
+    family = NearbyPencils(mesh.dim, reference=reference)
     rows: List[ScalingRow] = []
     for eps in eps_grid:
         a = ops.stiffness / (eps * eps) + bmat / eps
-        lam = family.lowest(a).value
+        lam = family.lowest(a, ops.mass, ops.order).value
         rows.append(ScalingRow(float(eps), lam, eps * lam, eps * eps * lam))
     return rows
 

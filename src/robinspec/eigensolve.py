@@ -13,13 +13,12 @@ quotient of the start; the floor holds where lambda itself is at round-off
 It takes a handful of LU applications: 5-9 for sigma from 1 to 1000 on the
 square at level 7 and the disk at level 6, 0 or 1 near sigma = 0.
 
-`CoefficientFamily` solves a family of pencils (A_j, M) that share M, such
-as one Robin problem under a range of boundary coefficients, on the LU of
-one member; `RefinementChain` solves one problem on a chain of uniformly
-refined meshes by nested iteration, preconditioned by V-cycles that end on
-the LU of its first level.  Both stop at `DEFAULT_TOL` times
-max(||A||_inf, 1), and a member or level that LOBPCG cannot bring there
-within `_LOBPCG_STEPS` iterations is factored and solved on its own LU.
+`NearbyPencils` solves a sequence of nearby pencils in order: a family
+that shares M (one Robin problem under a range of boundary coefficients)
+or a chain of uniformly refined meshes.  Each pencil is warm-started from
+the last and stops at `DEFAULT_TOL` times max(||A||_inf, 1); one it cannot
+finish is factored and solved on its own LU.  After such a fallback a
+family takes the new LU as its reference, while a chain stops nesting.
 
 Every path returns the Rayleigh quotient of its M-normalised vector as the
 eigenvalue, so the value is accurate to the square of the residual, and
@@ -54,7 +53,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import lobpcg, splu
 
-from .errors import ConvergenceError, MatrixError
+from .errors import ArgumentError, ConvergenceError, MatrixError
 
 # the relative tolerance of the eigenpair residual gate
 DEFAULT_TOL = 1e-10
@@ -224,21 +223,24 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float):
     return vecs[:, 0], applications
 
 
-def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, precondition=None,
-                  guess=None, order=None) -> EigResult:
+def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
+                  order=None) -> EigResult:
     """The lowest eigenpair of the symmetric pencil (A, M), A PSD, M SPD.
 
     The eigenvalue is the Rayleigh quotient of the M-normalised vector, and
-    its residual must pass the gate of the module docstring.  Without
-    precondition LOBPCG runs on the pencil's own shifted LU from LU^-1 M 1
-    to round-off; factor is the pencil's `shifted_factor(a, m)` pair to
-    reuse, and without one the pair is made here, in the given order.
-    precondition is a `shifted_factor` pair of a nearby pencil (or a pair
-    whose second item has the same solve): with it LOBPCG runs from guess
-    to `DEFAULT_TOL` times max(||A||_inf, 1).  A breakdown, a run over the
-    step cap or a result over the gate raises ConvergenceError.  The dense
-    path ignores all four.
+    its residual must pass the gate of the module docstring.  Without start
+    LOBPCG runs on the pencil's own shifted LU from LU^-1 M 1 to round-off;
+    factor is the pencil's `shifted_factor(a, m)` pair to reuse, and without
+    one the pair is made here, in the given order.  start = (pair, guess)
+    is a `shifted_factor` pair of a nearby pencil (or a pair whose second
+    item has the same solve) and a start vector: LOBPCG runs from guess,
+    preconditioned by the pair, to `DEFAULT_TOL` times max(||A||_inf, 1).
+    A start that lacks either item raises ArgumentError before any solve; a
+    breakdown, a run over the step cap or a result over the gate raises
+    ConvergenceError.  The dense path ignores factor, start and order.
     """
+    if start is not None and (start[0] is None or start[1] is None):
+        raise ArgumentError("start takes a nearby shifted pair and a guess, both given")
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
     n = a.shape[0]
@@ -247,9 +249,9 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, precondition=None
     if _dense(n):
         x, iterations = scipy.linalg.eigh(a.toarray(), m.toarray())[1][:, 0], 0
     else:
-        if precondition is not None:
+        if start is not None:
             # the gate's bound at lambda = 0, never above the bound at lambda
-            lu, x0 = precondition[1], np.asarray(guess, dtype=float)
+            lu, x0 = start[0][1], np.asarray(start[1], dtype=float)
             tol = DEFAULT_TOL * max(norm_a, 1.0)
         else:
             _, lu = factor if factor is not None else shifted_factor(a, m, order=order)
@@ -262,45 +264,6 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, precondition=None
     if residual > bound:
         raise _failure("eigenpair residual above tolerance", iterations, residual, bound)
     return EigResult(value, x, residual, iterations)
-
-
-class CoefficientFamily:
-    """Lowest eigenpairs of a family of pencils (A_j, M) with a common M,
-    solved in order on one shared factorization.
-
-    The reference is a `shifted_factor` pair of a nearby pencil (by default
-    the first member's).  Each member runs LOBPCG preconditioned by it,
-    started from the previous member's eigenvector (the first from
-    LU^-1 M 1).  A member that LOBPCG does not bring through the stop
-    within `_LOBPCG_STEPS` iterations is factored and solved on its own LU,
-    which becomes the reference; `fallbacks` counts these.  Factorizations
-    use the given order.
-    """
-
-    def __init__(self, m: sp.spmatrix, reference=None, order=None):
-        self.m = sp.csr_matrix(m)
-        self.order = order
-        self.fallbacks = 0
-        self._factor = reference
-        self._guess = None
-
-    def lowest(self, a: sp.spmatrix) -> EigResult:
-        """The lowest eigenpair of (a, M)."""
-        if _dense(self.m.shape[0]):
-            return smallest_eigs(a, self.m)
-        if self._factor is None:
-            self._factor = shifted_factor(a, self.m, order=self.order)
-        if self._guess is None:
-            self._guess = self._factor[1].solve(self.m @ np.ones(self.m.shape[0]))
-        try:
-            res = smallest_eigs(a, self.m, precondition=self._factor, guess=self._guess)
-        except ConvergenceError:
-            self.fallbacks += 1
-            self._factor = None  # release the old LU before factoring anew
-            self._factor = shifted_factor(a, self.m, order=self.order)
-            res = smallest_eigs(a, self.m, factor=self._factor)
-        self._guess = res.vector
-        return res
 
 
 class _VCycle:
@@ -336,54 +299,69 @@ class _VCycle:
         return self._smooth(x, b, w)
 
 
-class RefinementChain:
-    """Lowest eigenpairs of one problem on a chain of uniformly refined
-    meshes, solved coarse to fine by nested iteration (Knyazev and Neymeyr,
-    ETNA 15, 2003) on one factorization.
+class NearbyPencils:
+    """Lowest eigenpairs of a sequence of nearby pencils, solved in order,
+    each warm-started from the last.
 
-    Levels of dense size are solved densely.  The first level above that
-    size is factored and solved on its own LU, as `smallest_eigs` solves it
-    alone, and its `shifted_factor` pair is the bottom of a multigrid
-    hierarchy.  Every finer level runs LOBPCG from the prolonged
-    eigenvector of the level below, preconditioned by one `_VCycle` on the
-    same shift whose coarse solve is the level below's cycle (or the LU).
-    A level that LOBPCG does not bring through the stop within
-    `_LOBPCG_STEPS` iterations is factored and solved on its own LU, and so
-    is every level after it; `fallbacks` is 1 from that level on, 0 before.
+    The next pencil runs LOBPCG from the last eigenvector, preconditioned by
+    the last `shifted_factor` pair: a family of pencils (A_j, M) that share
+    M, such as one Robin problem under a range of boundary coefficients,
+    keeps one LU.  With a prolongation from the last pencil's nodes, as on
+    a chain of uniformly refined meshes (nested iteration, Knyazev and
+    Neymeyr, ETNA 15, 2003), it runs from the prolonged eigenvector,
+    preconditioned by a `_VCycle` on the same shift whose coarse solve is
+    the last preconditioner, and that cycle preconditions the level after.
+    Both stop at `DEFAULT_TOL` times max(||A||_inf, 1).
+
+    The first pencil without a reference, and any pencil that LOBPCG does
+    not bring through the stop within `_LOBPCG_STEPS` iterations, is
+    factored and solved on its own LU, as `smallest_eigs` solves it alone;
+    `fallbacks` counts the second kind.  A family takes a fallback's LU as
+    its reference; a fallback ends a chain's nested iteration, so every
+    later level is factored too.  Pencils of dense size are solved densely
+    and leave the sequence as it was.
+
+    reference is a nearby pencil's `shifted_factor` pair on the first
+    pencil's nodes, which the first pencil then runs on from LU^-1 M 1.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, reference=None):
         self.omega = _SMOOTHING / (dim + 1)
         self.fallbacks = 0
-        self._pair = None  # (tau, solver) of the last level while nested
+        self._pair = reference  # (tau, solver) that preconditions the next pencil
         self._vector = None
 
-    def lowest(self, a: sp.spmatrix, m: sp.spmatrix, prolongation: sp.spmatrix,
-               order) -> EigResult:
-        """The lowest eigenpair of the next level's pencil (a, m).
+    def lowest(self, a: sp.spmatrix, m: sp.spmatrix, order,
+               prolongation: sp.spmatrix = None) -> EigResult:
+        """The lowest eigenpair of the next pencil (a, m).
 
-        prolongation maps the previous level's vectors onto this level's
-        nodes (the first level ignores it); order is this level's
-        fill-reducing order, or a function returning it, as in `_factor`.
+        order is its fill-reducing order, or a function returning it, as in
+        `_factor`; prolongation maps the last pencil's vectors onto this
+        one's nodes.
         """
         a = sp.csr_matrix(a)
         m = sp.csr_matrix(m)
-        if self._pair is not None:
-            tau, coarse = self._pair
-            cycle = _VCycle((a - tau * m).tocsr(), prolongation, coarse, self.omega)
-            try:
-                res = smallest_eigs(a, m, precondition=(tau, cycle),
-                                    guess=prolongation @ self._vector)
-            except ConvergenceError:
-                self.fallbacks = 1
-                self._pair = self._vector = None  # release the hierarchy
-            else:
-                self._pair, self._vector = (tau, cycle), res.vector
-                return res
         if _dense(a.shape[0]):
             return smallest_eigs(a, m)
+        if self._pair is not None:
+            tau, solver = pair = self._pair
+            if prolongation is not None:
+                pair = (tau, _VCycle((a - tau * m).tocsr(), prolongation, solver, self.omega))
+                guess = prolongation @ self._vector
+            elif self._vector is not None:
+                guess = self._vector
+            else:
+                guess = solver.solve(m @ np.ones(m.shape[0]))
+            try:
+                res = smallest_eigs(a, m, start=(pair, guess))
+            except ConvergenceError:
+                self.fallbacks += 1
+                self._pair = self._vector = None  # release the LU or hierarchy
+            else:
+                self._pair, self._vector = pair, res.vector
+                return res
         factor = shifted_factor(a, m, order=order)
         res = smallest_eigs(a, m, factor=factor)
-        if not self.fallbacks:
+        if prolongation is None or not self.fallbacks:
             self._pair, self._vector = factor, res.vector
         return res

@@ -22,9 +22,9 @@ from typing import List
 
 import numpy as np
 
-from . import assembly, robin
+from . import assembly
 from .assembly import SigmaField
-from .eigensolve import CoefficientFamily, shifted_factor, smallest_eigs, solve_spd
+from .eigensolve import NearbyPencils, shifted_factor, smallest_eigs, solve_spd
 from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
@@ -256,9 +256,9 @@ class MixedProblem:
         return self._optimal_sigma(mass)[0]
 
     def _optimal_sigma(self, mass: float):
-        """(OptimalSigma, factor): the result of `optimal_sigma` and the
-        `shifted_factor` pair of the recovered Robin pencil (K + B(sigma), M)
-        that its lambda_check was solved on."""
+        """(OptimalSigma, pencils): the result of `optimal_sigma` and the
+        `NearbyPencils` whose first pencil, the recovered Robin pencil
+        (K + B(sigma), M), gave its lambda_check."""
         xi, u = self._invert_mass_curve(mass)
         if u is None:
             u = self.resolvent_one(xi)
@@ -277,13 +277,13 @@ class MixedProblem:
         b = assembly.assemble_boundary_mass(self.mesh, sigma)
         recovered_mass = float(ones @ (b @ ones))
         minimizer = xi * u + 1.0
-        factor = shifted_factor(self.stiffness + b, self.mass_matrix, order=self.order)
-        check = robin.lowest_eigenvalue(self.mesh, sigma, factor=factor)
+        pencils = NearbyPencils(self.mesh.dim)
+        check = pencils.lowest(self.stiffness + b, self.mass_matrix, self.order)
         opt = OptimalSigma(mass=mass, value=xi, resolvent=u, sigma=sigma,
                            minimizer=minimizer, mass_defect=abs(recovered_mass - mass),
                            lambda_check=check.value, ground=self.ground,
                            sigma_min_raw=sigma_min_raw)
-        return opt, factor
+        return opt, pencils
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +322,13 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     `_MAXIMALITY_SLACK`, for discretization noise).  Also records
     the quotient of the optimal minimiser under each perturbed coefficient,
     which is invariant because the minimiser equals 1 on gamma.  The trials
-    form one coefficient family whose reference is the factorization of the
-    optimal pencil that lambda_check was solved on.
+    continue the `NearbyPencils` whose first pencil, the optimal one, gave
+    lambda_check.
     """
     if trials < 0:
         raise ArgumentError(f"trials must be nonnegative, got {trials}")
     prob = MixedProblem(mesh)
-    opt, reference = prob._optimal_sigma(mass)
+    opt, family = prob._optimal_sigma(mass)
     kmat, mmat = prob.stiffness, prob.mass_matrix
     b_opt = assembly.assemble_boundary_mass(mesh, opt.sigma)
     u_m = opt.minimizer
@@ -339,7 +339,6 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
     violations = 0
     base = np.asarray(opt.sigma.values, dtype=float)
     g_idx = prob.fixed
-    family = CoefficientFamily(mmat, reference=reference, order=prob.order)
     for _ in range(trials):
         factor = rng.uniform(0.2, 1.8, size=len(g_idx))
         vals = np.zeros(mesh.num_nodes)
@@ -347,7 +346,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
         b_trial = assembly.assemble_boundary_mass(mesh, SigmaField.nodal(vals, support="gamma"))
         # B is linear in sigma: rescale the trial to the prescribed mass
         b_trial = b_trial * (mass / float(ones @ (b_trial @ ones)))
-        lam = family.lowest(kmat + b_trial).value
+        lam = family.lowest(kmat + b_trial, mmat, prob.order).value
         q_trial = _rayleigh(kmat, b_trial, mmat, u_m)
         boundary_term = float(u_m @ (b_trial @ u_m))
         bad = lam > opt.lambda_check + _MAXIMALITY_SLACK

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import assembly, geometry
 from .assembly import SigmaField
-from .eigensolve import CoefficientFamily, EigResult, RefinementChain, smallest_eigs
+from .eigensolve import EigResult, NearbyPencils, smallest_eigs
 from .errors import ArgumentError, ResolutionError
 from .geometry import GAMMA, Mesh
 
@@ -29,13 +29,11 @@ class RobinResult:
     level: int
 
 
-def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField, factor=None) -> RobinResult:
-    """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser.
-
-    factor is a `shifted_factor` pair of that pencil to reuse."""
+def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField) -> RobinResult:
+    """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser."""
     ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, sigma)
-    return _robin_result(mesh, smallest_eigs(ops.stiffness + b, ops.mass, factor=factor,
+    return _robin_result(mesh, smallest_eigs(ops.stiffness + b, ops.mass,
                                              order=lambda: ops.order))
 
 
@@ -49,16 +47,16 @@ def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
 def refinement_levels(base: Mesh, levels: int,
                       sigma_of: Callable[[Mesh], SigmaField]) -> Iterator[Tuple[Mesh, RobinResult]]:
     """(mesh, lowest Robin eigenpair) on each of `levels` successive
-    refinements of base, solved as one `RefinementChain`; sigma_of(mesh) is
-    the boundary coefficient on a mesh.  Each value is the one
+    refinements of base, solved as one chain of `NearbyPencils`; sigma_of(mesh)
+    is the boundary coefficient on a mesh.  Each value is the one
     `lowest_eigenvalue` gives on its mesh, up to the eigensolver's gate."""
-    chain = RefinementChain(base.dim)
+    chain = NearbyPencils(base.dim)
     mesh = base
     for _ in range(levels):
         mesh, p = geometry.refine_with_prolongation(mesh)
         ops = assembly.operators(mesh)
         b = assembly.assemble_boundary_mass(mesh, sigma_of(mesh))
-        res = chain.lowest(ops.stiffness + b, ops.mass, p, lambda: ops.order)
+        res = chain.lowest(ops.stiffness + b, ops.mass, lambda: ops.order, p)
         yield mesh, _robin_result(mesh, res)
 
 
@@ -97,7 +95,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     lengths = geometry.boundary_edge_lengths(mesh)
     on_gamma = mesh.boundary_markers == GAMMA
     ops = assembly.operators(mesh)
-    family = CoefficientFamily(ops.mass, order=lambda: ops.order)
+    family = NearbyPencils(mesh.dim)
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
         r = 2.0 ** (-n)
@@ -109,6 +107,6 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
         alpha = mass / total
         values = np.where(support, alpha, 0.0)
         b = assembly.assemble_boundary_mass(mesh, SigmaField.per_edge(values))
-        lam = family.lowest(ops.stiffness + b).value
+        lam = family.lowest(ops.stiffness + b, ops.mass, lambda: ops.order).value
         rows.append(ConcentrationRow(n, r, total, alpha, lam))
     return rows

@@ -1,4 +1,4 @@
-"""Shared mesh fixtures and dense spectral oracles.
+"""Shared mesh fixtures, random convex polygons and dense spectral oracles.
 
 Level convention used throughout the tests: a domain's base mesh comes from
 build_mesh at a fixed coarse target_h, and "level n" means n uniform
@@ -9,8 +9,11 @@ that the bracketing tests need come from a dense generalized eigensolve of
 the same pencils.
 """
 
+import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from robinspec import assembly, geometry
 from robinspec.assembly import SigmaField
@@ -52,6 +55,27 @@ def triangle_mesh(level=0, gamma=None):
     dom = geometry.polygon([(0, 0), (1, 0), (0, 1)], gamma=gamma)
     base = geometry.build_mesh(dom, 1.5)
     return refined(base, level)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Convex hull of 3-12 random points in the square [-1, 1]^2, kept when
+    no side is shorter than 0.05, no corner turns by less than 1e-3 and the
+    area is at least 0.1."""
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12)))
+    assume(len(np.unique(pts, axis=0)) >= 3)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:  # collinear points
+        assume(False)
+    verts = pts[hull.vertices]  # counterclockwise in 2D
+    edges = np.roll(verts, -1, axis=0) - verts
+    nxt = np.roll(edges, -1, axis=0)
+    turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    assume(hull.volume >= 0.1)
+    assume(np.linalg.norm(edges, axis=1).min() >= 0.05 and turns.min() >= 1e-3)
+    return geometry.polygon(verts.tolist())
 
 
 def dense_eigenvalues(a, m, k):

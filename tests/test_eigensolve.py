@@ -9,7 +9,7 @@ from scipy.sparse.linalg import lobpcg
 
 from robinspec import assembly, cli, eigensolve, geometry
 from robinspec.assembly import SigmaField
-from robinspec.errors import ConvergenceError, MatrixError
+from robinspec.errors import ArgumentError, ConvergenceError, MatrixError
 
 from conftest import dense_eigenvalues, interval_mesh, square_mesh
 
@@ -214,10 +214,30 @@ class TestFailureDiagnostics:
         a, m, _ = robin_pencil(geometry.unit_square(), 3, 1.0)
         factor = eigensolve.shifted_factor(a, m)
         with pytest.raises(ConvergenceError) as info:
-            eigensolve.smallest_eigs(a, m, precondition=factor, guess=np.zeros(a.shape[0]))
+            eigensolve.smallest_eigs(a, m, start=(factor, np.zeros(a.shape[0])))
         assert info.value.diagnostics == {
             "iterations": 0, "residual": None,
             "bound": eigensolve.DEFAULT_TOL * np.abs(a).sum(axis=1).max()}
+
+
+class TestStart:
+    """start is a nearby pair and its guess together: either alone is an
+    argument error, raised before any solve rather than sending LOBPCG a
+    start of None."""
+
+    @pytest.mark.parametrize("which", ["pair-without-guess", "guess-without-pair"])
+    def test_incomplete_start_raises_before_any_solve(self, which, monkeypatch):
+        a, m, order = robin_pencil(geometry.unit_square(), 5, 1.0)
+        factor = eigensolve.shifted_factor(a, m, order=order)
+        guess = factor[1].solve(m @ np.ones(a.shape[0]))
+        start = (factor, None) if which == "pair-without-guess" else (None, guess)
+        solves = []
+        monkeypatch.setattr(eigensolve, "lobpcg", lambda *args, **kw: solves.append(args))
+        monkeypatch.setattr(eigensolve.scipy.linalg, "eigh",
+                            lambda *args, **kw: solves.append(args))
+        with pytest.raises(ArgumentError):
+            eigensolve.smallest_eigs(a, m, start=start)
+        assert solves == []
 
 
 class TestRayleighQuotient:

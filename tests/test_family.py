@@ -1,9 +1,10 @@
-"""Coefficient families: LOBPCG on one shared shifted LU.
+"""Coefficient families: `NearbyPencils` without a prolongation, LOBPCG on
+one shared shifted LU.
 
-The family solver must reproduce each member's solve on its own LU (which
-replaced shift-invert ARPACK, hence the class name), fall back to that solve
-(and refactor) where its reference is poor, keep to one factorization per
-family, and keep LOBPCG's warnings to itself.
+A family must reproduce each member's solve on its own LU (which replaced
+shift-invert ARPACK, hence the class name), fall back to that solve (and
+take its LU as the reference) where its reference is poor, keep to one
+factorization per family, and keep LOBPCG's warnings to itself.
 """
 
 import warnings
@@ -24,16 +25,16 @@ MESHES = {level: square_mesh(level) for level in (4, 5)}
 
 @pytest.fixture
 def members(monkeypatch):
-    """Records (a, result, family) for every family member solved."""
+    """Records (a, m, result, family) for every family member solved."""
     seen = []
-    lowest = eigensolve.CoefficientFamily.lowest
+    lowest = eigensolve.NearbyPencils.lowest
 
-    def recorded(self, a):
-        res = lowest(self, a)
-        seen.append((a, res, self))
+    def recorded(self, a, m, order, prolongation=None):
+        res = lowest(self, a, m, order, prolongation)
+        seen.append((a, m, res, self))
         return res
 
-    monkeypatch.setattr(eigensolve.CoefficientFamily, "lowest", recorded)
+    monkeypatch.setattr(eigensolve.NearbyPencils, "lowest", recorded)
     return seen
 
 
@@ -52,12 +53,11 @@ def factorizations(monkeypatch):
 
 
 def families(seen):
-    return list({id(fam): fam for _, _, fam in seen}.values())
+    return list({id(fam): fam for *_, fam in seen}.values())
 
 
 def assert_agrees_with_own_factor_solves(seen):
-    m = seen[0][2].m
-    for a, res, _ in seen:
+    for a, m, res, _ in seen:
         ref = eigensolve.smallest_eigs(a, m).value
         assert abs(res.value - ref) <= AGREEMENT_RTOL * abs(ref)
         assert res.iterations > 0
@@ -76,22 +76,25 @@ class TestAgreementWithArpack:
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_maximality_trials(self, level, members):
         rep = run_family(level, "maximality")
-        assert len(members) == 8 and rep.passed
-        assert [t.eigenvalue for t in rep.trials] == [r.value for _, r, _ in members]
+        # lambda_check is the family's first member, then the 8 trials
+        assert len(members) == 1 + 8 and rep.passed
+        assert [t.eigenvalue for t in rep.trials] == [r.value for _, _, r, _ in members[1:]]
         assert_agrees_with_own_factor_solves(members)
+        opt = mixed_dn.MixedProblem(MESHES[level]).optimal_sigma(1.0)
+        assert members[0][2].value == opt.lambda_check
 
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_scale_grid(self, level, members):
         rows = run_family(level, "scaling")
         assert len(members) == len(EPS_GRID)
-        assert [r.eigenvalue for r in rows] == [r.value for _, r, _ in members]
+        assert [r.eigenvalue for r in rows] == [r.value for _, _, r, _ in members]
         assert_agrees_with_own_factor_solves(members)
 
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_concentration_sweep(self, level, members):
         rows = run_family(level, "concentration")
         lams = [r.eigenvalue for r in rows]
-        assert lams == [r.value for _, r, _ in members]
+        assert lams == [r.value for _, _, r, _ in members]
         assert all(b < a for a, b in zip(lams, lams[1:]))
         assert_agrees_with_own_factor_solves(members)
 
@@ -107,8 +110,8 @@ class TestFactorizationBudget:
 
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_maximality(self, level, members, factorizations):
-        # ground state, one Newton step and lambda_check, whose LU the
-        # family reuses as its reference
+        # ground state, one Newton step and lambda_check, the family's first
+        # member, whose LU the trials reuse
         run_family(level, "maximality")
         (fam,) = families(members)
         assert fam.fallbacks == 0
@@ -125,15 +128,14 @@ class TestFallback:
     def test_poor_reference_falls_back_gated_and_refactored(self, factorizations):
         k, b, m = self.pencil()
         # a near-Dirichlet reference preconditions a near-Neumann member badly
-        fam = eigensolve.CoefficientFamily(
-            m, reference=eigensolve.shifted_factor(k + 1e6 * b, m))
+        fam = eigensolve.NearbyPencils(2, reference=eigensolve.shifted_factor(k + 1e6 * b, m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fam.lowest(k + 1e-3 * b)
+            res = fam.lowest(k + 1e-3 * b, m, None)
         assert fam.fallbacks == 1
         assert factorizations[0] == 2
         # the member's LU is the new reference: its neighbour needs no refactor
-        fam.lowest(k + 2e-3 * b)
+        fam.lowest(k + 2e-3 * b, m, None)
         assert fam.fallbacks == 1
         assert factorizations[0] == 2
         # the fallback is the member's solve on its own LU, gate included
@@ -148,8 +150,7 @@ class TestFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as info:
-                eigensolve.smallest_eigs(k + 1e-3 * b, m, precondition=reference,
-                                         guess=guess)
+                eigensolve.smallest_eigs(k + 1e-3 * b, m, start=(reference, guess))
         diag = info.value.diagnostics
         assert set(diag) == {"iterations", "residual", "bound"}
         assert diag["iterations"] > eigensolve._LOBPCG_STEPS
@@ -174,7 +175,7 @@ class TestPreconditionedPath:
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, SigmaField.constant(2.0))
         factor = eigensolve.shifted_factor(a, ops.mass)
         guess = factor[1].solve(ops.load)
-        res = eigensolve.smallest_eigs(a, ops.mass, precondition=factor, guess=guess)
+        res = eigensolve.smallest_eigs(a, ops.mass, start=(factor, guess))
         x = res.vector
         assert x @ (ops.mass @ x) == pytest.approx(1.0, rel=1e-14)
         assert res.value == pytest.approx(x @ (a @ x), rel=1e-13)
@@ -184,7 +185,7 @@ class TestPreconditionedPath:
         mesh = square_mesh(0)
         ops = assembly.operators(mesh)
         assert mesh.num_nodes <= eigensolve._DENSE_CUTOFF
-        fam = eigensolve.CoefficientFamily(ops.mass)
-        res = fam.lowest(ops.stiffness + ops.mass)
+        fam = eigensolve.NearbyPencils(mesh.dim)
+        res = fam.lowest(ops.stiffness + ops.mass, ops.mass, ops.order)
         assert factorizations[0] == 0 and res.iterations == 0
         assert res.value == eigensolve.smallest_eigs(ops.stiffness + ops.mass, ops.mass).value

@@ -4,14 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
-from scipy.spatial import ConvexHull, QhullError
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robinspec import bounds, cli, geometry
 from robinspec.errors import ArgumentError, GeometryError, UnsupportedDomainError
 
-from conftest import (boundary_length, disk_mesh, interval_mesh, refined, square_mesh,
-                      triangle_mesh)
+from conftest import (boundary_length, convex_polygons, disk_mesh, interval_mesh, refined,
+                      square_mesh, triangle_mesh)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -484,27 +483,6 @@ class TestDistance:
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
         assert json.loads(err)["error"] == "UnsupportedDomainError"
-
-
-@st.composite
-def convex_polygons(draw):
-    """Convex hull of 3-12 random points in the square [-1, 1]^2, kept when
-    no side is shorter than 0.05, no corner turns by less than 1e-3 and the
-    area is at least 0.1."""
-    coord = st.floats(-1.0, 1.0, allow_nan=False)
-    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12)))
-    assume(len(np.unique(pts, axis=0)) >= 3)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:  # collinear points
-        assume(False)
-    verts = pts[hull.vertices]  # counterclockwise in 2D
-    edges = np.roll(verts, -1, axis=0) - verts
-    nxt = np.roll(edges, -1, axis=0)
-    turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-    assume(hull.volume >= 0.1)
-    assume(np.linalg.norm(edges, axis=1).min() >= 0.05 and turns.min() >= 1e-3)
-    return geometry.polygon(verts.tolist())
 
 
 @settings(max_examples=20, derandomize=True, deadline=None,

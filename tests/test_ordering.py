@@ -178,7 +178,7 @@ class TestOrderedOnlyWhenFactored:
         ops = assembly.operators(mesh)
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
         factor = eigensolve.shifted_factor(a, ops.mass)
-        robin.lowest_eigenvalue(mesh, sigma, factor=factor)
+        eigensolve.smallest_eigs(a, ops.mass, factor=factor, order=lambda: ops.order)
         assert orderings == []
         robin.lowest_eigenvalue(mesh, sigma)
         assert orderings == [mesh.num_nodes]

@@ -7,9 +7,17 @@ sigma -> c sigma with c >= 1.  Both checks are 1e-9 relative, plus a
 round-off floor of 1e-12 ||K + B||_inf that covers the zero eigenvalue of an
 all-zero (Neumann) coefficient.
 
-Random families of nonnegative nodal coefficients, solved in order by one
-`CoefficientFamily` (LOBPCG on one shared LU, a member's own LU where that
-fails), are held to the same dense check member by member.
+Random families of nonnegative nodal coefficients are solved in order by
+one `NearbyPencils`: LOBPCG from the last eigenvector on the last LU, and a
+member factored and solved on its own LU where that fails, which then
+becomes the family's reference.  Families run without a reference, with
+their first member's LU, and with a near-Dirichlet reference that a
+near-Neumann first member must fall back from.  Each member is held to the
+same dense check, and to its standalone solve within `eigenvalue_floor`.
+On random convex polygons the same class runs as a chain of refined
+meshes: LOBPCG from the prolonged eigenvector on a V-cycle over the last
+preconditioner, and a fallback ends the nesting.  Each level must match
+the level's standalone solve to 1e-12 max(lambda, 1).
 
 Random masses: the optimal eigenvalue, whose Newton loop starts from the
 Lanczos model's root, must reproduce the mass on a true resolvent solve and
@@ -18,12 +26,12 @@ lie between the closed-form bounds.
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from robinspec import assembly, bounds, eigensolve, mixed_dn, robin
+from robinspec import assembly, bounds, eigensolve, geometry, mixed_dn, robin
 from robinspec.assembly import SigmaField
 
-from conftest import interval_mesh, square_mesh
+from conftest import convex_polygons, interval_mesh, square_mesh
 
 # both meshes exceed the dense cutoff, so robin runs LOBPCG on the pencil's LU
 MESHES = {"square": square_mesh(2), "interval": interval_mesh(48)}
@@ -92,16 +100,46 @@ def sigma_family(draw):
 
 
 @PROPERTY_SETTINGS
-@given(sigma_family())
-def test_coefficient_family_matches_dense_solves(members):
+@given(sigma_family(), st.sampled_from(["none", "first", "far"]))
+def test_coefficient_family_matches_dense_solves(members, reference):
     ops = assembly.operators(FAMILY_MESH)
-    family = eigensolve.CoefficientFamily(ops.mass)
-    for values in members:
-        b = assembly.assemble_boundary_mass(FAMILY_MESH, SigmaField.nodal(values))
-        lam = family.lowest(ops.stiffness + b).value
+    boundary = assembly.assemble_boundary_mass(FAMILY_MESH, SigmaField.constant(1.0))
+    pencils = [ops.stiffness + assembly.assemble_boundary_mass(FAMILY_MESH, SigmaField.nodal(v))
+               for v in members]
+    pair = None
+    if reference == "first":
+        pair = eigensolve.shifted_factor(pencils[0], ops.mass, order=ops.order)
+    elif reference == "far":
+        # a near-Dirichlet reference preconditions a near-Neumann member badly
+        pair = eigensolve.shifted_factor(ops.stiffness + 1e6 * boundary, ops.mass)
+        members = [1e-3 * np.ones(FAMILY_MESH.num_nodes), *members]
+        pencils = [ops.stiffness + 1e-3 * boundary, *pencils]
+    family = eigensolve.NearbyPencils(FAMILY_MESH.dim, reference=pair)
+    for values, pencil in zip(members, pencils):
+        lam = family.lowest(pencil, ops.mass, ops.order).value
         a, m = fresh_pencil(FAMILY_MESH, values)
         ref = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)[0]
         assert abs(lam - ref) <= RTOL * abs(ref) + round_off(a)
+        alone = eigensolve.smallest_eigs(pencil, ops.mass, order=ops.order).value
+        assert abs(lam - alone) <= eigensolve.eigenvalue_floor(alone)
+    assert family.fallbacks > 0 or reference != "far"
+
+
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(convex_polygons(), st.floats(-3.0, 3.0))
+def test_refinement_chain_matches_per_level_solves(domain, log_sigma):
+    sigma = SigmaField.constant(10.0 ** log_sigma)
+    base = geometry.build_mesh(domain, 0.5)
+    sizes = []
+    for mesh, res in robin.refinement_levels(base, 4, lambda mesh: sigma):
+        want = robin.lowest_eigenvalue(mesh, sigma).value
+        # relative to max(lambda, 1): near sigma = 0 the chain's stop, which
+        # is absolute, leaves about 1e-14 (6e-12 relative at sigma = 1e-3)
+        assert abs(res.value - want) <= 1e-12 * max(want, 1.0)
+        sizes.append(mesh.num_nodes)
+    # at least two levels above dense size: one factored, one nested
+    assert sizes[-2] > eigensolve._DENSE_CUTOFF
 
 
 PROBLEMS = {name: mixed_dn.MixedProblem(mesh) for name, mesh in MESHES.items()}

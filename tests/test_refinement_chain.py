@@ -1,4 +1,4 @@
-"""`converge` as one refinement chain.
+"""`converge` as one refinement chain: `NearbyPencils` with a prolongation.
 
 The chain refines one base mesh, factors its first level above dense size
 and solves every finer level by LOBPCG from the prolonged eigenvector of
@@ -80,7 +80,7 @@ def hierarchy(name, top):
     ops = assembly.operators(mesh)
     a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
     tau, solver = eigensolve.shifted_factor(a, ops.mass, order=ops.order)
-    omega = eigensolve.RefinementChain(mesh.dim).omega
+    omega = eigensolve.NearbyPencils(mesh.dim).omega
     for _ in range(1, top):
         mesh, p = geometry.refine_with_prolongation(mesh)
         ops = assembly.operators(mesh)
@@ -93,7 +93,7 @@ class TestVCycle:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_weight_keeps_the_smoother_contracting(self, dim):
         # omega (d + 1) bounds lambda_max(W S) for P1 elements
-        assert 0.0 < eigensolve.RefinementChain(dim).omega * (dim + 1) < 2.0
+        assert 0.0 < eigensolve.NearbyPencils(dim).omega * (dim + 1) < 2.0
 
     @pytest.mark.parametrize("name", ["square", "disk", "triangle"])
     @pytest.mark.parametrize("top", [2, 3])
@@ -171,12 +171,12 @@ class TestStickyFallback:
                                                               monkeypatch):
         chains = []
 
-        class Recorded(eigensolve.RefinementChain):
+        class Recorded(eigensolve.NearbyPencils):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 chains.append(self)
 
-        monkeypatch.setattr(robin, "RefinementChain", Recorded)
+        monkeypatch.setattr(robin, "NearbyPencils", Recorded)
         sigma = SigmaField.constant(1.0)
         base = cli._mesh_at_level(STIFF[name], 0, None)
         results = list(robin.refinement_levels(base, 6, lambda m: sigma))
