@@ -306,8 +306,9 @@ class Operators:
     load: np.ndarray
     volume: float
     _nodes: np.ndarray = field(repr=False)
-    _order: Optional[np.ndarray] = field(default=None, repr=False)
-    _order_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _order_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                        repr=False)
 
     @property
     def order(self) -> np.ndarray:

@@ -163,7 +163,7 @@ def dirichlet_inradius_report(mesh: Mesh, domain: DomainSpec) -> BoundReport:
     if n == 1:
         lam = (math.pi / (domain.b - domain.a)) ** 2
     else:
-        lam = robin.dirichlet_eigenvalue(mesh)
+        lam = robin.dirichlet_eigenvalue(mesh, geometry.boundary_nodes(mesh))
     lower = 0.25 / r ** 2
     upper = unit_ball_dirichlet_eigenvalue(n) / r ** 2
     return _make_report("dirichlet eigenvalue vs inradius", lower, float(lam),
@@ -331,12 +331,13 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
 
 def scaling_limits(mesh: Mesh, sigma: SigmaField):
     """The two scaling limits on this mesh: boundary-mass ratio (shrink)
-    and the pinned ground eigenvalue (expand).
+    and the ground eigenvalue pinned on gamma (expand), the value
+    `mixed_dn.MixedProblem(mesh).ground` has.
 
     The mesh's gamma markers must coincide with the support of sigma."""
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
     ones = np.ones(mesh.num_nodes)
     sigma_total = float(ones @ (bmat @ ones))
     volume = geometry.area(mesh)
-    e1 = mixed_dn.MixedProblem(mesh).ground.value
+    e1 = robin.dirichlet_eigenvalue(mesh, geometry.gamma_nodes(mesh))
     return sigma_total / volume, e1

@@ -90,18 +90,10 @@ def _domain_from(opts: dict) -> DomainSpec:
     raise ArgumentError(f"unknown domain {kind!r}")
 
 
-def _domain_diameter(domain: DomainSpec) -> float:
-    if domain.kind == "interval":
-        return domain.b - domain.a
-    if domain.kind == "disk":
-        return 2.0 * domain.radius
-    verts = np.array(domain.vertices)
-    return float(max(np.linalg.norm(p - q) for p in verts for q in verts))
-
-
 def _mesh_at_level(domain: DomainSpec, level: int, target_h: Optional[float]):
-    base_h = target_h if target_h is not None else _domain_diameter(domain)
-    mesh = build_mesh(domain, base_h)
+    """The base mesh of target_h, or the unrefined base mesh without one,
+    refined level times."""
+    mesh = build_mesh(domain, math.inf if target_h is None else target_h)
     geometry.check_refinement(mesh, level)
     for _ in range(level):
         mesh = geometry.refine(mesh)

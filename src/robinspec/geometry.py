@@ -215,6 +215,8 @@ def _make_mesh(dim, nodes, elements, boundary, markers, level=0, projection=None
 def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
     """Build a conforming mesh with max element diameter <= target_h.
 
+    An infinite target_h gives the initial mesh: one element for an
+    interval, the ear-clipped polygon, or the disk's fan of triangles.
     Disks are meshed as inscribed polygons with all boundary nodes on the
     circle; refining a disk mesh keeps projecting new boundary nodes.
     """
@@ -230,8 +232,8 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
         raise GeometryError(f"unknown domain kind {domain.kind!r}")
     # a level at most halves the largest diameter, so at least this many
     # levels are needed; every level adds nodes, so the budget ends the loop
-    halvings = math.log2(max_element_diameter(mesh) / target_h)
-    check_refinement(mesh, max(int(min(halvings, 64.0)), 0))
+    halvings = math.log2(max(max_element_diameter(mesh) / target_h, 1.0))
+    check_refinement(mesh, int(min(halvings, 64.0)))
     while max_element_diameter(mesh) > target_h:
         check_refinement(mesh, 1)
         mesh = refine(mesh)
@@ -662,10 +664,8 @@ def gamma_arclength(mesh: Mesh):
             cur = nxt
         chains.append(chain)
     chains.sort(key=lambda c: min(c))
-    ordered = []
-    for c in chains:
-        ordered.extend(v for v in c if v not in ordered)
-    ordered = np.array(ordered, dtype=np.int64)
+    # each node once, where it is first met: a closed chain ends on its start
+    ordered = np.array(list(dict.fromkeys(v for c in chains for v in c)), dtype=np.int64)
     pts = mesh.nodes[ordered]
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(steps)])

@@ -16,7 +16,6 @@ discretization error.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import List
 
@@ -154,10 +153,11 @@ def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float)
 
 class MixedProblem:
     """The problem pinned on gamma for one mesh: the mesh's shared operators
-    restricted to the free nodes, and the ground state, computed once.
+    restricted to the free nodes, the ground state and the Lanczos model of
+    the mass curve, all computed once, on construction.
 
-    The shifted factorization of the ground eigensolve is kept until the
-    first mass-curve inversion builds the Lanczos model from it, then freed.
+    The shifted factorization of the ground eigensolve builds the model and
+    is not kept.
     """
 
     def __init__(self, mesh: Mesh):
@@ -171,16 +171,15 @@ class MixedProblem:
         self.order = ops.order
         self.free_order = ops.free_order(self.free)
         self.load = ops.load[self.free]
-        self._factor = shifted_factor(self.k_ff, self.m_ff, order=self.free_order)
-        self._model = None
-        self._model_lock = threading.Lock()
-        res = smallest_eigs(self.k_ff, self.m_ff, factor=self._factor)
+        factor = shifted_factor(self.k_ff, self.m_ff, order=self.free_order)
+        res = smallest_eigs(self.k_ff, self.m_ff, factor=factor)
         phi = np.zeros(mesh.num_nodes)
         phi[self.free] = res.vector
         integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
         if integral < 0.0:
             phi, integral = -phi, -integral
         self.ground = MixedGroundState(res.value, phi, integral)
+        self._model = _MassCurveModel(self.m_ff, self.load, *factor)
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
@@ -209,17 +208,8 @@ class MixedProblem:
         fp = 2.0 * xi * int_u + xi * xi * norm2_u + self.volume
         return f, fp
 
-    def _mass_curve_model(self) -> _MassCurveModel:
-        """The Lanczos model, built on first use from the ground eigensolve's
-        factorization, which is then released."""
-        with self._model_lock:
-            if self._model is None:
-                self._model = _MassCurveModel(self.m_ff, self.load, *self._factor)
-                self._factor = None
-        return self._model
-
     def _model_curve(self, xi: float):
-        return (*self._curve(xi, *self._mass_curve_model().moments(xi)), None)
+        return (*self._curve(xi, *self._model.moments(xi)), None)
 
     def optimal_eigenvalue(self, mass: float) -> float:
         """Invert the mass curve: Newton safeguarded by bisection inside

@@ -60,10 +60,10 @@ def refinement_levels(base: Mesh, levels: int,
         yield mesh, _robin_result(mesh, res)
 
 
-def dirichlet_eigenvalue(mesh: Mesh) -> float:
-    """Lowest eigenvalue with the value pinned to zero on the whole boundary."""
+def dirichlet_eigenvalue(mesh: Mesh, fixed: np.ndarray) -> float:
+    """Lowest eigenvalue with the value pinned to zero on the fixed nodes."""
     ops = assembly.operators(mesh)
-    free, k_ff, m_ff = ops.restrict(geometry.boundary_nodes(mesh))
+    free, k_ff, m_ff = ops.restrict(fixed)
     return smallest_eigs(k_ff, m_ff, order=lambda: ops.free_order(free)).value
 
 

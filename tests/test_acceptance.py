@@ -196,7 +196,7 @@ def test_criterion_10_identity_checks():
         assert rob[j] <= dir_[j] + 1e-9
     lowest = (robin.lowest_eigenvalue(mesh, SigmaField.constant(1.0)).value,
               robin.lowest_eigenvalue(mesh, SigmaField.constant(0.0)).value,
-              robin.dirichlet_eigenvalue(mesh))
+              robin.dirichlet_eigenvalue(mesh, geometry.boundary_nodes(mesh)))
     for lam, oracle in zip(lowest, (rob[0], neu[0], dir_[0])):
         assert abs(lam - oracle) <= 1e-9 * max(abs(oracle), 1.0)
     # endpoint exchange symmetry is exact

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robinspec import assembly, bounds, exact1d, geometry, mixed_dn
 from robinspec.assembly import SigmaField
 from robinspec.eigensolve import smallest_eigs
 from robinspec.errors import ArgumentError
 
-from conftest import (dense_eigenvalues, dirichlet_spectrum, disk_mesh, interval_mesh,
-                      robin_spectrum, square_mesh, triangle_mesh)
+from conftest import (convex_polygons, dense_eigenvalues, dirichlet_spectrum, disk_mesh,
+                      interval_mesh, refined, robin_spectrum, square_mesh, triangle_mesh)
 
 K2_REFERENCE = 5.783185962946783  # square of the first J0 zero (scipy jn_zeros)
 
@@ -273,6 +274,36 @@ class TestScaling:
         rows = bounds.scaling_table(mesh, sigma, [1e-3, 1e3])
         assert abs(rows[0].eps_eigenvalue - shrink) / shrink <= 0.02
         assert abs(rows[1].eps2_eigenvalue - expand) / expand <= 0.02
+
+    @pytest.mark.parametrize("mesh", [
+        square_mesh(3),
+        square_mesh(3, gamma=geometry.gamma_sides(0, 1)),
+        disk_mesh(2, gamma=geometry.gamma_arcs([(0.0, 3.14159)])),
+        interval_mesh(64, gamma=geometry.gamma_sides(1)),
+    ], ids=["square-all", "square-edges-0-1", "disk-arc", "interval-one-end"])
+    def test_expand_limit_is_the_pinned_ground_value(self, mesh):
+        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1] \
+            == mixed_dn.MixedProblem(mesh).ground.value
+
+    @settings(max_examples=15, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(convex_polygons(), st.data())
+    def test_expand_limit_is_the_pinned_ground_value_on_convex_polygons(self, dom, data):
+        sides = data.draw(st.sets(st.integers(0, len(dom.vertices) - 1), min_size=1))
+        dom = geometry.polygon(dom.vertices, gamma=geometry.gamma_sides(*sides))
+        mesh = refined(geometry.build_mesh(dom, 0.5), 1)
+        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1] \
+            == mixed_dn.MixedProblem(mesh).ground.value
+
+    def test_limits_build_no_pinned_problem(self, monkeypatch):
+        mesh = square_mesh(3, gamma=geometry.gamma_sides(0))
+        expand = bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1]
+
+        def refuse(self, mesh):
+            raise AssertionError("scaling_limits built a MixedProblem")
+
+        monkeypatch.setattr(mixed_dn.MixedProblem, "__init__", refuse)
+        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1] == expand
 
     def test_higher_eigenvalues_bracketed(self, square_l3):
         # the rescaled pencil's eigenvalues stay between the pinned and free

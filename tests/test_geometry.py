@@ -94,6 +94,48 @@ class TestBuildMesh:
         assert abs(frac - 0.5) < 0.1
 
 
+def diameter_target(domain):
+    """The domain's largest vertex distance (2 R for a disk): a base
+    target_h that no element of the initial mesh exceeds."""
+    if domain.kind == "interval":
+        return domain.b - domain.a
+    if domain.kind == "disk":
+        return 2.0 * domain.radius
+    verts = np.array(domain.vertices)
+    return float(max(np.linalg.norm(p - q) for p in verts for q in verts))
+
+
+def assert_same_mesh(got, want):
+    assert got.dim == want.dim and got.level == want.level
+    for field in ("nodes", "elements", "boundary", "boundary_markers"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
+class TestDefaultBaseMesh:
+    @pytest.mark.parametrize("domain", [
+        geometry.interval(0.0, 1.0), geometry.interval(-3.0, 7.5, gamma=geometry.gamma_sides(1)),
+        geometry.disk((0.0, 0.0), 1.0, 16), geometry.disk((2.0, -1.0), 0.3, 9),
+        geometry.unit_square(), geometry.rectangle(2.0, 1.0),
+        geometry.polygon([(0, 0), (1, 0), (0, 1)]),
+    ], ids=["interval", "interval-shifted", "disk", "disk-9", "square", "rect", "triangle"])
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_matches_the_diameter_target(self, domain, level):
+        want = refined(geometry.build_mesh(domain, diameter_target(domain)), level)
+        assert_same_mesh(cli._mesh_at_level(domain, level, None), want)
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(convex_polygons())
+    def test_matches_the_diameter_target_on_convex_polygons(self, dom):
+        assert_same_mesh(cli._mesh_at_level(dom, 0, None),
+                         geometry.build_mesh(dom, diameter_target(dom)))
+
+    def test_infinite_target_is_the_initial_mesh(self):
+        mesh = geometry.build_mesh(geometry.unit_square(), math.inf)
+        assert (mesh.num_nodes, mesh.num_elements) == (4, 2)
+        assert geometry.build_mesh(geometry.interval(0.0, 2.0), math.inf).num_elements == 1
+
+
 class TestNodeBudget:
     @pytest.mark.parametrize("make", [square_mesh, triangle_mesh, disk_mesh,
                                       lambda level: interval_mesh(3)])
@@ -618,3 +660,80 @@ def test_truncated_mesh_file_rejected(tmp_path_factory, mesh, data):
     path.write_text("".join(lines[:keep]))
     with pytest.raises(ArgumentError):
         geometry.read_mesh(path)
+
+
+def walk_gamma_arclength(mesh):
+    """The planar gamma walk as `geometry.gamma_arclength` first wrote it,
+    deduplicating by a scan of the ordered list: the oracle of its output."""
+    marked = mesh.boundary[mesh.boundary_markers == geometry.GAMMA]
+    if len(marked) == 0:
+        return np.array([], dtype=np.int64), np.array([])
+    adj = {}
+    for v0, v1 in marked:
+        adj.setdefault(int(v0), []).append(int(v1))
+        adj.setdefault(int(v1), []).append(int(v0))
+    unvisited = {tuple(sorted(e)) for e in marked.tolist()}
+    chains = []
+    while unvisited:
+        endpoints = sorted(v for v, nb in adj.items()
+                           if sum(tuple(sorted((v, w))) in unvisited for w in nb) == 1)
+        start = endpoints[0] if endpoints else min(v for e in unvisited for v in e)
+        chain = [start]
+        cur = start
+        while True:
+            nxt = None
+            for w in adj[cur]:
+                if tuple(sorted((cur, w))) in unvisited:
+                    nxt = w
+                    break
+            if nxt is None:
+                break
+            unvisited.discard(tuple(sorted((cur, nxt))))
+            chain.append(nxt)
+            cur = nxt
+        chains.append(chain)
+    chains.sort(key=lambda c: min(c))
+    ordered = []
+    for c in chains:
+        ordered.extend(v for v in c if v not in ordered)
+    ordered = np.array(ordered, dtype=np.int64)
+    steps = np.linalg.norm(np.diff(mesh.nodes[ordered], axis=0), axis=1)
+    return ordered, np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def assert_arclength_matches_walk(mesh):
+    nodes, s = geometry.gamma_arclength(mesh)
+    want_nodes, want_s = walk_gamma_arclength(mesh)
+    assert nodes.dtype == want_nodes.dtype
+    np.testing.assert_array_equal(nodes, want_nodes)
+    np.testing.assert_array_equal(s, want_s)
+
+
+class TestGammaArclength:
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(convex_polygons(), st.data())
+    def test_random_side_subsets_match_the_walk(self, dom, data):
+        sides = data.draw(st.sets(st.integers(0, len(dom.vertices) - 1)))
+        dom = geometry.polygon(dom.vertices, gamma=geometry.gamma_sides(*sides))
+        assert_arclength_matches_walk(refined(geometry.build_mesh(dom, 0.5), 1))
+
+    @pytest.mark.parametrize("arcs", [[(0.0, 3.14159)], [(5.0, 1.0)], [(0.5, 1.5), (3.0, 4.0)],
+                                      [(0.0, 6.3)]],
+                             ids=["half", "wrapping", "two-arcs", "whole-circle"])
+    def test_disk_arcs_match_the_walk(self, arcs):
+        assert_arclength_matches_walk(disk_mesh(3, gamma=geometry.gamma_arcs(arcs)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_mesh_file_matches_the_walk(self, seed, tmp_path):
+        mesh = square_mesh(3, gamma=geometry.gamma_sides(0, 1, 3))
+        lines = mesh_text(mesh, tmp_path).splitlines()
+        first = 2 + mesh.num_nodes + mesh.num_elements
+        rows = lines[first:]
+        rng = np.random.default_rng(seed)
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        path = tmp_path / "shuffled.txt"
+        path.write_text("\n".join(lines[:first] + rows) + "\n")
+        back = geometry.read_mesh(path)
+        assert not np.array_equal(back.boundary, mesh.boundary)
+        assert_arclength_matches_walk(back)

@@ -159,7 +159,7 @@ class TestMassCurveModel:
         prob = mixed_dn.MixedProblem(mesh)
         n_free = len(prob.free)
         assert (n_free > eigensolve._DENSE_CUTOFF) == (steps is not None)
-        model = prob._mass_curve_model()
+        model = prob._model
         assert len(model.start) == n_free < mixed_dn._KRYLOV_STEPS
         assert np.all(np.isfinite(model.tridiag)) and np.all(np.isfinite(model.c))
         for fraction in (0.1, 0.5, 0.9):
@@ -190,12 +190,43 @@ class TestMassCurveModel:
         mixed_dn.MixedProblem(square_l3).optimal_eigenvalue(mass)
         assert len(factorizations) <= 1 + len(steps)
 
-    def test_factorization_released_once_the_model_exists(self, square_l3):
+    def test_model_built_on_construction_and_no_lu_kept(self, square_l3, monkeypatch):
         prob = mixed_dn.MixedProblem(square_l3)
-        model = prob._mass_curve_model()
-        assert prob._factor is None
-        prob.optimal_eigenvalue(2.0)
-        assert prob._mass_curve_model() is model
+        held = [v for obj in (prob, prob._model) for v in vars(obj).values()]
+        held += [item for v in held if isinstance(v, tuple) for item in v]
+        lu_types = (eigensolve._OrderedLU, scipy.sparse.linalg.SuperLU)
+        assert not any(isinstance(v, lu_types) for v in held)
+        # the inversions reuse the model; their only factorizations are
+        # the true Newton steps' solve_spd
+        model = prob._model
+        builds, factored, inside = [], [], []
+        build = mixed_dn._MassCurveModel.__init__
+        splu = eigensolve.splu
+        solve = mixed_dn.solve_spd
+
+        def counted_build(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        def counted_splu(a, **kwargs):
+            factored.append(bool(inside))
+            return splu(a, **kwargs)
+
+        def marked_solve(*args, **kwargs):
+            inside.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(mixed_dn._MassCurveModel, "__init__", counted_build)
+        monkeypatch.setattr(eigensolve, "splu", counted_splu)
+        monkeypatch.setattr(mixed_dn, "solve_spd", marked_solve)
+        first = prob.optimal_eigenvalue(2.0)
+        second = prob.optimal_eigenvalue(20.0)
+        assert prob._model is model and builds == []
+        assert factored and all(factored)
+        assert 0.0 < first < second < prob.ground.value
 
 
 @pytest.fixture(scope="module")

@@ -168,7 +168,7 @@ class TestOrderedOnlyWhenFactored:
         mesh = square_mesh(1)
         assert mesh.num_nodes <= eigensolve._DENSE_CUTOFF
         robin.lowest_eigenvalue(mesh, assembly.SigmaField.constant(1.0))
-        robin.dirichlet_eigenvalue(mesh)
+        robin.dirichlet_eigenvalue(mesh, geometry.boundary_nodes(mesh))
         robin.concentration_sweep(mesh, 1.0, (0.5, 0.0), 1)
         assert orderings == []
 

@@ -77,7 +77,7 @@ class TestSpectrum:
         dirich = dirichlet_spectrum(square_l3, k)
         rob[0] = robin.lowest_eigenvalue(square_l3, SigmaField.constant(1.0)).value
         neu[0] = robin.lowest_eigenvalue(square_l3, SigmaField.constant(0.0)).value
-        dirich[0] = robin.dirichlet_eigenvalue(square_l3)
+        dirich[0] = robin.dirichlet_eigenvalue(square_l3, geometry.boundary_nodes(square_l3))
         for j in range(k):
             assert neu[j] <= rob[j] + 1e-9
             assert rob[j] <= dirich[j] + 1e-9
