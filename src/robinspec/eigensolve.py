@@ -3,7 +3,11 @@
 Every eigensolve returns the lowest eigenpair only.  Pencils of dense size
 (n <= 40) are solved by a dense generalized eigensolve; every larger pencil
 runs LOBPCG (Knyazev, SISC 23, 2001) for one vector, preconditioned by the
-LU of a shifted pencil A - tau M (`shifted_factor`).
+LU of a shifted pencil A - tau M (`shifted_factor`).  LOBPCG is this
+module's own single-vector kernel (`_lobpcg`): a step is one preconditioner
+solve, the products of one vector with A and M, and a Ritz problem of size
+3 at most.  It raises ConvergenceError on a breakdown instead of warning,
+so it touches no process-wide state and threads run it without a lock.
 
 A pencil solved on its own is preconditioned by its own shifted LU and
 started from LU^-1 M 1.  That run stops at round-off, at a residual of
@@ -44,14 +48,12 @@ matrices that come without a mesh.
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import lobpcg, splu
+from scipy.sparse.linalg import splu
 
 from .errors import ArgumentError, ConvergenceError, MatrixError
 
@@ -63,9 +65,6 @@ _LOBPCG_STEPS = 40
 # Rayleigh quotient, with an absolute floor for eigenvalues at round-off
 _OWN_RTOL = 1e-12
 _OWN_FLOOR = 1e-14
-# catch_warnings swaps the process-wide filter list, so LOBPCG runs in
-# threads (the `bounds` pool) take turns, or one could leave its filter behind
-_WARNINGS_LOCK = threading.Lock()
 # Jacobi steps before and after the V-cycle's coarse correction, and their
 # weight omega times d + 1 (below 2, see _VCycle)
 _SWEEPS = 2
@@ -92,8 +91,8 @@ def _inf_norm_estimate(a: sp.spmatrix) -> float:
 
 
 class _OrderedLU:
-    """LU of A[order][:, order]; solve takes and returns vectors (or
-    blocks of columns) in A's numbering."""
+    """LU of A[order][:, order]; solve takes and returns vectors in A's
+    numbering."""
 
     def __init__(self, lu, order: np.ndarray):
         self.lu = lu
@@ -196,31 +195,79 @@ def _normalised(a, m, x: np.ndarray):
 
 
 def _lobpcg(a, m, lu, x0: np.ndarray, tol: float):
-    """LOBPCG for the lowest eigenpair of (A, M) from x0, preconditioned by
-    lu.solve, to residual tol; returns (vector, number of preconditioner
-    applications).  LOBPCG applies the preconditioner once per iteration
-    until the residual meets tol, so a start that meets it takes none.  A
-    breakdown, or a run that needs more than `_LOBPCG_STEPS` iterations,
-    raises ConvergenceError in place of LOBPCG's warning, which is
-    silenced."""
-    applications = 0
+    """Single-vector LOBPCG (Knyazev, SISC 23, 2001) for the lowest eigenpair
+    of (A, M) from x0, preconditioned by lu.solve, to residual tol; returns
+    (vector, number of preconditioner applications).
 
-    def precondition(x):
-        nonlocal applications
-        applications += x.shape[1]
-        return lu.solve(x)
-
-    with _WARNINGS_LOCK, warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            _, vecs = lobpcg(a, x0.reshape(-1, 1), B=m, M=precondition, tol=tol,
-                             maxiter=_LOBPCG_STEPS, largest=False)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise _failure(f"LOBPCG breakdown: {exc}", applications, None, tol) from exc
-    if applications > _LOBPCG_STEPS:
-        raise _failure("LOBPCG did not converge within its iteration cap", applications,
-                       _normalised(a, m, vecs[:, 0])[2], tol)
-    return vecs[:, 0], applications
+    The basis rows are the iterate x, the preconditioned residual w, made
+    M-orthogonal to x and M-normal, and the last step p, M-normal, each
+    carried with its A- and M-image.  A step applies the preconditioner
+    once, multiplies w by A and M, and takes the lowest Ritz pair of the
+    basis: 2 x 2 on the first step, 3 x 3 after it, and 2 x 2 again where p
+    leaves the M-Gram matrix indefinite.  The run stops once
+    ||A x - rho M x|| <= tol, with x M-normalised and rho its Ritz value, so
+    a start that meets tol takes no application.  A zero or non-finite start
+    or preconditioner output, a Ritz problem that fails without p, and a run
+    that needs more than `_LOBPCG_STEPS` applications raise ConvergenceError.
+    """
+    basis = np.empty((3, a.shape[0]))
+    a_basis = np.empty_like(basis)
+    m_basis = np.empty_like(basis)
+    x = np.ravel(x0).astype(float)
+    mx = m @ x
+    square = x @ mx
+    if not (np.isfinite(square) and square > 0.0):
+        raise _failure("LOBPCG breakdown: a start of zero or non-finite M-norm", 0, None, tol)
+    basis[0] = x / np.sqrt(square)
+    m_basis[0] = mx / np.sqrt(square)
+    a_basis[0] = a @ basis[0]
+    rho = basis[0] @ a_basis[0]
+    rows = 2  # x and w; p joins after the first step
+    for applications in range(_LOBPCG_STEPS + 1):
+        r = a_basis[0] - rho * m_basis[0]
+        residual = float(np.linalg.norm(r))
+        if residual <= tol:
+            return basis[0].copy(), applications
+        if applications == _LOBPCG_STEPS:
+            raise _failure("LOBPCG did not converge within its step cap", applications + 1,
+                           residual, tol)
+        w = lu.solve(r)
+        square = 0.0
+        if np.isfinite(w).all():
+            w -= (m_basis[0] @ w) * basis[0]
+            mw = m @ w
+            square = w @ mw
+        if not (np.isfinite(square) and square > 0.0):
+            raise _failure("LOBPCG breakdown: a zero or non-finite preconditioned residual",
+                           applications + 1, residual, tol)
+        np.divide(w, np.sqrt(square), out=basis[1])
+        np.divide(mw, np.sqrt(square), out=m_basis[1])
+        a_basis[1] = a @ basis[1]
+        for size in range(rows, 1, -1):
+            gram_a = basis[:size] @ a_basis[:size].T
+            gram_m = basis[:size] @ m_basis[:size].T
+            try:
+                values, vectors = scipy.linalg.eigh((gram_a + gram_a.T) / 2,
+                                                    (gram_m + gram_m.T) / 2, check_finite=False)
+            except np.linalg.LinAlgError:
+                continue
+            break
+        else:
+            raise _failure("LOBPCG breakdown: the Ritz problem failed", applications + 1,
+                           residual, tol)
+        c = vectors[:, 0]
+        rho = values[0]
+        # the step is the new iterate's move off x: form it from the old rows
+        # before x takes it in and it replaces p
+        steps = [c[1:] @ v[1:size] for v in (basis, a_basis, m_basis)]
+        for v, step in zip((basis, a_basis, m_basis), steps):
+            v[0] *= c[0]
+            v[0] += step
+        square = steps[0] @ steps[2]
+        rows = 3 if np.isfinite(square) and square > 0.0 else 2
+        if rows == 3:
+            for v, step in zip((basis, a_basis, m_basis), steps):
+                np.divide(step, np.sqrt(square), out=v[2])
 
 
 def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
@@ -287,16 +334,15 @@ class _VCycle:
         self.coarse = coarse
         self.weights = omega / shifted.diagonal()
 
-    def _smooth(self, x: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _smooth(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         for _ in range(_SWEEPS):
-            x = x + w * (b - self.shifted @ x)
+            x = x + self.weights * (b - self.shifted @ x)
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        w = self.weights if b.ndim == 1 else self.weights[:, None]
-        x = self._smooth(np.zeros_like(b), b, w)
+        x = self._smooth(np.zeros_like(b), b)
         x = x + self.prolongation @ self.coarse.solve(self.restriction @ (b - self.shifted @ x))
-        return self._smooth(x, b, w)
+        return self._smooth(x, b)
 
 
 class NearbyPencils:

@@ -9,7 +9,9 @@ distance to the boundary are defined for convex domains only.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -636,30 +638,47 @@ def gamma_arclength(mesh: Mesh):
         nodes = nodes[order]
         s = coords[order] - (coords[order][0] if len(nodes) else 0.0)
         return nodes, s
-    marked = mesh.boundary[mesh.boundary_markers == GAMMA]
+    marked = mesh.boundary[mesh.boundary_markers == GAMMA].tolist()
     if len(marked) == 0:
         return np.array([], dtype=np.int64), np.array([])
     adj = {}
     for v0, v1 in marked:
-        adj.setdefault(int(v0), []).append(int(v1))
-        adj.setdefault(int(v1), []).append(int(v0))
-    unvisited = {tuple(sorted(e)) for e in marked.tolist()}
+        adj.setdefault(v0, []).append(v1)
+        adj.setdefault(v1, []).append(v0)
+    # unvisited edges with their multiplicity, and each node's unvisited
+    # degree counted as adj counts it, so a chain's endpoints have degree 1
+    unvisited = Counter((v0, v1) if v0 < v1 else (v1, v0) for v0, v1 in marked)
+    degree = {v: len(nb) for v, nb in adj.items()}
+    endpoints = [v for v, d in degree.items() if d == 1]
+    heapq.heapify(endpoints)
+    by_index = sorted(adj)
+    lowest = 0  # by_index[:lowest] have no unvisited edge left
     chains = []
     while unvisited:
-        endpoints = sorted(v for v, nb in adj.items()
-                           if sum(tuple(sorted((v, w))) in unvisited for w in nb) == 1)
-        start = endpoints[0] if endpoints else min(v for e in unvisited for v in e)
+        # the smallest endpoint of an open chain, else the smallest node of
+        # a closed one; degrees only fall, so stale entries are skipped
+        while endpoints and degree[endpoints[0]] != 1:
+            heapq.heappop(endpoints)
+        if endpoints:
+            start = endpoints[0]
+        else:
+            while degree[by_index[lowest]] == 0:
+                lowest += 1
+            start = by_index[lowest]
         chain = [start]
         cur = start
         while True:
-            nxt = None
-            for w in adj[cur]:
-                if tuple(sorted((cur, w))) in unvisited:
-                    nxt = w
+            for nxt in adj[cur]:
+                edge = (cur, nxt) if cur < nxt else (nxt, cur)
+                if edge in unvisited:
                     break
-            if nxt is None:
+            else:
                 break
-            unvisited.discard(tuple(sorted((cur, nxt))))
+            count = unvisited.pop(edge)
+            for v in (cur, nxt):
+                degree[v] -= count
+                if degree[v] == 1:
+                    heapq.heappush(endpoints, v)
             chain.append(nxt)
             cur = nxt
         chains.append(chain)

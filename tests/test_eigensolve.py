@@ -5,13 +5,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.sparse.linalg import lobpcg
 
-from robinspec import assembly, cli, eigensolve, geometry
+from robinspec import assembly, bounds, cli, eigensolve, geometry
 from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError, ConvergenceError, MatrixError
 
-from conftest import dense_eigenvalues, interval_mesh, square_mesh
+from conftest import convex_polygons, dense_eigenvalues, interval_mesh, refined, square_mesh
 
 
 class TestSolveSpd:
@@ -195,6 +196,105 @@ class TestOwnFactorPath:
         assert abs(res.value - tight) <= 1e-12 * max(abs(tight), 1.0)
 
 
+KERNEL_SETTINGS = settings(max_examples=10, derandomize=True, deadline=None,
+                           suppress_health_check=[HealthCheck.filter_too_much])
+SIGMAS = st.floats(-2.0, 2.0).map(lambda t: 10.0 ** t)
+
+
+def polygon_operators(dom):
+    """K, the boundary mass of sigma = 1, M and the order on a mesh of dom
+    above dense size."""
+    mesh = refined(geometry.build_mesh(dom, 0.5), 3)
+    assert mesh.num_nodes > eigensolve._DENSE_CUTOFF
+    ops = assembly.operators(mesh)
+    b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
+    return ops.stiffness, b, ops.mass, ops.order
+
+
+def scipy_applications(a, m, lu, x0, tol):
+    """Preconditioner applications of scipy's block LOBPCG on the same run,
+    counted as `eigensolve._lobpcg` counts them: one more than the cap where
+    it does not reach tol."""
+    applications = 0
+
+    def precondition(x):
+        nonlocal applications
+        applications += x.shape[1]
+        return lu.solve(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        lobpcg(a, x0[:, None], B=m, M=precondition, tol=tol,
+               maxiter=eigensolve._LOBPCG_STEPS, largest=False)
+    return applications
+
+
+class TestKernel:
+    """The in-package single-vector LOBPCG against scipy's block LOBPCG."""
+
+    @KERNEL_SETTINGS
+    @given(convex_polygons(), SIGMAS)
+    def test_own_lu_run_lands_on_the_tight_value(self, dom, sigma):
+        k, b, m, order = polygon_operators(dom)
+        a = k + sigma * b
+        res = eigensolve.smallest_eigs(a, m, order=order)
+        tight = tight_value(a, m)
+        assert abs(res.value - tight) <= 1e-12 * max(abs(tight), 1.0)
+
+    @KERNEL_SETTINGS
+    @given(convex_polygons(), SIGMAS, st.sampled_from([0.5, 2.0, 10.0]))
+    def test_takes_at_most_one_application_more_than_scipy(self, dom, sigma, ratio):
+        # a family member: preconditioned by a nearby pencil's LU, started
+        # from that pencil's LU^-1 M 1, stopped at the family tolerance
+        k, b, m, order = polygon_operators(dom)
+        a = k + sigma * b
+        _, lu = eigensolve.shifted_factor(k + ratio * sigma * b, m, order=order)
+        x0 = lu.solve(m @ np.ones(a.shape[0]))
+        tol = eigensolve.DEFAULT_TOL * max(float(abs(a).sum(axis=1).max()), 1.0)
+        try:
+            own = eigensolve._lobpcg(a, m, lu, x0, tol)[1]
+        except ConvergenceError as exc:
+            own = exc.diagnostics["iterations"]
+        assert own <= scipy_applications(a, m, lu, x0, tol) + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_preconditioner_output_raises_without_warnings(self, bad):
+        a, m, order = robin_pencil(geometry.unit_square(), 3, 1.0)
+        tau, lu = eigensolve.shifted_factor(a, m, order=order)
+
+        class Broken:
+            def solve(self, b):
+                return np.full_like(b, bad)
+
+        guess = lu.solve(m @ np.ones(a.shape[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as info:
+                eigensolve.smallest_eigs(a, m, start=((tau, Broken()), guess))
+        diag = info.value.diagnostics
+        assert set(diag) == TestFailureDiagnostics.KEYS
+        assert diag["iterations"] == 1 and diag["residual"] > diag["bound"]
+
+    def test_square_l7_scale_grid_needs_no_fallback(self, monkeypatch):
+        # the benchmark's grid: its eps = 1000 member takes 39 of the 40
+        # applications allowed.  On the coarser squares of levels 5 and 6
+        # that member needs more than 40 and falls back, as it did under
+        # scipy's LOBPCG.
+        families = []
+        init = eigensolve.NearbyPencils.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            families.append(self)
+
+        monkeypatch.setattr(eigensolve.NearbyPencils, "__init__", recorded)
+        mesh = cli._mesh_at_level(geometry.unit_square(), 7, None)
+        bounds.scaling_table(mesh, SigmaField.constant(1.0),
+                             [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3])
+        (family,) = families
+        assert family.fallbacks == 0
+
+
 class TestFailureDiagnostics:
     """A LOBPCG breakdown, a run over the step cap and a result over the
     gate report the same diagnostics."""
@@ -232,7 +332,7 @@ class TestStart:
         guess = factor[1].solve(m @ np.ones(a.shape[0]))
         start = (factor, None) if which == "pair-without-guess" else (None, guess)
         solves = []
-        monkeypatch.setattr(eigensolve, "lobpcg", lambda *args, **kw: solves.append(args))
+        monkeypatch.setattr(eigensolve, "_lobpcg", lambda *args, **kw: solves.append(args))
         monkeypatch.setattr(eigensolve.scipy.linalg, "eigh",
                             lambda *args, **kw: solves.append(args))
         with pytest.raises(ArgumentError):

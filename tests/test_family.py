@@ -4,7 +4,7 @@ one shared shifted LU.
 A family must reproduce each member's solve on its own LU (which replaced
 shift-invert ARPACK, hence the class name), fall back to that solve (and
 take its LU as the reference) where its reference is poor, keep to one
-factorization per family, and keep LOBPCG's warnings to itself.
+factorization per family, and raise no warnings.
 """
 
 import warnings

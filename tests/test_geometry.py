@@ -737,3 +737,14 @@ class TestGammaArclength:
         back = geometry.read_mesh(path)
         assert not np.array_equal(back.boundary, mesh.boundary)
         assert_arclength_matches_walk(back)
+
+    @pytest.mark.parametrize("sides", [(0, 2), (0, 1, 2, 3)], ids=["open", "closed"])
+    def test_repeated_edges_match_the_walk(self, sides):
+        # a boundary that lists some gamma edges twice, once reversed, counts
+        # each repeat in the degrees that find the chain endpoints
+        mesh = square_mesh(2, gamma=geometry.gamma_sides(*sides))
+        gamma = np.flatnonzero(mesh.boundary_markers == geometry.GAMMA)[::3]
+        boundary = np.vstack([mesh.boundary, mesh.boundary[gamma, ::-1]])
+        markers = np.concatenate([mesh.boundary_markers, mesh.boundary_markers[gamma]])
+        assert_arclength_matches_walk(geometry.Mesh(mesh.dim, mesh.nodes, mesh.elements,
+                                                    boundary, markers))
