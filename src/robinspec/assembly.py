@@ -84,10 +84,10 @@ class SigmaField:
         return cls("nodal", values=np.asarray(values, dtype=float), support=support)
 
     @classmethod
-    def on_gamma(cls, mesh: Mesh, value: float) -> "SigmaField":
-        """Constant on the gamma subset, zero on the rest of the boundary."""
-        vals = np.where(mesh.boundary_markers == GAMMA, float(value), 0.0)
-        return cls.per_edge(vals)
+    def on_gamma(cls, value: float) -> "SigmaField":
+        """Constant on the gamma subset of any mesh's boundary, zero on the
+        rest of it."""
+        return cls("constant", value=float(value), support="gamma")
 
     def edge_values(self, mesh: Mesh) -> np.ndarray:
         """Per-facet (value_at_first_node, value_at_second_node) pairs."""
@@ -186,11 +186,6 @@ def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField) -> sp.csr_matrix:
     cols = np.concatenate([i0, i1, i1, i0])
     data = np.concatenate([b00, b11, b01, b01])
     return _symmetrize(sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr())
-
-
-def gamma_edge_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Unweighted boundary mass over gamma facets (flux-recovery weight)."""
-    return assemble_boundary_mass(mesh, SigmaField("constant", value=1.0, support="gamma"))
 
 
 # ---------------------------------------------------------------------------

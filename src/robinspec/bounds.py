@@ -137,16 +137,7 @@ def unit_ball_dirichlet_eigenvalue(n: int) -> float:
         x_next = x + step
         f_next = bessel_j(nu, x_next)
         if (f_prev > 0) and (f_next <= 0):
-            lo, hi = x, x_next
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):
-                    break
-                if bessel_j(nu, mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
+            root = exact1d._bisect(lambda t: bessel_j(nu, t), x, x_next)
             return root * root
         x, f_prev = x_next, f_next
     raise ArgumentError(f"no Bessel zero found below {_BESSEL_XMAX} for nu={nu}")

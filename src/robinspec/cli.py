@@ -100,22 +100,20 @@ def _mesh_at_level(domain: DomainSpec, level: int, target_h: Optional[float]):
     return mesh
 
 
-def _sigma_from(opts: dict, mesh) -> SigmaField:
+def _sigma_from(opts: dict) -> SigmaField:
+    """The boundary coefficient the options give, the same on every mesh of
+    the domain: --sigma-a/--sigma-b at an interval's ends (its two boundary
+    facets, left then right, on every interval mesh), else --sigma on gamma."""
     if opts["domain"] == "interval" and (opts.get("sigma_a") is not None
                                          or opts.get("sigma_b") is not None):
-        vals = np.zeros(mesh.num_nodes)
-        left = mesh.boundary[0, 0]
-        right = mesh.boundary[1, 0]
-        vals[left] = opts.get("sigma_a") or 0.0
-        vals[right] = opts.get("sigma_b") or 0.0
-        return SigmaField.nodal(vals)
+        return SigmaField.per_edge([opts.get("sigma_a") or 0.0, opts.get("sigma_b") or 0.0])
     value = opts.get("sigma")
     if value is None:
         raise ArgumentError("a sigma value is required (--sigma or --sigma-a/--sigma-b)")
     (sigma,) = _numbers(value, "sigma", count=1)
     if opts["gamma"] == "all":
         return SigmaField.constant(sigma)
-    return SigmaField.on_gamma(mesh, sigma)
+    return SigmaField.on_gamma(sigma)
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -148,7 +146,7 @@ def _pool_map(fn, items):
 def cmd_solve(opts: dict) -> int:
     domain = _domain_from(opts)
     mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
-    sigma = _sigma_from(opts, mesh)
+    sigma = _sigma_from(opts)
     res = robin.lowest_eigenvalue(mesh, sigma)
     h = geometry.max_element_diameter(mesh)
     payload = {
@@ -211,7 +209,7 @@ def cmd_bounds(opts: dict) -> int:
 def cmd_scaling(opts: dict) -> int:
     domain = _domain_from(opts)
     mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
-    sigma = _sigma_from(opts, mesh)
+    sigma = _sigma_from(opts)
     eps_grid = _parse_grid(opts["eps"])
     table = bounds.scaling_table(mesh, sigma, eps_grid)
     shrink, expand = bounds.scaling_limits(mesh, sigma)
@@ -254,7 +252,7 @@ def cmd_converge(opts: dict) -> int:
     values = []
     hs = []
     dofs = []
-    for mesh, res in robin.refinement_levels(base, levels, lambda mesh: _sigma_from(opts, mesh)):
+    for mesh, res in robin.refinement_levels(base, levels, _sigma_from(opts)):
         values.append(res.value)
         hs.append(geometry.max_element_diameter(mesh))
         dofs.append(mesh.num_nodes)

@@ -87,7 +87,15 @@ class EigResult:
 
 
 def _inf_norm_estimate(a: sp.spmatrix) -> float:
-    return float(np.max(np.abs(a).sum(axis=1))) if a.shape[0] else 0.0
+    """max_i sum_j |a_ij|, 0 without entries.  The row sums are the ones
+    `np.abs(a).sum(axis=1)` gives on CSR, without copying the matrix:
+    `reduceat` over the starts of the non-empty rows only, as it would
+    mis-sum an empty row and fail on a trailing one."""
+    a = sp.csr_matrix(a)
+    filled = np.flatnonzero(np.diff(a.indptr))
+    if len(filled) == 0:
+        return 0.0
+    return float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[filled])))
 
 
 class _OrderedLU:
@@ -127,6 +135,7 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
     (b.x < 0) reveals an indefinite matrix.  order is a fill-reducing
     permutation of a's rows and columns (see the module docstring).
     """
+    norm_a = _inf_norm_estimate(a)
     a = sp.csc_matrix(a)
     b = np.asarray(b, dtype=float)
     try:
@@ -137,7 +146,6 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
-    norm_a = _inf_norm_estimate(a)
     for _ in range(5):
         res = np.linalg.norm(b - a @ x)
         if res <= 1e-12 * norm_b:

@@ -140,15 +140,17 @@ def _signed_area(verts) -> float:
     return 0.5 * s
 
 
+def _orient(a, b, c) -> float:
+    """Twice the signed area of the triangle abc: positive when ccw."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def _segments_intersect(p, q, r, s) -> bool:
     """Proper intersection test for open segments pq and rs."""
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(r, s, p)
-    d2 = orient(r, s, q)
-    d3 = orient(p, q, r)
-    d4 = orient(p, q, s)
+    d1 = _orient(r, s, p)
+    d2 = _orient(r, s, q)
+    d3 = _orient(p, q, r)
+    d4 = _orient(p, q, s)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
@@ -316,9 +318,7 @@ def _initial_disk_mesh(domain: DomainSpec) -> Mesh:
 
 
 def _point_in_triangle(p, a, b, c, eps) -> bool:
-    def orient(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
-    return (orient(a, b, p) > eps and orient(b, c, p) > eps and orient(c, a, p) > eps)
+    return (_orient(a, b, p) > eps and _orient(b, c, p) > eps and _orient(c, a, p) > eps)
 
 
 def _ear_clip(verts: np.ndarray):
@@ -334,8 +334,7 @@ def _ear_clip(verts: np.ndarray):
         for k in range(m):
             i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
             a, b, c = verts[i0], verts[i1], verts[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= eps:  # reflex or collinear corner: not an ear
+            if _orient(a, b, c) <= eps:  # reflex or collinear corner: not an ear
                 continue
             others = (verts[j] for j in idx if j not in (i0, i1, i2))
             if any(_point_in_triangle(p, a, b, c, -eps) for p in others):

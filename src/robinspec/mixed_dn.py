@@ -255,7 +255,7 @@ class MixedProblem:
         ones = np.ones(self.mesh.num_nodes)
         residual = (self.stiffness @ u - xi * (self.mass_matrix @ u)
                     - self.mass_matrix @ ones)
-        w = assembly.gamma_edge_mass(self.mesh)
+        w = assembly.assemble_boundary_mass(self.mesh, SigmaField.on_gamma(1.0))
         g_idx = self.fixed
         weights = np.asarray(w[g_idx][:, g_idx].sum(axis=1)).ravel()
         flux = residual[g_idx] / weights

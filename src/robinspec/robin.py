@@ -4,7 +4,7 @@ shrinking-support sweep."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -45,17 +45,19 @@ def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
 
 
 def refinement_levels(base: Mesh, levels: int,
-                      sigma_of: Callable[[Mesh], SigmaField]) -> Iterator[Tuple[Mesh, RobinResult]]:
+                      sigma: SigmaField) -> Iterator[Tuple[Mesh, RobinResult]]:
     """(mesh, lowest Robin eigenpair) on each of `levels` successive
-    refinements of base, solved as one chain of `NearbyPencils`; sigma_of(mesh)
-    is the boundary coefficient on a mesh.  Each value is the one
-    `lowest_eigenvalue` gives on its mesh, up to the eigensolver's gate."""
+    refinements of base, solved as one chain of `NearbyPencils` with the
+    boundary coefficient sigma on every level.  sigma must fit every level:
+    a constant field, or a per-facet one on an interval, whose refinements
+    keep its two facets.  Each value is the one `lowest_eigenvalue` gives
+    on its mesh, up to the eigensolver's gate."""
     chain = NearbyPencils(base.dim)
     mesh = base
     for _ in range(levels):
         mesh, p = geometry.refine_with_prolongation(mesh)
         ops = assembly.operators(mesh)
-        b = assembly.assemble_boundary_mass(mesh, sigma_of(mesh))
+        b = assembly.assemble_boundary_mass(mesh, sigma)
         res = chain.lowest(ops.stiffness + b, ops.mass, lambda: ops.order, p)
         yield mesh, _robin_result(mesh, res)
 

@@ -117,7 +117,7 @@ def test_criterion_06_fixed_mesh_scaling_limits():
     ]
     for mesh, sigma, label in cases:
         if sigma is None:
-            sigma = SigmaField.on_gamma(mesh, 1.0)
+            sigma = SigmaField.on_gamma(1.0)
         shrink, expand = bounds.scaling_limits(mesh, sigma)
         rows = bounds.scaling_table(mesh, sigma, eps_grid)
         assert abs(rows[0].eps_eigenvalue - shrink) / shrink <= 0.02, label

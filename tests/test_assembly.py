@@ -105,7 +105,7 @@ class TestBoundaryMass:
     def test_one_side_mass(self):
         mesh = square_mesh(2, gamma=geometry.gamma_sides(0))
         m_target = 7.0
-        b = assembly.assemble_boundary_mass(mesh, SigmaField.on_gamma(mesh, m_target))
+        b = assembly.assemble_boundary_mass(mesh, SigmaField.on_gamma(m_target))
         ones = np.ones(mesh.num_nodes)
         assert abs(ones @ (b @ ones) - m_target) < 1e-12
 

@@ -268,7 +268,7 @@ class TestScaling:
 
     def test_one_side_gamma(self):
         mesh = square_mesh(3, gamma=geometry.gamma_sides(0))
-        sigma = SigmaField.on_gamma(mesh, 1.0)
+        sigma = SigmaField.on_gamma(1.0)
         shrink, expand = bounds.scaling_limits(mesh, sigma)
         assert abs(shrink - 1.0) <= 1e-12
         rows = bounds.scaling_table(mesh, sigma, [1e-3, 1e3])
@@ -282,7 +282,7 @@ class TestScaling:
         interval_mesh(64, gamma=geometry.gamma_sides(1)),
     ], ids=["square-all", "square-edges-0-1", "disk-arc", "interval-one-end"])
     def test_expand_limit_is_the_pinned_ground_value(self, mesh):
-        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1] \
+        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(1.0))[1] \
             == mixed_dn.MixedProblem(mesh).ground.value
 
     @settings(max_examples=15, derandomize=True, deadline=None,
@@ -292,18 +292,18 @@ class TestScaling:
         sides = data.draw(st.sets(st.integers(0, len(dom.vertices) - 1), min_size=1))
         dom = geometry.polygon(dom.vertices, gamma=geometry.gamma_sides(*sides))
         mesh = refined(geometry.build_mesh(dom, 0.5), 1)
-        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1] \
+        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(1.0))[1] \
             == mixed_dn.MixedProblem(mesh).ground.value
 
     def test_limits_build_no_pinned_problem(self, monkeypatch):
         mesh = square_mesh(3, gamma=geometry.gamma_sides(0))
-        expand = bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1]
+        expand = bounds.scaling_limits(mesh, SigmaField.on_gamma(1.0))[1]
 
         def refuse(self, mesh):
             raise AssertionError("scaling_limits built a MixedProblem")
 
         monkeypatch.setattr(mixed_dn.MixedProblem, "__init__", refuse)
-        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(mesh, 1.0))[1] == expand
+        assert bounds.scaling_limits(mesh, SigmaField.on_gamma(1.0))[1] == expand
 
     def test_higher_eigenvalues_bracketed(self, square_l3):
         # the rescaled pencil's eigenvalues stay between the pinned and free

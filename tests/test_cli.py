@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robinspec
-from robinspec import cli, eigensolve, exact1d, geometry, schema
+from robinspec import assembly, cli, eigensolve, exact1d, geometry, schema
+from robinspec.assembly import SigmaField
 from robinspec.errors import ConvergenceError
+from robinspec.geometry import GAMMA
 
 
 def run_cli(args, capsys):
@@ -123,6 +125,53 @@ class TestTables:
         lines = out.splitlines()
         orders = [float(r.split(",")[5]) for r in lines[1:] if r.split(",")[5]]
         assert all(1.8 <= p <= 2.2 for p in orders)
+
+
+def cli_options(argv):
+    """The options `solve` runs with under the given flags."""
+    return cli._merge_options(cli.build_parser().parse_args(["solve"] + argv))
+
+
+def assert_same_boundary_mass(mesh, sigma, reference):
+    got = assembly.assemble_boundary_mass(mesh, sigma)
+    want = assembly.assemble_boundary_mass(mesh, reference)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestMeshFreeSigma:
+    """The CLI's boundary coefficients take no mesh, yet assemble the same
+    B, entry for entry, as the per-mesh fields built before: a per-facet
+    field zero off gamma, and a nodal field at an interval's two ends."""
+
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("argv", [
+        ["--domain", "square", "--gamma", "edges=0,2", "--sigma", "2"],
+        ["--domain", "disk", "--gamma", "arc=0:3.14159", "--sigma", "1"],
+        ["--domain", "disk", "--gamma", "arc=1:4,5:6", "--sigma", "0.3"],
+        ["--domain", "triangle", "--gamma", "edges=1", "--sigma", "5"],
+    ], ids=["square-sides", "disk-arc", "disk-arcs", "triangle-side"])
+    def test_on_gamma_matches_the_per_facet_field(self, argv, level):
+        opts = cli_options(argv)
+        mesh = cli._mesh_at_level(cli._domain_from(opts), level, None)
+        value = float(opts["sigma"])
+        reference = SigmaField.per_edge(np.where(mesh.boundary_markers == GAMMA, value, 0.0))
+        assert_same_boundary_mass(mesh, cli._sigma_from(opts), reference)
+        assert_same_boundary_mass(mesh, SigmaField.on_gamma(value), reference)
+
+    @pytest.mark.parametrize("level, target_h",
+                             [(lvl, None) for lvl in range(11)] + [(0, 0.3), (6, 0.3), (3, 0.07)])
+    @pytest.mark.parametrize("ends", [["--sigma-a", "1", "--sigma-b", "2"], ["--sigma-a", "3"],
+                                      ["--sigma-b", "2"]], ids=["both", "left", "right"])
+    def test_interval_ends_match_the_nodal_field(self, ends, level, target_h):
+        opts = cli_options(["--domain", "interval", "--a", "-0.5", "--b", "2"] + ends)
+        mesh = cli._mesh_at_level(cli._domain_from(opts), level, target_h)
+        # the two boundary facets are the left and the right end, in order
+        assert mesh.nodes[mesh.boundary[:, 0], 0].tolist() == [-0.5, 2.0]
+        vals = np.zeros(mesh.num_nodes)
+        vals[mesh.boundary[0, 0]] = opts["sigma_a"] or 0.0
+        vals[mesh.boundary[1, 0]] = opts["sigma_b"] or 0.0
+        assert_same_boundary_mass(mesh, cli._sigma_from(opts), SigmaField.nodal(vals))
 
 
 class TestMeshExport:

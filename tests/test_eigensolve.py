@@ -340,6 +340,44 @@ class TestStart:
         assert solves == []
 
 
+def copied_inf_norm(a):
+    """The infinity norm as `_inf_norm_estimate` took it before, by summing
+    the rows of a copy of |A|."""
+    return float(np.max(np.abs(a).sum(axis=1))) if a.shape[0] else 0.0
+
+
+class TestInfNorm:
+    """`_inf_norm_estimate` sums |A|'s rows without copying A, to the same
+    bits as the copy."""
+
+    @pytest.mark.parametrize("domain, level", [
+        (geometry.unit_square(gamma=geometry.gamma_sides(0)), 5),
+        (geometry.disk((0.0, 0.0), 1.0, 16, gamma=geometry.gamma_arcs([(0.0, 3.0)])), 4),
+        (geometry.interval(0.0, 1.0), 8),
+        (geometry.polygon([(0, 0), (1, 0), (0, 1)], gamma=geometry.gamma_sides(1)), 4),
+    ], ids=["square", "disk", "interval", "triangle"])
+    def test_mesh_pencils(self, domain, level):
+        mesh = cli._mesh_at_level(domain, level, None)
+        ops = assembly.operators(mesh)
+        mats = [ops.mass, *ops.restrict(geometry.gamma_nodes(mesh))[1:]]
+        for sigma in (0.0, 1e-3, 1.0, 1e3):
+            b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(sigma))
+            mats += [(ops.stiffness + b) / eps ** 2 for eps in (1e-3, 1.0, 1e3)]
+        for a in mats:
+            assert eigensolve._inf_norm_estimate(a) == copied_inf_norm(a)
+
+    def test_empty_rows(self):
+        # rows 0, 2, 3 and 5 are empty: leading, interior and trailing
+        a = sp.csr_matrix(([3.0, -1.5, 0.25, -7.0, 2.0], ([1, 1, 4, 4, 4], [0, 5, 1, 2, 3])),
+                          shape=(6, 6))
+        assert eigensolve._inf_norm_estimate(a) == copied_inf_norm(a) == 9.25
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3)])
+    def test_matrices_without_entries(self, shape):
+        a = sp.csr_matrix(shape)
+        assert eigensolve._inf_norm_estimate(a) == copied_inf_norm(a) == 0.0
+
+
 class TestRayleighQuotient:
     # on the interval with 1024 elements the LU's rounding is 1e-10
     # relative; the vector's quotient does not follow it

@@ -132,7 +132,7 @@ def test_refinement_chain_matches_per_level_solves(domain, log_sigma):
     sigma = SigmaField.constant(10.0 ** log_sigma)
     base = geometry.build_mesh(domain, 0.5)
     sizes = []
-    for mesh, res in robin.refinement_levels(base, 4, lambda mesh: sigma):
+    for mesh, res in robin.refinement_levels(base, 4, sigma):
         want = robin.lowest_eigenvalue(mesh, sigma).value
         # relative to max(lambda, 1): near sigma = 0 the chain's stop, which
         # is absolute, leaves about 1e-14 (6e-12 relative at sigma = 1e-3)

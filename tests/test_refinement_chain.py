@@ -114,7 +114,7 @@ class TestVCycle:
 class TestChain:
     @pytest.mark.parametrize("name", sorted(DOMAINS))
     def test_meshes_are_the_per_level_meshes(self, name):
-        chain = robin.refinement_levels(level(name, 0), 4, lambda m: SigmaField.constant(1.0))
+        chain = robin.refinement_levels(level(name, 0), 4, SigmaField.constant(1.0))
         for lvl, (mesh, _) in enumerate(chain, start=1):
             want = level(name, lvl)
             assert mesh.level == want.level == lvl
@@ -145,7 +145,7 @@ class TestChain:
     def test_values_match_per_level_solves(self, name):
         sigma = SigmaField.constant(1.0)
         top = 8 if name == "interval" else 4
-        for mesh, res in robin.refinement_levels(level(name, 0), top, lambda m: sigma):
+        for mesh, res in robin.refinement_levels(level(name, 0), top, sigma):
             want = robin.lowest_eigenvalue(mesh, sigma)
             assert abs(res.value - want.value) <= 1e-12 * want.value
             # positive mean, like lowest_eigenvalue's eigenfunction
@@ -172,7 +172,7 @@ class TestStickyFallback:
         monkeypatch.setattr(robin, "NearbyPencils", Recorded)
         sigma = SigmaField.constant(1.0)
         base = cli._mesh_at_level(STIFF[name], 0, None)
-        results = list(robin.refinement_levels(base, 6, lambda m: sigma))
+        results = list(robin.refinement_levels(base, 6, sigma))
         (chain,) = chains
         assert chain.fallbacks == 1
         # the first level above dense size, then every level from the one
