@@ -59,11 +59,15 @@ class SigmaField:
 
     def __post_init__(self):
         if self.kind == "constant":
+            if not np.isfinite(self.value):
+                raise ArgumentError(f"sigma must be finite, got {self.value}")
             if self.value < 0:
                 raise ArgumentError(f"sigma must be nonnegative, got {self.value}")
         elif self.kind in ("per_edge", "nodal"):
             if self.values is None:
                 raise ArgumentError(f"{self.kind} sigma needs a value array")
+            if not np.all(np.isfinite(self.values)):
+                raise ArgumentError("sigma must be finite everywhere")
             if np.any(np.asarray(self.values) < 0):
                 raise ArgumentError("sigma must be nonnegative everywhere")
         else:

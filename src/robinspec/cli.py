@@ -92,7 +92,7 @@ def _domain_from(opts: dict) -> DomainSpec:
 
 def _mesh_at_level(domain: DomainSpec, level: int, target_h: Optional[float]):
     """The base mesh of target_h, or the unrefined base mesh without one,
-    refined level times."""
+    refined level times; the result carries the hierarchy (`Mesh.coarse`)."""
     mesh = build_mesh(domain, math.inf if target_h is None else target_h)
     geometry.check_refinement(mesh, level)
     for _ in range(level):
@@ -241,18 +241,14 @@ def cmd_hardy(opts: dict) -> int:
 
 
 def cmd_converge(opts: dict) -> int:
-    """Levels 1..--levels of one refinement chain.  order is log2 of the
-    ratio of successive diffs; it is left empty when either diff is within
-    `eigensolve.eigenvalue_floor` of its eigenvalue, where the difference is
-    round-off rather than discretization error."""
+    """Levels 1..--levels of the hierarchy `_mesh_at_level` builds.  order
+    is log2 of the ratio of successive diffs; it is left empty when either
+    diff is within `eigensolve.eigenvalue_floor` of its eigenvalue, where
+    the difference is round-off rather than discretization error."""
     domain = _domain_from(opts)
-    levels = opts["levels"]
-    base = _mesh_at_level(domain, 0, opts.get("target_h"))
-    geometry.check_refinement(base, levels)
-    values = []
-    hs = []
-    dofs = []
-    for mesh, res in robin.refinement_levels(base, levels, _sigma_from(opts)):
+    finest = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
+    values, hs, dofs = [], [], []
+    for mesh, res in robin.refinement_levels(finest, _sigma_from(opts)):
         values.append(res.value)
         hs.append(geometry.max_element_diameter(mesh))
         dofs.append(mesh.num_nodes)

@@ -180,6 +180,8 @@ class Mesh:
     boundary_markers: (Nb,) int, 1 on the gamma subset, 0 elsewhere.
     projection: optional circle (cx, cy, r) onto which boundary nodes are
         snapped after refinement (disk domains only).
+    coarse: (mesh, P) on a mesh made by `refine`: the mesh it refines and
+        the P1 interpolation P from it; None on a base mesh, of level 0.
     """
 
     dim: int
@@ -187,12 +189,20 @@ class Mesh:
     elements: np.ndarray
     boundary: np.ndarray
     boundary_markers: np.ndarray
-    level: int = 0
     projection: Optional[tuple] = None
+    coarse: Optional[Tuple["Mesh", sp.csr_matrix]] = None
 
     def __post_init__(self):
-        for arr in (self.nodes, self.elements, self.boundary, self.boundary_markers):
+        arrays = [self.nodes, self.elements, self.boundary, self.boundary_markers]
+        if self.coarse is not None:
+            p = self.coarse[1]
+            arrays += [p.data, p.indices, p.indptr]
+        for arr in arrays:
             arr.setflags(write=False)
+
+    @property
+    def level(self) -> int:
+        return 0 if self.coarse is None else self.coarse[0].level + 1
 
     @property
     def num_nodes(self) -> int:
@@ -207,13 +217,13 @@ class Mesh:
                 f"elements={self.num_elements}, level={self.level})")
 
 
-def _make_mesh(dim, nodes, elements, boundary, markers, level=0, projection=None) -> Mesh:
+def _make_mesh(dim, nodes, elements, boundary, markers, projection=None, coarse=None) -> Mesh:
     return Mesh(dim,
                 np.ascontiguousarray(nodes, dtype=float),
                 np.ascontiguousarray(elements, dtype=np.int64),
                 np.ascontiguousarray(boundary, dtype=np.int64),
                 np.ascontiguousarray(markers, dtype=np.int64),
-                level=level, projection=projection)
+                projection=projection, coarse=coarse)
 
 
 def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
@@ -242,7 +252,7 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
         check_refinement(mesh, 1)
         mesh = refine(mesh)
     return _make_mesh(mesh.dim, mesh.nodes, mesh.elements, mesh.boundary,
-                      mesh.boundary_markers, level=0, projection=mesh.projection)
+                      mesh.boundary_markers, projection=mesh.projection)
 
 
 def _build_interval(domain: DomainSpec, target_h: float) -> Mesh:
@@ -353,32 +363,20 @@ def refine(mesh: Mesh) -> Mesh:
     """Uniform refinement: 1D bisection, 2D red refinement (4 children).
 
     Boundary markers are inherited by child edges; on disk meshes the new
-    boundary midpoints are projected back onto the circle.
+    boundary midpoints are projected back onto the circle.  The result's
+    coarse is (mesh, P), with P the sparse P1 interpolation onto it: the
+    identity on the old nodes and the mean of its edge's two ends at each
+    midpoint.  On a disk the projected midpoints lie outside the coarse
+    mesh, so there P reproduces constants but not linear functions.
     """
-    return _refine(mesh)[0]
-
-
-def refine_with_prolongation(mesh: Mesh) -> Tuple[Mesh, sp.csr_matrix]:
-    """(refine(mesh), P): P is the P1 interpolation from the mesh onto the
-    refined mesh, a sparse (refined nodes x nodes) matrix: the identity on
-    the old nodes and the mean of its edge's two ends at each midpoint.  On
-    a disk the boundary midpoints are projected onto the circle, outside
-    the coarse mesh; they take the mean too, so there P reproduces
-    constants but not linear functions."""
-    fine, ends = _refine(mesh)
+    nodes, elements, boundary, markers, ends = (_refine_1d if mesh.dim == 1 else _refine_2d)(mesh)
     nv, ne = mesh.num_nodes, len(ends)
     rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
     cols = np.concatenate([np.arange(nv), ends.ravel()])
     data = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-    return fine, sp.csr_matrix((data, (rows, cols)), shape=(fine.num_nodes, nv))
-
-
-def _refine(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
-    """(refined mesh, ends): the midpoint of edge i is the refined mesh's
-    node num_nodes + i, halfway between the nodes ends[i]."""
-    if mesh.dim == 1:
-        return _refine_1d(mesh)
-    return _refine_2d(mesh)
+    p = sp.csr_matrix((data, (rows, cols)), shape=(len(nodes), nv))
+    return _make_mesh(mesh.dim, nodes, elements, boundary, markers,
+                      projection=mesh.projection, coarse=(mesh, p))
 
 
 def check_refinement(mesh: Mesh, levels: int) -> None:
@@ -403,8 +401,10 @@ def check_refinement(mesh: Mesh, levels: int) -> None:
                 f"exceed the budget of {_MAX_NODES} nodes")
 
 
-def _refine_1d(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
-    """Bisection; the edges are the elements, in their order."""
+def _refine_1d(mesh: Mesh):
+    """(nodes, elements, boundary, markers, ends) of the bisected mesh: the
+    midpoint of edge i is node num_nodes + i, halfway between the nodes
+    ends[i]; the edges are the elements, in their order."""
     nodes = mesh.nodes[:, 0]
     elems = mesh.elements
     mids = 0.5 * (nodes[elems[:, 0]] + nodes[elems[:, 1]])
@@ -413,12 +413,12 @@ def _refine_1d(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
     left = np.column_stack([elems[:, 0], mid_idx])
     right = np.column_stack([mid_idx, elems[:, 1]])
     new_elems = np.vstack([left, right])
-    return _make_mesh(1, new_nodes, new_elems, mesh.boundary, mesh.boundary_markers,
-                      level=mesh.level + 1, projection=mesh.projection), elems
+    return new_nodes, new_elems, mesh.boundary, mesh.boundary_markers, elems
 
 
-def _refine_2d(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
-    """Red refinement.  Edge midpoints are numbered after the old nodes in
+def _refine_2d(mesh: Mesh):
+    """(nodes, elements, boundary, markers, ends) of the red refinement, as
+    for `_refine_1d`.  Edge midpoints are numbered after the old nodes in
     the order their edges first occur, element by element, along the sides
     (v0, v1), (v1, v2), (v2, v0)."""
     elems = np.asarray(mesh.elements, dtype=np.int64)
@@ -458,8 +458,7 @@ def _refine_2d(mesh: Mesh) -> Tuple[Mesh, np.ndarray]:
         norm = np.hypot(vec[:, 0], vec[:, 1])
         nodes[bnodes] = (cx, cy) + vec * (r / norm)[:, None]
 
-    return _make_mesh(2, nodes, children, new_bdry, new_marks,
-                      level=mesh.level + 1, projection=mesh.projection), ends
+    return nodes, children, new_bdry, new_marks, ends
 
 
 # ---------------------------------------------------------------------------

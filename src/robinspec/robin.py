@@ -26,7 +26,6 @@ class RobinResult:
     value: float
     eigenfunction: np.ndarray
     residual: float
-    level: int
 
 
 def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField) -> RobinResult:
@@ -41,24 +40,25 @@ def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
     psi = res.vector.copy()
     if float(np.ones(len(psi)) @ (assembly.operators(mesh).mass @ psi)) < 0.0:
         psi = -psi
-    return RobinResult(res.value, psi, res.residual, mesh.level)
+    return RobinResult(res.value, psi, res.residual)
 
 
-def refinement_levels(base: Mesh, levels: int,
+def refinement_levels(mesh: Mesh,
                       sigma: SigmaField) -> Iterator[Tuple[Mesh, RobinResult]]:
-    """(mesh, lowest Robin eigenpair) on each of `levels` successive
-    refinements of base, solved as one chain of `NearbyPencils` with the
-    boundary coefficient sigma on every level.  sigma must fit every level:
-    a constant field, or a per-facet one on an interval, whose refinements
-    keep its two facets.  Each value is the one `lowest_eigenvalue` gives
-    on its mesh, up to the eigensolver's gate."""
-    chain = NearbyPencils(base.dim)
-    mesh = base
-    for _ in range(levels):
-        mesh, p = geometry.refine_with_prolongation(mesh)
+    """(mesh, lowest Robin eigenpair) on levels 1..mesh.level of mesh's
+    hierarchy, coarsest first: one chain of `NearbyPencils` given each
+    level's prolongation, with sigma on every level.  sigma must fit every
+    level: a constant field, or a per-facet one on an interval, whose
+    refinements keep its two facets.  Each value is the one
+    `lowest_eigenvalue` gives on its mesh, up to the eigensolver's gate."""
+    hierarchy = [mesh]
+    while hierarchy[-1].coarse is not None:
+        hierarchy.append(hierarchy[-1].coarse[0])
+    chain = NearbyPencils(mesh.dim)
+    for mesh in reversed(hierarchy[:-1]):
         ops = assembly.operators(mesh)
         b = assembly.assemble_boundary_mass(mesh, sigma)
-        res = chain.lowest(ops.stiffness + b, ops.mass, lambda: ops.order, p)
+        res = chain.lowest(ops.stiffness + b, ops.mass, lambda: ops.order, mesh.coarse[1])
         yield mesh, _robin_result(mesh, res)
 
 

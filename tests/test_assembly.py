@@ -115,6 +115,17 @@ class TestBoundaryMass:
         with pytest.raises(ArgumentError):
             SigmaField.nodal([-0.1, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [
+        SigmaField.constant,
+        SigmaField.on_gamma,
+        lambda v: SigmaField.per_edge([1.0, v]),
+        lambda v: SigmaField.nodal([0.0, v, 2.0]),
+    ], ids=["constant", "on_gamma", "per_edge", "nodal"])
+    def test_non_finite_sigma_rejected(self, make, bad):
+        with pytest.raises(ArgumentError):
+            make(bad)
+
     def test_nodal_linear_edge_rule_exact(self):
         # integral of a linear sigma over one unit edge: trapezoid is exact
         mesh = square_mesh(0)

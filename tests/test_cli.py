@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,26 @@ def run_cli_process(args, cwd, timeout=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
     return subprocess.run([sys.executable, "-m", "robinspec.cli", *args],
                           capture_output=True, cwd=cwd, env=env, timeout=timeout)
+
+
+def readme_cli_examples():
+    """The `robinspec ...` lines of the README's `## CLI` code block, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.partition("\n## CLI\n")[2].partition("```sh\n")[2].partition("```")[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("robinspec ")]
+
+
+class TestReadmeExamples:
+    def test_block_holds_every_command(self):
+        examples = readme_cli_examples()
+        assert len(examples) >= 8
+        assert {argv[0] for argv in examples} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_example_exits_zero(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0, capsys.readouterr().err
 
 
 class TestReproducibility:

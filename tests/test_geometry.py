@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robinspec import bounds, cli, geometry
@@ -277,7 +278,7 @@ def loop_refine_2d(mesh):
         nodes[bnodes] = (cx, cy) + vec * (r / norm)[:, None]
 
     return geometry._make_mesh(2, nodes, children, new_bdry, new_marks,
-                               level=mesh.level + 1, projection=mesh.projection)
+                               projection=mesh.projection)
 
 
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -303,7 +304,7 @@ class TestRefineMatchesLoop:
                 got, want = getattr(fine, field), getattr(ref, field)
                 assert got.dtype == want.dtype, (level, field)
                 np.testing.assert_array_equal(got, want, err_msg=f"level {level} {field}")
-            assert (fine.level, fine.projection) == (ref.level, ref.projection)
+            assert (fine.level, fine.projection) == (mesh.level + 1, ref.projection)
             mesh = fine
 
     def test_boundary_edge_outside_elements_rejected(self):
@@ -312,6 +313,87 @@ class TestRefineMatchesLoop:
                                      [[0, 1, 2], [0, 2, 3]], [[0, 1], [1, 3]], [0, 0])
         with pytest.raises(GeometryError):
             geometry.refine(broken)
+
+
+HIERARCHY = {
+    "square": (geometry.unit_square(), None),
+    "triangle": (geometry.polygon([(0, 0), (1, 0), (0, 1)]), None),
+    "disk": (geometry.disk((0.0, 0.0), 1.0, 16, gamma=geometry.gamma_arcs([(0.0, 2.0)])), None),
+    "l-shape": (geometry.polygon(L_SHAPE, gamma=geometry.gamma_sides(1, 3)), None),
+    "interval": (geometry.interval(0.0, 1.0, gamma=geometry.gamma_sides(0)), None),
+    "square-target-h": (geometry.unit_square(), 0.3),
+}
+HIERARCHY_LEVELS = 3
+
+
+def reference_prolongation(coarse):
+    """The P1 interpolation onto the refinement of coarse: the identity on
+    the old nodes and the mean of its edge's two ends at each midpoint, the
+    midpoints numbered as their edges first occur along the elements' sides
+    (the elements themselves in 1D)."""
+    if coarse.dim == 1:
+        ends = coarse.elements
+    else:
+        sides = dict.fromkeys(tuple(sorted((int(t[i]), int(t[j]))))
+                              for t in coarse.elements for i, j in ((0, 1), (1, 2), (2, 0)))
+        ends = np.array(list(sides), dtype=np.int64)
+    nv, ne = coarse.num_nodes, len(ends)
+    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
+    cols = np.concatenate([np.arange(nv), ends.ravel()])
+    data = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(nv + ne, nv))
+
+
+def hierarchy_levels(name):
+    """The CLI's mesh at HIERARCHY_LEVELS and every mesh below it, finest first."""
+    domain, target_h = HIERARCHY[name]
+    meshes = [cli._mesh_at_level(domain, HIERARCHY_LEVELS, target_h)]
+    while meshes[-1].coarse is not None:
+        meshes.append(meshes[-1].coarse[0])
+    return meshes
+
+
+class TestHierarchy:
+    @pytest.mark.parametrize("name", sorted(HIERARCHY))
+    def test_walk_reaches_the_base_mesh(self, name):
+        meshes = hierarchy_levels(name)
+        assert len(meshes) == HIERARCHY_LEVELS + 1
+        assert [m.level for m in meshes] == list(range(HIERARCHY_LEVELS, -1, -1))
+        domain, target_h = HIERARCHY[name]
+        assert_same_mesh(meshes[-1], cli._mesh_at_level(domain, 0, target_h))
+
+    @pytest.mark.parametrize("name", sorted(HIERARCHY))
+    def test_each_level_is_the_refinement_of_the_one_below(self, name):
+        for fine in hierarchy_levels(name)[:-1]:
+            coarse = fine.coarse[0]
+            again = geometry.refine(coarse)
+            assert again.coarse[0] is coarse
+            assert_same_mesh(fine, again)
+            assert fine.projection == again.projection == coarse.projection
+
+    @pytest.mark.parametrize("name", sorted(HIERARCHY))
+    def test_prolongation_is_the_midpoint_interpolation(self, name):
+        for fine in hierarchy_levels(name)[:-1]:
+            coarse, p = fine.coarse
+            want = reference_prolongation(coarse)
+            assert p.shape == want.shape == (fine.num_nodes, coarse.num_nodes)
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(p, attr), getattr(want, attr), err_msg=attr)
+                assert not getattr(p, attr).flags.writeable, attr
+            with pytest.raises(ValueError):
+                p.data[0] = 2.0
+
+    @pytest.mark.parametrize("name", sorted(HIERARCHY))
+    def test_built_and_read_meshes_carry_no_hierarchy(self, name, tmp_path):
+        domain, _ = HIERARCHY[name]
+        built = geometry.build_mesh(domain, 0.3)
+        if domain.dim == 2:  # the initial mesh was refined inside build_mesh
+            assert built.num_elements > geometry.build_mesh(domain, math.inf).num_elements
+        assert built.coarse is None and built.level == 0
+        path = tmp_path / "mesh.txt"
+        geometry.write_mesh(hierarchy_levels(name)[0], path)
+        back = geometry.read_mesh(path)
+        assert back.coarse is None and back.level == 0
 
 
 class TestMeasures:

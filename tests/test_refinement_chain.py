@@ -1,12 +1,13 @@
 """`converge` as one refinement chain: `NearbyPencils` with a prolongation.
 
-The chain refines one base mesh, factors its first level above dense size
-and solves every finer level by LOBPCG from the prolonged eigenvector of
-the level below, preconditioned by a V-cycle over that one factorization.
-The prolongation must be the P1 interpolation refine implies, the cycle
-must be symmetric positive definite, the chain's meshes must be the ones
-`converge` built level by level, and a level LOBPCG cannot finish must
-fall back, for good, to solving each level on its own LU.
+The chain walks the hierarchy a refined mesh carries, factors its first
+level above dense size and solves every finer level by LOBPCG from the
+prolonged eigenvector of the level below, preconditioned by a V-cycle over
+that one factorization.  The prolongation `refine` stores must be the P1
+interpolation, the cycle must be symmetric positive definite, the chain's
+meshes must be the ones `_mesh_at_level` builds level by level, and a level
+LOBPCG cannot finish must fall back, for good, to solving each level on its
+own LU.
 """
 
 import contextlib
@@ -57,7 +58,8 @@ class TestProlongation:
     @pytest.mark.parametrize("lvl", [0, 1, 2])
     def test_reproduces_linear_functions(self, name, lvl):
         coarse = level(name, lvl)
-        fine, p = geometry.refine_with_prolongation(coarse)
+        fine = geometry.refine(coarse)
+        p = fine.coarse[1]
         assert p.shape == (fine.num_nodes, coarse.num_nodes)
         slope = np.array([0.7, -1.3])[:coarse.dim]
         for f in (lambda x: 2.0 + x @ slope, lambda x: np.ones(len(x))):
@@ -66,7 +68,8 @@ class TestProlongation:
     @pytest.mark.parametrize("lvl", [0, 1, 2])
     def test_reproduces_constants_on_the_disk(self, lvl):
         coarse = level("disk", lvl)
-        fine, p = geometry.refine_with_prolongation(coarse)
+        fine = geometry.refine(coarse)
+        p = fine.coarse[1]
         assert np.array_equal(p @ np.ones(coarse.num_nodes), np.ones(fine.num_nodes))
         # the projected boundary midpoints leave the coarse mesh: not nested
         assert np.abs(p @ coarse.nodes[:, 0] - fine.nodes[:, 0]).max() > 1e-3
@@ -82,10 +85,10 @@ def hierarchy(name, top):
     tau, solver = eigensolve.shifted_factor(a, ops.mass, order=ops.order)
     omega = eigensolve.NearbyPencils(mesh.dim).omega
     for _ in range(1, top):
-        mesh, p = geometry.refine_with_prolongation(mesh)
+        mesh = geometry.refine(mesh)
         ops = assembly.operators(mesh)
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
-        solver = eigensolve._VCycle((a - tau * ops.mass).tocsr(), p, solver, omega)
+        solver = eigensolve._VCycle((a - tau * ops.mass).tocsr(), mesh.coarse[1], solver, omega)
     return a - tau * ops.mass, solver
 
 
@@ -114,7 +117,7 @@ class TestVCycle:
 class TestChain:
     @pytest.mark.parametrize("name", sorted(DOMAINS))
     def test_meshes_are_the_per_level_meshes(self, name):
-        chain = robin.refinement_levels(level(name, 0), 4, SigmaField.constant(1.0))
+        chain = robin.refinement_levels(level(name, 4), SigmaField.constant(1.0))
         for lvl, (mesh, _) in enumerate(chain, start=1):
             want = level(name, lvl)
             assert mesh.level == want.level == lvl
@@ -145,7 +148,7 @@ class TestChain:
     def test_values_match_per_level_solves(self, name):
         sigma = SigmaField.constant(1.0)
         top = 8 if name == "interval" else 4
-        for mesh, res in robin.refinement_levels(level(name, 0), top, sigma):
+        for mesh, res in robin.refinement_levels(level(name, top), sigma):
             want = robin.lowest_eigenvalue(mesh, sigma)
             assert abs(res.value - want.value) <= 1e-12 * want.value
             # positive mean, like lowest_eigenvalue's eigenfunction
@@ -171,8 +174,8 @@ class TestStickyFallback:
 
         monkeypatch.setattr(robin, "NearbyPencils", Recorded)
         sigma = SigmaField.constant(1.0)
-        base = cli._mesh_at_level(STIFF[name], 0, None)
-        results = list(robin.refinement_levels(base, 6, sigma))
+        finest = cli._mesh_at_level(STIFF[name], 6, None)
+        results = list(robin.refinement_levels(finest, sigma))
         (chain,) = chains
         assert chain.fallbacks == 1
         # the first level above dense size, then every level from the one

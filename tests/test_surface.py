@@ -47,7 +47,7 @@ def test_settable_parameter_count_is_pinned():
 
 def test_the_count_sees_dataclass_fields_and_methods():
     found = settable_parameters()
-    assert found["geometry.Mesh.__init__"] == ["level", "projection"]
+    assert found["geometry.Mesh.__init__"] == ["projection", "coarse"]
     assert found["assembly.SigmaField.nodal"] == ["support"]
     assert found["eigensolve.NearbyPencils.lowest"] == ["prolongation"]
     assert found["eigensolve.smallest_eigs"] == ["factor", "start", "order"]
