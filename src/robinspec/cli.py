@@ -1,8 +1,10 @@
 """Command-line front end producing reproducible JSON/CSV reports.
 
-Commands: solve, optimal, bounds, scaling, hardy, converge, mesh.
-Flags may be preloaded from a JSON config file (--config); explicit flags
-override the file.  All floating-point output is printed with 12
+Commands: solve, optimal, bounds, scaling, hardy, converge, mesh.  One
+parser takes the command and every flag, in any order; flags may be
+preloaded from a JSON config file (--config), and explicit flags override
+the file.  `main` builds the domain and mesh, runs the command on them and
+writes the report it returns.  All floating-point output is printed with 12
 significant digits so reruns diff cleanly.
 """
 
@@ -111,25 +113,16 @@ def _sigma_from(opts: dict) -> SigmaField:
     if value is None:
         raise ArgumentError("a sigma value is required (--sigma or --sigma-a/--sigma-b)")
     (sigma,) = _numbers(value, "sigma", count=1)
-    if opts["gamma"] == "all":
-        return SigmaField.constant(sigma)
     return SigmaField.on_gamma(sigma)
-
-
-def _emit_text(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _emit_text(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _csv(rows: List[List[str]]) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _render(report) -> str:
+    """A command's report as text: a JSON payload or CSV rows."""
+    return json.dumps(report, indent=2) + "\n" if isinstance(report, dict) else _csv(report)
 
 
 def _pool_map(fn, items):
@@ -143,29 +136,27 @@ def _pool_map(fn, items):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(opts: dict) -> int:
-    domain = _domain_from(opts)
-    mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
-    sigma = _sigma_from(opts)
-    res = robin.lowest_eigenvalue(mesh, sigma)
-    h = geometry.max_element_diameter(mesh)
-    payload = {
+def cmd_solve(opts: dict, domain: DomainSpec, mesh) -> dict:
+    res = robin.lowest_eigenvalue(mesh, _sigma_from(opts))
+    return {
         "lambda1": float(_fmt(res.value)),
         "residual": float(_fmt(res.residual)),
         "level": opts["levels"],
-        "h": float(_fmt(h)),
+        "h": float(_fmt(geometry.max_element_diameter(mesh))),
         "dofs": mesh.num_nodes,
     }
-    _emit_json(payload, opts.get("out"))
-    return 0
 
 
-def cmd_optimal(opts: dict) -> int:
-    domain = _domain_from(opts)
-    mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
+def cmd_optimal(opts: dict, domain: DomainSpec, mesh) -> dict:
     (mass,) = _numbers(opts["m"], "mass", count=1)
     opt = mixed_dn.MixedProblem(mesh).optimal_sigma(mass)
-    payload = {
+    nodes, arclen = geometry.gamma_arclength(mesh)
+    sigma_vals = np.asarray(opt.sigma.values)
+    rows = [["arclength", "sigma_m"]] + [[_fmt(s), _fmt(sigma_vals[node])]
+                                         for s, node in zip(arclen, nodes)]
+    with open(opts["csv"], "w") as fh:
+        fh.write(_csv(rows))
+    return {
         "m": float(_fmt(opt.mass)),
         "xi": float(_fmt(opt.value)),
         "E1": float(_fmt(opt.ground.value)),
@@ -174,57 +165,34 @@ def cmd_optimal(opts: dict) -> int:
         "level": opts["levels"],
         "dofs": mesh.num_nodes,
     }
-    _emit_json(payload, opts.get("out"))
-    nodes, arclen = geometry.gamma_arclength(mesh)
-    sigma_vals = np.asarray(opt.sigma.values)
-    rows = [["arclength", "sigma_m"]]
-    for s, node in zip(arclen, nodes):
-        rows.append([_fmt(s), _fmt(sigma_vals[node])])
-    with open(opts["csv"], "w") as fh:
-        fh.write(_csv(rows))
-    return 0
 
 
-def cmd_bounds(opts: dict) -> int:
-    domain = _domain_from(opts)
-    mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
-    rows = [["quantity", "m", "lower", "computed", "upper",
-             "slack_lower", "slack_upper", "tol", "pass"]]
+def cmd_bounds(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
+    """The optimal-eigenvalue sandwich for each mass of --m, then the Robin
+    inradius sandwich for each sigma of --sigma (its m column empty)."""
     m_grid = _parse_grid(opts["m"]) if opts.get("m") else []
-    reports = _pool_map(lambda m: bounds.optimal_eigenvalue_sandwich(mesh, m), m_grid)
-    for m, rep in zip(m_grid, reports):
-        rows.append([rep.quantity, _fmt(m), _fmt(rep.lower), _fmt(rep.computed),
-                     _fmt(rep.upper), _fmt(rep.slack_lower), _fmt(rep.slack_upper),
-                     _fmt(rep.tol), str(rep.passed).lower()])
+    reports = list(zip(map(_fmt, m_grid), _pool_map(
+        lambda m: bounds.optimal_eigenvalue_sandwich(mesh, m), m_grid)))
     if opts.get("sigma"):
-        for s in _parse_grid(opts["sigma"]):
-            rep = bounds.robin_inradius_report(mesh, domain, s)
-            rows.append([rep.quantity, "", _fmt(rep.lower), _fmt(rep.computed),
-                         _fmt(rep.upper), _fmt(rep.slack_lower), _fmt(rep.slack_upper),
-                         _fmt(rep.tol), str(rep.passed).lower()])
-    _emit_text(_csv(rows), opts.get("out"))
-    return 0
+        reports += [("", bounds.robin_inradius_report(mesh, domain, s))
+                    for s in _parse_grid(opts["sigma"])]
+    return [["quantity", "m", "lower", "computed", "upper",
+             "slack_lower", "slack_upper", "tol", "pass"]] + [
+        [rep.quantity, m, _fmt(rep.lower), _fmt(rep.computed), _fmt(rep.upper),
+         _fmt(rep.slack_lower), _fmt(rep.slack_upper), _fmt(rep.tol), str(rep.passed).lower()]
+        for m, rep in reports]
 
 
-def cmd_scaling(opts: dict) -> int:
-    domain = _domain_from(opts)
-    mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
+def cmd_scaling(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
     sigma = _sigma_from(opts)
-    eps_grid = _parse_grid(opts["eps"])
-    table = bounds.scaling_table(mesh, sigma, eps_grid)
+    table = bounds.scaling_table(mesh, sigma, _parse_grid(opts["eps"]))
     shrink, expand = bounds.scaling_limits(mesh, sigma)
-    rows = [["eps", "lambda1", "eps_lambda1", "eps2_lambda1",
-             "shrink_limit", "expand_limit"]]
-    for row in table:
-        rows.append([_fmt(row.eps), _fmt(row.eigenvalue), _fmt(row.eps_eigenvalue),
-                     _fmt(row.eps2_eigenvalue), _fmt(shrink), _fmt(expand)])
-    _emit_text(_csv(rows), opts.get("out"))
-    return 0
+    return [["eps", "lambda1", "eps_lambda1", "eps2_lambda1", "shrink_limit", "expand_limit"]] + [
+        [_fmt(row.eps), _fmt(row.eigenvalue), _fmt(row.eps_eigenvalue),
+         _fmt(row.eps2_eigenvalue), _fmt(shrink), _fmt(expand)] for row in table]
 
 
-def cmd_hardy(opts: dict) -> int:
-    domain = _domain_from(opts)
-    mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
+def cmd_hardy(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
     pairs = []
     for s in _parse_grid(opts["sigma"]):
         for tok in str(opts["alpha"]).split(","):
@@ -232,26 +200,21 @@ def cmd_hardy(opts: dict) -> int:
                 raise ArgumentError("--alpha auto means 1/(2 sigma) and needs sigma > 0")
             pairs.append((s, 0.5 / s if tok == "auto" else _numbers(tok, "alpha", count=1)[0]))
     reports = bounds.hardy_reports(mesh, pairs, trials=opts["trials"], seed=opts["seed"])
-    rows = [["sigma", "alpha", "coefficient", "trials", "violations", "pass"]]
-    for (s, a), rep in zip(pairs, reports):
-        rows.append([_fmt(s), _fmt(a), _fmt(rep.coefficient), str(len(rep.trials)),
-                     str(rep.violations), str(rep.passed).lower()])
-    _emit_text(_csv(rows), opts.get("out"))
-    return 0
+    return [["sigma", "alpha", "coefficient", "trials", "violations", "pass"]] + [
+        [_fmt(s), _fmt(a), _fmt(rep.coefficient), str(len(rep.trials)),
+         str(rep.violations), str(rep.passed).lower()] for (s, a), rep in zip(pairs, reports)]
 
 
-def cmd_converge(opts: dict) -> int:
-    """Levels 1..--levels of the hierarchy `_mesh_at_level` builds.  order
+def cmd_converge(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
+    """Levels 1..--levels of the hierarchy `_mesh_at_level` built.  order
     is log2 of the ratio of successive diffs; it is left empty when either
     diff is within `eigensolve.eigenvalue_floor` of its eigenvalue, where
     the difference is round-off rather than discretization error."""
-    domain = _domain_from(opts)
-    finest = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
     values, hs, dofs = [], [], []
-    for mesh, res in robin.refinement_levels(finest, _sigma_from(opts)):
+    for level_mesh, res in robin.refinement_levels(mesh, _sigma_from(opts)):
         values.append(res.value)
-        hs.append(geometry.max_element_diameter(mesh))
-        dofs.append(mesh.num_nodes)
+        hs.append(geometry.max_element_diameter(level_mesh))
+        dofs.append(level_mesh.num_nodes)
     rows = [["level", "h", "dofs", "lambda1", "diff", "order"]]
     diffs = [abs(values[i] - values[i + 1]) for i in range(len(values) - 1)]
     resolved = [diffs[i] > eigensolve.eigenvalue_floor(max(abs(values[i]), abs(values[i + 1])))
@@ -262,17 +225,13 @@ def cmd_converge(opts: dict) -> int:
         if i + 1 < len(diffs) and resolved[i] and resolved[i + 1]:
             order = _fmt(math.log2(diffs[i] / diffs[i + 1]))
         rows.append([str(i + 1), _fmt(hs[i]), str(dofs[i]), _fmt(lam), diff, order])
-    _emit_text(_csv(rows), opts.get("out"))
-    return 0
+    return rows
 
 
-def cmd_mesh(opts: dict) -> int:
-    domain = _domain_from(opts)
-    mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
+def cmd_mesh(opts: dict, domain: DomainSpec, mesh) -> None:
     if not opts.get("out"):
         raise ArgumentError("mesh export needs --out")
     geometry.write_mesh(mesh, opts["out"])
-    return 0
 
 
 _COMMANDS = {
@@ -321,12 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="robinspec",
         description="Robin eigenvalue solves, optimal boundary coefficients, "
                     "and bound certification tables.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        for key in _DEFAULTS:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES.get(key),
-                           choices=_DOMAINS if key == "domain" else None)
+    parser.add_argument("command", choices=_COMMANDS)
+    for key in _DEFAULTS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES.get(key),
+                            choices=_DOMAINS if key == "domain" else None)
     return parser
 
 
@@ -368,7 +325,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         opts = _merge_options(args)
-        return _COMMANDS[args.command](opts)
+        domain = _domain_from(opts)
+        mesh = _mesh_at_level(domain, opts["levels"], opts.get("target_h"))
+        report = _COMMANDS[args.command](opts, domain, mesh)
+        if report is not None:
+            if opts.get("out"):
+                with open(opts["out"], "w") as fh:
+                    fh.write(_render(report))
+            else:
+                sys.stdout.write(_render(report))
+        return 0
     except (RobinspecError, OSError, json.JSONDecodeError) as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(diagnostic) + "\n")
