@@ -244,7 +244,9 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42) -> List[H
     points as the distance to the mesh's boundary polygon, and a non-convex
     mesh raises UnsupportedDomainError.  With alpha sigma >= 1 the right
     side is nonpositive and the bound is vacuous, which the sign of the
-    coefficient encodes.  The
+    coefficient encodes.  A right side that is not finite (alpha below
+    about 1e-154 overflows the weight where the distance is 0) is an
+    ArgumentError rather than a vacuous pass.  The
     quadrature, the distances and the random functions depend only on the
     mesh and the seed, the ground state only on sigma: each is computed
     once and shared by the pairs.
@@ -271,13 +273,18 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42) -> List[H
         for s in dict.fromkeys(s for s, _ in pairs)}
     reports: List[HardyReport] = []
     for sigma_const, alpha in pairs:
-        weight = wts / (delta + alpha) ** 2
+        with np.errstate(over="ignore", divide="ignore"):
+            weight = wts / (delta + alpha) ** 2
         coef = alpha * sigma_const * (1.0 - alpha * sigma_const)
         rows: List[HardyTrial] = []
         violations = 0
         for k_form, b_form, u_q in random_forms + [ground_forms[sigma_const]]:
             lhs = float(k_form + sigma_const * b_form)
-            rhs = coef * float(np.sum(weight * u_q * u_q))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs = coef * float(np.sum(weight * u_q * u_q))
+            if not math.isfinite(rhs):
+                raise ArgumentError(f"the Hardy right side at sigma={sigma_const!r}, "
+                                    f"alpha={alpha!r} is not finite: alpha is too small")
             bad = lhs < rhs - _HARDY_RTOL * abs(rhs) - 1e-12 * max(lhs, 1.0)
             violations += bad
             rows.append(HardyTrial(lhs, rhs, bool(bad)))
@@ -322,13 +329,14 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
 
 def scaling_limits(mesh: Mesh, sigma: SigmaField):
     """The two scaling limits on this mesh: boundary-mass ratio (shrink)
-    and the ground eigenvalue pinned on gamma (expand), the value
-    `mixed_dn.MixedProblem(mesh).ground` has.
-
-    The mesh's gamma markers must coincide with the support of sigma."""
+    and the ground eigenvalue pinned on the nodes where sigma acts, those
+    with a positive diagonal of B (expand), or 0 where sigma vanishes.
+    With sigma positive on gamma this is the value
+    `mixed_dn.MixedProblem(mesh).ground` has."""
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
     ones = np.ones(mesh.num_nodes)
     sigma_total = float(ones @ (bmat @ ones))
     volume = geometry.area(mesh)
-    e1 = robin.dirichlet_eigenvalue(mesh, geometry.gamma_nodes(mesh))
+    support = np.flatnonzero(bmat.diagonal() > 0)
+    e1 = robin.dirichlet_eigenvalue(mesh, support) if len(support) else 0.0
     return sigma_total / volume, e1

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import bounds, eigensolve, exact1d, geometry, mixed_dn, robin
 from .assembly import SigmaField
-from .errors import ArgumentError, GeometryError, RobinspecError, UnsupportedDomainError
+from .errors import (ArgumentError, ConvergenceError, GeometryError, RobinspecError,
+                     UnsupportedDomainError)
 from .geometry import DomainSpec, build_mesh, gamma_arcs, gamma_all, gamma_none, gamma_sides
 
 # Each worker factors its own problem and the work is compiled code, so
@@ -184,9 +185,19 @@ def cmd_bounds(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
 
 
 def cmd_scaling(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
+    """The scale grid and both limits.  For P1, eps^2 lambda1 <= the expand
+    limit holds exactly (the pinned ground state is a test vector on which
+    B vanishes), so a row above it is an eigenvalue the family's stop
+    accepted unconverged, a ConvergenceError.  Where sigma vanishes the
+    limit is 0 and lambda1 is round-off, which is not checked."""
     sigma = _sigma_from(opts)
     table = bounds.scaling_table(mesh, sigma, _parse_grid(opts["eps"]))
     shrink, expand = bounds.scaling_limits(mesh, sigma)
+    for row in table:
+        if expand > 0 and row.eps2_eigenvalue > expand * (1 + eigensolve.DEFAULT_TOL):
+            raise ConvergenceError(
+                f"eps^2 lambda1 = {row.eps2_eigenvalue!r} at eps = {row.eps!r} exceeds "
+                f"the expand limit {expand!r}: the eigensolve stopped unconverged")
     return [["eps", "lambda1", "eps_lambda1", "eps2_lambda1", "shrink_limit", "expand_limit"]] + [
         [_fmt(row.eps), _fmt(row.eigenvalue), _fmt(row.eps_eigenvalue),
          _fmt(row.eps2_eigenvalue), _fmt(shrink), _fmt(expand)] for row in table]

@@ -28,8 +28,9 @@ NOT_GAMMA = 0
 # refused before it starts, so an oversized request ends as an ArgumentError
 # instead of a process killed for memory.
 _MAX_NODES = 1_000_000
-# boundary sides per block in _margins
+# boundary sides and points per block in _margins
 _SIDE_BLOCK = 64
+_POINT_BLOCK = 4096
 # triples of sides per block in chebyshev_center
 _TRIPLE_BLOCK = 1024
 
@@ -540,17 +541,20 @@ def _halfplanes(p0: np.ndarray, p1: np.ndarray):
 
 def _margins(normals, offsets, x) -> np.ndarray:
     """min_i (o_i - n_i . x) for each row of x: the distance to the nearest
-    side line, negative outside.  Sides are taken _SIDE_BLOCK at a time in
-    two len(x) x _SIDE_BLOCK buffers, allocated once."""
+    side line, negative outside.  Points are taken _POINT_BLOCK and sides
+    _SIDE_BLOCK at a time in two _POINT_BLOCK x _SIDE_BLOCK buffers,
+    allocated once, so no buffer grows with len(x)."""
     out = np.full(len(x), np.inf)
-    width = min(len(offsets), _SIDE_BLOCK)
-    d_buf, t_buf = np.empty((len(x), width)), np.empty((len(x), width))
-    for lo in range(0, len(offsets), _SIDE_BLOCK):
-        n, o = normals[lo:lo + _SIDE_BLOCK], offsets[lo:lo + _SIDE_BLOCK]
-        d, t = d_buf[:, :len(o)], t_buf[:, :len(o)]
-        np.subtract(o, np.multiply(x[:, :1], n[:, 0], out=d), out=d)
-        d -= np.multiply(x[:, 1:], n[:, 1], out=t)
-        np.minimum(out, d.min(axis=1), out=out)
+    shape = (min(len(x), _POINT_BLOCK), min(len(offsets), _SIDE_BLOCK))
+    d_buf, t_buf = np.empty(shape), np.empty(shape)
+    for first in range(0, len(x), _POINT_BLOCK):
+        xb, ob = x[first:first + _POINT_BLOCK], out[first:first + _POINT_BLOCK]
+        for lo in range(0, len(offsets), _SIDE_BLOCK):
+            n, o = normals[lo:lo + _SIDE_BLOCK], offsets[lo:lo + _SIDE_BLOCK]
+            d, t = d_buf[:len(xb), :len(o)], t_buf[:len(xb), :len(o)]
+            np.subtract(o, np.multiply(xb[:, :1], n[:, 0], out=d), out=d)
+            d -= np.multiply(xb[:, 1:], n[:, 1], out=t)
+            np.minimum(ob, d.min(axis=1), out=ob)
     return out
 
 
@@ -605,9 +609,13 @@ def distances_to_boundary(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the boundary of a convex domain.
 
     In 2D the mesh's boundary edges must bound a convex polygon
-    (_halfplanes raises UnsupportedDomainError otherwise).  The distance is
-    then min_i (o_i - n_i . x) over the edges' half-planes, clipped at 0
-    for points outside; no array grows beyond points x _SIDE_BLOCK.
+    (_halfplanes raises UnsupportedDomainError otherwise).  On a convex
+    boundary the edges with one outward normal lie on one side line, so
+    edges whose normals agree to 12 decimals give one half-plane: a polygon
+    mesh has its domain's sides, while the disk's inscribed polygon keeps
+    every edge.  The distance is min_i (o_i - n_i . x) over these sides,
+    clipped at 0 for points outside; besides the result, no array grows
+    with the number of points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
@@ -615,7 +623,8 @@ def distances_to_boundary(mesh: Mesh, points: np.ndarray) -> np.ndarray:
         return np.min(np.abs(pts[:, :1] - bx[None, :]), axis=1)
     normals, offsets = _halfplanes(mesh.nodes[mesh.boundary[:, 0]],
                                    mesh.nodes[mesh.boundary[:, 1]])
-    return np.maximum(_margins(normals, offsets, pts), 0.0)
+    _, sides = np.unique(np.round(normals, 12), axis=0, return_index=True)
+    return np.maximum(_margins(normals[sides], offsets[sides], pts), 0.0)
 
 
 # ---------------------------------------------------------------------------
