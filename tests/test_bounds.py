@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from robinspec import assembly, bounds, exact1d, geometry, mixed_dn
+from robinspec import assembly, bounds, exact1d, geometry, mixed_dn, robin
 from robinspec.assembly import SigmaField
 from robinspec.eigensolve import smallest_eigs
 from robinspec.errors import ArgumentError
@@ -238,6 +239,15 @@ class TestHardy:
         with pytest.raises(ArgumentError):
             bounds.hardy_reports(square_l3, [(1.0, 0.5), (-1.0, 0.5)])
 
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-300])
+    def test_non_finite_right_side_rejected(self, alpha):
+        # 1/(dist + alpha)^2 overflows at boundary quadrature points, where
+        # dist = 0, and the right side would be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="not finite"):
+                bounds.hardy_reports(square_mesh(2), [(1.0, 0.25), (1.0, alpha)], trials=3)
+
     def test_negative_trials_rejected(self, square_l3):
         with pytest.raises(ArgumentError):
             bounds.hardy_reports(square_l3, [(1.0, 0.5)], trials=-1)
@@ -294,6 +304,19 @@ class TestScaling:
         mesh = refined(geometry.build_mesh(dom, 0.5), 1)
         assert bounds.scaling_limits(mesh, SigmaField.on_gamma(1.0))[1] \
             == mixed_dn.MixedProblem(mesh).ground.value
+
+    def test_expand_limit_pins_the_support_of_sigma(self):
+        # sigma acts at the left end only, while gamma holds both ends
+        mesh = interval_mesh(64)
+        left = np.flatnonzero(mesh.nodes[:, 0] == 0.0)
+        _, expand = bounds.scaling_limits(mesh, SigmaField.per_edge([1.0, 0.0]))
+        assert expand == robin.dirichlet_eigenvalue(mesh, left)
+        assert abs(expand - math.pi ** 2 / 4) / (math.pi ** 2 / 4) <= 1e-3
+
+    @pytest.mark.parametrize("mesh", [square_mesh(3), interval_mesh(32)],
+                             ids=["square", "interval"])
+    def test_expand_limit_without_sigma_is_zero(self, mesh):
+        assert bounds.scaling_limits(mesh, SigmaField.constant(0.0)) == (0.0, 0.0)
 
     def test_limits_build_no_pinned_problem(self, monkeypatch):
         mesh = square_mesh(3, gamma=geometry.gamma_sides(0))

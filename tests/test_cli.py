@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -160,6 +161,13 @@ class TestMeshFreeSigma:
         assert_same_boundary_mass(mesh, cli._sigma_from(opts), reference)
         assert_same_boundary_mass(mesh, SigmaField.on_gamma(value), reference)
 
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("domain", ["square", "disk", "triangle", "interval"])
+    def test_on_all_of_gamma_matches_the_constant_field(self, domain, level):
+        opts = cli_options(["--domain", domain, "--gamma", "all", "--sigma", "1.5"])
+        mesh = cli._mesh_at_level(cli._domain_from(opts), level, None)
+        assert_same_boundary_mass(mesh, cli._sigma_from(opts), SigmaField.constant(1.5))
+
     @pytest.mark.parametrize("level, target_h",
                              [(lvl, None) for lvl in range(11)] + [(0, 0.3), (6, 0.3), (3, 0.07)])
     @pytest.mark.parametrize("ends", [["--sigma-a", "1", "--sigma-b", "2"], ["--sigma-a", "3"],
@@ -184,6 +192,53 @@ class TestMeshExport:
         mesh = geometry.read_mesh(path)
         assert mesh.dim == 2
         assert abs(geometry.area(mesh) - math.pi) / math.pi <= 0.05
+
+
+class TestScalingGuard:
+    @pytest.mark.parametrize("levels, eps", [(3, "1e5"), (3, "1e6"), (3, "1e8"), (7, "1e6")])
+    def test_row_above_the_expand_limit_exit_3(self, levels, eps, capsys):
+        code, out, err = run_cli(["scaling", "--domain", "square", "--sigma", "1",
+                                  "--eps", eps, "--levels", str(levels)], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "ConvergenceError"
+
+    @pytest.mark.parametrize("domain", [["--domain", "square", "--levels", "3"],
+                                        ["--domain", "interval", "--levels", "5"]],
+                             ids=["square", "interval"])
+    @pytest.mark.parametrize("sigma", ["0", "1e-12", "1e3"])
+    def test_rows_inside_the_limit_exit_0(self, domain, sigma, capsys):
+        code, out, _ = run_cli(["scaling", "--sigma", sigma, "--eps", "1e-3,1,1e3", *domain],
+                               capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        expand = float(rows[0][5])
+        assert (expand == 0.0) == (sigma == "0")
+        assert all(float(row[3]) <= expand * (1 + eigensolve.DEFAULT_TOL)
+                   for row in rows if expand > 0)
+
+    def test_expand_limit_pins_where_sigma_acts(self, capsys):
+        # gamma is the left end, sigma acts at both: the limit pins both ends
+        code, out, _ = run_cli(["scaling", "--domain", "interval", "--gamma", "edges=0",
+                                "--sigma-a", "1", "--sigma-b", "1", "--eps", "1,100",
+                                "--levels", "5"], capsys)
+        both = run_cli(["scaling", "--domain", "interval", "--sigma", "1",
+                        "--eps", "1", "--levels", "5"], capsys)[1]
+        assert code == 0
+        assert out.splitlines()[1].split(",")[5] == both.splitlines()[1].split(",")[5]
+
+
+class TestHardyRightSide:
+    @pytest.mark.parametrize("alpha", ["1e-160", "1e-300"])
+    def test_non_finite_right_side_exit_2(self, alpha):
+        assert_exit_2_with_one_json_line(["hardy", "--domain", "square", "--sigma", "1",
+                                          "--alpha", alpha, "--trials", "3", "--levels", "2"])
+
+    def test_small_finite_alpha_still_checked(self, capsys):
+        code, out, _ = run_cli(["hardy", "--domain", "square", "--sigma", "1",
+                                "--alpha", "1e-150", "--trials", "3", "--levels", "2"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "1,1e-150,1e-150,4,4,false"
 
 
 def run_cli_process(args, cwd, timeout=None):
@@ -216,6 +271,55 @@ class TestReadmeExamples:
     def test_example_exits_zero(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+class TestPipeline:
+    def test_flags_may_come_before_the_command(self, capsys):
+        first = run_cli(["--levels", "2", "solve", "--sigma", "1"], capsys)
+        last = run_cli(["solve", "--sigma", "1", "--levels", "2"], capsys)
+        assert first == last and first[0] == 0 and first[1]
+
+    def test_parser_registers_each_flag_once(self, monkeypatch):
+        calls = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(container, *args, **kwargs):
+            calls.append(args)
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        cli.build_parser()
+        # --help, the command and one flag per option
+        assert len(calls) == 2 + len(cli._DEFAULTS) == 25
+
+    def test_domain_and_mesh_built_once_per_invocation(self, monkeypatch, capsys):
+        calls = []
+        for name in ("_domain_from", "_mesh_at_level"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        assert cli.main(["bounds", "--m", "1,2", "--sigma", "1", "--levels", "1"]) == 0
+        assert calls == ["_domain_from", "_mesh_at_level"]
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_stdout_is_the_rendered_report(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        args = cli.build_parser().parse_args(argv)
+        opts = cli._merge_options(args)
+        domain = cli._domain_from(opts)
+        mesh = cli._mesh_at_level(domain, opts["levels"], opts.get("target_h"))
+        report = cli._COMMANDS[args.command](opts, domain, mesh)
+        assert capsys.readouterr().out == ""
+        assert printed == ("" if report is None else cli._render(report))
+
+    def test_csv_report_to_out_file(self, tmp_path, capsys):
+        argv = ["converge", "--domain", "interval", "--sigma-a", "1", "--levels", "3"]
+        code, printed, _ = run_cli(argv, capsys)
+        path = tmp_path / "converge.csv"
+        assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+        assert code == 0 and path.read_text() == printed
 
 
 class TestReproducibility:

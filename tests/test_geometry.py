@@ -581,6 +581,43 @@ class TestDistance:
         block_bytes = len(pts) * geometry._SIDE_BLOCK * 8
         assert peak <= 3 * block_bytes
 
+    @pytest.mark.parametrize("mesh, sides", [
+        (lambda: square_mesh(6), 4),
+        (lambda: triangle_mesh(5), 3),
+        (lambda: refined(geometry.build_mesh(PENTAGON, 0.5), 3), 5),
+        (lambda: disk_mesh(2), 256),
+    ], ids=["square", "triangle", "pentagon", "disk"])
+    def test_one_half_plane_per_side(self, mesh, sides, monkeypatch):
+        mesh = mesh()
+        measured = []
+        margins = geometry._margins
+
+        def recording(normals, offsets, x):
+            measured.append(len(offsets))
+            return margins(normals, offsets, x)
+
+        monkeypatch.setattr(geometry, "_margins", recording)
+        geometry.distances_to_boundary(mesh, quadrature_points(mesh))
+        assert measured[-1] == sides
+
+    def test_memory_does_not_grow_with_points(self):
+        mesh = disk_mesh(2)  # 256 boundary edges, every one its own side
+        base = quadrature_points(mesh)
+        peaks = []
+        for copies in (2, 16):
+            pts = np.tile(base, (copies, 1))
+            tracemalloc.start()
+            try:
+                geometry.distances_to_boundary(mesh, pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the result and its clipped copy are the only per-point arrays
+            peaks.append(peak - 2 * 8 * len(pts))
+        buffers = 2 * geometry._POINT_BLOCK * geometry._SIDE_BLOCK * 8
+        assert max(peaks) <= buffers + 2 ** 20
+        assert peaks[1] <= peaks[0] + 2 ** 20
+
     def test_nonconvex_rejected(self):
         for scale in L_SHAPE_SCALES:
             mesh = geometry.build_mesh(scaled_l_shape(scale), 0.5 * scale)
