@@ -2,9 +2,14 @@
 
 All element integrals are exact for linear elements (no quadrature error);
 boundary-mass entries for nodal coefficient fields use the exact
-linear-times-linear edge rule.  Assembled matrices are symmetric CSR and are
-never mutated after assembly; `operators` assembles a mesh's stiffness and
-mass once and shares them between all callers.
+linear-times-linear edge rule; a weighted mass matrix sums a second-order
+rule.  Each matrix sums one symmetric local block per element or facet
+(`_scatter`) and is exactly symmetric: on a conforming mesh an off-diagonal
+entry has at most two addends (an edge lies in two triangles at most, a node
+in two facets), and a sum of two terms does not depend on their order.
+Matrices are CSR with sorted indices and no explicit zeros, never mutated
+after assembly; `operators` assembles a mesh's stiffness and mass once and
+shares them between all callers.
 
 `Operators.order` is the mesh's nested-dissection ordering (George, SIAM J.
 Numer. Anal. 1973): a recursive coordinate bisection of the node graph in
@@ -112,12 +117,15 @@ class SigmaField:
 # Matrix assembly
 # ---------------------------------------------------------------------------
 
-def _symmetrize(a: sp.csr_matrix) -> sp.csr_matrix:
-    # kills last-ulp asymmetry from summation order
-    out = (a + a.T) * 0.5
-    out = out.tocsr()
-    out.sum_duplicates()
-    return out
+def _scatter(n: int, cells: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
+    """The n x n CSR matrix summing the symmetric block local[t] over the
+    nodes cells[t] of each cell t, sorted and without explicit zeros."""
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    a.eliminate_zeros()
+    return a
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -125,14 +133,9 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     meas = element_measures(mesh)
     if np.any(meas <= 0):
         raise AssemblyError("degenerate element (nonpositive measure)")
-    n = mesh.num_nodes
     if mesh.dim == 1:
-        h = meas
-        i0, i1 = mesh.elements[:, 0], mesh.elements[:, 1]
-        data = np.concatenate([1.0 / h, 1.0 / h, -1.0 / h, -1.0 / h])
-        rows = np.concatenate([i0, i1, i0, i1])
-        cols = np.concatenate([i0, i1, i1, i0])
-        return _symmetrize(sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr())
+        local = np.stack([1.0 / meas, -1.0 / meas, -1.0 / meas, 1.0 / meas], axis=1)
+        return _scatter(mesh.num_nodes, mesh.elements, local)
     p = mesh.nodes[mesh.elements]  # (Ne, 3, 2)
     # gradient of barycentric i is rot90(edge opposite i) / (2 area)
     e0 = p[:, 2] - p[:, 1]
@@ -141,9 +144,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     grads = np.stack([e0, e1, e2], axis=1)  # (Ne, 3, 2), pre-rotation
     grads = np.stack([-grads[:, :, 1], grads[:, :, 0]], axis=2) / (2.0 * meas)[:, None, None]
     local = np.einsum("tik,tjk->tij", grads, grads) * meas[:, None, None]
-    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.elements, (1, 3)).reshape(-1)
-    return _symmetrize(sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr())
+    return _scatter(mesh.num_nodes, mesh.elements, local)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -151,25 +152,16 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     meas = element_measures(mesh)
     if np.any(meas <= 0):
         raise AssemblyError("degenerate element (nonpositive measure)")
-    n = mesh.num_nodes
     if mesh.dim == 1:
-        h = meas
-        i0, i1 = mesh.elements[:, 0], mesh.elements[:, 1]
-        data = np.concatenate([h / 3.0, h / 3.0, h / 6.0, h / 6.0])
-        rows = np.concatenate([i0, i1, i0, i1])
-        cols = np.concatenate([i0, i1, i1, i0])
-        return _symmetrize(sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr())
+        local = np.stack([meas / 3.0, meas / 6.0, meas / 6.0, meas / 3.0], axis=1)
+        return _scatter(mesh.num_nodes, mesh.elements, local)
     base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = meas[:, None, None] * base[None, :, :]
-    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.elements, (1, 3)).reshape(-1)
-    return _symmetrize(sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr())
+    return _scatter(mesh.num_nodes, mesh.elements, meas[:, None, None] * base[None, :, :])
 
 
 def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField) -> sp.csr_matrix:
     """Boundary mass matrix weighted by sigma, integrated over the facets of
     sigma's support."""
-    n = mesh.num_nodes
     vals = sigma.edge_values(mesh)
     bdry = mesh.boundary
     lengths = boundary_edge_lengths(mesh)
@@ -177,19 +169,37 @@ def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField) -> sp.csr_matrix:
         keep = mesh.boundary_markers == GAMMA
         vals, bdry, lengths = vals[keep], bdry[keep], lengths[keep]
     if mesh.dim == 1:
-        rows = bdry[:, 0]
-        data = vals[:, 0]
-        return _symmetrize(sp.coo_matrix((data, (rows, rows)), shape=(n, n)).tocsr())
+        return _scatter(mesh.num_nodes, bdry, vals)
     s0, s1 = vals[:, 0], vals[:, 1]
-    l = lengths
-    b00 = l * (s0 / 4.0 + s1 / 12.0)
-    b11 = l * (s0 / 12.0 + s1 / 4.0)
-    b01 = l * (s0 + s1) / 12.0
-    i0, i1 = bdry[:, 0], bdry[:, 1]
-    rows = np.concatenate([i0, i1, i0, i1])
-    cols = np.concatenate([i0, i1, i1, i0])
-    data = np.concatenate([b00, b11, b01, b01])
-    return _symmetrize(sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr())
+    b00 = lengths * (s0 / 4.0 + s1 / 12.0)
+    b11 = lengths * (s0 / 12.0 + s1 / 4.0)
+    b01 = lengths * (s0 + s1) / 12.0
+    return _scatter(mesh.num_nodes, bdry, np.stack([b00, b01, b01, b11], axis=1))
+
+
+# Second-order rules of the weighted mass matrices: the P1 basis values of an
+# element's nodes (columns) at its points (rows), two-point Gauss on a segment
+# and the edge midpoints of a triangle, each point of weight |element| / rows.
+_RULES = {1: 0.5 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * (0.5 / np.sqrt(3.0)),
+          2: np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])}
+
+
+def quadrature_rule(mesh: Mesh):
+    """(points, weights) of the rule `assemble_weighted_mass` sums over,
+    element by element."""
+    values = _RULES[mesh.dim]
+    points = np.einsum("qi,tik->tqk", values, mesh.nodes[mesh.elements]).reshape(-1, mesh.dim)
+    return points, np.repeat(element_measures(mesh) / len(values), len(values))
+
+
+def assemble_weighted_mass(mesh: Mesh, weights: np.ndarray) -> sp.csr_matrix:
+    """The matrix of u^T H u = sum_q weights_q u(x_q)^2 over the points x_q
+    of `quadrature_rule`, one weight per point in its order: with the rule's
+    own weights times f(x_q), the P1 form of the integral of f u^2."""
+    values = _RULES[mesh.dim]
+    outer = values[:, :, None] * values[:, None, :]  # symmetric in its last two axes
+    local = np.einsum("tq,qij->tij", np.reshape(weights, (mesh.num_elements, -1)), outer)
+    return _scatter(mesh.num_nodes, mesh.elements, local)
 
 
 # ---------------------------------------------------------------------------

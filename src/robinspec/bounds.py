@@ -205,51 +205,23 @@ class HardyReport:
     passed: bool
 
 
-def _quadrature_points(mesh: Mesh):
-    """Second-order quadrature: edge midpoints (2D, weight |T|/3) or
-    two-point Gauss (1D).  Returns (points, weights, nodal-to-point matrix
-    encoded as index pairs + coefficients)."""
-    meas = geometry.element_measures(mesh)
-    if mesh.dim == 1:
-        x0 = mesh.nodes[mesh.elements[:, 0], 0]
-        x1 = mesh.nodes[mesh.elements[:, 1], 0]
-        g = 0.5 / math.sqrt(3.0)
-        t = np.array([0.5 - g, 0.5 + g])
-        pts = np.concatenate([x0[:, None] + t[None, :] * (x1 - x0)[:, None]]).reshape(-1, 1)
-        wts = np.repeat(0.5 * meas, 2)
-        # P1 values at the two Gauss points
-        coeff = np.stack([np.column_stack([1 - t, t])] * len(meas))  # (Ne,2,2)
-        idx = mesh.elements[:, None, :].repeat(2, axis=1)  # (Ne,2,2)
-        return pts, wts, idx.reshape(-1, 2), coeff.reshape(-1, 2)
-    p = mesh.nodes[mesh.elements]  # (Ne,3,2)
-    mids = np.stack([(p[:, 0] + p[:, 1]) / 2,
-                     (p[:, 1] + p[:, 2]) / 2,
-                     (p[:, 2] + p[:, 0]) / 2], axis=1)
-    pts = mids.reshape(-1, 2)
-    wts = np.repeat(meas / 3.0, 3)
-    pairs = np.stack([mesh.elements[:, (0, 1)],
-                      mesh.elements[:, (1, 2)],
-                      mesh.elements[:, (2, 0)]], axis=1).reshape(-1, 2)
-    coeff = np.full((len(pairs), 2), 0.5)
-    return pts, wts, pairs, coeff
-
-
 def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42) -> List[HardyReport]:
     """One report per (sigma, alpha) pair, checking the convex-domain bound
     |grad u|^2 + sigma |u|^2_bdry >= alpha sigma (1 - alpha sigma)
     * integral of u^2 / (dist + alpha)^2 for random functions and the
     Robin ground state, each to within `_HARDY_RTOL` of the right side.
 
-    The domain must be convex: the distance enters pointwise at quadrature
-    points as the distance to the mesh's boundary polygon, and a non-convex
-    mesh raises UnsupportedDomainError.  With alpha sigma >= 1 the right
-    side is nonpositive and the bound is vacuous, which the sign of the
-    coefficient encodes.  A right side that is not finite (alpha below
-    about 1e-154 overflows the weight where the distance is 0) is an
-    ArgumentError rather than a vacuous pass.  The
-    quadrature, the distances and the random functions depend only on the
-    mesh and the seed, the ground state only on sigma: each is computed
-    once and shared by the pairs.
+    Both sides are quadratic forms: u^T (K + sigma B_1) u, and the
+    coefficient times u^T H_alpha u with H_alpha the weighted mass matrix
+    of 1/(dist + alpha)^2.  The domain must be convex: the distance enters
+    at the quadrature points as the distance to the mesh's boundary
+    polygon, and a non-convex mesh raises UnsupportedDomainError.  With
+    alpha sigma >= 1 the right side is nonpositive and the bound is vacuous,
+    which the sign of the coefficient encodes.  A right side that is not
+    finite (alpha below about 1e-154 overflows the weight where the distance
+    is 0) is an ArgumentError rather than a vacuous pass.  The distances,
+    each H_alpha and each sigma's ground state are computed once and shared
+    by the pairs; the random functions are drawn and checked one at a time.
     """
     pairs = list(pairs)
     if any(s < 0 or a <= 0 for s, a in pairs):
@@ -258,37 +230,39 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42) -> List[H
         raise ArgumentError(f"trials must be nonnegative, got {trials}")
     kmat = assembly.operators(mesh).stiffness
     b1 = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
-    pts, wts, idx, coeff = _quadrature_points(mesh)
-    delta = geometry.distances_to_boundary(mesh, pts)
+    points, weights = assembly.quadrature_rule(mesh)
+    delta = geometry.distances_to_boundary(mesh, points)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hardy = {alpha: assembly.assemble_weighted_mass(mesh, weights / (delta + alpha) ** 2)
+                 for alpha in dict.fromkeys(a for _, a in pairs)}
+    coefs = [alpha * s * (1.0 - alpha * s) for s, alpha in pairs]
 
-    def forms(u):
-        """u's stiffness and unit boundary forms and its quadrature values."""
-        return u @ (kmat @ u), u @ (b1 @ u), np.sum(u[idx] * coeff, axis=1)
+    def sides(u):
+        """u's (left, right) side under each pair."""
+        k_form, b_form = u @ (kmat @ u), u @ (b1 @ u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_forms = {alpha: float(u @ (h @ u)) for alpha, h in hardy.items()}
+        return [(float(k_form + s * b_form), c * h_forms[alpha])
+                for (s, alpha), c in zip(pairs, coefs)]
 
     rng = np.random.default_rng(seed)
-    random_forms = [forms(rng.standard_normal(mesh.num_nodes)) for _ in range(trials)]
-    ground_forms = {
-        s: forms(robin.lowest_eigenvalue(mesh, SigmaField.constant(s)).eigenfunction
+    random_sides = [sides(rng.standard_normal(mesh.num_nodes)) for _ in range(trials)]
+    ground_sides = {
+        s: sides(robin.lowest_eigenvalue(mesh, SigmaField.constant(s)).eigenfunction
                  if s > 0 else np.ones(mesh.num_nodes))
         for s in dict.fromkeys(s for s, _ in pairs)}
     reports: List[HardyReport] = []
-    for sigma_const, alpha in pairs:
-        with np.errstate(over="ignore", divide="ignore"):
-            weight = wts / (delta + alpha) ** 2
-        coef = alpha * sigma_const * (1.0 - alpha * sigma_const)
+    for i, (sigma_const, alpha) in enumerate(pairs):
         rows: List[HardyTrial] = []
         violations = 0
-        for k_form, b_form, u_q in random_forms + [ground_forms[sigma_const]]:
-            lhs = float(k_form + sigma_const * b_form)
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs = coef * float(np.sum(weight * u_q * u_q))
+        for lhs, rhs in (t[i] for t in random_sides + [ground_sides[sigma_const]]):
             if not math.isfinite(rhs):
                 raise ArgumentError(f"the Hardy right side at sigma={sigma_const!r}, "
                                     f"alpha={alpha!r} is not finite: alpha is too small")
             bad = lhs < rhs - _HARDY_RTOL * abs(rhs) - 1e-12 * max(lhs, 1.0)
             violations += bad
             rows.append(HardyTrial(lhs, rhs, bool(bad)))
-        reports.append(HardyReport(sigma_const, alpha, coef, rows, violations,
+        reports.append(HardyReport(sigma_const, alpha, coefs[i], rows, violations,
                                    passed=violations == 0))
     return reports
 

@@ -301,22 +301,29 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
     n = a.shape[0]
     norm_a = _inf_norm_estimate(a)
     norm_m = _inf_norm_estimate(m)
-    if _dense(n):
-        x, iterations = scipy.linalg.eigh(a.toarray(), m.toarray())[1][:, 0], 0
-    else:
-        if start is not None:
-            # the gate's bound at lambda = 0, never above the bound at lambda
-            lu, x0 = start[0][1], np.asarray(start[1], dtype=float)
-            tol = DEFAULT_TOL * max(norm_a, 1.0)
+    # overflow and 0/0 show as non-finite values, which the checks below raise on
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if _dense(n):
+            x, iterations = scipy.linalg.eigh(a.toarray(), m.toarray())[1][:, 0], 0
         else:
-            _, lu = factor if factor is not None else shifted_factor(a, m, order=order)
-            x0 = lu.solve(m @ np.ones(n))
-            rho = float(x0 @ (a @ x0)) / float(x0 @ (m @ x0))
-            tol = max(_OWN_RTOL * abs(rho) * norm_m, _OWN_FLOOR * max(norm_a, 1.0))
-        x, iterations = _lobpcg(a, m, lu, x0, tol)
-    value, x, residual = _normalised(a, m, x)
+            if start is not None:
+                # the gate's bound at lambda = 0, never above the bound at lambda
+                lu, x0 = start[0][1], np.asarray(start[1], dtype=float)
+                tol = DEFAULT_TOL * max(norm_a, 1.0)
+            else:
+                _, lu = factor if factor is not None else shifted_factor(a, m, order=order)
+                x0 = lu.solve(m @ np.ones(n))
+                floor = _OWN_FLOOR * max(norm_a, 1.0)
+                square = float(x0 @ (m @ x0))
+                if not (np.isfinite(square) and square > 0.0):
+                    raise _failure("LOBPCG breakdown: a start of zero or non-finite M-norm",
+                                   0, None, floor)
+                rho = float(x0 @ (a @ x0)) / square
+                tol = max(_OWN_RTOL * abs(rho) * norm_m, floor)
+            x, iterations = _lobpcg(a, m, lu, x0, tol)
+        value, x, residual = _normalised(a, m, x)
     bound = DEFAULT_TOL * max(norm_a + abs(value) * norm_m, 1.0)
-    if residual > bound:
+    if not (np.isfinite(bound) and residual <= bound):
         raise _failure("eigenpair residual above tolerance", iterations, residual, bound)
     return EigResult(value, x, residual, iterations)
 

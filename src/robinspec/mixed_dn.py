@@ -223,13 +223,18 @@ class MixedProblem:
         Newton runs to round-off on the Lanczos model first, from the
         closed-form lower bound; its root starts the loop on true resolvent
         solves, which judges the stopping test and usually stops at once.
+        A mass whose lower bound reaches E1 (1 - 1e-9) raises RangeError.
         """
         if mass <= 0:
             raise ArgumentError(f"mass must be positive, got {mass}")
         e1 = self.ground.value
         hi = e1 * (1.0 - _XI_MARGIN)
         xi = mass * e1 / (mass + self.volume * e1)
-        xi = min(max(xi, hi * 1e-12), hi)
+        if xi >= hi:
+            raise RangeError(
+                f"mass {mass:g} is too large: the root of its mass curve lies within the "
+                f"margin {_XI_MARGIN:g} of the pinned ground eigenvalue E1 = {e1:.6g}")
+        xi = max(xi, hi * 1e-12)
         xi, _ = _safeguarded_newton(self._model_curve, mass, xi, hi, 0.0)
         return _safeguarded_newton(self.mass_function_with_derivative, mass, xi, hi,
                                    _MASS_RTOL * max(mass, 1.0))

@@ -7,12 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robinspec import assembly, geometry
 from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError
 
-from conftest import interval_mesh, square_mesh
+from conftest import convex_polygons, interval_mesh, refined, square_mesh
 
 
 def element_gradient_energy(mesh, u):
@@ -326,3 +327,109 @@ class TestGalerkin:
             u = rng.standard_normal(mesh.num_nodes)
             quotient = (u @ (k @ u) + u @ (b @ u)) / (u @ (m @ u))
             assert quotient >= lam - 1e-10 * max(1.0, abs(lam))
+
+
+@st.composite
+def meshes_with_gamma(draw):
+    """A convex polygon with a random subset of its sides as gamma, a disk
+    with a gamma arc, or an interval with gamma at one or both ends, refined
+    once or twice."""
+    kind = draw(st.sampled_from(["polygon", "disk", "interval"]))
+    if kind == "polygon":
+        verts = draw(convex_polygons()).vertices
+        sides = draw(st.sets(st.integers(0, len(verts) - 1), min_size=1))
+        base = geometry.build_mesh(geometry.polygon(verts, gamma=geometry.gamma_sides(*sides)),
+                                   0.5)
+    elif kind == "disk":
+        start = draw(st.floats(0.0, 6.0))
+        dom = geometry.disk((0.0, 0.0), draw(st.floats(0.2, 2.0)), draw(st.integers(5, 24)),
+                            gamma=geometry.gamma_arcs([(start, start + draw(st.floats(0.5, 3.0)))]))
+        base = geometry.build_mesh(dom, 0.5)
+    else:
+        ends = draw(st.sets(st.integers(0, 1), min_size=1))
+        base = geometry.build_mesh(geometry.interval(0.0, draw(st.floats(0.1, 10.0)),
+                                                     gamma=geometry.gamma_sides(*ends)), 0.1)
+    return refined(base, draw(st.integers(1, 2)))
+
+
+def assert_exactly_symmetric_csr(a):
+    """a equals its transpose bit for bit, its indices are sorted without
+    repeats and it stores no zero."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    assert np.all(np.diff(rows * n + a.indices) > 0)
+    assert a.has_sorted_indices and np.all(a.data != 0)
+    t = a.T.tocsr()
+    t.sort_indices()
+    for x, y in ((a.indptr, t.indptr), (a.indices, t.indices), (a.data, t.data)):
+        assert np.array_equal(x, y)
+
+
+def sigma_fields(mesh, rng):
+    """Each kind of boundary coefficient: constant, constant on gamma,
+    per facet with zeros, nodal on gamma and nodal on the whole boundary."""
+    per_edge = rng.uniform(0.0, 3.0, len(mesh.boundary))
+    per_edge[::3] = 0.0
+    nodal = rng.uniform(0.1, 2.0, mesh.num_nodes)
+    return [SigmaField.constant(1.3), SigmaField.on_gamma(2.0), SigmaField.per_edge(per_edge),
+            SigmaField.nodal(nodal, support="gamma"), SigmaField.nodal(nodal)]
+
+
+def hardy_weight(mesh, alpha):
+    points, weights = assembly.quadrature_rule(mesh)
+    return weights / (geometry.distances_to_boundary(mesh, points) + alpha) ** 2
+
+
+class TestExactSymmetry:
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(meshes_with_gamma(), st.floats(1e-3, 10.0))
+    def test_every_matrix_equals_its_transpose(self, mesh, alpha):
+        rng = np.random.default_rng(mesh.num_nodes)
+        matrices = [assembly.assemble_stiffness(mesh), assembly.assemble_mass(mesh),
+                    assembly.assemble_weighted_mass(mesh, hardy_weight(mesh, alpha))]
+        matrices += [assembly.assemble_boundary_mass(mesh, sigma)
+                     for sigma in sigma_fields(mesh, rng)]
+        for a in matrices:
+            assert_exactly_symmetric_csr(a)
+
+
+def barycentric(mesh, points):
+    """The P1 basis values of each element's nodes at its quadrature points,
+    (Ne, q, d + 1), by a solve per element."""
+    corners = mesh.nodes[mesh.elements]  # (Ne, d + 1, d)
+    lhs = np.concatenate([np.ones(corners.shape[:2] + (1,)), corners], axis=2)
+    rhs = points.reshape(mesh.num_elements, -1, mesh.dim)
+    rhs = np.concatenate([np.ones(rhs.shape[:2] + (1,)), rhs], axis=2)
+    return np.linalg.solve(np.swapaxes(lhs, 1, 2)[:, None], rhs[..., None])[..., 0]
+
+
+class TestWeightedMass:
+    @pytest.mark.parametrize("mesh", [
+        lambda: square_mesh(3),
+        lambda: refined(geometry.build_mesh(geometry.disk((0.0, 0.0), 1.0, 16), 0.5), 2),
+        lambda: refined(geometry.build_mesh(geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)]),
+                                            0.5), 3),
+        lambda: interval_mesh(64),
+    ], ids=["square", "disk", "obtuse", "interval"])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.25, 10.0])
+    def test_form_is_the_quadrature_sum(self, mesh, alpha):
+        mesh = mesh()
+        points, weights = assembly.quadrature_rule(mesh)
+        dist = geometry.distances_to_boundary(mesh, points)
+        h = assembly.assemble_weighted_mass(mesh, weights / (dist + alpha) ** 2)
+        values = barycentric(mesh, points)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            u = rng.standard_normal(mesh.num_nodes)
+            at_points = np.einsum("tqi,ti->tq", values, u[mesh.elements]).ravel()
+            quadrature = np.sum(weights * at_points ** 2 / (dist + alpha) ** 2)
+            assert abs(u @ (h @ u) - quadrature) <= 1e-14 * quadrature
+
+    def test_unit_weight_gives_the_mass_matrix(self):
+        # the rules are exact for the quadratic u v
+        for mesh in (square_mesh(2), interval_mesh(9)):
+            _, weights = assembly.quadrature_rule(mesh)
+            h = assembly.assemble_weighted_mass(mesh, weights)
+            m = assembly.assemble_mass(mesh)
+            assert abs(h - m).max() <= 1e-15 * abs(m).max()

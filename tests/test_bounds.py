@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,6 +252,22 @@ class TestHardy:
     def test_negative_trials_rejected(self, square_l3):
         with pytest.raises(ArgumentError):
             bounds.hardy_reports(square_l3, [(1.0, 0.5)], trials=-1)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # kept for every trial, the quadrature values would grow by 24,576
+        # points x 8 B per trial on this mesh (8,192 triangles)
+        mesh = square_mesh(5)
+        pairs = [(1.0, 0.25), (4.0, 0.125)]
+        bounds.hardy_reports(mesh, pairs, trials=0)  # shared operators and ordering
+        peaks = []
+        for trials in (5, 50):
+            tracemalloc.start()
+            try:
+                bounds.hardy_reports(mesh, pairs, trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1 << 20
 
 
 class TestScaling:

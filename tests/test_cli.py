@@ -241,16 +241,72 @@ class TestHardyRightSide:
         assert out.splitlines()[1] == "1,1e-150,1e-150,4,4,false"
 
 
+class TestHugeCoefficients:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--domain", "square", "--sigma", "1e200", "--levels", "3"],
+        ["converge", "--domain", "square", "--sigma", "1e200", "--levels", "5"],
+        ["solve", "--domain", "square", "--sigma", "1e300", "--levels", "2"],
+        ["hardy", "--domain", "square", "--sigma", "1e300", "--alpha", "1", "--levels", "2"],
+    ], ids=["solve-1e200", "converge-1e200", "solve-1e300", "hardy-1e300"])
+    def test_exit_3_with_one_json_line(self, argv, capsys):
+        # warnings are errors here, so an overflow warning would end the run
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConvergenceError"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the own-LU stop's floor "
+                       "accepts an early stop once B sets the shift")
+    def test_eigenvalue_stays_below_the_pinned_limit(self, capsys):
+        # every P1 Robin eigenvalue lies below the ground state pinned on the
+        # boundary, the scaling table's expand limit
+        _, out, _ = run_cli(["scaling", "--domain", "square", "--sigma", "1", "--eps", "1",
+                             "--levels", "3"], capsys)
+        limit = float(out.splitlines()[1].split(",")[5])
+        for sigma in ("1e15", "1e16", "1e17", "1e18", "1e50"):
+            code, out, _ = run_cli(["solve", "--domain", "square", "--sigma", sigma,
+                                    "--levels", "3"], capsys)
+            assert code == 3 or (code == 0 and json.loads(out)["lambda1"]
+                                 <= limit * (1 + eigensolve.DEFAULT_TOL)), sigma
+
+
+class TestMassBeyondTheMargin:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--domain", "square", "--m", "1e11", "--levels", "2"],
+        ["optimal", "--domain", "interval", "--m", "1e10", "--levels", "4"],
+    ], ids=["bounds-square", "optimal-interval"])
+    def test_range_error_names_the_mass(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "RangeError"
+        assert diagnostic["message"].startswith(f"mass {float(argv[4]):g} is too large")
+        assert "margin 1e-09" in diagnostic["message"] and "E1 = " in diagnostic["message"]
+
+    def test_mass_inside_the_margin_keeps_its_report(self, capsys):
+        code, out, _ = run_cli(["bounds", "--domain", "square", "--m", "1e10", "--levels", "2"],
+                               capsys)
+        assert code == 0
+        header, row = out.splitlines()
+        fields = row.split(",")
+        # slack_upper is a round-off difference of two equal values
+        assert abs(float(fields.pop(6))) <= 1e-12
+        assert fields == ["optimal eigenvalue mass=1e+10", "10000000000", "22.8657758845",
+                          "22.865775903", "22.865775903", "1.84768644829e-08",
+                          "0.457315518059", "true"]
+
+
 def run_cli_process(args, cwd, timeout=None):
-    """Run the CLI in a child process in `cwd`.  The child runs away from
+    """Run the CLI in a child process in `cwd`, with a RuntimeWarning as an
+    error, as pytest runs the package in-process.  The child runs away from
     the repo, so a relative PYTHONPATH entry (``PYTHONPATH=src``) would no
     longer find the package: the directory holding the imported robinspec
     goes first, as an absolute path."""
     package_root = str(Path(robinspec.__file__).resolve().parent.parent)
     inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
-    return subprocess.run([sys.executable, "-m", "robinspec.cli", *args],
-                          capture_output=True, cwd=cwd, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "robinspec.cli",
+                           *args], capture_output=True, cwd=cwd, env=env, timeout=timeout)
 
 
 def readme_cli_examples():

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from robinspec import bounds, cli, geometry
+from robinspec import assembly, bounds, cli, geometry
 from robinspec.errors import ArgumentError, GeometryError, UnsupportedDomainError
 
 from conftest import (boundary_length, convex_polygons, disk_mesh, interval_mesh, refined,
@@ -513,7 +513,7 @@ def assert_center_realizes_radius(dom, grid_n, scale=1.0):
 
 
 def quadrature_points(mesh):
-    return bounds._quadrature_points(mesh)[0]
+    return assembly.quadrature_rule(mesh)[0]
 
 
 def diameter(mesh):
