@@ -16,7 +16,8 @@ Numer. Anal. 1973): a recursive coordinate bisection of the node graph in
 which every separator is ordered after both of its halves.  It is computed
 at the first factorization of a pencil on the mesh, once, and every
 factorization on the mesh uses it; meshes that are only multiplied with,
-such as the finer levels of a `converge` chain, are never ordered.  The
+such as the finer levels of a `converge` chain or the fine mesh of a pencil
+preconditioned on its hierarchy (`hierarchy`), are never ordered.  The
 graph is the mass matrix's pattern, which holds every edge of the mesh.
 The stiffness matrix drops the edges whose cotangent weight vanishes (right
 angles opposite them), yet the pencils factored hold those edges through M;
@@ -370,3 +371,21 @@ def operators(mesh: Mesh) -> Operators:
                 arr.setflags(write=False)
             ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load), mesh.nodes)
     return ops
+
+
+def hierarchy(mesh: Mesh) -> list:
+    """The order argument of `eigensolve.shifted_factor` for pencils on
+    mesh: a function returning mesh's ordering, then, on a planar mesh, one
+    (P, function returning the level's ordering) pair for each coarser
+    level of its hierarchy, finest first, with P the level's prolongation
+    onto the one above it.  An interval lists no coarser level: its
+    tridiagonal LU has no fill to save."""
+    levels = [_ordering(mesh)]
+    while mesh.dim == 2 and mesh.coarse is not None:
+        mesh, prolongation = mesh.coarse
+        levels.append((prolongation, _ordering(mesh)))
+    return levels
+
+
+def _ordering(mesh: Mesh):
+    return lambda: operators(mesh).order

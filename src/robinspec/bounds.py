@@ -291,12 +291,13 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
         raise ArgumentError("scale factors must be positive")
     ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
-    reference = shifted_factor(ops.stiffness + bmat, ops.mass, order=ops.order)
+    levels = assembly.hierarchy(mesh)
+    reference = shifted_factor(ops.stiffness + bmat, ops.mass, order=levels)
     family = NearbyPencils(mesh.dim, reference=reference)
     rows: List[ScalingRow] = []
     for eps in eps_grid:
         a = ops.stiffness / (eps * eps) + bmat / eps
-        lam = family.lowest(a, ops.mass, ops.order).value
+        lam = family.lowest(a, ops.mass, levels).value
         rows.append(ScalingRow(float(eps), lam, eps * lam, eps * eps * lam))
     return rows
 

@@ -2,27 +2,45 @@
 
 Every eigensolve returns the lowest eigenpair only.  Pencils of dense size
 (n <= 40) are solved by a dense generalized eigensolve; every larger pencil
-runs LOBPCG (Knyazev, SISC 23, 2001) for one vector, preconditioned by the
-LU of a shifted pencil A - tau M (`shifted_factor`).  LOBPCG is this
-module's own single-vector kernel (`_lobpcg`): a step is one preconditioner
-solve, the products of one vector with A and M, and a Ritz problem of size
-3 at most.  It raises ConvergenceError on a breakdown instead of warning,
+runs LOBPCG (Knyazev, SISC 23, 2001) for one vector, preconditioned by a
+solve with a shifted pencil S = A - tau M (`shifted_factor`): its LU, or a
+V-cycle over a coarse LU of it.  LOBPCG is this module's own single-vector
+kernel (`_lobpcg`): a step is one preconditioner solve, the products of
+one vector with A and M, and a Ritz problem of size 3 at most.  It raises ConvergenceError on a breakdown instead of warning,
 so it touches no process-wide state and threads run it without a lock.
 
-A pencil solved on its own is preconditioned by its own shifted LU and
-started from LU^-1 M 1.  That run stops at round-off, at a residual of
+A Robin pencil on a refined planar mesh above `_COARSE_NODES` nodes runs on
+its hierarchy: `shifted_factor` coarsens S by Galerkin products P^T S P
+down to the first level with at most `_COARSE_NODES` nodes, factors that
+level once, in its own mesh's order, and stacks one `_VCycle` per level
+above it, so the fine mesh is neither factored nor ordered.  Pencils keep
+an LU of their own where there is no such hierarchy: pinned problems,
+intervals (whose tridiagonal LU has no fill), meshes without coarser
+levels or at most `_COARSE_NODES` nodes, and the levels of a refinement
+chain.
+
+A pencil solved on its own is preconditioned by its own shifted pair and
+started from solver^-1 M 1.  That run stops at round-off, at a residual of
 max(1e-12 |rho| ||M||_inf, 1e-14 max(||A||_inf, 1)) with rho the Rayleigh
 quotient of the start; the floor holds where lambda itself is at round-off
 (sigma = 0) and where the residual cannot be formed more finely.
 It takes a handful of LU applications: 5-9 for sigma from 1 to 1000 on the
-square at level 7 and the disk at level 6, 0 or 1 near sigma = 0.
+square at level 7 and the disk at level 6, 0 or 1 near sigma = 0; on the
+hierarchy, for sigma from 1e-3 to 1e5 at levels 5 and 6, it takes 7-14
+V-cycles on the square and 16-25 on the disk.  A run on a V-cycle gives up
+once its pace would miss the stop at the step cap, as on the stretched
+elements of thin or obtuse domains, and the pencil is then factored and
+solved on its own LU.
 
 `NearbyPencils` solves a sequence of nearby pencils in order: a family
 that shares M (one Robin problem under a range of boundary coefficients)
 or a chain of uniformly refined meshes.  Each pencil is warm-started from
 the last and stops at `DEFAULT_TOL` times max(||A||_inf, 1); one it cannot
 finish is factored and solved on its own LU.  After such a fallback a
-family takes the new LU as its reference, while a chain stops nesting.
+family takes the new LU as its reference and stays on LUs, while a chain
+stops nesting.  A family on a V-cycle takes a new V-cycle reference from
+each member that needed more than `_REREFERENCE` (12) applications, since
+a new V-cycle costs a few applications and a fine LU tens.
 
 Every path returns the Rayleigh quotient of its M-normalised vector as the
 eigenvalue, so the value is accurate to the square of the residual, and
@@ -61,6 +79,8 @@ from .errors import ArgumentError, ConvergenceError, MatrixError
 DEFAULT_TOL = 1e-10
 _DENSE_CUTOFF = 40
 _LOBPCG_STEPS = 40
+# the first application at which a paced LOBPCG run judges its rate
+_PACE_FROM = 2
 # the round-off stop of a pencil's run on its own LU: relative to the start's
 # Rayleigh quotient, with an absolute floor for eigenvalues at round-off
 _OWN_RTOL = 1e-12
@@ -69,6 +89,12 @@ _OWN_FLOOR = 1e-14
 # weight omega times d + 1 (below 2, see _VCycle)
 _SWEEPS = 2
 _SMOOTHING = 1.6
+# `shifted_factor` coarsens a pencil on a hierarchy to at most this many
+# nodes and factors that level
+_COARSE_NODES = 1000
+# a family on a hierarchy builds a new reference from a member that took
+# more preconditioner applications than this: a V-cycle costs a few
+_REREFERENCE = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,18 +189,45 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
 
 
 def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, order=None):
-    """(tau, lu): the shifted pair `smallest_eigs` preconditions the pencil
-    (A, M) with.  tau is a small negative multiple of A's mean diagonal, so a
-    Neumann kernel leaves A - tau M positive definite; lu is the sparse LU
-    of A - tau M, factored in the given order."""
+    """(tau, solver): the shifted pair `smallest_eigs` preconditions the
+    pencil (A, M) with.  tau is a small negative multiple of A's mean
+    diagonal, so a Neumann kernel leaves S = A - tau M positive definite.
+
+    order is S's fill-reducing order (or a function returning it), and
+    solver is the sparse LU of S factored in that order.  order may also be
+    a hierarchy (`assembly.hierarchy`): a list of that order followed by
+    one (P, order) pair per coarser level of a planar mesh, finest first,
+    with P the prolongation from the level onto the one above it and order
+    the level's own.  S is then coarsened by Galerkin products P^T S P down
+    to the first level with at most `_COARSE_NODES` rows, that level is
+    factored once, in its own order, and solver is one `_VCycle` per level
+    above it; a pencil that small is factored itself.
+    """
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
     tau = -1e-8 * max(float(a.diagonal().sum()), 1.0) / a.shape[0]
+    shifted = a - tau * m
+    order, coarser = _levels(order)
+    cycles = []
+    for prolongation, coarse_order in coarser:
+        if shifted.shape[0] <= _COARSE_NODES:
+            break
+        cycles.append((shifted, prolongation))
+        shifted = (prolongation.T @ (shifted @ prolongation)).tocsr()
+        order = coarse_order
     try:
-        lu = _factor(a - tau * m, order)
+        solver = _factor(shifted, order)
     except RuntimeError as exc:
         raise MatrixError(f"shifted factorization failed: {exc}") from exc
-    return tau, lu
+    for fine, prolongation in reversed(cycles):
+        solver = _VCycle(fine, prolongation, solver, _SMOOTHING / 3)
+    return tau, solver
+
+
+def _levels(order):
+    """(the pencil's own order, its coarser levels) of `shifted_factor`'s
+    order argument."""
+    return (order[0], order[1:]) if isinstance(order, list) else (order, [])
 
 
 def eigenvalue_floor(value: float) -> float:
@@ -202,10 +255,12 @@ def _normalised(a, m, x: np.ndarray):
     return value, x, float(np.linalg.norm(a @ x - value * (m @ x)))
 
 
-def _lobpcg(a, m, lu, x0: np.ndarray, tol: float):
+def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
     """Single-vector LOBPCG (Knyazev, SISC 23, 2001) for the lowest eigenpair
     of (A, M) from x0, preconditioned by lu.solve, to residual tol; returns
-    (vector, number of preconditioner applications).
+    (vector, number of preconditioner applications).  A paced run also
+    gives up, from `_PACE_FROM` applications on, once the residual, falling
+    at its mean rate so far, would still be above tol at the step cap.
 
     The basis rows are the iterate x, the preconditioned residual w, made
     M-orthogonal to x and M-normal, and the last step p, M-normal, each
@@ -236,9 +291,15 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float):
         residual = float(np.linalg.norm(r))
         if residual <= tol:
             return basis[0].copy(), applications
+        if applications == 0:
+            first = residual
         if applications == _LOBPCG_STEPS:
             raise _failure("LOBPCG did not converge within its step cap", applications + 1,
                            residual, tol)
+        if (paced and applications >= _PACE_FROM
+                and np.log(residual / first) * _LOBPCG_STEPS / applications > np.log(tol / first)):
+            raise _failure("LOBPCG would not converge within its step cap at its pace",
+                           applications, residual, tol)
         w = lu.solve(r)
         square = 0.0
         if np.isfinite(w).all():
@@ -286,7 +347,9 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
     its residual must pass the gate of the module docstring.  Without start
     LOBPCG runs on the pencil's own shifted LU from LU^-1 M 1 to round-off;
     factor is the pencil's `shifted_factor(a, m)` pair to reuse, and without
-    one the pair is made here, in the given order.  start = (pair, guess)
+    one the pair is made here, in the given order; a run on a V-cycle is
+    paced (see `_lobpcg`), and `NearbyPencils` falls back from one that
+    gives up.  start = (pair, guess)
     is a `shifted_factor` pair of a nearby pencil (or a pair whose second
     item has the same solve) and a start vector: LOBPCG runs from guess,
     preconditioned by the pair, to `DEFAULT_TOL` times max(||A||_inf, 1).
@@ -320,7 +383,9 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
                                    0, None, floor)
                 rho = float(x0 @ (a @ x0)) / square
                 tol = max(_OWN_RTOL * abs(rho) * norm_m, floor)
-            x, iterations = _lobpcg(a, m, lu, x0, tol)
+            # an own run on a V-cycle can fall back on the fine LU
+            x, iterations = _lobpcg(a, m, lu, x0, tol,
+                                    paced=start is None and isinstance(lu, _VCycle))
         value, x, residual = _normalised(a, m, x)
     bound = DEFAULT_TOL * max(norm_a + abs(value) * norm_m, 1.0)
     if not (np.isfinite(bound) and residual <= bound):
@@ -338,7 +403,9 @@ class _VCycle:
     For P1 elements in d dimensions lambda_max(W S) <= omega (d + 1), which
     the weight keeps below 2, so the smoother contracts in the S-norm,
     S^-1 - Q S^-1 Q^T is positive definite, and so is B whenever C is
-    positive semidefinite.
+    positive semidefinite.  The bound holds for a Galerkin operator P^T S P
+    of a refined mesh too: it sums one positive semidefinite block of size
+    d + 1 per coarse element.
     """
 
     def __init__(self, shifted: sp.csr_matrix, prolongation: sp.spmatrix, coarse,
@@ -349,15 +416,16 @@ class _VCycle:
         self.coarse = coarse
         self.weights = omega / shifted.diagonal()
 
-    def _smooth(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        for _ in range(_SWEEPS):
+    def _smooth(self, x: np.ndarray, b: np.ndarray, sweeps: int) -> np.ndarray:
+        for _ in range(sweeps):
             x = x + self.weights * (b - self.shifted @ x)
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._smooth(np.zeros_like(b), b)
+        # the first step from zero is W b
+        x = self._smooth(self.weights * b, b, _SWEEPS - 1)
         x = x + self.prolongation @ self.coarse.solve(self.restriction @ (b - self.shifted @ x))
-        return self._smooth(x, b)
+        return self._smooth(x, b, _SWEEPS)
 
 
 class NearbyPencils:
@@ -365,25 +433,31 @@ class NearbyPencils:
     each warm-started from the last.
 
     The next pencil runs LOBPCG from the last eigenvector, preconditioned by
-    the last `shifted_factor` pair: a family of pencils (A_j, M) that share
+    the last pencil's shifted pair: a family of pencils (A_j, M) that share
     M, such as one Robin problem under a range of boundary coefficients,
-    keeps one LU.  With a prolongation from the last pencil's nodes, as on
-    a chain of uniformly refined meshes (nested iteration, Knyazev and
-    Neymeyr, ETNA 15, 2003), it runs from the prolonged eigenvector,
-    preconditioned by a `_VCycle` on the same shift whose coarse solve is
-    the last preconditioner, and that cycle preconditions the level after.
-    Both stop at `DEFAULT_TOL` times max(||A||_inf, 1).
+    keeps one preconditioner.  With a prolongation from the last pencil's
+    nodes, as on a chain of uniformly refined meshes (nested iteration,
+    Knyazev and Neymeyr, ETNA 15, 2003), it runs from the prolonged
+    eigenvector, preconditioned by a `_VCycle` on the same shift whose
+    coarse solve is the last preconditioner, and that cycle preconditions
+    the level after.  Both stop at `DEFAULT_TOL` times max(||A||_inf, 1).
 
-    The first pencil without a reference, and any pencil that LOBPCG does
-    not bring through the stop within `_LOBPCG_STEPS` iterations, is
-    factored and solved on its own LU, as `smallest_eigs` solves it alone;
-    `fallbacks` counts the second kind.  A family takes a fallback's LU as
-    its reference; a fallback ends a chain's nested iteration, so every
-    later level is factored too.  Pencils of dense size are solved densely
-    and leave the sequence as it was.
+    The first pencil without a reference is solved on its own
+    `shifted_factor` pair, as `smallest_eigs` solves a pencil alone: a
+    V-cycle over its hierarchy's coarse LU where its order lists coarser
+    levels, its own LU otherwise.  A pencil that LOBPCG does not bring
+    through the stop, within `_LOBPCG_STEPS` iterations as a warm-started
+    member or at its pace on its own V-cycle, is factored and solved on its
+    own LU; `fallbacks` counts these.  A family takes the pair it solved a pencil on alone as
+    its reference, and after a fallback it stays on LUs.  A family on a
+    V-cycle also takes a new V-cycle reference from a member that needed
+    more than `_REREFERENCE` applications.  A fallback ends a chain's
+    nested iteration, so every later level is factored too.  Pencils of
+    dense size are solved densely and leave the sequence as it was.
 
     reference is a nearby pencil's `shifted_factor` pair on the first
-    pencil's nodes, which the first pencil then runs on from LU^-1 M 1.
+    pencil's nodes, which the first pencil then runs on from
+    solver^-1 M 1.
     """
 
     def __init__(self, dim: int, reference=None):
@@ -397,8 +471,8 @@ class NearbyPencils:
         """The lowest eigenpair of the next pencil (a, m).
 
         order is its fill-reducing order, or a function returning it, as in
-        `_factor`; prolongation maps the last pencil's vectors onto this
-        one's nodes.
+        `_factor`, or its hierarchy, as in `shifted_factor`; prolongation
+        maps the last pencil's vectors onto this one's nodes.
         """
         a = sp.csr_matrix(a)
         m = sp.csr_matrix(m)
@@ -419,10 +493,21 @@ class NearbyPencils:
                 self.fallbacks += 1
                 self._pair = self._vector = None  # release the LU or hierarchy
             else:
+                if (prolongation is None and isinstance(solver, _VCycle)
+                        and res.iterations > _REREFERENCE):
+                    pair = shifted_factor(a, m, order)
                 self._pair, self._vector = pair, res.vector
                 return res
-        factor = shifted_factor(a, m, order=order)
-        res = smallest_eigs(a, m, factor=factor)
+        fine = _levels(order)[0]
+        factor = shifted_factor(a, m, fine if self.fallbacks else order)
+        try:
+            res = smallest_eigs(a, m, factor=factor)
+        except ConvergenceError:
+            if not isinstance(factor[1], _VCycle):
+                raise
+            self.fallbacks += 1
+            factor = shifted_factor(a, m, fine)
+            res = smallest_eigs(a, m, factor=factor)
         if prolongation is None or not self.fallbacks:
             self._pair, self._vector = factor, res.vector
         return res

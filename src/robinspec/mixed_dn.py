@@ -168,7 +168,7 @@ class MixedProblem:
         self.volume = ops.volume
         self.fixed = gamma_nodes(mesh)
         self.free, self.k_ff, self.m_ff = ops.restrict(self.fixed)
-        self.order = ops.order
+        self.hierarchy = assembly.hierarchy(mesh)
         self.free_order = ops.free_order(self.free)
         self.load = ops.load[self.free]
         factor = shifted_factor(self.k_ff, self.m_ff, order=self.free_order)
@@ -273,7 +273,7 @@ class MixedProblem:
         recovered_mass = float(ones @ (b @ ones))
         minimizer = xi * u + 1.0
         pencils = NearbyPencils(self.mesh.dim)
-        check = pencils.lowest(self.stiffness + b, self.mass_matrix, self.order)
+        check = pencils.lowest(self.stiffness + b, self.mass_matrix, self.hierarchy)
         opt = OptimalSigma(mass=mass, value=xi, resolvent=u, sigma=sigma,
                            minimizer=minimizer, mass_defect=abs(recovered_mass - mass),
                            lambda_check=check.value, ground=self.ground,
@@ -341,7 +341,7 @@ def verify_maximality(mesh: Mesh, mass: float, trials: int = 20,
         b_trial = assembly.assemble_boundary_mass(mesh, SigmaField.nodal(vals, support="gamma"))
         # B is linear in sigma: rescale the trial to the prescribed mass
         b_trial = b_trial * (mass / float(ones @ (b_trial @ ones)))
-        lam = family.lowest(kmat + b_trial, mmat, prob.order).value
+        lam = family.lowest(kmat + b_trial, mmat, prob.hierarchy).value
         q_trial = _rayleigh(kmat, b_trial, mmat, u_m)
         boundary_term = float(u_m @ (b_trial @ u_m))
         bad = lam > opt.lambda_check + _MAXIMALITY_SLACK

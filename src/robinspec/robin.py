@@ -29,11 +29,12 @@ class RobinResult:
 
 
 def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField) -> RobinResult:
-    """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser."""
+    """Smallest eigenvalue of (K + B(sigma)) x = lambda M x with minimiser,
+    solved alone on the mesh's hierarchy (a family of one pencil)."""
     ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, sigma)
-    return _robin_result(mesh, smallest_eigs(ops.stiffness + b, ops.mass,
-                                             order=lambda: ops.order))
+    return _robin_result(mesh, NearbyPencils(mesh.dim).lowest(ops.stiffness + b, ops.mass,
+                                                              assembly.hierarchy(mesh)))
 
 
 def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
@@ -97,6 +98,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     lengths = geometry.boundary_edge_lengths(mesh)
     on_gamma = mesh.boundary_markers == GAMMA
     ops = assembly.operators(mesh)
+    levels = assembly.hierarchy(mesh)
     family = NearbyPencils(mesh.dim)
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
@@ -109,6 +111,6 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
         alpha = mass / total
         values = np.where(support, alpha, 0.0)
         b = assembly.assemble_boundary_mass(mesh, SigmaField.per_edge(values))
-        lam = family.lowest(ops.stiffness + b, ops.mass, lambda: ops.order).value
+        lam = family.lowest(ops.stiffness + b, ops.mass, levels).value
         rows.append(ConcentrationRow(n, r, total, alpha, lam))
     return rows

@@ -275,11 +275,13 @@ class TestKernel:
         assert set(diag) == TestFailureDiagnostics.KEYS
         assert diag["iterations"] == 1 and diag["residual"] > diag["bound"]
 
-    def test_square_l7_scale_grid_needs_no_fallback(self, monkeypatch):
-        # the benchmark's grid: its eps = 1000 member takes 39 of the 40
-        # applications allowed.  On the coarser squares of levels 5 and 6
-        # that member needs more than 40 and falls back, as it did under
-        # scipy's LOBPCG.
+    @pytest.mark.parametrize("level", [5, 6, 7], ids=["L5", "L6", "L7"])
+    def test_square_scale_grid_needs_no_fallback(self, level, monkeypatch):
+        # the benchmark's grid on the CLI's squares, all above the coarse
+        # size.  On one fine LU of the unscaled pencil its eps = 1000 member
+        # took 39 of the 40 applications allowed at level 7 and fell back at
+        # levels 5 and 6; on V-cycles the family re-references from each
+        # member that takes more than _REREFERENCE applications.
         families = []
         init = eigensolve.NearbyPencils.__init__
 
@@ -288,7 +290,8 @@ class TestKernel:
             families.append(self)
 
         monkeypatch.setattr(eigensolve.NearbyPencils, "__init__", recorded)
-        mesh = cli._mesh_at_level(geometry.unit_square(), 7, None)
+        mesh = cli._mesh_at_level(geometry.unit_square(), level, None)
+        assert mesh.num_nodes > eigensolve._COARSE_NODES
         bounds.scaling_table(mesh, SigmaField.constant(1.0),
                              [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3])
         (family,) = families

@@ -182,3 +182,13 @@ class TestOrderedOnlyWhenFactored:
         assert orderings == []
         robin.lowest_eigenvalue(mesh, sigma)
         assert orderings == [mesh.num_nodes]
+
+    def test_meshes_above_the_coarse_size_order_only_their_coarse_level(self, orderings):
+        # solve and the shrinking support run on V-cycles over one coarse LU
+        mesh = cli._mesh_at_level(geometry.unit_square(), 6, None)
+        coarse = mesh.coarse[0].coarse[0]
+        assert mesh.coarse[0].num_nodes > eigensolve._COARSE_NODES >= coarse.num_nodes
+        sigma = assembly.SigmaField.constant(1.0)
+        robin.lowest_eigenvalue(mesh, sigma)
+        robin.concentration_sweep(mesh, 1.0, (0.4, 0.0), 5)
+        assert orderings == [coarse.num_nodes]

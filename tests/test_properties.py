@@ -19,6 +19,11 @@ meshes: LOBPCG from the prolonged eigenvector on a V-cycle over the last
 preconditioner, and a fallback ends the nesting.  Each level must match
 the level's standalone solve to 1e-12 max(lambda, 1).
 
+On random convex polygons with random gamma sides, refined past the coarse
+size, a pencil solved alone on its hierarchy (LOBPCG on a V-cycle over the
+coarse LU, or the fine LU after a fallback) must match the fine LU's solve
+within `eigenvalue_floor`.
+
 Random masses: the optimal eigenvalue, whose Newton loop starts from the
 Lanczos model's root, must reproduce the mass on a true resolvent solve and
 lie between the closed-form bounds.
@@ -140,6 +145,26 @@ def test_refinement_chain_matches_per_level_solves(domain, log_sigma):
         sizes.append(mesh.num_nodes)
     # at least two levels above dense size: one factored, one nested
     assert sizes[-2] > eigensolve._DENSE_CUTOFF
+
+
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(convex_polygons(), st.data(), st.floats(-2.0, 2.0))
+def test_hierarchy_matches_the_fine_lu(domain, data, log_sigma):
+    verts = domain.vertices
+    sides = data.draw(st.sets(st.integers(0, len(verts) - 1), min_size=1))
+    mesh = geometry.build_mesh(geometry.polygon(verts, gamma=geometry.gamma_sides(*sides)), 0.5)
+    while mesh.num_nodes <= eigensolve._COARSE_NODES:
+        mesh = geometry.refine(mesh)
+    ops = assembly.operators(mesh)
+    a = ops.stiffness + assembly.assemble_boundary_mass(
+        mesh, SigmaField.on_gamma(10.0 ** log_sigma))
+    family = eigensolve.NearbyPencils(mesh.dim)
+    lam = family.lowest(a, ops.mass, assembly.hierarchy(mesh)).value
+    want = eigensolve.smallest_eigs(a, ops.mass, order=ops.order).value
+    assert abs(lam - want) <= eigensolve.eigenvalue_floor(want)
+    # a fallback is the fine LU's own solve
+    assert lam == want or not family.fallbacks
 
 
 PROBLEMS = {name: mixed_dn.MixedProblem(mesh) for name, mesh in MESHES.items()}

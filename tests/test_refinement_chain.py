@@ -114,6 +114,40 @@ class TestVCycle:
             assert spectrum.min() > 0.0 and spectrum.max() <= 1.0 + 1e-9
 
 
+    def test_a_cycle_takes_four_products_with_s(self):
+        # the pre-smoother starts at W b, the first Jacobi step from zero,
+        # so it skips the product with a zero vector and changes no bit
+        shifted, cycle = hierarchy("square", 3)
+
+        class Counted:
+            def __init__(self, matrix):
+                self.matrix, self.products = matrix, 0
+
+            def diagonal(self):
+                return self.matrix.diagonal()
+
+            def __matmul__(self, x):
+                self.products += 1
+                return self.matrix @ x
+
+        counted = Counted(cycle.shifted)
+        counting = eigensolve._VCycle(counted, cycle.prolongation, cycle.coarse,
+                                      eigensolve._SMOOTHING / 3)
+        b = np.random.default_rng(4).standard_normal(shifted.shape[0])
+        x = counting.solve(b)
+        assert counted.products == 4
+        # the same bits as two full sweeps from zero
+        w, s = counting.weights, cycle.shifted
+        want = np.zeros_like(b)
+        for _ in range(eigensolve._SWEEPS):
+            want = want + w * (b - s @ want)
+        want = want + cycle.prolongation @ cycle.coarse.solve(
+            cycle.restriction @ (b - s @ want))
+        for _ in range(eigensolve._SWEEPS):
+            want = want + w * (b - s @ want)
+        np.testing.assert_array_equal(x, want)
+
+
 class TestChain:
     @pytest.mark.parametrize("name", sorted(DOMAINS))
     def test_meshes_are_the_per_level_meshes(self, name):

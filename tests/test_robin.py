@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robinspec import assembly, exact1d, geometry, robin
+from robinspec import assembly, cli, eigensolve, exact1d, geometry, robin
 from robinspec.assembly import SigmaField
 from robinspec.eigensolve import smallest_eigs
 from robinspec.errors import ResolutionError
@@ -121,3 +121,32 @@ class TestConcentrationSweep:
         coarse = refined(geometry.build_mesh(geometry.unit_square(), 1.5), 2)
         with pytest.raises(ResolutionError):
             robin.concentration_sweep(coarse, 1.0, (0.5, 0.0), 6)
+
+
+class TestHierarchyFallback:
+    @pytest.mark.parametrize("domain", [
+        geometry.rectangle(1.0, 0.05),
+        geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)]),
+    ], ids=["thin-rectangle", "obtuse-triangle"])
+    def test_a_failed_v_cycle_returns_the_fine_lu_value(self, domain, monkeypatch):
+        # stretched elements: LOBPCG on the V-cycle over the coarse LU gives
+        # up, and the solve falls back on the fine LU
+        families = []
+
+        class Recorded(eigensolve.NearbyPencils):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                families.append(self)
+
+        monkeypatch.setattr(robin, "NearbyPencils", Recorded)
+        mesh = cli._mesh_at_level(domain, 6, None)
+        assert mesh.num_nodes > eigensolve._COARSE_NODES
+        sigma = SigmaField.constant(1.0)
+        res = robin.lowest_eigenvalue(mesh, sigma)
+        (family,) = families
+        assert family.fallbacks == 1
+        ops = assembly.operators(mesh)
+        a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
+        want = smallest_eigs(a, ops.mass, order=ops.order)
+        assert res.value == want.value and res.residual == want.residual
+
