@@ -373,19 +373,34 @@ def operators(mesh: Mesh) -> Operators:
     return ops
 
 
-def hierarchy(mesh: Mesh) -> list:
+def hierarchy(mesh: Mesh, free: Optional[np.ndarray] = None) -> list:
     """The order argument of `eigensolve.shifted_factor` for pencils on
     mesh: a function returning mesh's ordering, then, on a planar mesh, one
     (P, function returning the level's ordering) pair for each coarser
     level of its hierarchy, finest first, with P the level's prolongation
     onto the one above it.  An interval lists no coarser level: its
-    tridiagonal LU has no fill to save."""
-    levels = [_ordering(mesh)]
+    tridiagonal LU has no fill to save.
+
+    With free, the sorted free nodes of a pencil pinned on the other nodes
+    (`Operators.restrict`), the levels are the pinned pencil's: a coarse
+    node is free when it is a free node of the level above, as refinement
+    keeps the coarse numbering, each P is restricted to the free nodes of
+    both levels, and each ordering to its level's free nodes.  The coarse
+    spaces are then exact where the fixed nodes are a union of boundary
+    facets' nodes (gamma, the boundary): a coarse function that vanishes on
+    them interpolates to one that vanishes on them.  Orderings stay lazy,
+    so a coarse level's operators are assembled only when it is factored."""
+    levels = [_ordering(mesh, free)]
     while mesh.dim == 2 and mesh.coarse is not None:
         mesh, prolongation = mesh.coarse
-        levels.append((prolongation, _ordering(mesh)))
+        if free is not None:
+            fine_free, free = free, free[:np.searchsorted(free, mesh.num_nodes)]
+            prolongation = prolongation[fine_free][:, free]
+        levels.append((prolongation, _ordering(mesh, free)))
     return levels
 
 
-def _ordering(mesh: Mesh):
-    return lambda: operators(mesh).order
+def _ordering(mesh: Mesh, free: Optional[np.ndarray] = None):
+    if free is None:
+        return lambda: operators(mesh).order
+    return lambda: operators(mesh).free_order(free)

@@ -26,8 +26,9 @@ from .errors import (ArgumentError, ConvergenceError, GeometryError, RobinspecEr
                      UnsupportedDomainError)
 from .geometry import DomainSpec, build_mesh, gamma_arcs, gamma_all, gamma_none, gamma_sides
 
-# Each worker factors its own problem and the work is compiled code, so
-# threads beyond the core count add a live LU each without adding speed.
+# Each worker solves its own pinned problem (a coarse LU and its V-cycle
+# above the coarse size, a fine LU at or below it) and the work is compiled
+# code, so threads beyond the core count add memory without adding speed.
 _MAX_WORKERS = min(4, os.cpu_count() or 1)
 
 

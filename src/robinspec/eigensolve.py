@@ -9,15 +9,18 @@ kernel (`_lobpcg`): a step is one preconditioner solve, the products of
 one vector with A and M, and a Ritz problem of size 3 at most.  It raises ConvergenceError on a breakdown instead of warning,
 so it touches no process-wide state and threads run it without a lock.
 
-A Robin pencil on a refined planar mesh above `_COARSE_NODES` nodes runs on
-its hierarchy: `shifted_factor` coarsens S by Galerkin products P^T S P
-down to the first level with at most `_COARSE_NODES` nodes, factors that
-level once, in its own mesh's order, and stacks one `_VCycle` per level
-above it, so the fine mesh is neither factored nor ordered.  Pencils keep
-an LU of their own where there is no such hierarchy: pinned problems,
+A pencil on a refined planar mesh above `_COARSE_NODES` nodes runs on its
+hierarchy: `shifted_factor` coarsens S by Galerkin products P^T S P down
+to the first level with at most `_COARSE_NODES` nodes, factors that level
+once, in its own mesh's order, and stacks one `_VCycle` per level above
+it, so the fine mesh is neither factored nor ordered.  Robin pencils run
+on the mesh's hierarchy, and pencils pinned on gamma or the boundary on
+its restriction to their free nodes (`assembly.hierarchy`), where the
+V-cycle also preconditions the conjugate gradients of `solve_spd_cg`.
+Pencils keep an LU of their own where there is no such hierarchy:
 intervals (whose tridiagonal LU has no fill), meshes without coarser
-levels or at most `_COARSE_NODES` nodes, and the levels of a refinement
-chain.
+levels or at most `_COARSE_NODES` nodes (free nodes, where pinned), and
+the levels of a refinement chain.
 
 A pencil solved on its own is preconditioned by its own shifted pair and
 started from solver^-1 M 1.  That run stops at round-off, at a residual of
@@ -30,7 +33,13 @@ hierarchy, for sigma from 1e-3 to 1e5 at levels 5 and 6, it takes 7-14
 V-cycles on the square and 16-25 on the disk.  A run on a V-cycle gives up
 once its pace would miss the stop at the step cap, as on the stretched
 elements of thin or obtuse domains, and the pencil is then factored and
-solved on its own LU.
+solved on its own LU (`lowest_alone`).
+
+`solve_spd_cg` solves a pinned resolvent system (K - xi M) U = M 1 by
+conjugate gradients on the V-cycle of K - tau M.  Warm-started from the
+last Newton step's U, it takes 3-25 V-cycles per solve on the square at
+level 7 for masses from 0.05 to 1e4, and 31-39 near the margin
+xi -> E1 (1 - 1e-9), where K - xi M is nearly singular.
 
 `NearbyPencils` solves a sequence of nearby pencils in order: a family
 that shares M (one Robin problem under a range of boundary coefficients)
@@ -95,6 +104,14 @@ _COARSE_NODES = 1000
 # a family on a hierarchy builds a new reference from a member that took
 # more preconditioner applications than this: a V-cycle costs a few
 _REREFERENCE = 12
+# `solve_spd_cg` stops at this recursive residual relative to ||b||, near
+# the float64 floor: Newton on the mass curve reads F from b.x, and its
+# last step at m = 1e5 (square, level 7) left |F - m| = 6e-11 m at a stop
+# of 1e-12 but 1.3e-12 m at 1e-14, for about 15 % more V-cycles
+_CG_RTOL = 1e-14
+# far above the 3-39 steps of the pinned resolvents; the gates judge a run
+# that reaches it
+_CG_STEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +197,56 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
         if np.linalg.norm(b - a @ x_new) >= res:
             break  # refinement hit the float64 floor
         x = x_new
+    return _gated(a, b, x, norm_a)
+
+
+def solve_spd_cg(a: sp.spmatrix, b: np.ndarray, solver, x0) -> np.ndarray:
+    """Solve A x = b for symmetric positive definite A by conjugate
+    gradients preconditioned by solver.solve, a symmetric positive definite
+    approximation of A^-1 (a `shifted_factor` V-cycle of a nearby pencil).
+    It starts from the multiple of x0 nearest the solution in the A-norm,
+    (x0.b / x0.A x0) x0, so a guess of the wrong scale is rescaled, not
+    iterated away, or from zero where x0 is None.
+
+    The run stops once its recursive residual is below `_CG_RTOL` ||b||,
+    near the float64 floor, or after `_CG_STEPS` steps, and its result
+    passes `solve_spd`'s gates.  A step of non-positive curvature
+    (p.A p <= 0) raises MatrixError too.
+    """
+    a = sp.csr_matrix(a)
+    b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        curvature = x0 @ (a @ x0)
+        if curvature > 0.0:
+            x = (x0 @ b / curvature) * x0
+    r = b - a @ x
+    stop = _CG_RTOL * np.linalg.norm(b)
+    z = solver.solve(r)
+    p = z
+    rz = r @ z
+    for _ in range(_CG_STEPS):
+        if not np.linalg.norm(r) > stop:
+            break
+        q = a @ p
+        curvature = p @ q
+        if not curvature > 0.0:
+            raise MatrixError("negative curvature detected: matrix is not positive definite")
+        step = rz / curvature
+        x += step * p
+        r -= step * q
+        z = solver.solve(r)
+        rz, last = r @ z, rz
+        p = z + (rz / last) * p
+    return _gated(a, b, x, _inf_norm_estimate(a))
+
+
+def _gated(a, b: np.ndarray, x: np.ndarray, norm_a: float) -> np.ndarray:
+    """x, once it passes the gates of `solve_spd`: a backward error of at
+    most 1e-12 relative to ||b|| + ||A||_inf ||x||, and b.x >= 0."""
     res = np.linalg.norm(b - a @ x)
-    if res > 1e-12 * (norm_b + norm_a * np.linalg.norm(x)):
+    if not res <= 1e-12 * (np.linalg.norm(b) + norm_a * np.linalg.norm(x)):
         raise MatrixError("residual stalled: matrix numerically singular")
     if float(b @ x) < 0.0:
         raise MatrixError("negative curvature detected: matrix is not positive definite")
@@ -222,6 +287,12 @@ def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, order=None):
     for fine, prolongation in reversed(cycles):
         solver = _VCycle(fine, prolongation, solver, _SMOOTHING / 3)
     return tau, solver
+
+
+def on_hierarchy(pair) -> bool:
+    """Whether a `shifted_factor` pair's solver is a V-cycle over a coarser
+    level's LU rather than an LU of S itself."""
+    return isinstance(pair[1], _VCycle)
 
 
 def _levels(order):
@@ -498,16 +569,27 @@ class NearbyPencils:
                     pair = shifted_factor(a, m, order)
                 self._pair, self._vector = pair, res.vector
                 return res
-        fine = _levels(order)[0]
-        factor = shifted_factor(a, m, fine if self.fallbacks else order)
-        try:
-            res = smallest_eigs(a, m, factor=factor)
-        except ConvergenceError:
-            if not isinstance(factor[1], _VCycle):
-                raise
-            self.fallbacks += 1
-            factor = shifted_factor(a, m, fine)
-            res = smallest_eigs(a, m, factor=factor)
+        res, factor, fell_back = lowest_alone(a, m, _levels(order)[0] if self.fallbacks else order)
+        self.fallbacks += fell_back
         if prolongation is None or not self.fallbacks:
             self._pair, self._vector = factor, res.vector
         return res
+
+
+def lowest_alone(a: sp.spmatrix, m: sp.spmatrix, order):
+    """(EigResult, pair, fell back): the lowest eigenpair of the pencil
+    (a, m) solved on its own, as `smallest_eigs` solves it, and the
+    `shifted_factor` pair it was solved on, None at dense size, where
+    nothing is factored.  order is as in `shifted_factor`.  Where it lists
+    coarser levels the run is on a V-cycle and paced, and a run that gives
+    up falls back on the pencil's own LU, which the pair then is."""
+    if _dense(a.shape[0]):
+        return smallest_eigs(a, m), None, False
+    factor = shifted_factor(a, m, order)
+    try:
+        return smallest_eigs(a, m, factor=factor), factor, False
+    except ConvergenceError:
+        if not on_hierarchy(factor):
+            raise
+    factor = shifted_factor(a, m, _levels(order)[0])
+    return smallest_eigs(a, m, factor=factor), factor, True

@@ -4,13 +4,14 @@ The pipeline: pin the solution to zero on gamma, compute the ground
 eigenvalue of the pinned Laplacian, apply the resolvent at a spectral
 parameter to the constant source, invert the resulting mass curve for a
 prescribed boundary mass, and recover the optimal coefficient from the
-variational boundary flux on gamma.  One sparse factorization of the pinned
-pencil serves both the ground eigensolve and a Lanczos model of the whole
-mass curve; the model's root starts a Newton loop on true resolvent solves.
-The recovered total mass reproduces the prescribed one to root-finder
-tolerance, and the minimiser built from the resolvent nearly diagonalizes
-the recovered Robin pencil, so the cross-checks below hold far inside
-discretization error.
+variational boundary flux on gamma.  Above the coarse size the pinned
+pencil runs on its own hierarchy, where one coarse LU and its V-cycle serve
+the ground eigensolve and every resolvent solve; at or below it one sparse
+factorization serves the ground eigensolve and a Lanczos model of the mass
+curve (`MixedProblem`).  The recovered total mass reproduces the
+prescribed one to root-finder tolerance, and the minimiser built from the
+resolvent nearly diagonalizes the recovered Robin pencil, so the
+cross-checks below hold far inside discretization error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import assembly
 from .assembly import SigmaField
-from .eigensolve import NearbyPencils, shifted_factor, smallest_eigs, solve_spd
+from .eigensolve import (NearbyPencils, lowest_alone, on_hierarchy, shifted_factor, solve_spd,
+                         solve_spd_cg)
 from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
@@ -119,22 +121,28 @@ class _MassCurveModel:
         return float(self.c @ y), float(y @ y)
 
 
-def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float):
+def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float,
+                        polish: bool = False):
     """Newton on curve(xi) = (F, F', payload) for F(xi) = mass, safeguarded
     by bisection inside (0, hi) and stopping at |F - mass| <= target or on
     a step that no longer moves xi.  With a positive target it also stops
     on a step that removes less than half of |F - mass|: started near the
     root, Newton removes far more, so F is at its evaluation floor above the
     target, and the evaluated xi with the smallest |F - mass| is returned.
-    Returns (xi, payload), or (xi, None) when the step cap ends the loop on
-    an unevaluated xi."""
+    With polish, an xi inside the target takes one more step, returned when
+    it stays inside.  Returns (xi, payload), or (xi, None) when the step
+    cap ends the loop on an unevaluated xi."""
     lo = 0.0
     best = None
     for _ in range(_MAX_NEWTON):
         f, fp, payload = curve(xi)
         err = f - mass
         if abs(err) <= target:
-            return xi, payload
+            step = xi - err / fp
+            if not (polish and lo < step < hi and step != xi):
+                return xi, payload
+            f, _, polished = curve(step)
+            return (step, polished) if abs(f - mass) <= target else (xi, payload)
         if target > 0.0 and best is not None and abs(err) > 0.5 * best[0]:
             return (xi, payload) if abs(err) < best[0] else best[1:]
         best = (abs(err), xi, payload)
@@ -153,11 +161,18 @@ def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float)
 
 class MixedProblem:
     """The problem pinned on gamma for one mesh: the mesh's shared operators
-    restricted to the free nodes, the ground state and the Lanczos model of
-    the mass curve, all computed once, on construction.
+    restricted to the free nodes and the ground state, computed once, on
+    construction.
 
-    The shifted factorization of the ground eigensolve builds the model and
-    is not kept.
+    Above `eigensolve._COARSE_NODES` free nodes on a refined planar mesh
+    the ground state runs on the pinned pencil's hierarchy
+    (`assembly.hierarchy` given the free nodes), and the problem keeps its
+    V-cycle: each resolvent solve is conjugate gradients preconditioned by
+    it, warm-started from the last resolvent (`eigensolve.solve_spd_cg`).
+    Otherwise, and where the ground state's run on the V-cycle gave up
+    (`eigensolve.lowest_alone`), the shifted factorization of the ground
+    eigensolve builds a Lanczos model of the mass curve and is not kept,
+    and each resolvent solve factors K - xi M.
     """
 
     def __init__(self, mesh: Mesh):
@@ -169,17 +184,22 @@ class MixedProblem:
         self.fixed = gamma_nodes(mesh)
         self.free, self.k_ff, self.m_ff = ops.restrict(self.fixed)
         self.hierarchy = assembly.hierarchy(mesh)
-        self.free_order = ops.free_order(self.free)
         self.load = ops.load[self.free]
-        factor = shifted_factor(self.k_ff, self.m_ff, order=self.free_order)
-        res = smallest_eigs(self.k_ff, self.m_ff, factor=factor)
+        levels = assembly.hierarchy(mesh, self.free)
+        res, pair, _ = lowest_alone(self.k_ff, self.m_ff, levels)
         phi = np.zeros(mesh.num_nodes)
         phi[self.free] = res.vector
         integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
         if integral < 0.0:
             phi, integral = -phi, -integral
         self.ground = MixedGroundState(res.value, phi, integral)
-        self._model = _MassCurveModel(self.m_ff, self.load, *factor)
+        self._cycle = self._model = self._last_u = None
+        if pair is not None and on_hierarchy(pair):
+            self._cycle = pair[1]
+        else:
+            self._free_order = levels[0]
+            factor = pair or shifted_factor(self.k_ff, self.m_ff, order=self._free_order)
+            self._model = _MassCurveModel(self.m_ff, self.load, *factor)
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
@@ -190,7 +210,11 @@ class MixedProblem:
     def resolvent_one(self, xi: float) -> np.ndarray:
         """Solve (K - xi M) u = M 1 on free nodes; zero on gamma nodes."""
         self._check_xi(xi)
-        u_free = solve_spd(self.k_ff - xi * self.m_ff, self.load, order=self.free_order)
+        shifted = self.k_ff - xi * self.m_ff
+        if self._cycle is None:
+            u_free = solve_spd(shifted, self.load, order=self._free_order)
+        else:
+            u_free = self._last_u = solve_spd_cg(shifted, self.load, self._cycle, self._last_u)
         u = np.zeros(self.mesh.num_nodes)
         u[self.free] = u_free
         return u
@@ -220,10 +244,16 @@ class MixedProblem:
         """(xi, U): the root of the mass curve and the resolvent at it, or
         None in place of U when the step cap ends the loop on a new xi.
 
-        Newton runs to round-off on the Lanczos model first, from the
-        closed-form lower bound; its root starts the loop on true resolvent
-        solves, which judges the stopping test and usually stops at once.
-        A mass whose lower bound reaches E1 (1 - 1e-9) raises RangeError.
+        A mass whose closed-form lower bound m E1 / (m + |Omega| E1) reaches
+        E1 (1 - 1e-9) raises RangeError.  With the Lanczos model, Newton
+        runs to round-off on the model first, from that lower bound; its
+        root starts the loop on true resolvent solves, which judges the
+        stopping test and usually stops at once.  On the hierarchy the loop
+        on true solves starts from the closed-form upper bound
+        (`bounds.optimal_upper_bound`), clamped to E1 (1 - 1e-9): F is
+        convex and increasing, so Newton from the right of the root moves
+        monotonically onto it.  A root found inside the stopping band takes
+        one more step, which brings xi to round-off.
         """
         if mass <= 0:
             raise ArgumentError(f"mass must be positive, got {mass}")
@@ -234,10 +264,15 @@ class MixedProblem:
             raise RangeError(
                 f"mass {mass:g} is too large: the root of its mass curve lies within the "
                 f"margin {_XI_MARGIN:g} of the pinned ground eigenvalue E1 = {e1:.6g}")
+        target = _MASS_RTOL * max(mass, 1.0)
+        if self._model is None:
+            from .bounds import optimal_upper_bound  # bounds imports this module
+            upper = optimal_upper_bound(mass, e1, self.volume, self.ground.integral)
+            return _safeguarded_newton(self.mass_function_with_derivative, mass,
+                                       min(upper, hi), hi, target, polish=True)
         xi = max(xi, hi * 1e-12)
         xi, _ = _safeguarded_newton(self._model_curve, mass, xi, hi, 0.0)
-        return _safeguarded_newton(self.mass_function_with_derivative, mass, xi, hi,
-                                   _MASS_RTOL * max(mass, 1.0))
+        return _safeguarded_newton(self.mass_function_with_derivative, mass, xi, hi, target)
 
     def optimal_sigma(self, mass: float) -> OptimalSigma:
         """Optimal coefficient of the given mass by variational flux recovery.

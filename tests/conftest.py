@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import assume, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from robinspec import assembly, geometry
+from robinspec import assembly, eigensolve, geometry
 from robinspec.assembly import SigmaField
 from robinspec.geometry import GAMMA
 
@@ -114,3 +114,18 @@ def disk_l2():
 @pytest.fixture(scope="session")
 def triangle_l3():
     return triangle_mesh(3)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The sizes of the sparse factorizations made through eigensolve's
+    module-level splu, in order."""
+    sizes = []
+    splu = eigensolve.splu
+
+    def counted(a, **kwargs):
+        sizes.append(a.shape[0])
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "splu", counted)
+    return sizes

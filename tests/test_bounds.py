@@ -307,7 +307,9 @@ class TestScaling:
         square_mesh(3, gamma=geometry.gamma_sides(0, 1)),
         disk_mesh(2, gamma=geometry.gamma_arcs([(0.0, 3.14159)])),
         interval_mesh(64, gamma=geometry.gamma_sides(1)),
-    ], ids=["square-all", "square-edges-0-1", "disk-arc", "interval-one-end"])
+        square_mesh(5, gamma=geometry.gamma_sides(0, 1)),
+    ], ids=["square-all", "square-edges-0-1", "disk-arc", "interval-one-end",
+            "square-edges-0-1-on-its-hierarchy"])
     def test_expand_limit_is_the_pinned_ground_value(self, mesh):
         assert bounds.scaling_limits(mesh, SigmaField.on_gamma(1.0))[1] \
             == mixed_dn.MixedProblem(mesh).ground.value

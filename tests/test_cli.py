@@ -283,6 +283,19 @@ class TestHardyBelowTheMeshSize:
         assert out.splitlines()[1].split(",")[4:] == ["0", "true"]
 
 
+class TestThinPinnedDomain:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the lowest eigenvalues of a long "
+                       "thin domain pinned on its boundary cluster, and single-vector LOBPCG "
+                       "from LU^-1 M 1 misses its step cap even on the pencil's own LU")
+    @pytest.mark.parametrize("command", ["optimal", "bounds"])
+    def test_thin_rectangle_exits_0(self, command, tmp_path, capsys):
+        # exits 3 with "LOBPCG did not converge within its step cap"
+        code, _, _ = run_cli([command, "--domain", "rect", "--width", "3", "--height", "0.2",
+                              "--m", "1", "--levels", "5", "--csv", str(tmp_path / "s.csv")],
+                             capsys)
+        assert code == 0
+
+
 class TestMassBeyondTheMargin:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--domain", "square", "--m", "1e11", "--levels", "2"],

@@ -48,6 +48,38 @@ class TestSolveSpd:
             eigensolve.solve_spd(a, np.ones(3))
 
 
+class TestSolveSpdCg:
+    class Jacobi:
+        def __init__(self, a):
+            self.inverse = 1.0 / a.diagonal()
+
+        def solve(self, b):
+            return self.inverse * b
+
+    def test_matches_the_direct_solve_from_any_scale_of_start(self):
+        mesh = interval_mesh(100)
+        a = assembly.assemble_stiffness(mesh) + assembly.assemble_mass(mesh)
+        b = assembly.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
+        want = eigensolve.solve_spd(a, b)
+        # a start of the wrong scale is rescaled, not iterated away
+        for x0 in (None, 1e9 * want, -want):
+            x = eigensolve.solve_spd_cg(a, b, self.Jacobi(a), x0)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert not eigensolve.solve_spd_cg(a, np.zeros_like(b), self.Jacobi(a), want).any()
+
+    def test_indefinite_detected(self):
+        a = sp.diags([1.0, -1.0]).tocsr()
+        with pytest.raises(MatrixError):
+            eigensolve.solve_spd_cg(a, np.array([1.0, 1.0]), self.Jacobi(a), None)
+
+    def test_a_capped_run_is_gated(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_CG_STEPS", 1)
+        mesh = interval_mesh(100)
+        a = assembly.assemble_stiffness(mesh) + assembly.assemble_mass(mesh)
+        with pytest.raises(MatrixError):
+            eigensolve.solve_spd_cg(a, np.ones(mesh.num_nodes), self.Jacobi(a), None)
+
+
 class TestSmallestEigs:
     def test_1d_dirichlet_pi_squared(self):
         mesh = interval_mesh(64)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from robinspec import assembly, eigensolve, geometry, mixed_dn, robin
+from robinspec import assembly, bounds, cli, eigensolve, geometry, mixed_dn, robin
 from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError, RangeError
 from robinspec.exact1d import optimal_eigenvalue_interval
@@ -267,6 +268,94 @@ class TestEvaluationFloor:
             return 1.0 + next(errors), 1e3, xi
 
         assert mixed_dn._safeguarded_newton(curve, 1.0, 0.5, 1.0, 1e-10) == (0.5, 0.5)
+
+
+def without_hierarchy(mesh):
+    """The mesh with the same nodes and elements but no coarser levels, on
+    which a pinned pencil keeps its own LU."""
+    return dataclasses.replace(mesh, coarse=None)
+
+
+@pytest.fixture(scope="module")
+def square_l5_problems():
+    # 3,969 free nodes: above the coarse size, so the first problem runs on
+    # its pinned hierarchy; the second is the same pencil on its own LU
+    mesh = square_mesh(5)
+    return mixed_dn.MixedProblem(mesh), mixed_dn.MixedProblem(without_hierarchy(mesh))
+
+
+class TestPinnedHierarchy:
+    """A pinned pencil above the coarse size: the ground state by LOBPCG on
+    a V-cycle of its own hierarchy, Newton's resolvent solves by conjugate
+    gradients on the same V-cycle, from the closed-form upper bound."""
+
+    def test_paths(self, square_l5_problems):
+        prob, own = square_l5_problems
+        assert len(prob.free) > eigensolve._COARSE_NODES
+        assert prob._cycle is not None and prob._model is None
+        assert own._cycle is None and own._model is not None
+        assert abs(prob.ground.value - own.ground.value) <= 1e-12 * own.ground.value
+
+    def test_one_coarse_factorization(self, factorizations):
+        prob = mixed_dn.MixedProblem(square_mesh(5))
+        for mass in (0.01, 1.0, 30.0, 1e4):
+            prob.optimal_eigenvalue(mass)
+        assert len(factorizations) == 1
+        assert factorizations[0] <= eigensolve._COARSE_NODES < len(prob.free)
+
+    @pytest.mark.parametrize("mass", [1e-2, 1.0, 30.0, 360.0, 1e4, 1e10])
+    def test_newton_from_the_upper_bound(self, square_l5_problems, mass, monkeypatch):
+        # 1e10 puts the root 1.3e-9 below E1, just inside the margin 1e-9,
+        # where K - xi M is nearly singular
+        prob, own = square_l5_problems
+        steps = []
+        step = mixed_dn.MixedProblem.mass_function_with_derivative
+
+        def counted_step(self, xi):
+            if self is prob:
+                steps.append(xi)
+            return step(self, xi)
+
+        monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
+        xi = prob.optimal_eigenvalue(mass)
+        assert len(steps) <= 6
+        # from the right of the root, Newton on the convex curve only falls
+        # (up to round-off, once inside the band)
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(steps, steps[1:]))
+        e1, volume, integral = prob.ground.value, prob.volume, prob.ground.integral
+        lower = bounds.optimal_lower_bound(mass, e1, volume)
+        upper = bounds.optimal_upper_bound(mass, e1, volume, integral)
+        assert lower * (1.0 - 1e-12) <= xi <= upper * (1.0 + 1e-12)
+        assert abs(xi - own.optimal_eigenvalue(mass)) <= 1e-12 * xi
+
+    def test_resolvent_passes_the_solve_spd_gates(self, square_l5_problems):
+        prob, own = square_l5_problems
+        xi = 0.9 * prob.ground.value
+        u, u_own = prob.resolvent_one(xi), own.resolvent_one(xi)
+        assert np.linalg.norm(u - u_own) <= 1e-12 * np.linalg.norm(u_own)
+        with pytest.raises(RangeError):
+            prob.resolvent_one(prob.ground.value)
+
+    def test_optimal_sigma_matches_the_own_lu(self, square_l5_problems):
+        prob, own = square_l5_problems
+        opt, want = prob.optimal_sigma(1.0), own.optimal_sigma(1.0)
+        assert abs(opt.value - want.value) <= 1e-12 * want.value
+        assert abs(opt.lambda_check - want.lambda_check) <= 1e-10 * want.lambda_check
+        np.testing.assert_allclose(opt.sigma.values, want.sigma.values, rtol=0, atol=1e-10)
+
+    def test_a_ground_state_that_gives_up_keeps_the_lu_path(self, factorizations):
+        # stretched elements: LOBPCG on the V-cycle gives up, the ground
+        # state falls back on the pencil's own LU, as a Robin pencil's does,
+        # and that LU builds the Lanczos model
+        domain = geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)])
+        mesh = cli._mesh_at_level(domain, 6, None)
+        prob = mixed_dn.MixedProblem(mesh)
+        assert prob._cycle is None and prob._model is not None
+        assert factorizations == [factorizations[0], len(prob.free)]
+        assert factorizations[0] <= eigensolve._COARSE_NODES < len(prob.free)
+        own = mixed_dn.MixedProblem(without_hierarchy(mesh))
+        assert prob.ground.value == own.ground.value
+        assert prob.optimal_eigenvalue(1.0) == own.optimal_eigenvalue(1.0)
 
 
 class TestOptimalEigenvalue:

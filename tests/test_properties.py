@@ -24,10 +24,17 @@ size, a pencil solved alone on its hierarchy (LOBPCG on a V-cycle over the
 coarse LU, or the fine LU after a fallback) must match the fine LU's solve
 within `eigenvalue_floor`.
 
+On random convex polygons pinned on all or some sides, refined past the
+coarse size in free nodes, the pinned problem runs on its own hierarchy:
+its ground state and its optimal eigenvalue at a random mass must match
+the same problem on its own LU to 1e-12 max(value, 1).
+
 Random masses: the optimal eigenvalue, whose Newton loop starts from the
 Lanczos model's root, must reproduce the mass on a true resolvent solve and
 lie between the closed-form bounds.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.linalg
@@ -165,6 +172,25 @@ def test_hierarchy_matches_the_fine_lu(domain, data, log_sigma):
     assert abs(lam - want) <= eigensolve.eigenvalue_floor(want)
     # a fallback is the fine LU's own solve
     assert lam == want or not family.fallbacks
+
+
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(convex_polygons(), st.data(), st.floats(-2.0, 4.0))
+def test_pinned_hierarchy_matches_the_own_lu(domain, data, log_mass):
+    verts = domain.vertices
+    sides = data.draw(st.none() | st.sets(st.integers(0, len(verts) - 1), min_size=1))
+    gamma = geometry.gamma_all() if sides is None else geometry.gamma_sides(*sides)
+    mesh = geometry.build_mesh(geometry.polygon(verts, gamma=gamma), 0.5)
+    while mesh.num_nodes - len(geometry.gamma_nodes(mesh)) <= eigensolve._COARSE_NODES:
+        mesh = geometry.refine(mesh)
+    prob = mixed_dn.MixedProblem(mesh)
+    # the same nodes and elements without coarser levels: the own LU
+    own = mixed_dn.MixedProblem(dataclasses.replace(mesh, coarse=None))
+    mass = 10.0 ** log_mass
+    for value, want in [(prob.ground.value, own.ground.value),
+                        (prob.optimal_eigenvalue(mass), own.optimal_eigenvalue(mass))]:
+        assert abs(value - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 PROBLEMS = {name: mixed_dn.MixedProblem(mesh) for name, mesh in MESHES.items()}

@@ -12,7 +12,7 @@ import inspect
 
 MODULES = ("assembly", "bounds", "cli", "eigensolve", "errors", "exact1d",
            "geometry", "mixed_dn", "robin", "schema")
-SETTABLE = 37
+SETTABLE = 38
 
 
 def defaulted(fn):
@@ -51,3 +51,4 @@ def test_the_count_sees_dataclass_fields_and_methods():
     assert found["assembly.SigmaField.nodal"] == ["support"]
     assert found["eigensolve.NearbyPencils.lowest"] == ["prolongation"]
     assert found["eigensolve.smallest_eigs"] == ["factor", "start", "order"]
+    assert found["assembly.hierarchy"] == ["free"]
