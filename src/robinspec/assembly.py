@@ -3,13 +3,25 @@
 All element integrals are exact for linear elements (no quadrature error);
 boundary-mass entries for nodal coefficient fields use the exact
 linear-times-linear edge rule; a weighted mass matrix sums a second-order
-rule.  Each matrix sums one symmetric local block per element or facet
-(`_scatter`) and is exactly symmetric: on a conforming mesh an off-diagonal
-entry has at most two addends (an edge lies in two triangles at most, a node
-in two facets), and a sum of two terms does not depend on their order.
-Matrices are CSR with sorted indices and no explicit zeros, never mutated
-after assembly; `operators` assembles a mesh's stiffness and mass once and
-shares them between all callers.
+rule.
+
+Every mesh has one assembly plan (`_Plan`), built on first use, once, under
+a lock, with write-locked int32 arrays: the CSR pattern of a P1 matrix on
+the mesh, the diagonal and both entries of each edge (`Mesh.edges`), and
+the data slot of each diagonal entry and of each edge's two entries.  A
+matrix sums one symmetric block per element or facet in two `np.bincount`
+passes, one over the blocks' diagonals into the nodes and one over their
+entries on the element sides into the edges, and writes the results into
+those slots.  Each edge's one value goes into both of its entries, so every
+matrix is exactly symmetric.  A diagonal entry is summed in element (or
+facet) order; an off-diagonal one has at most two addends (an edge lies in
+two triangles at most), and a sum of two terms does not depend on their
+order.  Stiffness, mass and weighted mass fill every slot; the boundary mass
+reaches only the slots of its facets' nodes and edges.  Matrices are CSR
+with sorted indices and no explicit zeros, never mutated after assembly; a
+matrix with no zero entry shares the plan's index arrays.  `operators`
+assembles a mesh's stiffness and mass once and shares them between all
+callers.
 
 `Operators.order` is the mesh's nested-dissection ordering (George, SIAM J.
 Numer. Anal. 1973): a recursive coordinate bisection of the node graph in
@@ -17,9 +29,10 @@ which every separator is ordered after both of its halves.  It is computed
 at the first factorization of a pencil on the mesh, once, and every
 factorization on the mesh uses it; meshes that are only multiplied with,
 such as the finer levels of a `converge` chain or the fine mesh of a pencil
-preconditioned on its hierarchy (`hierarchy`), are never ordered.  The
-graph is the mass matrix's pattern, which holds every edge of the mesh.
-The stiffness matrix drops the edges whose cotangent weight vanishes (right
+preconditioned on its hierarchy (`hierarchy`), are never ordered, and the
+coarse levels of a hierarchy are ordered without being assembled.  The
+graph is the mesh's edges, all of which the mass matrix holds.  The
+stiffness matrix drops the edges whose cotangent weight vanishes (right
 angles opposite them), yet the pencils factored hold those edges through M;
 separators found in the thinner graph miss them, and on the triangle at
 level 6 the LU had 1.24 times the fill.
@@ -36,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ArgumentError, AssemblyError
-from .geometry import GAMMA, Mesh, boundary_edge_lengths, element_measures
+from .geometry import GAMMA, Edges, Mesh, boundary_edge_lengths, element_measures
 
 
 # ---------------------------------------------------------------------------
@@ -115,67 +128,180 @@ class SigmaField:
 
 
 # ---------------------------------------------------------------------------
-# Matrix assembly
+# The assembly plan and the matrices
 # ---------------------------------------------------------------------------
 
-def _scatter(n: int, cells: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
-    """The n x n CSR matrix summing the symmetric block local[t] over the
-    nodes cells[t] of each cell t, sorted and without explicit zeros."""
-    k = cells.shape[1]
-    rows = np.repeat(cells, k, axis=1).ravel()
-    cols = np.tile(cells, (1, k)).ravel()
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    a.eliminate_zeros()
-    return a
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """One mesh's P1 matrix pattern: the diagonal and both entries of each
+    edge (`Mesh.edges`), in CSR with sorted indices, and the data slot of
+    each diagonal entry and of each edge's (smaller, larger) and (larger,
+    smaller) entries.  Its arrays are int32 and write-locked, and every
+    matrix on the mesh that has no zero entry shares its index arrays.  The
+    nested-dissection ordering of the edge graph is computed on first
+    access to `order`, once, under a lock."""
+
+    edges: Edges
+    nodes: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    _order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _order_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                        repr=False)
+
+    @property
+    def order(self) -> np.ndarray:
+        with self._order_lock:
+            if self._order is None:
+                order = _nested_dissection(self.nodes, self.edges.ends)
+                order.setflags(write=False)
+                object.__setattr__(self, "_order", order)
+        return self._order
+
+    def free_order(self, free: np.ndarray) -> np.ndarray:
+        index = np.full(len(self.nodes), -1, dtype=np.int64)
+        index[free] = np.arange(len(free))
+        kept = index[self.order]
+        return kept[kept >= 0]
+
+    def matrix(self, diagonal: np.ndarray, edge: np.ndarray) -> sp.csr_matrix:
+        """The symmetric matrix with the given diagonal and, in both entries
+        of each edge, the edge's value; entries that are zero are dropped."""
+        data = np.empty(len(self.indices))
+        data[self.diagonal] = diagonal
+        data[self.upper] = edge
+        data[self.lower] = edge
+        n = len(self.nodes)
+        if data.all():
+            return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        a = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+        a.eliminate_zeros()
+        return a
+
+    def submatrix(self, slots: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
+        """The matrix holding at each of the given data slots the sum of its
+        values, added in their order, and nothing elsewhere; entries that
+        are zero are dropped."""
+        at, which = np.unique(slots, return_inverse=True)
+        data = np.bincount(which, weights=values)
+        keep = data != 0
+        at = at[keep]
+        n = len(self.nodes)
+        return sp.csr_matrix((data[keep], self.indices[at], np.searchsorted(at, self.indptr)),
+                             shape=(n, n))
+
+
+def _build_plan(mesh: Mesh) -> _Plan:
+    edges = mesh.edges
+    n, count = mesh.num_nodes, mesh.num_nodes + 2 * len(edges.ends)
+    node = np.arange(n, dtype=np.int32)
+    lo, hi = edges.ends.T
+    # the CSR ordering of the entries, read off by storing each entry's number
+    numbered = sp.coo_matrix((np.arange(count, dtype=np.int32),
+                              (np.concatenate([node, lo, hi]), np.concatenate([node, hi, lo]))),
+                             shape=(n, n)).tocsr()
+    slot = np.empty(count, dtype=np.int32)
+    slot[numbered.data] = np.arange(count, dtype=np.int32)
+    for arr in (numbered.indptr, numbered.indices, slot):
+        arr.setflags(write=False)
+    return _Plan(edges, mesh.nodes, numbered.indptr, numbered.indices,
+                 slot[:n], slot[n:n + len(lo)], slot[n + len(lo):])
+
+
+# Keyed weakly by mesh; a plan holds no reference back to its mesh.
+_PLANS: weakref.WeakKeyDictionary[Mesh, _Plan] = weakref.WeakKeyDictionary()
+_PLANS_LOCK = threading.Lock()
+
+
+def _plan(mesh: Mesh) -> _Plan:
+    with _PLANS_LOCK:
+        plan = _PLANS.get(mesh)
+        if plan is None:
+            plan = _PLANS[mesh] = _build_plan(mesh)
+    return plan
+
+
+def _assemble(plan: _Plan, mesh: Mesh, diagonal: np.ndarray, sides: np.ndarray) -> sp.csr_matrix:
+    """The matrix summing each element's symmetric block, given its diagonal
+    (Ne, d + 1) and its entries on the element's sides (Ne, 1 or 3), in
+    `Edges.of_elements` order."""
+    return plan.matrix(
+        np.bincount(mesh.elements.ravel(), weights=diagonal.ravel(), minlength=mesh.num_nodes),
+        np.bincount(plan.edges.of_elements.ravel(), weights=sides.ravel(),
+                    minlength=len(plan.edges.ends)))
+
+
+def _measures(mesh: Mesh) -> np.ndarray:
+    meas = element_measures(mesh)
+    if np.any(meas <= 0):
+        raise AssemblyError("degenerate element (nonpositive measure)")
+    return meas
+
+
+def _gradients(mesh: Mesh, meas: np.ndarray):
+    """(gx, gy), each (Ne, 3): the gradients rot90(e_i) / (2 |T|) of each
+    element's barycentric coordinates, with e_i = p_{i+2} - p_{i+1} the side
+    opposite node i.  Computed in place, one coordinate at a time, to bound
+    the memory."""
+    two = (2.0 * meas)[:, None]
+    y = mesh.nodes[:, 1][mesh.elements]
+    gx = y[:, [1, 2, 0]]
+    gx -= y[:, [2, 0, 1]]
+    gx /= two
+    del y
+    x = mesh.nodes[:, 0][mesh.elements]
+    gy = x[:, [2, 0, 1]]
+    gy -= x[:, [1, 2, 0]]
+    gy /= two
+    return gx, gy
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Exact P1 stiffness matrix; constants lie in its kernel."""
-    meas = element_measures(mesh)
-    if np.any(meas <= 0):
-        raise AssemblyError("degenerate element (nonpositive measure)")
+    meas, plan = _measures(mesh), _plan(mesh)
     if mesh.dim == 1:
-        local = np.stack([1.0 / meas, -1.0 / meas, -1.0 / meas, 1.0 / meas], axis=1)
-        return _scatter(mesh.num_nodes, mesh.elements, local)
-    p = mesh.nodes[mesh.elements]  # (Ne, 3, 2)
-    # gradient of barycentric i is rot90(edge opposite i) / (2 area)
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    grads = np.stack([e0, e1, e2], axis=1)  # (Ne, 3, 2), pre-rotation
-    grads = np.stack([-grads[:, :, 1], grads[:, :, 0]], axis=2) / (2.0 * meas)[:, None, None]
-    local = np.einsum("tik,tjk->tij", grads, grads) * meas[:, None, None]
-    return _scatter(mesh.num_nodes, mesh.elements, local)
+        return _assemble(plan, mesh, np.repeat(1.0 / meas, 2), -1.0 / meas)
+    # K_ij = |T| g_i . g_j = e_i . e_j / (4 |T|), g_i the gradient of barycentric i
+    gx, gy = _gradients(mesh, meas)
+    diagonal = gx * gx
+    diagonal += gy * gy
+    diagonal *= meas[:, None]
+    sides = gx[:, [1, 2, 0]]
+    sides *= gx
+    del gx
+    sides += gy * gy[:, [1, 2, 0]]
+    sides *= meas[:, None]
+    return _assemble(plan, mesh, diagonal, sides)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Exact P1 mass matrix (positive definite)."""
-    meas = element_measures(mesh)
-    if np.any(meas <= 0):
-        raise AssemblyError("degenerate element (nonpositive measure)")
+    meas, plan = _measures(mesh), _plan(mesh)
     if mesh.dim == 1:
-        local = np.stack([meas / 3.0, meas / 6.0, meas / 6.0, meas / 3.0], axis=1)
-        return _scatter(mesh.num_nodes, mesh.elements, local)
-    base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return _scatter(mesh.num_nodes, mesh.elements, meas[:, None, None] * base[None, :, :])
+        return _assemble(plan, mesh, np.repeat(meas / 3.0, 2), meas / 6.0)
+    return _assemble(plan, mesh, np.repeat(meas * (2.0 / 12.0), 3),
+                     np.repeat(meas * (1.0 / 12.0), 3))
 
 
 def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField) -> sp.csr_matrix:
     """Boundary mass matrix weighted by sigma, integrated over the facets of
     sigma's support."""
-    vals = sigma.edge_values(mesh)
-    bdry = mesh.boundary
-    lengths = boundary_edge_lengths(mesh)
-    if sigma.support == "gamma":
-        keep = mesh.boundary_markers == GAMMA
-        vals, bdry, lengths = vals[keep], bdry[keep], lengths[keep]
+    plan = _plan(mesh)
+    keep = mesh.boundary_markers == GAMMA if sigma.support == "gamma" else slice(None)
+    vals, bdry = sigma.edge_values(mesh)[keep], mesh.boundary[keep]
     if mesh.dim == 1:
-        return _scatter(mesh.num_nodes, bdry, vals)
+        return plan.submatrix(plan.diagonal[bdry.ravel()], vals.ravel())
+    lengths = boundary_edge_lengths(mesh)[keep]
     s0, s1 = vals[:, 0], vals[:, 1]
-    b00 = lengths * (s0 / 4.0 + s1 / 12.0)
-    b11 = lengths * (s0 / 12.0 + s1 / 4.0)
-    b01 = lengths * (s0 + s1) / 12.0
-    return _scatter(mesh.num_nodes, bdry, np.stack([b00, b01, b01, b11], axis=1))
+    diagonal = np.column_stack([lengths * (s0 / 4.0 + s1 / 12.0), lengths * (s0 / 12.0 + s1 / 4.0)])
+    edge = lengths * (s0 + s1) / 12.0
+    facets = plan.edges.of_facets[keep]
+    return plan.submatrix(
+        np.concatenate([plan.diagonal[bdry.ravel()], plan.upper[facets], plan.lower[facets]]),
+        np.concatenate([diagonal.ravel(), edge, edge]))
 
 
 # Second-order rules of the weighted mass matrices: the P1 basis values of an
@@ -183,6 +309,8 @@ def assemble_boundary_mass(mesh: Mesh, sigma: SigmaField) -> sp.csr_matrix:
 # and the edge midpoints of a triangle, each point of weight |element| / rows.
 _RULES = {1: 0.5 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * (0.5 / np.sqrt(3.0)),
           2: np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])}
+# an element's sides as (first, second) local nodes, in `Edges.of_elements` order
+_SIDES = {1: ([0], [1]), 2: ([0, 1, 2], [1, 2, 0])}
 
 
 def quadrature_rule(mesh: Mesh):
@@ -198,9 +326,13 @@ def assemble_weighted_mass(mesh: Mesh, weights: np.ndarray) -> sp.csr_matrix:
     of `quadrature_rule`, one weight per point in its order: with the rule's
     own weights times f(x_q), the P1 form of the integral of f u^2."""
     values = _RULES[mesh.dim]
-    outer = values[:, :, None] * values[:, None, :]  # symmetric in its last two axes
-    local = np.einsum("tq,qij->tij", np.reshape(weights, (mesh.num_elements, -1)), outer)
-    return _scatter(mesh.num_nodes, mesh.elements, local)
+    first, second = _SIDES[mesh.dim]
+    w = np.reshape(weights, (mesh.num_elements, -1))
+    # sum_q w_q phi_i(x_q) phi_j(x_q), added up in the order of the points
+    diagonal = sum(w[:, q, None] * (values[q] * values[q]) for q in range(len(values)))
+    sides = sum(w[:, q, None] * (values[q, first] * values[q, second])
+                for q in range(len(values)))
+    return _assemble(_plan(mesh), mesh, diagonal, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +343,8 @@ def assemble_weighted_mass(mesh: Mesh, weights: np.ndarray) -> sp.csr_matrix:
 _ND_LEAF = 16
 
 
-def _nested_dissection(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
-    """Nested-dissection permutation of the graph of a symmetric pattern
+def _nested_dissection(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Nested-dissection permutation of the graph with the (E, 2) edges
     whose vertices sit at coords: order[i] is the vertex eliminated i-th.
 
     All groups of one depth are bisected at once.  A group of more than
@@ -224,8 +356,7 @@ def _nested_dissection(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
     along their group's axis.
     """
     n, dim = coords.shape
-    upper = sp.triu(pattern, k=1, format="coo")
-    rows, cols = upper.row.astype(np.int64), upper.col.astype(np.int64)
+    rows, cols = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
     # each vertex's rank along each axis, so one integer sort per depth
     # orders every group's vertices along its own axis
     rank = np.empty((dim, n), dtype=np.int64)
@@ -315,20 +446,12 @@ class Operators:
     mass: sp.csr_matrix
     load: np.ndarray
     volume: float
-    _nodes: np.ndarray = field(repr=False)
-    _order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _order_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                        repr=False)
+    _plan: _Plan = field(repr=False)
 
     @property
     def order(self) -> np.ndarray:
         """The nested-dissection ordering of the mesh's nodes."""
-        with self._order_lock:
-            if self._order is None:
-                order = _nested_dissection(self._nodes, self.mass)
-                order.setflags(write=False)
-                object.__setattr__(self, "_order", order)
-        return self._order
+        return self._plan.order
 
     def restrict(self, fixed):
         """(free, K_ff, M_ff): the free node indices and the matrices with
@@ -343,14 +466,11 @@ class Operators:
     def free_order(self, free: np.ndarray) -> np.ndarray:
         """The ordering restricted to the free nodes, in the numbering of
         `restrict`'s matrices; the free nodes keep their relative order."""
-        index = np.full(len(self.order), -1, dtype=np.int64)
-        index[free] = np.arange(len(free))
-        kept = index[self.order]
-        return kept[kept >= 0]
+        return self._plan.free_order(free)
 
 
 # Keyed weakly by mesh; an Operators holds no reference back to its mesh (only
-# to its node array), so an entry lives exactly as long as the mesh does.
+# to its plan), so an entry lives exactly as long as the mesh does.
 _OPERATORS: weakref.WeakKeyDictionary[Mesh, Operators] = weakref.WeakKeyDictionary()
 _OPERATORS_LOCK = threading.Lock()
 
@@ -369,7 +489,7 @@ def operators(mesh: Mesh) -> Operators:
             load = m @ ones
             for arr in (k.data, k.indices, k.indptr, m.data, m.indices, m.indptr, load):
                 arr.setflags(write=False)
-            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load), mesh.nodes)
+            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load), _plan(mesh))
     return ops
 
 
@@ -388,8 +508,9 @@ def hierarchy(mesh: Mesh, free: Optional[np.ndarray] = None) -> list:
     both levels, and each ordering to its level's free nodes.  The coarse
     spaces are then exact where the fixed nodes are a union of boundary
     facets' nodes (gamma, the boundary): a coarse function that vanishes on
-    them interpolates to one that vanishes on them.  Orderings stay lazy,
-    so a coarse level's operators are assembled only when it is factored."""
+    them interpolates to one that vanishes on them.  Orderings stay lazy and
+    come from each level's edges, so a coarse level is ordered only when it
+    is factored and never assembled."""
     levels = [_ordering(mesh, free)]
     while mesh.dim == 2 and mesh.coarse is not None:
         mesh, prolongation = mesh.coarse
@@ -402,5 +523,5 @@ def hierarchy(mesh: Mesh, free: Optional[np.ndarray] = None) -> list:
 
 def _ordering(mesh: Mesh, free: Optional[np.ndarray] = None):
     if free is None:
-        return lambda: operators(mesh).order
-    return lambda: operators(mesh).free_order(free)
+        return lambda: _plan(mesh).order
+    return lambda: _plan(mesh).free_order(free)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -192,6 +193,7 @@ class Mesh:
     boundary_markers: np.ndarray
     projection: Optional[tuple] = None
     coarse: Optional[Tuple["Mesh", sp.csr_matrix]] = None
+    _edges: Optional["Edges"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arrays = [self.nodes, self.elements, self.boundary, self.boundary_markers]
@@ -200,6 +202,16 @@ class Mesh:
             arrays += [p.data, p.indices, p.indptr]
         for arr in arrays:
             arr.setflags(write=False)
+
+    @property
+    def edges(self) -> "Edges":
+        """The mesh's unique edges.  `refine` derives a refined mesh's from
+        the coarse mesh's; any other mesh finds them on first access, once,
+        under a lock."""
+        with _EDGES_LOCK:
+            if self._edges is None:
+                object.__setattr__(self, "_edges", _find_edges(self))
+        return self._edges
 
     @property
     def level(self) -> int:
@@ -218,13 +230,130 @@ class Mesh:
                 f"elements={self.num_elements}, level={self.level})")
 
 
-def _make_mesh(dim, nodes, elements, boundary, markers, projection=None, coarse=None) -> Mesh:
-    return Mesh(dim,
+# serialises first accesses to Mesh.edges; meshes stay picklable without one each
+_EDGES_LOCK = threading.Lock()
+
+
+def _make_mesh(dim, nodes, elements, boundary, markers, projection=None, coarse=None,
+               edges=None) -> Mesh:
+    mesh = Mesh(dim,
                 np.ascontiguousarray(nodes, dtype=float),
                 np.ascontiguousarray(elements, dtype=np.int64),
                 np.ascontiguousarray(boundary, dtype=np.int64),
                 np.ascontiguousarray(markers, dtype=np.int64),
                 projection=projection, coarse=coarse)
+    object.__setattr__(mesh, "_edges", edges)
+    return mesh
+
+
+@dataclass(frozen=True)
+class Edges:
+    """A mesh's unique edges, numbered in the order they first occur along
+    the elements' sides (v0, v1), (v1, v2), (v2, v0), element by element;
+    on an interval the edges are the elements.  Every array is int32 and
+    write-locked.
+
+    ends: (E, 2) the two nodes of each edge, the smaller first.
+    of_elements: (Ne, 3) the edge of each side of each element; (Ne, 1) in 1D.
+    of_facets: (Nb,) the edge of each boundary facet; None in 1D, where the
+        facets are nodes.
+    """
+
+    ends: np.ndarray
+    of_elements: np.ndarray
+    of_facets: Optional[np.ndarray]
+
+
+def _locked_edges(ends, of_elements, of_facets=None) -> Edges:
+    def locked(a):
+        a = np.ascontiguousarray(a, dtype=np.int32)
+        a.setflags(write=False)
+        return a
+    return Edges(locked(ends), locked(of_elements),
+                 None if of_facets is None else locked(of_facets))
+
+
+def _find_edges(mesh: Mesh) -> Edges:
+    """The edges of a mesh that has no inherited ones, by sorting its
+    element sides.  A boundary facet that is not an element side is a
+    GeometryError."""
+    if mesh.dim == 1:
+        return _locked_edges(np.sort(mesh.elements, axis=1),
+                             np.arange(mesh.num_elements)[:, None])
+    nv = mesh.num_nodes
+    sides = mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = sides.min(axis=1), sides.max(axis=1)
+    keys, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[by_first] = np.arange(len(keys))
+    at = first[by_first]
+    bdry = mesh.boundary
+    bkeys = bdry.min(axis=1) * nv + bdry.max(axis=1)
+    pos = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
+    if np.any(keys[pos] != bkeys):
+        raise GeometryError("a boundary facet is not a side of any element")
+    return _locked_edges(np.column_stack([lo[at], hi[at]]), rank[inverse].reshape(-1, 3),
+                         rank[pos])
+
+
+def _refined_edges(mesh: Mesh) -> Edges:
+    """The edges of `refine(mesh)` for a planar mesh, derived from mesh's in
+    O(elements), without sorting.
+
+    Edge e splits into two halves that join its ends to its midpoint, node
+    num_nodes + e, and each element adds the three interior edges joining
+    its sides' midpoints.  Element t's children (corners at v0, v1, v2, then
+    the middle) meet their new edges in the order: half of side 0 at v0,
+    interior edge 0, half of side 2 at v0, half of side 1 at v1, interior
+    edge 1, half of side 0 at v1, half of side 2 at v2, interior edge 2,
+    half of side 1 at v2.  A half is new where its edge first occurs, the
+    interior edges always, so numbering them in that order element by
+    element keeps the numbering in first-occurrence order."""
+    edges, nv = mesh.edges, mesh.num_nodes
+    sides = np.ascontiguousarray(edges.of_elements.T)  # (3, Ne), int32 like every index here
+    flat = edges.of_elements.ravel()
+    first = np.ones(len(flat), dtype=bool)  # an edge's first side raises the running maximum
+    first[1:] = flat[1:] > np.maximum.accumulate(flat)[:-1]
+    first = np.ascontiguousarray(first.reshape(-1, 3).T)
+    f0, f1, f2 = first.astype(np.int32)
+    count = 3 + 2 * (f0 + f1 + f2)
+    base = np.cumsum(count, dtype=np.int32) - count
+    inner = base + np.stack([f0, f0 + f1 + f2 + 1, 2 * f0 + f1 + 2 * f2 + 2])
+    # the halves at each side's first and second vertex, where it is new
+    at_start = base + np.stack([np.zeros_like(f0), f0 + f2 + 1, 2 * f0 + f1 + f2 + 2])
+    at_end = base + np.stack([f0 + f1 + f2 + 2, 2 * f0 + f1 + 2 * f2 + 3, f0 + 1])
+
+    # halves[2 e] joins e's smaller end to its midpoint, halves[2 e + 1] its larger
+    tri = mesh.elements.T
+    start_larger = (tri > tri[[1, 2, 0]]).astype(np.int32)
+    start_half = 2 * sides + start_larger
+    end_half = 2 * sides + 1 - start_larger
+    halves = np.empty(2 * len(edges.ends), dtype=np.int32)
+    halves[start_half[first]] = at_start[first]
+    halves[end_half[first]] = at_end[first]
+    at_start, at_end = halves[start_half], halves[end_half]
+    of_elements = np.empty((len(base), 4, 3), dtype=np.int32)
+    for k in range(3):  # the corner child at v_k, then the middle one
+        of_elements[:, k, 0] = at_start[k]
+        of_elements[:, k, 1] = inner[k]
+        of_elements[:, k, 2] = at_end[k - 1]
+        of_elements[:, 3, k] = inner[(k + 1) % 3]
+
+    ends = np.empty((len(halves) + inner.size, 2), dtype=np.int32)
+    ends[halves[0::2], 0] = edges.ends[:, 0]
+    ends[halves[1::2], 0] = edges.ends[:, 1]
+    ends[halves, 1] = np.arange(nv, nv + len(edges.ends), dtype=np.int32).repeat(2)
+    mids = nv + sides
+    before = mids[[2, 0, 1]]  # interior edge k joins the midpoints of sides k and k - 1
+    ends[inner, 0] = np.minimum(mids, before)
+    ends[inner, 1] = np.maximum(mids, before)
+
+    bdry, facet = mesh.boundary, edges.of_facets
+    first_larger = (bdry[:, 0] > bdry[:, 1]).astype(np.int32)
+    return _locked_edges(ends, of_elements.reshape(-1, 3),
+                         np.column_stack([halves[2 * facet + first_larger],
+                                          halves[2 * facet + 1 - first_larger]]).ravel())
 
 
 def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
@@ -253,7 +382,7 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
         check_refinement(mesh, 1)
         mesh = refine(mesh)
     return _make_mesh(mesh.dim, mesh.nodes, mesh.elements, mesh.boundary,
-                      mesh.boundary_markers, projection=mesh.projection)
+                      mesh.boundary_markers, projection=mesh.projection, edges=mesh.edges)
 
 
 def _build_interval(domain: DomainSpec, target_h: float) -> Mesh:
@@ -364,20 +493,24 @@ def refine(mesh: Mesh) -> Mesh:
     """Uniform refinement: 1D bisection, 2D red refinement (4 children).
 
     Boundary markers are inherited by child edges; on disk meshes the new
-    boundary midpoints are projected back onto the circle.  The result's
-    coarse is (mesh, P), with P the sparse P1 interpolation onto it: the
-    identity on the old nodes and the mean of its edge's two ends at each
-    midpoint.  On a disk the projected midpoints lie outside the coarse
-    mesh, so there P reproduces constants but not linear functions.
+    boundary midpoints are projected back onto the circle.  The midpoint of
+    edge e (`Mesh.edges`) is node num_nodes + e.  The result's coarse is
+    (mesh, P), with P the sparse P1 interpolation onto it: the identity on
+    the old nodes and the mean of its edge's two ends at each midpoint.  On
+    a disk the projected midpoints lie outside the coarse mesh, so there P
+    reproduces constants but not linear functions.
     """
-    nodes, elements, boundary, markers, ends = (_refine_1d if mesh.dim == 1 else _refine_2d)(mesh)
+    ends = mesh.edges.ends
+    nodes, elements, boundary, markers = (_refine_1d if mesh.dim == 1 else _refine_2d)(mesh)
     nv, ne = mesh.num_nodes, len(ends)
-    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
+    indptr = np.concatenate([np.arange(nv + 1), nv + 2 * np.arange(1, ne + 1)])
     cols = np.concatenate([np.arange(nv), ends.ravel()])
     data = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-    p = sp.csr_matrix((data, (rows, cols)), shape=(len(nodes), nv))
+    p = sp.csr_matrix((data, cols.astype(np.int32), indptr.astype(np.int32)),
+                      shape=(len(nodes), nv))
     return _make_mesh(mesh.dim, nodes, elements, boundary, markers,
-                      projection=mesh.projection, coarse=(mesh, p))
+                      projection=mesh.projection, coarse=(mesh, p),
+                      edges=_refined_edges(mesh) if mesh.dim == 2 else None)
 
 
 def check_refinement(mesh: Mesh, levels: int) -> None:
@@ -403,9 +536,8 @@ def check_refinement(mesh: Mesh, levels: int) -> None:
 
 
 def _refine_1d(mesh: Mesh):
-    """(nodes, elements, boundary, markers, ends) of the bisected mesh: the
-    midpoint of edge i is node num_nodes + i, halfway between the nodes
-    ends[i]; the edges are the elements, in their order."""
+    """(nodes, elements, boundary, markers) of the bisected mesh: the
+    midpoint of element i is node num_nodes + i."""
     nodes = mesh.nodes[:, 0]
     elems = mesh.elements
     mids = 0.5 * (nodes[elems[:, 0]] + nodes[elems[:, 1]])
@@ -414,43 +546,27 @@ def _refine_1d(mesh: Mesh):
     left = np.column_stack([elems[:, 0], mid_idx])
     right = np.column_stack([mid_idx, elems[:, 1]])
     new_elems = np.vstack([left, right])
-    return new_nodes, new_elems, mesh.boundary, mesh.boundary_markers, elems
+    return new_nodes, new_elems, mesh.boundary, mesh.boundary_markers
 
 
 def _refine_2d(mesh: Mesh):
-    """(nodes, elements, boundary, markers, ends) of the red refinement, as
-    for `_refine_1d`.  Edge midpoints are numbered after the old nodes in
-    the order their edges first occur, element by element, along the sides
-    (v0, v1), (v1, v2), (v2, v0)."""
-    elems = np.asarray(mesh.elements, dtype=np.int64)
-    nv = mesh.num_nodes
-    sides = elems[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    lo, hi = sides.min(axis=1), sides.max(axis=1)
-    keys, first, inverse = np.unique(lo * nv + hi, return_index=True,
-                                     return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[by_first] = np.arange(len(keys))
-    m01, m12, m20 = (nv + rank[inverse]).reshape(-1, 3).T
-    v0, v1, v2 = elems.T
+    """(nodes, elements, boundary, markers) of the red refinement, as for
+    `_refine_1d`, with the midpoint of edge e node num_nodes + e."""
+    edges, nv = mesh.edges, mesh.num_nodes
+    m01, m12, m20 = (nv + edges.of_elements.astype(np.int64)).T
+    v0, v1, v2 = mesh.elements.T
     children = np.stack([np.column_stack([v0, m01, m20]),
                          np.column_stack([v1, m12, m01]),
                          np.column_stack([v2, m20, m12]),
                          np.column_stack([m01, m12, m20])], axis=1).reshape(-1, 3)
-
-    at = first[by_first]
-    ends = np.column_stack([lo[at], hi[at]])
+    ends = edges.ends
     nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])])
 
-    bdry = np.asarray(mesh.boundary, dtype=np.int64)
-    bkeys = bdry.min(axis=1) * nv + bdry.max(axis=1)
-    pos = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
-    if np.any(keys[pos] != bkeys):
-        raise GeometryError("boundary edge is not an element edge")
-    mid = nv + rank[pos]
+    bdry = mesh.boundary
+    mid = nv + edges.of_facets.astype(np.int64)
     new_bdry = np.stack([np.column_stack([bdry[:, 0], mid]),
                          np.column_stack([mid, bdry[:, 1]])], axis=1).reshape(-1, 2)
-    new_marks = np.repeat(np.asarray(mesh.boundary_markers, dtype=np.int64), 2)
+    new_marks = np.repeat(mesh.boundary_markers, 2)
 
     if mesh.projection is not None:
         cx, cy, r = mesh.projection
@@ -459,7 +575,7 @@ def _refine_2d(mesh: Mesh):
         norm = np.hypot(vec[:, 0], vec[:, 1])
         nodes[bnodes] = (cx, cy) + vec * (r / norm)[:, None]
 
-    return nodes, children, new_bdry, new_marks, ends
+    return nodes, children, new_bdry, new_marks
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +587,16 @@ def element_measures(mesh: Mesh) -> np.ndarray:
     if mesh.dim == 1:
         x = mesh.nodes[:, 0]
         return x[mesh.elements[:, 1]] - x[mesh.elements[:, 0]]
-    p = mesh.nodes[mesh.elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    x, y = (mesh.nodes[:, k][mesh.elements] for k in (0, 1))
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def max_element_diameter(mesh: Mesh) -> float:
     """Largest element diameter (longest edge in 2D, segment length in 1D)."""
     if mesh.dim == 1:
         return float(np.max(element_measures(mesh)))
-    p = mesh.nodes[mesh.elements]
-    lengths = [np.linalg.norm(p[:, i] - p[:, j], axis=1)
-               for i, j in ((0, 1), (1, 2), (2, 0))]
-    return float(np.max(lengths))
+    ends = mesh.edges.ends
+    return float(np.max(np.linalg.norm(mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]], axis=1)))
 
 
 def area(mesh: Mesh) -> float:
@@ -718,7 +830,8 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 def read_mesh(path) -> Mesh:
     """Read a mesh in the robinspec-mesh v1 format.  An empty, truncated or
-    non-numeric file is an ArgumentError."""
+    non-numeric file is an ArgumentError, and so is a boundary facet that is
+    not a side of exactly one element or that is listed twice."""
     try:
         with open(path) as fh:
             rows = [ln.split() for ln in fh if ln.strip()]
@@ -738,6 +851,17 @@ def read_mesh(path) -> Mesh:
         if not (0 <= min(elements.min(), bdry[:, :-1].min())
                 and max(elements.max(), bdry[:, :-1].max()) < nv):
             raise ValueError("node index out of range")
-    except (IndexError, ValueError) as exc:
+        mesh = _make_mesh(dim, nodes, elements, bdry[:, :-1], bdry[:, -1])
+        # each facet as a node (1D) or an edge (2D), and every element side
+        if dim == 1:
+            facets, sides, count = mesh.boundary[:, 0], elements.ravel(), nv
+        else:
+            edges = mesh.edges
+            facets, sides, count = edges.of_facets, edges.of_elements.ravel(), len(edges.ends)
+        if np.any(np.bincount(sides, minlength=count)[facets] != 1):
+            raise ValueError("a boundary facet is not a side of exactly one element")
+        if np.any(np.bincount(facets, minlength=count)[facets] != 1):
+            raise ValueError("a boundary facet is listed twice")
+    except (IndexError, ValueError, GeometryError) as exc:
         raise ArgumentError(f"malformed robinspec-mesh v1 file {path}: {exc}") from None
-    return _make_mesh(dim, nodes, elements, bdry[:, :-1], bdry[:, -1])
+    return mesh

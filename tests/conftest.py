@@ -51,6 +51,10 @@ def disk_mesh(level=0, segments=16, radius=1.0, gamma=None):
     return refined(base, level)
 
 
+# the L-shaped hexagon: non-convex, with a re-entrant corner at (1, 1)
+L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
 def triangle_mesh(level=0, gamma=None):
     dom = geometry.polygon([(0, 0), (1, 0), (0, 1)], gamma=gamma)
     base = geometry.build_mesh(dom, 1.5)

@@ -2,18 +2,20 @@ import gc
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robinspec import assembly, geometry
 from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError
 
-from conftest import convex_polygons, interval_mesh, refined, square_mesh
+from conftest import L_SHAPE, convex_polygons, interval_mesh, refined, square_mesh
 
 
 def element_gradient_energy(mesh, u):
@@ -342,7 +344,7 @@ def meshes_with_gamma(draw):
                                    0.5)
     elif kind == "disk":
         start = draw(st.floats(0.0, 6.0))
-        dom = geometry.disk((0.0, 0.0), draw(st.floats(0.2, 2.0)), draw(st.integers(5, 24)),
+        dom = geometry.disk((0.0, 0.0), draw(st.floats(0.2, 2.0)), draw(st.integers(8, 24)),
                             gamma=geometry.gamma_arcs([(start, start + draw(st.floats(0.5, 3.0)))]))
         base = geometry.build_mesh(dom, 0.5)
     else:
@@ -433,3 +435,217 @@ class TestWeightedMass:
             h = assembly.assemble_weighted_mass(mesh, weights)
             m = assembly.assemble_mass(mesh)
             assert abs(h - m).max() <= 1e-15 * abs(m).max()
+
+
+# ---------------------------------------------------------------------------
+# The assembly plan against the COO scatter it replaced
+# ---------------------------------------------------------------------------
+
+def coo_scatter(n, cells, local):
+    """The n x n CSR matrix summing the symmetric block local[t] over the
+    nodes cells[t] of each cell t, by a COO to CSR conversion, sorted and
+    without explicit zeros: the reference for the plan's scatter."""
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    a.eliminate_zeros()
+    return a
+
+
+def coo_stiffness(mesh):
+    meas = geometry.element_measures(mesh)
+    if mesh.dim == 1:
+        local = np.stack([1.0 / meas, -1.0 / meas, -1.0 / meas, 1.0 / meas], axis=1)
+        return coo_scatter(mesh.num_nodes, mesh.elements, local)
+    p = mesh.nodes[mesh.elements]
+    grads = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    grads = np.stack([-grads[:, :, 1], grads[:, :, 0]], axis=2) / (2.0 * meas)[:, None, None]
+    local = np.einsum("tik,tjk->tij", grads, grads) * meas[:, None, None]
+    return coo_scatter(mesh.num_nodes, mesh.elements, local)
+
+
+def coo_mass(mesh):
+    meas = geometry.element_measures(mesh)
+    if mesh.dim == 1:
+        local = np.stack([meas / 3.0, meas / 6.0, meas / 6.0, meas / 3.0], axis=1)
+        return coo_scatter(mesh.num_nodes, mesh.elements, local)
+    base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    return coo_scatter(mesh.num_nodes, mesh.elements, meas[:, None, None] * base[None, :, :])
+
+
+def coo_weighted_mass(mesh, weights):
+    values = assembly._RULES[mesh.dim]
+    outer = values[:, :, None] * values[:, None, :]
+    local = np.einsum("tq,qij->tij", np.reshape(weights, (mesh.num_elements, -1)), outer)
+    return coo_scatter(mesh.num_nodes, mesh.elements, local)
+
+
+def coo_boundary_mass(mesh, sigma):
+    vals, bdry = sigma.edge_values(mesh), mesh.boundary
+    lengths = geometry.boundary_edge_lengths(mesh)
+    if sigma.support == "gamma":
+        keep = mesh.boundary_markers == geometry.GAMMA
+        vals, bdry, lengths = vals[keep], bdry[keep], lengths[keep]
+    if mesh.dim == 1:
+        return coo_scatter(mesh.num_nodes, bdry, vals)
+    s0, s1 = vals[:, 0], vals[:, 1]
+    b01 = lengths * (s0 + s1) / 12.0
+    local = np.stack([lengths * (s0 / 4.0 + s1 / 12.0), b01, b01,
+                      lengths * (s0 / 12.0 + s1 / 4.0)], axis=1)
+    return coo_scatter(mesh.num_nodes, bdry, local)
+
+
+def assert_matches_coo(a, ref):
+    """The same CSR pattern, the off-diagonal entries bit for bit and the
+    diagonal within 4 ulp: only the order of a diagonal's addends differs."""
+    for attr in ("indptr", "indices"):
+        np.testing.assert_array_equal(getattr(a, attr), getattr(ref, attr), err_msg=attr)
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    diagonal = rows == a.indices
+    np.testing.assert_array_equal(a.data[~diagonal], ref.data[~diagonal])
+    ulps = np.abs(a.data[diagonal] - ref.data[diagonal]) / np.spacing(np.abs(ref.data[diagonal]))
+    assert ulps.max(initial=0.0) <= 4.0
+
+
+def assert_edges_consistent(mesh):
+    """mesh's edges, inherited through refinement, are those np.unique finds
+    on a copy of mesh without a hierarchy, numbered where they first occur
+    along the element sides; every element side and boundary facet maps to
+    its edge, and every array is write-locked."""
+    edges = mesh.edges
+    copy = geometry.Mesh(mesh.dim, mesh.nodes, mesh.elements, mesh.boundary,
+                         mesh.boundary_markers)
+    found = geometry._find_edges(copy)
+    np.testing.assert_array_equal(edges.ends, found.ends)
+    np.testing.assert_array_equal(edges.of_elements, found.of_elements)
+    pairs = [(0, 1), (1, 2), (2, 0)] if mesh.dim == 2 else [(0, 1)]
+    sides = np.sort(np.stack([mesh.elements[:, pair] for pair in pairs], axis=1), axis=2)
+    np.testing.assert_array_equal(edges.ends[edges.of_elements], sides)
+    first = dict.fromkeys(map(tuple, sides.reshape(-1, 2).tolist()))
+    np.testing.assert_array_equal(edges.ends, np.array(list(first)))
+    arrays = [edges.ends, edges.of_elements]
+    if mesh.dim == 2:
+        np.testing.assert_array_equal(edges.of_facets, found.of_facets)
+        np.testing.assert_array_equal(edges.ends[edges.of_facets], np.sort(mesh.boundary, axis=1))
+        arrays.append(edges.of_facets)
+    else:
+        assert edges.of_facets is None
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+
+@st.composite
+def plan_meshes(draw):
+    """A convex polygon with random gamma sides, a disk with a gamma arc, the
+    obtuse triangle, the L-shape or an interval with a gamma end, refined
+    0-3 times."""
+    kind = draw(st.sampled_from(["polygon", "disk", "obtuse", "l-shape", "interval"]))
+    if kind == "polygon":
+        verts = draw(convex_polygons()).vertices
+        sides = draw(st.sets(st.integers(0, len(verts) - 1)))
+        dom = geometry.polygon(verts, gamma=geometry.gamma_sides(*sides))
+    elif kind == "disk":
+        start = draw(st.floats(0.0, 6.0))
+        dom = geometry.disk((0.0, 0.0), 1.0, 16, gamma=geometry.gamma_arcs([(start, start + 2.0)]))
+    elif kind == "obtuse":
+        dom = geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)], gamma=geometry.gamma_sides(0))
+    elif kind == "l-shape":
+        dom = geometry.polygon(L_SHAPE, gamma=geometry.gamma_sides(1, 3))
+    else:
+        dom = geometry.interval(0.0, draw(st.floats(0.1, 10.0)), gamma=geometry.gamma_sides(1))
+    base = geometry.build_mesh(dom, 0.5 if dom.dim == 2 else dom.b / draw(st.integers(1, 9)))
+    return refined(base, draw(st.integers(0, 3)))
+
+
+class TestPlan:
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(plan_meshes())
+    def test_matrices_equal_the_coo_scatter(self, mesh):
+        assert_edges_consistent(mesh)
+        rng = np.random.default_rng(mesh.num_nodes)
+        points, weights = assembly.quadrature_rule(mesh)
+        weights = weights * rng.uniform(0.5, 2.0, len(weights)) * (1.0 + points[:, 0] ** 2)
+        pairs = [(assembly.assemble_stiffness(mesh), coo_stiffness(mesh)),
+                 (assembly.assemble_mass(mesh), coo_mass(mesh)),
+                 (assembly.assemble_weighted_mass(mesh, weights), coo_weighted_mass(mesh, weights))]
+        pairs += [(assembly.assemble_boundary_mass(mesh, sigma), coo_boundary_mass(mesh, sigma))
+                  for sigma in sigma_fields(mesh, rng)]
+        for a, ref in pairs:
+            assert_matches_coo(a, ref)
+            assert_exactly_symmetric_csr(a)
+
+    @pytest.mark.parametrize("mesh", [lambda: square_mesh(4), lambda: interval_mesh(40)],
+                             ids=["square", "interval"])
+    def test_stiffness_and_mass_bit_identical_where_every_sum_is_exact(self, mesh):
+        # element blocks of dyadic numbers: no order of addends rounds
+        mesh = mesh()
+        for a, ref in ((assembly.assemble_stiffness(mesh), coo_stiffness(mesh)),
+                       (assembly.assemble_mass(mesh), coo_mass(mesh))):
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(a, attr), getattr(ref, attr))
+
+    def test_one_plan_per_mesh_shared_by_matrices_without_zeros(self):
+        mesh = square_mesh(2)
+        plan = assembly._plan(mesh)
+        assert assembly._plan(mesh) is plan
+        m = assembly.assemble_mass(mesh)
+        assert np.shares_memory(m.indices, plan.indices)
+        for arr in (plan.indptr, plan.indices, plan.diagonal, plan.upper, plan.lower):
+            assert not arr.flags.writeable
+        # the square's right angles zero some stiffness entries, which K drops
+        k = assembly.assemble_stiffness(mesh)
+        assert k.nnz < len(plan.indices) and np.all(k.data != 0)
+
+    def test_assembly_peaks_below_the_coo_triples(self):
+        # the COO path held 9 Ne (row, col, value) triples per matrix, 24 B
+        # each, before summing them; the plan's scatter holds none
+        mesh = square_mesh(7)
+        tracemalloc.start()
+        try:
+            assembly.assemble_stiffness(mesh)
+            assembly.assemble_mass(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * mesh.num_elements * 24
+
+    def test_concurrent_first_access_finds_edges_and_builds_the_plan_once(self, monkeypatch):
+        base = square_mesh(2)
+        found, built = [], []
+        find, build = geometry._find_edges, assembly._build_plan
+
+        def slow_find(mesh):
+            found.append(mesh)
+            time.sleep(0.02)
+            return find(mesh)
+
+        def slow_build(mesh):
+            built.append(mesh)
+            time.sleep(0.02)
+            return build(mesh)
+
+        monkeypatch.setattr(geometry, "_find_edges", slow_find)
+        monkeypatch.setattr(assembly, "_build_plan", slow_build)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                # a copy without a hierarchy finds its edges on first access
+                mesh = geometry.Mesh(2, base.nodes, base.elements, base.boundary,
+                                     base.boundary_markers)
+                barrier = threading.Barrier(4)
+
+                def first_access(_):
+                    barrier.wait(timeout=10)
+                    return assembly.assemble_mass(mesh), mesh.edges
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    results = list(pool.map(first_access, range(4), timeout=30))
+                assert found.count(mesh) == 1 and built.count(mesh) == 1
+                assert all(edges is results[0][1] for _, edges in results)
+                assert all(np.shares_memory(m.indices, results[0][0].indices) for m, _ in results)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(found) == len(built) == 5

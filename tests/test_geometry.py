@@ -7,11 +7,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from robinspec import assembly, bounds, cli, geometry
+from robinspec import assembly, bounds, cli, geometry, robin
 from robinspec.errors import ArgumentError, GeometryError, UnsupportedDomainError
 
-from conftest import (boundary_length, convex_polygons, disk_mesh, interval_mesh, refined,
-                      square_mesh, triangle_mesh)
+from conftest import (L_SHAPE, boundary_length, convex_polygons, disk_mesh, interval_mesh,
+                      refined, square_mesh, triangle_mesh)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -281,7 +281,6 @@ def loop_refine_2d(mesh):
                                projection=mesh.projection)
 
 
-L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 L_SHAPE_SCALES = (1e-9, 1e-6, 1.0, 1e6)
 
 
@@ -313,6 +312,9 @@ class TestRefineMatchesLoop:
                                      [[0, 1, 2], [0, 2, 3]], [[0, 1], [1, 3]], [0, 0])
         with pytest.raises(GeometryError):
             geometry.refine(broken)
+        # assembling sigma along (1, 3) would integrate it over the diagonal
+        with pytest.raises(GeometryError):
+            robin.lowest_eigenvalue(broken, assembly.SigmaField.constant(1.0))
 
 
 HIERARCHY = {
@@ -724,6 +726,28 @@ class TestMeshFile:
         path.write_text("\n".join(edit(lines)))
         with pytest.raises(ArgumentError):
             geometry.read_mesh(path)
+
+    @pytest.mark.parametrize("mesh", [
+        # (1, 3) crosses the square, which the elements split along (0, 2)
+        lambda: geometry._make_mesh(2, SQUARE_NODES, SQUARE_ELEMENTS, [[0, 1], [1, 3]], [0, 0]),
+        # (0, 2) is a side of both elements
+        lambda: geometry._make_mesh(2, SQUARE_NODES, SQUARE_ELEMENTS, [[0, 1], [0, 2]], [0, 0]),
+        lambda: geometry._make_mesh(1, [[0.0], [0.5], [1.0]], [[0, 1], [1, 2]], [[0], [1]],
+                                    [1, 1]),
+        # the last facet twice, which would double sigma on it
+        lambda: geometry._make_mesh(2, SQUARE_NODES, SQUARE_ELEMENTS,
+                                    [[0, 1], [1, 2], [2, 3], [3, 0], [0, 3]], [1, 1, 1, 1, 1]),
+        lambda: geometry._make_mesh(1, [[0.0], [1.0]], [[0, 1]], [[0], [1], [1]], [1, 1, 1]),
+    ], ids=["not-a-side", "interior-side", "interior-node", "repeated-edge", "repeated-node"])
+    def test_facet_not_a_side_of_one_element_or_repeated_rejected(self, mesh, tmp_path):
+        path = tmp_path / "bad.txt"
+        geometry.write_mesh(mesh(), path)
+        with pytest.raises(ArgumentError, match="boundary facet is"):
+            geometry.read_mesh(path)
+
+
+SQUARE_NODES = [[0, 0], [1, 0], [1, 1], [0, 1]]
+SQUARE_ELEMENTS = [[0, 1, 2], [0, 2, 3]]
 
 
 @st.composite

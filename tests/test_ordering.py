@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 
 from robinspec import assembly, cli, eigensolve, geometry, robin
 
-from conftest import disk_mesh, interval_mesh, square_mesh, triangle_mesh
+from conftest import L_SHAPE, disk_mesh, interval_mesh, square_mesh, triangle_mesh
 
 MESHES = {
     "square": lambda: square_mesh(4),
@@ -192,3 +192,41 @@ class TestOrderedOnlyWhenFactored:
         robin.lowest_eigenvalue(mesh, sigma)
         robin.concentration_sweep(mesh, 1.0, (0.4, 0.0), 5)
         assert orderings == [coarse.num_nodes]
+
+
+@pytest.mark.parametrize("base", [lambda: square_mesh(0), lambda: disk_mesh(0),
+                                  lambda: geometry.build_mesh(geometry.polygon(L_SHAPE), 0.9)],
+                         ids=["square", "disk", "l-shape"])
+def test_edge_orders_equal_the_mass_pattern_orders(base):
+    # the dissection of the edge list is the dissection of M's graph
+    mesh = base()
+    for _ in range(4):
+        mesh = geometry.refine(mesh)
+        upper = sp.triu(assembly.assemble_mass(mesh), k=1, format="coo")
+        want = assembly._nested_dissection(mesh.nodes, np.column_stack([upper.row, upper.col]))
+        np.testing.assert_array_equal(assembly.operators(mesh).order, want)
+
+
+def test_coarse_levels_are_ordered_without_assembly(monkeypatch):
+    assembled = []
+    stiffness = assembly.assemble_stiffness
+
+    def counted(mesh):
+        assembled.append(mesh)
+        return stiffness(mesh)
+
+    monkeypatch.setattr(assembly, "assemble_stiffness", counted)
+    mesh = square_mesh(4)
+    fixed = geometry.boundary_nodes(mesh)
+    free = np.setdiff1d(np.arange(mesh.num_nodes), fixed)
+    for (_, order), coarse in zip(assembly.hierarchy(mesh)[1:], coarse_meshes(mesh)):
+        assert is_permutation(order(), coarse.num_nodes)
+    for (_, order), coarse in zip(assembly.hierarchy(mesh, free)[1:], coarse_meshes(mesh)):
+        assert is_permutation(order(), np.count_nonzero(free < coarse.num_nodes))
+    assert assembled == []
+
+
+def coarse_meshes(mesh):
+    while mesh.coarse is not None:
+        mesh = mesh.coarse[0]
+        yield mesh

@@ -162,7 +162,7 @@ class TestDirichletOnTheHierarchy:
         lam = robin.dirichlet_eigenvalue(mesh, fixed)
         assert len(factorizations) == 1
         assert factorizations[0] <= eigensolve._COARSE_NODES < mesh.num_nodes - len(fixed)
-        assert assembly.operators(mesh)._order is None
+        assert assembly._plan(mesh)._order is None
         own = robin.dirichlet_eigenvalue(dataclasses.replace(mesh, coarse=None), fixed)
         assert len(factorizations) == 2 and factorizations[1] == mesh.num_nodes - len(fixed)
         assert abs(lam - own) <= 1e-12 * own
