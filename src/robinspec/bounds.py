@@ -282,9 +282,10 @@ class ScalingRow:
 def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
     """Lowest eigenvalue of the rescaled domain for each scale factor.
 
-    Rescaling is realized as coefficient scaling on the fixed mesh: the
-    smallest eigenvalue of (eps^-2 K + eps^-1 B) x = lambda M x.  The grid
-    is one coefficient family whose reference is the unscaled pencil K + B.
+    Rescaling is realized as coefficient scaling on the fixed mesh:
+    (eps^-2 K + eps^-1 B) x = lambda M x exactly when (K + eps B) x =
+    eps^2 lambda M x.  The grid is one family of the pencils (K + eps B, M),
+    whose reference is K + B and whose stop keeps its scale at large eps.
     """
     eps_grid = list(eps_grid)
     if any(eps <= 0 for eps in eps_grid):
@@ -292,14 +293,10 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
     ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
     levels = assembly.hierarchy(mesh)
-    reference = shifted_factor(ops.stiffness + bmat, ops.mass, order=levels)
-    family = NearbyPencils(mesh.dim, reference=reference)
-    rows: List[ScalingRow] = []
-    for eps in eps_grid:
-        a = ops.stiffness / (eps * eps) + bmat / eps
-        lam = family.lowest(a, ops.mass, levels).value
-        rows.append(ScalingRow(float(eps), lam, eps * lam, eps * eps * lam))
-    return rows
+    family = NearbyPencils(mesh.dim, reference=shifted_factor(ops.stiffness + bmat, ops.mass,
+                                                              order=levels))
+    mus = [family.lowest(ops.stiffness + eps * bmat, ops.mass, levels).value for eps in eps_grid]
+    return [ScalingRow(float(e), mu / (e * e), mu / e, mu) for e, mu in zip(eps_grid, mus)]
 
 
 def scaling_limits(mesh: Mesh, sigma: SigmaField):

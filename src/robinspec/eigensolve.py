@@ -13,10 +13,11 @@ A pencil on a refined planar mesh above `_COARSE_NODES` nodes runs on its
 hierarchy: `shifted_factor` coarsens S by Galerkin products P^T S P down
 to the first level with at most `_COARSE_NODES` nodes, factors that level
 once, in its own mesh's order, and stacks one `_VCycle` per level above
-it, so the fine mesh is neither factored nor ordered.  Robin pencils run
-on the mesh's hierarchy, and pencils pinned on gamma or the boundary on
-its restriction to their free nodes (`assembly.hierarchy`), where the
-V-cycle also preconditions the conjugate gradients of `solve_spd_cg`.
+it, each smoothing at its level's own Gershgorin weight, so the fine mesh
+is neither factored nor ordered.  Robin pencils run on the mesh's
+hierarchy, and pencils pinned on gamma or the boundary on its restriction
+to their free nodes (`assembly.hierarchy`), where the V-cycle also
+preconditions the conjugate gradients of `solve_spd_cg`.
 Pencils keep an LU of their own where there is no such hierarchy:
 intervals (whose tridiagonal LU has no fill), meshes without coarser
 levels or at most `_COARSE_NODES` nodes (free nodes, where pinned), and
@@ -29,16 +30,16 @@ quotient of the start; the floor holds where lambda itself is at round-off
 (sigma = 0) and where the residual cannot be formed more finely.
 It takes a handful of LU applications: 5-9 for sigma from 1 to 1000 on the
 square at level 7 and the disk at level 6, 0 or 1 near sigma = 0; on the
-hierarchy, for sigma from 1e-3 to 1e5 at levels 5 and 6, it takes 7-14
-V-cycles on the square and 16-25 on the disk.  A run on a V-cycle gives up
+hierarchy, for sigma from 1e-3 to 1e5 at levels 5 and 6, it takes 6-12
+V-cycles on the square and 13-21 on the disk.  A run on a V-cycle gives up
 once its pace would miss the stop at the step cap, as on the stretched
 elements of thin or obtuse domains, and the pencil is then factored and
 solved on its own LU (`lowest_alone`).
 
 `solve_spd_cg` solves a pinned resolvent system (K - xi M) U = M 1 by
 conjugate gradients on the V-cycle of K - tau M.  Warm-started from the
-last Newton step's U, it takes 3-25 V-cycles per solve on the square at
-level 7 for masses from 0.05 to 1e4, and 31-39 near the margin
+last Newton step's U, it takes 3-21 V-cycles per solve on the square at
+level 7 for masses from 0.05 to 1e4, and 28-36 near the margin
 xi -> E1 (1 - 1e-9), where K - xi M is nearly singular.
 
 `NearbyPencils` solves a sequence of nearby pencils in order: a family
@@ -47,9 +48,7 @@ or a chain of uniformly refined meshes.  Each pencil is warm-started from
 the last and stops at `DEFAULT_TOL` times max(||A||_inf, 1); one it cannot
 finish is factored and solved on its own LU.  After such a fallback a
 family takes the new LU as its reference and stays on LUs, while a chain
-stops nesting.  A family on a V-cycle takes a new V-cycle reference from
-each member that needed more than `_REREFERENCE` (12) applications, since
-a new V-cycle costs a few applications and a fine LU tens.
+stops nesting.
 
 Every path returns the Rayleigh quotient of its M-normalised vector as the
 eigenvalue, so the value is accurate to the square of the residual, and
@@ -95,14 +94,14 @@ _PACE_FROM = 2
 _OWN_RTOL = 1e-12
 _OWN_FLOOR = 1e-14
 # Jacobi steps before and after the V-cycle's coarse correction, and their
-# weight omega times d + 1 (below 2, see _VCycle)
+# weight times a bound on each level's lambda_max(diag(S)^-1 S) (see _VCycle)
 _SWEEPS = 2
 _SMOOTHING = 1.6
 # `shifted_factor` coarsens a pencil on a hierarchy to at most this many
 # nodes and factors that level
 _COARSE_NODES = 1000
-# a family on a hierarchy builds a new reference from a member that took
-# more preconditioner applications than this: a V-cycle costs a few
+# a family on a hierarchy builds a new reference for the member after one that
+# took more preconditioner applications than this: a V-cycle costs about nine
 _REREFERENCE = 12
 # `solve_spd_cg` stops at this recursive residual relative to ||b||, near
 # the float64 floor: Newton on the mass curve reads F from b.x, and its
@@ -285,7 +284,7 @@ def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, order=None):
     except RuntimeError as exc:
         raise MatrixError(f"shifted factorization failed: {exc}") from exc
     for fine, prolongation in reversed(cycles):
-        solver = _VCycle(fine, prolongation, solver, _SMOOTHING / 3)
+        solver = _VCycle(fine, prolongation, solver, cap=3)  # planar: d + 1
     return tau, solver
 
 
@@ -471,31 +470,34 @@ class _VCycle:
 
     With W = omega diag(S)^-1, Q = (I - W S)^_SWEEPS and C the coarse solve,
     the cycle is B = S^-1 - Q S^-1 Q^T + Q P C P^T Q^T, symmetric when C is.
-    For P1 elements in d dimensions lambda_max(W S) <= omega (d + 1), which
-    the weight keeps below 2, so the smoother contracts in the S-norm,
+    omega is `_SMOOTHING` / min(g, cap), with g = max_i sum_j |s_ij| / s_ii
+    the level's Gershgorin bound on lambda_max(diag(S)^-1 S) (2 on every
+    level of the refined square, disk and triangle) and cap = d + 1 the
+    bound for P1 elements in d dimensions, which holds for a Galerkin P^T S P
+    too: it sums one positive semidefinite block of size d + 1 per coarse
+    element.  So lambda_max(W S) < 2, the smoother contracts in the S-norm,
     S^-1 - Q S^-1 Q^T is positive definite, and so is B whenever C is
-    positive semidefinite.  The bound holds for a Galerkin operator P^T S P
-    of a refined mesh too: it sums one positive semidefinite block of size
-    d + 1 per coarse element.
+    positive semidefinite.
     """
 
-    def __init__(self, shifted: sp.csr_matrix, prolongation: sp.spmatrix, coarse,
-                 omega: float):
+    def __init__(self, shifted: sp.csr_matrix, prolongation: sp.spmatrix, coarse, cap: int):
         self.shifted = shifted
         self.prolongation = sp.csr_matrix(prolongation)
         self.restriction = self.prolongation.T.tocsr()
         self.coarse = coarse
-        self.weights = omega / shifted.diagonal()
+        diagonal = shifted.diagonal()  # in every row, so no row is empty
+        rows = np.add.reduceat(np.abs(shifted.data), shifted.indptr[:-1])
+        self.weights = _SMOOTHING / min(np.max(rows / diagonal), cap) / diagonal
 
     def _smooth(self, x: np.ndarray, b: np.ndarray, sweeps: int) -> np.ndarray:
         for _ in range(sweeps):
-            x = x + self.weights * (b - self.shifted @ x)
+            x += self.weights * (b - self.shifted @ x)
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # the first step from zero is W b
         x = self._smooth(self.weights * b, b, _SWEEPS - 1)
-        x = x + self.prolongation @ self.coarse.solve(self.restriction @ (b - self.shifted @ x))
+        x += self.prolongation @ self.coarse.solve(self.restriction @ (b - self.shifted @ x))
         return self._smooth(x, b, _SWEEPS)
 
 
@@ -519,12 +521,12 @@ class NearbyPencils:
     levels, its own LU otherwise.  A pencil that LOBPCG does not bring
     through the stop, within `_LOBPCG_STEPS` iterations as a warm-started
     member or at its pace on its own V-cycle, is factored and solved on its
-    own LU; `fallbacks` counts these.  A family takes the pair it solved a pencil on alone as
-    its reference, and after a fallback it stays on LUs.  A family on a
-    V-cycle also takes a new V-cycle reference from a member that needed
-    more than `_REREFERENCE` applications.  A fallback ends a chain's
-    nested iteration, so every later level is factored too.  Pencils of
-    dense size are solved densely and leave the sequence as it was.
+    own LU; `fallbacks` counts these.  A family takes the pair it solved a
+    pencil on alone as its reference, and after a fallback it stays on LUs.
+    On a V-cycle, the member after one that took more than `_REREFERENCE`
+    applications runs on a new V-cycle, the family's next reference.  A
+    fallback ends a chain's nesting: every later level is factored.  Pencils
+    of dense size are solved densely and leave the sequence as it was.
 
     reference is a nearby pencil's `shifted_factor` pair on the first
     pencil's nodes, which the first pencil then runs on from
@@ -532,10 +534,11 @@ class NearbyPencils:
     """
 
     def __init__(self, dim: int, reference=None):
-        self.omega = _SMOOTHING / (dim + 1)
+        self._cap = dim + 1  # the weight's cap in a chain's cycles (see _VCycle)
         self.fallbacks = 0
         self._pair = reference  # (tau, solver) that preconditions the next pencil
         self._vector = None
+        self._stale = False  # the last member took more than _REREFERENCE applications
 
     def lowest(self, a: sp.spmatrix, m: sp.spmatrix, order,
                prolongation: sp.spmatrix = None) -> EigResult:
@@ -552,10 +555,12 @@ class NearbyPencils:
         if self._pair is not None:
             tau, solver = pair = self._pair
             if prolongation is not None:
-                pair = (tau, _VCycle((a - tau * m).tocsr(), prolongation, solver, self.omega))
+                pair = (tau, _VCycle((a - tau * m).tocsr(), prolongation, solver, self._cap))
                 guess = prolongation @ self._vector
             elif self._vector is not None:
                 guess = self._vector
+                if self._stale and isinstance(solver, _VCycle):  # a family on LUs keeps its LU
+                    pair = shifted_factor(a, m, order)
             else:
                 guess = solver.solve(m @ np.ones(m.shape[0]))
             try:
@@ -564,9 +569,7 @@ class NearbyPencils:
                 self.fallbacks += 1
                 self._pair = self._vector = None  # release the LU or hierarchy
             else:
-                if (prolongation is None and isinstance(solver, _VCycle)
-                        and res.iterations > _REREFERENCE):
-                    pair = shifted_factor(a, m, order)
+                self._stale = res.iterations > _REREFERENCE
                 self._pair, self._vector = pair, res.vector
                 return res
         res, factor, fell_back = lowest_alone(a, m, _levels(order)[0] if self.fallbacks else order)

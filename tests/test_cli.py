@@ -196,11 +196,22 @@ class TestMeshExport:
 
 class TestScalingGuard:
     @pytest.mark.parametrize("levels, eps", [(3, "1e5"), (3, "1e6"), (3, "1e8"), (7, "1e6")])
-    def test_row_above_the_expand_limit_exit_3(self, levels, eps, capsys):
-        code, out, err = run_cli(["scaling", "--domain", "square", "--sigma", "1",
-                                  "--eps", eps, "--levels", str(levels)], capsys)
-        assert code == 3 and out == ""
-        assert json.loads(err)["error"] == "ConvergenceError"
+    def test_large_eps_row_inside_the_expand_limit_exit_0(self, levels, eps, capsys):
+        # the family solves eps^2 lambda1 as the lowest eigenvalue of
+        # (K + eps B, M), whose stop keeps its scale at large eps; solving
+        # (K / eps^2 + B / eps, M) these rows crossed the limit and exited 3
+        code, out, _ = run_cli(["scaling", "--domain", "square", "--sigma", "1",
+                                "--eps", eps, "--levels", str(levels)], capsys)
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        mu, expand = float(row[3]), float(row[5])
+        assert mu <= expand * (1 + eigensolve.DEFAULT_TOL)
+        mesh = cli._mesh_at_level(geometry.unit_square(), levels, None)
+        ops = assembly.operators(mesh)
+        b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
+        own = eigensolve.smallest_eigs(ops.stiffness + float(eps) * b, ops.mass,
+                                       order=ops.order).value
+        assert abs(mu - own) <= eigensolve.DEFAULT_TOL * own
 
     @pytest.mark.parametrize("domain", [["--domain", "square", "--levels", "3"],
                                         ["--domain", "interval", "--levels", "5"]],

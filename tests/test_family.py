@@ -75,7 +75,8 @@ class TestAgreementWithArpack:
     def test_scale_grid(self, level, members):
         rows = run_family(level, "scaling")
         assert len(members) == len(EPS_GRID)
-        assert [r.eigenvalue for r in rows] == [r.value for _, _, r, _ in members]
+        # the members are the pencils (K + eps B, M), of eigenvalue eps^2 lambda
+        assert [r.eps2_eigenvalue for r in rows] == [r.value for _, _, r, _ in members]
         assert_agrees_with_own_factor_solves(members)
 
     @pytest.mark.parametrize("level", sorted(MESHES))
@@ -92,14 +93,20 @@ class TestFactorizationBudget:
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_one_factorization_per_family(self, level, which, members, factorizations):
         # both meshes lie above the coarse size: the family's references are
-        # V-cycles over a coarse LU, the first one and one from each member
-        # that took more than _REREFERENCE applications
+        # V-cycles over a coarse LU, the first one and one for each member
+        # after one that took more than _REREFERENCE applications, so the
+        # last member builds none
         run_family(level, which)
         (fam,) = families(members)
         assert fam.fallbacks == 0
         warm = members if which == "scaling" else members[1:]
-        rereferences = sum(r.iterations > eigensolve._REREFERENCE for _, _, r, _ in warm)
-        assert len(factorizations) == 1 + rereferences
+        slow = [r.iterations > eigensolve._REREFERENCE for _, _, r, _ in warm]
+        assert len(factorizations) == 1 + sum(slow[:-1])
+        # a member after a slow one runs on its own V-cycle, warm-started
+        assert all(r.iterations <= eigensolve._REREFERENCE
+                   for was_slow, (_, _, r, _) in zip(slow, warm[1:]) if was_slow)
+        if which == "scaling":
+            assert any(slow[:-1])
         assert max(factorizations) <= eigensolve._COARSE_NODES < MESHES[level].num_nodes
 
     @pytest.mark.parametrize("level", sorted(MESHES))
@@ -141,6 +148,15 @@ class TestFallback:
         own = eigensolve.smallest_eigs(k + 1e-3 * b, m)
         assert res.value == own.value and res.residual == own.residual
         assert res.iterations == own.iterations > 0
+
+    def test_family_on_an_lu_keeps_it_after_slow_members(self, factorizations):
+        # only a family on a V-cycle builds a new reference for the member
+        # after a slow one; an LU reference serves every member
+        k, b, m = self.pencil()
+        fam = eigensolve.NearbyPencils(2, reference=eigensolve.shifted_factor(k + 30.0 * b, m))
+        runs = [fam.lowest(k + s * b, m, None).iterations for s in (1.0, 0.1, 0.05)]
+        assert min(runs[:-1]) > eigensolve._REREFERENCE and fam.fallbacks == 0
+        assert len(factorizations) == 1
 
     def test_cap_exceeded_raises_in_smallest_eigs(self):
         k, b, m = self.pencil()

@@ -12,13 +12,18 @@ own LU.
 
 import contextlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from robinspec import assembly, cli, eigensolve, geometry, robin
 from robinspec.assembly import SigmaField
+
+from conftest import L_SHAPE, convex_polygons
 
 DOMAINS = {
     "square": geometry.unit_square(),
@@ -83,20 +88,31 @@ def hierarchy(name, top):
     ops = assembly.operators(mesh)
     a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
     tau, solver = eigensolve.shifted_factor(a, ops.mass, order=ops.order)
-    omega = eigensolve.NearbyPencils(mesh.dim).omega
     for _ in range(1, top):
         mesh = geometry.refine(mesh)
         ops = assembly.operators(mesh)
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
-        solver = eigensolve._VCycle((a - tau * ops.mass).tocsr(), mesh.coarse[1], solver, omega)
+        solver = eigensolve._VCycle((a - tau * ops.mass).tocsr(), mesh.coarse[1], solver,
+                                    mesh.dim + 1)
     return a - tau * ops.mass, solver
+
+
+def smoothed_spectrum_top(cycle):
+    """lambda_max(W S) of a cycle's level, W its Jacobi weights."""
+    root = np.sqrt(cycle.weights)
+    s = root[:, None] * cycle.shifted.toarray() * root[None, :]
+    return scipy.linalg.eigvalsh(s, subset_by_index=[len(s) - 1, len(s) - 1])[0]
 
 
 class TestVCycle:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_weight_keeps_the_smoother_contracting(self, dim):
-        # omega (d + 1) bounds lambda_max(W S) for P1 elements
-        assert 0.0 < eigensolve.NearbyPencils(dim).omega * (dim + 1) < 2.0
+        # omega min(g, d + 1) = _SMOOTHING bounds lambda_max(W S), and the
+        # Gershgorin bound g never lowers the weight below the P1 cap's
+        shifted, cycle = hierarchy("interval" if dim == 1 else "square", 3)
+        assert 0.0 < smoothed_spectrum_top(cycle) <= eigensolve._SMOOTHING + 1e-12 < 2.0
+        assert np.all(cycle.weights * shifted.diagonal()
+                      >= eigensolve._SMOOTHING / (dim + 1) * (1.0 - 1e-12))
 
     @pytest.mark.parametrize("name", ["square", "disk", "triangle"])
     @pytest.mark.parametrize("top", [2, 3])
@@ -122,6 +138,8 @@ class TestVCycle:
         class Counted:
             def __init__(self, matrix):
                 self.matrix, self.products = matrix, 0
+                # the Gershgorin bound reads the CSR arrays
+                self.data, self.indptr = matrix.data, matrix.indptr
 
             def diagonal(self):
                 return self.matrix.diagonal()
@@ -131,8 +149,9 @@ class TestVCycle:
                 return self.matrix @ x
 
         counted = Counted(cycle.shifted)
-        counting = eigensolve._VCycle(counted, cycle.prolongation, cycle.coarse,
-                                      eigensolve._SMOOTHING / 3)
+        counting = eigensolve._VCycle(counted, cycle.prolongation, cycle.coarse, 3)
+        assert counted.products == 0
+        np.testing.assert_array_equal(counting.weights, cycle.weights)
         b = np.random.default_rng(4).standard_normal(shifted.shape[0])
         x = counting.solve(b)
         assert counted.products == 4
@@ -146,6 +165,91 @@ class TestVCycle:
         for _ in range(eigensolve._SWEEPS):
             want = want + w * (b - s @ want)
         np.testing.assert_array_equal(x, want)
+
+
+@st.composite
+def hierarchy_meshes(draw, kind):
+    """A convex polygon with gamma all or some of its sides, the obtuse
+    triangle, the disk with a gamma arc or the L-shape, refined as often as
+    it stays at most 2,000 nodes."""
+    if kind == "polygon":
+        verts = draw(convex_polygons()).vertices
+        sides = draw(st.sets(st.integers(0, len(verts) - 1), min_size=1))
+        dom = geometry.polygon(verts, gamma=geometry.gamma_sides(*sides))
+    elif kind == "obtuse":
+        dom = geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)])
+    elif kind == "disk":
+        start = draw(st.floats(0.0, 6.0))
+        dom = geometry.disk((0.0, 0.0), 1.0, 16, gamma=geometry.gamma_arcs([(start, start + 2.0)]))
+    else:
+        dom = geometry.polygon(L_SHAPE, gamma=geometry.gamma_sides(1, 3))
+    mesh = geometry.build_mesh(dom, 1.0)
+    while (fine := geometry.refine(mesh)).num_nodes <= 2000:
+        mesh = fine
+    return mesh
+
+
+def cycle_levels(solver):
+    """Each `_VCycle` of a preconditioner, finest first."""
+    while isinstance(solver, eigensolve._VCycle):
+        yield solver
+        solver = solver.coarse
+
+
+def cycle_spectrum(cycle):
+    """The spectrum of B S, B the cycle as a dense matrix and S its level's
+    shifted matrix: the eigenvalues of the pencil (S B S, S)."""
+    s = cycle.shifted
+    b = np.column_stack([cycle.solve(e) for e in np.eye(s.shape[0])])
+    sbs = s @ (s @ (0.5 * (b + b.T))).T
+    return scipy.linalg.eigvalsh(0.5 * (sbs + sbs.T), s.toarray())
+
+
+class TestSmoothingWeight:
+    """Every level's Gershgorin weight keeps lambda_max(W S) below 2 and the
+    cycle symmetric positive definite, with B S at most 1 where the coarse
+    correction is an S-orthogonal projection: on the Robin and pinned
+    Galerkin hierarchies of `shifted_factor`, coarsened here to at most 40
+    nodes so that each mesh has several levels, and on the re-discretised
+    levels of a refinement chain (`robin.refinement_levels`) where they are
+    nested, which the disk's are not."""
+
+    @pytest.mark.parametrize("kind, examples", [("polygon", 5), ("obtuse", 2), ("disk", 2),
+                                                ("l-shape", 2)])
+    def test_every_level_smooths_below_two_and_b_s_lies_in_0_1(self, kind, examples):
+        # no shrinking: each example takes dense eigensolves of every level
+        @settings(max_examples=examples, derandomize=True, deadline=None, database=None,
+                  phases=[Phase.generate],
+                  suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+        @given(hierarchy_meshes(kind), st.floats(-2.0, 3.0))
+        def check(mesh, log_sigma):
+            sigma = SigmaField.constant(10.0 ** log_sigma)
+            ops = assembly.operators(mesh)
+            a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
+            free, k_ff, m_ff = ops.restrict(geometry.gamma_nodes(mesh))
+            with mock.patch.object(eigensolve, "_COARSE_NODES", 40):
+                galerkin = [eigensolve.shifted_factor(a, ops.mass, assembly.hierarchy(mesh)),
+                            eigensolve.shifted_factor(k_ff, m_ff, assembly.hierarchy(mesh, free))]
+            meshes = [mesh]
+            while meshes[-1].coarse is not None:
+                meshes.append(meshes[-1].coarse[0])
+            chain = eigensolve.NearbyPencils(mesh.dim)
+            for fine in reversed(meshes[:-1]):
+                fine_ops = assembly.operators(fine)
+                chain.lowest(fine_ops.stiffness + assembly.assemble_boundary_mass(fine, sigma),
+                             fine_ops.mass, fine_ops.order, fine.coarse[1])
+            cycles = [(level, True) for _, solver in galerkin for level in cycle_levels(solver)]
+            assert len(cycles) >= 4
+            if not chain.fallbacks:
+                cycles += [(level, kind != "disk") for level in cycle_levels(chain._pair[1])]
+            for cycle, projection in cycles:
+                assert smoothed_spectrum_top(cycle) < 2.0
+                spectrum = cycle_spectrum(cycle)
+                assert spectrum[0] > 0.0
+                if projection:
+                    assert spectrum[-1] <= 1.0 + 1e-9
+
+        check()
 
 
 class TestChain:
