@@ -23,26 +23,13 @@ matrix with no zero entry shares the plan's index arrays.  `operators`
 assembles a mesh's stiffness and mass once and shares them between all
 callers.
 
-`Operators.order` is the mesh's nested-dissection ordering (George, SIAM J.
-Numer. Anal. 1973): a recursive coordinate bisection of the node graph in
-which every separator is ordered after both of its halves.  It is computed
-at the first factorization of a pencil on the mesh, once, and every
-factorization on the mesh uses it; meshes that are only multiplied with,
-such as the finer levels of a `converge` chain or the fine mesh of a pencil
-preconditioned on its hierarchy (`hierarchy`), are never ordered, and the
-coarse levels of a hierarchy are ordered without being assembled.  The
-graph is the mesh's edges, all of which the mass matrix holds.  The
-stiffness matrix drops the edges whose cotangent weight vanishes (right
-angles opposite them), yet the pencils factored hold those edges through M;
-separators found in the thinner graph miss them, and on the triangle at
-level 6 the LU had 1.24 times the fill.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -137,35 +124,14 @@ class _Plan:
     edge (`Mesh.edges`), in CSR with sorted indices, and the data slot of
     each diagonal entry and of each edge's (smaller, larger) and (larger,
     smaller) entries.  Its arrays are int32 and write-locked, and every
-    matrix on the mesh that has no zero entry shares its index arrays.  The
-    nested-dissection ordering of the edge graph is computed on first
-    access to `order`, once, under a lock."""
+    matrix on the mesh that has no zero entry shares its index arrays."""
 
     edges: Edges
-    nodes: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     diagonal: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    _order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _order_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                        repr=False)
-
-    @property
-    def order(self) -> np.ndarray:
-        with self._order_lock:
-            if self._order is None:
-                order = _nested_dissection(self.nodes, self.edges.ends)
-                order.setflags(write=False)
-                object.__setattr__(self, "_order", order)
-        return self._order
-
-    def free_order(self, free: np.ndarray) -> np.ndarray:
-        index = np.full(len(self.nodes), -1, dtype=np.int64)
-        index[free] = np.arange(len(free))
-        kept = index[self.order]
-        return kept[kept >= 0]
 
     def matrix(self, diagonal: np.ndarray, edge: np.ndarray) -> sp.csr_matrix:
         """The symmetric matrix with the given diagonal and, in both entries
@@ -174,7 +140,7 @@ class _Plan:
         data[self.diagonal] = diagonal
         data[self.upper] = edge
         data[self.lower] = edge
-        n = len(self.nodes)
+        n = len(self.indptr) - 1
         if data.all():
             return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
         a = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
@@ -189,7 +155,7 @@ class _Plan:
         data = np.bincount(which, weights=values)
         keep = data != 0
         at = at[keep]
-        n = len(self.nodes)
+        n = len(self.indptr) - 1
         return sp.csr_matrix((data[keep], self.indices[at], np.searchsorted(at, self.indptr)),
                              shape=(n, n))
 
@@ -207,7 +173,7 @@ def _build_plan(mesh: Mesh) -> _Plan:
     slot[numbered.data] = np.arange(count, dtype=np.int32)
     for arr in (numbered.indptr, numbered.indices, slot):
         arr.setflags(write=False)
-    return _Plan(edges, mesh.nodes, numbered.indptr, numbered.indices,
+    return _Plan(edges, numbered.indptr, numbered.indices,
                  slot[:n], slot[n:n + len(lo)], slot[n + len(lo):])
 
 
@@ -336,122 +302,21 @@ def assemble_weighted_mass(mesh: Mesh, weights: np.ndarray) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# Fill-reducing ordering
-# ---------------------------------------------------------------------------
-
-# groups of at most this many nodes are not bisected further
-_ND_LEAF = 16
-
-
-def _nested_dissection(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Nested-dissection permutation of the graph with the (E, 2) edges
-    whose vertices sit at coords: order[i] is the vertex eliminated i-th.
-
-    All groups of one depth are bisected at once.  A group of more than
-    `_ND_LEAF` vertices is cut at its median vertex along the longest side
-    of its box (the root's bounding box, halved at each cut); the endpoints
-    of the cut edges on the side that has fewer of them form the separator.
-    Each group owns a contiguous range of positions: its first half, then
-    its second half, then its separator.  Separators and leaves are ordered
-    along their group's axis.
-    """
-    n, dim = coords.shape
-    rows, cols = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
-    # each vertex's rank along each axis, so one integer sort per depth
-    # orders every group's vertices along its own axis
-    rank = np.empty((dim, n), dtype=np.int64)
-    for axis in range(dim):
-        rank[axis, np.argsort(coords[:, axis], kind="stable")] = np.arange(n)
-    low, high = coords.min(axis=0)[None, :], coords.max(axis=0)[None, :]
-    group = np.zeros(n, dtype=np.int64)  # -1 once a vertex has its position
-    start = np.zeros(1, dtype=np.int64)  # first position of each group
-    position = np.empty(n, dtype=np.int64)
-    nodes = np.arange(n)
-    while len(nodes):
-        g = group[nodes]
-        count = len(start)
-        size = np.bincount(g, minlength=count)
-        first = np.cumsum(size) - size
-        axis = np.argmax(high - low, axis=1)
-        ranked = np.argsort(g * n + rank[axis[g], nodes])  # by group, then along
-        median = coords[nodes[ranked[np.minimum(first + size // 2, len(nodes) - 1)]], axis]
-        t = coords[nodes, axis[g]]
-        left = t < median[g]
-        ties = np.bincount(g, weights=left, minlength=count)[g] == 0
-        left[ties] = t[ties] <= median[g][ties]
-        n_left = np.bincount(g, weights=left, minlength=count)
-        split = (size > _ND_LEAF) & (n_left > 0) & (n_left < size)
-
-        side = np.zeros(n, dtype=np.int8)  # 1 first half, 2 second, 3 separator
-        cut_group = split[g]
-        side[nodes[cut_group]] = np.where(left[cut_group], 1, 2)
-        side_r, side_c = side[rows], side[cols]
-        cut = (side_r > 0) & (side_c > 0) & (side_r != side_c)
-        first_end = np.zeros(n, dtype=bool)
-        second_end = np.zeros(n, dtype=bool)
-        first_end[np.where(side_r[cut] == 1, rows[cut], cols[cut])] = True
-        second_end[np.where(side_r[cut] == 1, cols[cut], rows[cut])] = True
-        use_first = (np.bincount(group[first_end], minlength=count)
-                     <= np.bincount(group[second_end], minlength=count))
-        s = side[nodes]
-        s[np.where(use_first[g], first_end[nodes], second_end[nodes])] = 3
-
-        n1 = np.bincount(g, weights=s == 1, minlength=count).astype(np.int64)
-        n2 = np.bincount(g, weights=s == 2, minlength=count).astype(np.int64)
-        placed = (s == 0) | (s == 3)
-        offset = np.where(split, start + n1 + n2, start)
-        # the placed vertices of each group take its range in ranked order
-        in_rank = ranked[placed[ranked]]
-        placed_groups = g[in_rank]
-        position[nodes[in_rank]] = (offset[placed_groups] + np.arange(len(in_rank))
-                                    - np.searchsorted(placed_groups, placed_groups))
-        group[nodes[placed]] = -1
-        halves = ~placed
-        child = np.cumsum(split) - 1
-        group[nodes[halves]] = 2 * child[g[halves]] + (s[halves] == 2)
-        start = np.column_stack([start[split], start[split] + n1[split]]).ravel()
-        cuts = np.arange(int(split.sum()))
-        low_first, high_first = low[split], high[split].copy()
-        high_first[cuts, axis[split]] = median[split]
-        low_second = low[split].copy()
-        low_second[cuts, axis[split]] = median[split]
-        low = np.stack([low_first, low_second], axis=1).reshape(-1, dim)
-        high = np.stack([high_first, high[split]], axis=1).reshape(-1, dim)
-        nodes = nodes[halves]
-        # every cut edge lost its separator end, so no edge joins two groups
-        inside = (group[rows] >= 0) & (group[cols] >= 0)
-        rows, cols = rows[inside], cols[inside]
-    order = np.empty(n, dtype=np.int64)
-    order[position] = np.arange(n)
-    return order
-
-
-# ---------------------------------------------------------------------------
 # Per-mesh operators
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Operators:
-    """Stiffness, mass, load M 1, volume 1^T M 1 and the nested-dissection
-    ordering of one mesh.
+    """Stiffness, mass, load M 1 and volume 1^T M 1 of one mesh.
 
-    Obtained from `operators`, which builds them once per mesh.  The
-    ordering is computed on first access to `order`, once, under a lock, so
-    a mesh whose pencils never reach a factorization is never ordered.  The
-    matrix, load and ordering arrays are write-locked, like the mesh's own
-    arrays.
+    Obtained from `operators`, which builds them once per mesh.  The matrix
+    and load arrays are write-locked, like the mesh's own arrays.
     """
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     load: np.ndarray
     volume: float
-    _plan: _Plan = field(repr=False)
-
-    @property
-    def order(self) -> np.ndarray:
-        """The nested-dissection ordering of the mesh's nodes."""
-        return self._plan.order
 
     def restrict(self, fixed):
         """(free, K_ff, M_ff): the free node indices and the matrices with
@@ -463,14 +328,9 @@ class Operators:
             raise ArgumentError("every node is fixed: no degrees of freedom left")
         return free, self.stiffness[free][:, free], self.mass[free][:, free]
 
-    def free_order(self, free: np.ndarray) -> np.ndarray:
-        """The ordering restricted to the free nodes, in the numbering of
-        `restrict`'s matrices; the free nodes keep their relative order."""
-        return self._plan.free_order(free)
 
-
-# Keyed weakly by mesh; an Operators holds no reference back to its mesh (only
-# to its plan), so an entry lives exactly as long as the mesh does.
+# Keyed weakly by mesh; an Operators holds no reference back to its mesh, so an
+# entry lives exactly as long as the mesh does.
 _OPERATORS: weakref.WeakKeyDictionary[Mesh, Operators] = weakref.WeakKeyDictionary()
 _OPERATORS_LOCK = threading.Lock()
 
@@ -489,39 +349,29 @@ def operators(mesh: Mesh) -> Operators:
             load = m @ ones
             for arr in (k.data, k.indices, k.indptr, m.data, m.indices, m.indptr, load):
                 arr.setflags(write=False)
-            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load), _plan(mesh))
+            ops = _OPERATORS[mesh] = Operators(k, m, load, float(ones @ load))
     return ops
 
 
 def hierarchy(mesh: Mesh, free: Optional[np.ndarray] = None) -> list:
-    """The order argument of `eigensolve.shifted_factor` for pencils on
-    mesh: a function returning mesh's ordering, then, on a planar mesh, one
-    (P, function returning the level's ordering) pair for each coarser
-    level of its hierarchy, finest first, with P the level's prolongation
-    onto the one above it.  An interval lists no coarser level: its
-    tridiagonal LU has no fill to save.
+    """The levels argument of `eigensolve.shifted_factor` for pencils on
+    mesh: on a planar mesh, the prolongation of each coarser level of its
+    hierarchy onto the one above it, finest first.  An interval lists no
+    coarser level: its tridiagonal LU has no fill to save.
 
     With free, the sorted free nodes of a pencil pinned on the other nodes
     (`Operators.restrict`), the levels are the pinned pencil's: a coarse
     node is free when it is a free node of the level above, as refinement
-    keeps the coarse numbering, each P is restricted to the free nodes of
-    both levels, and each ordering to its level's free nodes.  The coarse
-    spaces are then exact where the fixed nodes are a union of boundary
-    facets' nodes (gamma, the boundary): a coarse function that vanishes on
-    them interpolates to one that vanishes on them.  Orderings stay lazy and
-    come from each level's edges, so a coarse level is ordered only when it
-    is factored and never assembled."""
-    levels = [_ordering(mesh, free)]
+    keeps the coarse numbering, and each P is restricted to the free nodes
+    of both levels.  The coarse spaces are then exact where the fixed nodes
+    are a union of boundary facets' nodes (gamma, the boundary): a coarse
+    function that vanishes on them interpolates to one that vanishes on
+    them.  No coarse level is assembled."""
+    levels = []
     while mesh.dim == 2 and mesh.coarse is not None:
         mesh, prolongation = mesh.coarse
         if free is not None:
             fine_free, free = free, free[:np.searchsorted(free, mesh.num_nodes)]
             prolongation = prolongation[fine_free][:, free]
-        levels.append((prolongation, _ordering(mesh, free)))
+        levels.append(prolongation)
     return levels
-
-
-def _ordering(mesh: Mesh, free: Optional[np.ndarray] = None):
-    if free is None:
-        return lambda: _plan(mesh).order
-    return lambda: _plan(mesh).free_order(free)

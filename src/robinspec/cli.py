@@ -96,7 +96,8 @@ def _domain_from(opts: dict) -> DomainSpec:
 
 def _mesh_at_level(domain: DomainSpec, level: int, target_h: Optional[float]):
     """The base mesh of target_h, or the unrefined base mesh without one,
-    refined level times; the result carries the hierarchy (`Mesh.coarse`)."""
+    refined level times; the result carries the hierarchy (`Mesh.coarse`)
+    down to the unrefined base mesh."""
     mesh = build_mesh(domain, math.inf if target_h is None else target_h)
     geometry.check_refinement(mesh, level)
     for _ in range(level):
@@ -218,12 +219,13 @@ def cmd_hardy(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
 
 
 def cmd_converge(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
-    """Levels 1..--levels of the hierarchy `_mesh_at_level` built.  order
+    """The --levels refinements of the base mesh that `_mesh_at_level`
+    built, numbered 1..--levels, each as one level of its hierarchy.  order
     is log2 of the ratio of successive diffs; it is left empty when either
     diff is within `eigensolve.eigenvalue_floor` of its eigenvalue, where
     the difference is round-off rather than discretization error."""
     values, hs, dofs = [], [], []
-    for level_mesh, res in robin.refinement_levels(mesh, _sigma_from(opts)):
+    for level_mesh, res in robin.refinement_levels(mesh, _sigma_from(opts), opts["levels"]):
         values.append(res.value)
         hs.append(geometry.max_element_diameter(level_mesh))
         dofs.append(level_mesh.num_nodes)

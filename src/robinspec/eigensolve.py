@@ -12,16 +12,16 @@ so it touches no process-wide state and threads run it without a lock.
 A pencil on a refined planar mesh above `_COARSE_NODES` nodes runs on its
 hierarchy: `shifted_factor` coarsens S by Galerkin products P^T S P down
 to the first level with at most `_COARSE_NODES` nodes, factors that level
-once, in its own mesh's order, and stacks one `_VCycle` per level above
-it, each smoothing at its level's own Gershgorin weight, so the fine mesh
-is neither factored nor ordered.  Robin pencils run on the mesh's
-hierarchy, and pencils pinned on gamma or the boundary on its restriction
-to their free nodes (`assembly.hierarchy`), where the V-cycle also
-preconditions the conjugate gradients of `solve_spd_cg`.
+once and stacks one `_VCycle` per level above it, each smoothing at its
+level's own Gershgorin weight, so the fine mesh is never factored.  Robin
+pencils run on the mesh's hierarchy, and pencils pinned on gamma or the
+boundary on its restriction to their free nodes (`assembly.hierarchy`),
+where the V-cycle also preconditions the conjugate gradients of
+`solve_spd_cg`.
 Pencils keep an LU of their own where there is no such hierarchy:
 intervals (whose tridiagonal LU has no fill), meshes without coarser
-levels or at most `_COARSE_NODES` nodes (free nodes, where pinned), and
-the levels of a refinement chain.
+levels (read from a file) or with at most `_COARSE_NODES` nodes (free
+nodes, where pinned), and the first level of a refinement chain.
 
 A pencil solved on its own is preconditioned by its own shifted pair and
 started from solver^-1 M 1.  That run stops at round-off, at a residual of
@@ -59,17 +59,9 @@ same diagnostics: the preconditioner applications (`iterations`), the
 residual reached (`residual`, None where no vector came back) and the
 bound it had to meet (`bound`).
 
-Factorizations take an `order`: a fill-reducing permutation, which callers
-on a mesh take from `assembly.operators(mesh).order` (nested dissection of
-the mesh's node graph, restricted to the free nodes where nodes are
-eliminated).  The permuted matrix is factored in that order with diagonal
-pivots, as the matrices factored here are symmetric positive definite, and
-solves permute the right-hand side in and the solution out.  The order may
-also be given as a function returning it, which is called only when a
-factorization is made, so callers that may not factor (a dense-size
-pencil, a pencil with a ready factor) do not compute it.  Without an
-order SuperLU picks its own column ordering (COLAMD); that path is for
-matrices that come without a mesh.
+Every factorization is a sparse LU in SuperLU's own column order (COLAMD),
+with diagonal pivots in symmetric mode, as the matrices factored here are
+symmetric positive definite.
 """
 
 from __future__ import annotations
@@ -140,33 +132,12 @@ def _inf_norm_estimate(a: sp.spmatrix) -> float:
     return float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[filled])))
 
 
-class _OrderedLU:
-    """LU of A[order][:, order]; solve takes and returns vectors in A's
-    numbering."""
-
-    def __init__(self, lu, order: np.ndarray):
-        self.lu = lu
-        self.order = order
-        self.inverse = np.argsort(order)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b[self.order])[self.inverse]
+def _factor(a: sp.spmatrix):
+    """Sparse LU of a in SuperLU's COLAMD order with diagonal pivots."""
+    return splu(sp.csc_matrix(a), diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _factor(a: sp.spmatrix, order=None):
-    """Sparse LU of a with a `solve` method: in the given order (or the
-    order a given function returns) with diagonal pivots, or by default in
-    SuperLU's COLAMD order."""
-    if order is None:
-        return splu(sp.csc_matrix(a))
-    if callable(order):
-        order = order()
-    permuted = sp.csr_matrix(a)[order][:, order].tocsc()
-    return _OrderedLU(splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True}), order)
-
-
-def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
+def solve_spd(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
     Direct sparse factorization plus iterative refinement targeting
@@ -174,14 +145,13 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
     float64 floor are accepted at backward error 1e-12 relative to
     ||b|| + ||A|| ||x|| instead.  Raises MatrixError on factorization
     breakdown, on a backward-unstable residual, or when negative curvature
-    (b.x < 0) reveals an indefinite matrix.  order is a fill-reducing
-    permutation of a's rows and columns (see the module docstring).
+    (b.x < 0) reveals an indefinite matrix.
     """
     norm_a = _inf_norm_estimate(a)
     a = sp.csc_matrix(a)
     b = np.asarray(b, dtype=float)
     try:
-        lu = _factor(a, order)
+        lu = _factor(a)
     except RuntimeError as exc:
         raise MatrixError(f"factorization breakdown: {exc}") from exc
     x = lu.solve(b)
@@ -252,35 +222,30 @@ def _gated(a, b: np.ndarray, x: np.ndarray, norm_a: float) -> np.ndarray:
     return x
 
 
-def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, order=None):
+def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, levels=()):
     """(tau, solver): the shifted pair `smallest_eigs` preconditions the
     pencil (A, M) with.  tau is a small negative multiple of A's mean
     diagonal, so a Neumann kernel leaves S = A - tau M positive definite.
 
-    order is S's fill-reducing order (or a function returning it), and
-    solver is the sparse LU of S factored in that order.  order may also be
-    a hierarchy (`assembly.hierarchy`): a list of that order followed by
-    one (P, order) pair per coarser level of a planar mesh, finest first,
-    with P the prolongation from the level onto the one above it and order
-    the level's own.  S is then coarsened by Galerkin products P^T S P down
-    to the first level with at most `_COARSE_NODES` rows, that level is
-    factored once, in its own order, and solver is one `_VCycle` per level
-    above it; a pencil that small is factored itself.
+    levels are the prolongations of a planar mesh's hierarchy
+    (`assembly.hierarchy`), finest first, each from a level onto the one
+    above it.  S is coarsened by Galerkin products P^T S P down to the first
+    level with at most `_COARSE_NODES` rows, that level is factored once,
+    and solver is one `_VCycle` per level above it.  Without levels, or for
+    a pencil that small, solver is the sparse LU of S itself.
     """
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
     tau = -1e-8 * max(float(a.diagonal().sum()), 1.0) / a.shape[0]
     shifted = a - tau * m
-    order, coarser = _levels(order)
     cycles = []
-    for prolongation, coarse_order in coarser:
+    for prolongation in levels:
         if shifted.shape[0] <= _COARSE_NODES:
             break
         cycles.append((shifted, prolongation))
         shifted = (prolongation.T @ (shifted @ prolongation)).tocsr()
-        order = coarse_order
     try:
-        solver = _factor(shifted, order)
+        solver = _factor(shifted)
     except RuntimeError as exc:
         raise MatrixError(f"shifted factorization failed: {exc}") from exc
     for fine, prolongation in reversed(cycles):
@@ -292,12 +257,6 @@ def on_hierarchy(pair) -> bool:
     """Whether a `shifted_factor` pair's solver is a V-cycle over a coarser
     level's LU rather than an LU of S itself."""
     return isinstance(pair[1], _VCycle)
-
-
-def _levels(order):
-    """(the pencil's own order, its coarser levels) of `shifted_factor`'s
-    order argument."""
-    return (order[0], order[1:]) if isinstance(order, list) else (order, [])
 
 
 def eigenvalue_floor(value: float) -> float:
@@ -409,15 +368,14 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
                 np.divide(step, np.sqrt(square), out=v[2])
 
 
-def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
-                  order=None) -> EigResult:
+def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None) -> EigResult:
     """The lowest eigenpair of the symmetric pencil (A, M), A PSD, M SPD.
 
     The eigenvalue is the Rayleigh quotient of the M-normalised vector, and
     its residual must pass the gate of the module docstring.  Without start
     LOBPCG runs on the pencil's own shifted LU from LU^-1 M 1 to round-off;
     factor is the pencil's `shifted_factor(a, m)` pair to reuse, and without
-    one the pair is made here, in the given order; a run on a V-cycle is
+    one the pair is made here, on the pencil's own LU; a run on a V-cycle is
     paced (see `_lobpcg`), and `NearbyPencils` falls back from one that
     gives up.  start = (pair, guess)
     is a `shifted_factor` pair of a nearby pencil (or a pair whose second
@@ -425,7 +383,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
     preconditioned by the pair, to `DEFAULT_TOL` times max(||A||_inf, 1).
     A start that lacks either item raises ArgumentError before any solve; a
     breakdown, a run over the step cap or a result over the gate raises
-    ConvergenceError.  The dense path ignores factor, start and order.
+    ConvergenceError.  The dense path ignores factor and start.
     """
     if start is not None and (start[0] is None or start[1] is None):
         raise ArgumentError("start takes a nearby shifted pair and a guess, both given")
@@ -444,7 +402,7 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
                 lu, x0 = start[0][1], np.asarray(start[1], dtype=float)
                 tol = DEFAULT_TOL * max(norm_a, 1.0)
             else:
-                _, lu = factor if factor is not None else shifted_factor(a, m, order=order)
+                _, lu = factor if factor is not None else shifted_factor(a, m)
                 x0 = lu.solve(m @ np.ones(n))
                 floor = _OWN_FLOOR * max(norm_a, 1.0)
                 square = float(x0 @ (m @ x0))
@@ -464,9 +422,9 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None,
 
 
 class _VCycle:
-    """One symmetric V-cycle for S = A - tau M on a refined mesh, with
-    `_OrderedLU`'s solve contract: `_SWEEPS` damped-Jacobi steps on S from
-    zero, the coarse correction P coarse.solve(P^T r), and `_SWEEPS` more.
+    """One symmetric V-cycle for S = A - tau M on a refined mesh, with an
+    LU's solve contract: `_SWEEPS` damped-Jacobi steps on S from zero, the
+    coarse correction P coarse.solve(P^T r), and `_SWEEPS` more.
 
     With W = omega diag(S)^-1, Q = (I - W S)^_SWEEPS and C the coarse solve,
     the cycle is B = S^-1 - Q S^-1 Q^T + Q P C P^T Q^T, symmetric when C is.
@@ -509,24 +467,25 @@ class NearbyPencils:
     the last pencil's shifted pair: a family of pencils (A_j, M) that share
     M, such as one Robin problem under a range of boundary coefficients,
     keeps one preconditioner.  With a prolongation from the last pencil's
-    nodes, as on a chain of uniformly refined meshes (nested iteration,
-    Knyazev and Neymeyr, ETNA 15, 2003), it runs from the prolonged
-    eigenvector, preconditioned by a `_VCycle` on the same shift whose
-    coarse solve is the last preconditioner, and that cycle preconditions
-    the level after.  Both stop at `DEFAULT_TOL` times max(||A||_inf, 1).
+    nodes, as on a chain of uniformly refined meshes (each level started
+    from the one below: Knyazev and Neymeyr, ETNA 15, 2003), it runs from
+    the prolonged eigenvector, preconditioned by a `_VCycle` on the same
+    shift whose coarse solve is the last preconditioner, and that cycle
+    preconditions the level after.  Both stop at `DEFAULT_TOL` times max(||A||_inf, 1).
 
     The first pencil without a reference is solved on its own
     `shifted_factor` pair, as `smallest_eigs` solves a pencil alone: a
-    V-cycle over its hierarchy's coarse LU where its order lists coarser
-    levels, its own LU otherwise.  A pencil that LOBPCG does not bring
-    through the stop, within `_LOBPCG_STEPS` iterations as a warm-started
-    member or at its pace on its own V-cycle, is factored and solved on its
-    own LU; `fallbacks` counts these.  A family takes the pair it solved a
-    pencil on alone as its reference, and after a fallback it stays on LUs.
-    On a V-cycle, the member after one that took more than `_REREFERENCE`
-    applications runs on a new V-cycle, the family's next reference.  A
-    fallback ends a chain's nesting: every later level is factored.  Pencils
-    of dense size are solved densely and leave the sequence as it was.
+    V-cycle over its hierarchy's coarse LU where it is given the
+    prolongations of coarser levels, its own LU otherwise.  A pencil that
+    LOBPCG does not bring through the stop, within `_LOBPCG_STEPS`
+    iterations as a warm-started member or at its pace on its own V-cycle,
+    is factored and solved on its own LU; `fallbacks` counts these.  A
+    family takes the pair it solved a pencil on alone as its reference, and
+    after a fallback it stays on LUs.  On a V-cycle, the member after one
+    that took more than `_REREFERENCE` applications runs on a new V-cycle,
+    the family's next reference.  A fallback ends a chain's nesting: every
+    later level is factored.  Pencils of dense size are solved densely and
+    leave the sequence as it was.
 
     reference is a nearby pencil's `shifted_factor` pair on the first
     pencil's nodes, which the first pencil then runs on from
@@ -540,12 +499,12 @@ class NearbyPencils:
         self._vector = None
         self._stale = False  # the last member took more than _REREFERENCE applications
 
-    def lowest(self, a: sp.spmatrix, m: sp.spmatrix, order,
+    def lowest(self, a: sp.spmatrix, m: sp.spmatrix, levels,
                prolongation: sp.spmatrix = None) -> EigResult:
         """The lowest eigenpair of the next pencil (a, m).
 
-        order is its fill-reducing order, or a function returning it, as in
-        `_factor`, or its hierarchy, as in `shifted_factor`; prolongation
+        levels are the prolongations of its hierarchy, as in
+        `shifted_factor`, or () for a pencil on its own LU; prolongation
         maps the last pencil's vectors onto this one's nodes.
         """
         a = sp.csr_matrix(a)
@@ -560,7 +519,7 @@ class NearbyPencils:
             elif self._vector is not None:
                 guess = self._vector
                 if self._stale and isinstance(solver, _VCycle):  # a family on LUs keeps its LU
-                    pair = shifted_factor(a, m, order)
+                    pair = shifted_factor(a, m, levels)
             else:
                 guess = solver.solve(m @ np.ones(m.shape[0]))
             try:
@@ -572,27 +531,27 @@ class NearbyPencils:
                 self._stale = res.iterations > _REREFERENCE
                 self._pair, self._vector = pair, res.vector
                 return res
-        res, factor, fell_back = lowest_alone(a, m, _levels(order)[0] if self.fallbacks else order)
+        res, factor, fell_back = lowest_alone(a, m, () if self.fallbacks else levels)
         self.fallbacks += fell_back
         if prolongation is None or not self.fallbacks:
             self._pair, self._vector = factor, res.vector
         return res
 
 
-def lowest_alone(a: sp.spmatrix, m: sp.spmatrix, order):
+def lowest_alone(a: sp.spmatrix, m: sp.spmatrix, levels):
     """(EigResult, pair, fell back): the lowest eigenpair of the pencil
     (a, m) solved on its own, as `smallest_eigs` solves it, and the
     `shifted_factor` pair it was solved on, None at dense size, where
-    nothing is factored.  order is as in `shifted_factor`.  Where it lists
-    coarser levels the run is on a V-cycle and paced, and a run that gives
-    up falls back on the pencil's own LU, which the pair then is."""
+    nothing is factored.  levels are as in `shifted_factor`.  Where the
+    pair is a V-cycle the run is paced, and a run that gives up falls back
+    on the pencil's own LU, which the pair then is."""
     if _dense(a.shape[0]):
         return smallest_eigs(a, m), None, False
-    factor = shifted_factor(a, m, order)
+    factor = shifted_factor(a, m, levels)
     try:
         return smallest_eigs(a, m, factor=factor), factor, False
     except ConvergenceError:
         if not on_hierarchy(factor):
             raise
-    factor = shifted_factor(a, m, _levels(order)[0])
+    factor = shifted_factor(a, m)
     return smallest_eigs(a, m, factor=factor), factor, True

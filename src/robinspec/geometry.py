@@ -362,7 +362,10 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
     An infinite target_h gives the initial mesh: one element for an
     interval, the ear-clipped polygon, or the disk's fan of triangles.
     Disks are meshed as inscribed polygons with all boundary nodes on the
-    circle; refining a disk mesh keeps projecting new boundary nodes.
+    circle; refining a disk mesh keeps projecting new boundary nodes.  A
+    planar mesh refined to reach target_h is the last `refine` of the
+    initial mesh and keeps its hierarchy (`Mesh.coarse`) down to it; an
+    interval is built directly, without one.
     """
     if not target_h > 0:
         raise ArgumentError(f"target_h must be positive, got {target_h}")
@@ -381,8 +384,7 @@ def build_mesh(domain: DomainSpec, target_h: float) -> Mesh:
     while max_element_diameter(mesh) > target_h:
         check_refinement(mesh, 1)
         mesh = refine(mesh)
-    return _make_mesh(mesh.dim, mesh.nodes, mesh.elements, mesh.boundary,
-                      mesh.boundary_markers, projection=mesh.projection, edges=mesh.edges)
+    return mesh
 
 
 def _build_interval(domain: DomainSpec, target_h: float) -> Mesh:

@@ -164,8 +164,9 @@ class MixedProblem:
     restricted to the free nodes and the ground state, computed once, on
     construction.
 
-    Above `eigensolve._COARSE_NODES` free nodes on a refined planar mesh
-    the ground state runs on the pinned pencil's hierarchy
+    Above `eigensolve._COARSE_NODES` free nodes on a planar mesh with
+    coarser levels (any mesh `refine` or `build_mesh` made; not one read
+    from a file) the ground state runs on the pinned pencil's hierarchy
     (`assembly.hierarchy` given the free nodes), and the problem keeps its
     V-cycle: each resolvent solve is conjugate gradients preconditioned by
     it, warm-started from the last resolvent (`eigensolve.solve_spd_cg`).
@@ -197,8 +198,7 @@ class MixedProblem:
         if pair is not None and on_hierarchy(pair):
             self._cycle = pair[1]
         else:
-            self._free_order = levels[0]
-            factor = pair or shifted_factor(self.k_ff, self.m_ff, order=self._free_order)
+            factor = pair or shifted_factor(self.k_ff, self.m_ff)
             self._model = _MassCurveModel(self.m_ff, self.load, *factor)
 
     def _check_xi(self, xi: float) -> None:
@@ -212,7 +212,7 @@ class MixedProblem:
         self._check_xi(xi)
         shifted = self.k_ff - xi * self.m_ff
         if self._cycle is None:
-            u_free = solve_spd(shifted, self.load, order=self._free_order)
+            u_free = solve_spd(shifted, self.load)
         else:
             u_free = self._last_u = solve_spd_cg(shifted, self.load, self._cycle, self._last_u)
         u = np.zeros(self.mesh.num_nodes)

@@ -46,22 +46,24 @@ def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
     return RobinResult(res.value, psi, res.residual)
 
 
-def refinement_levels(mesh: Mesh,
-                      sigma: SigmaField) -> Iterator[Tuple[Mesh, RobinResult]]:
-    """(mesh, lowest Robin eigenpair) on levels 1..mesh.level of mesh's
-    hierarchy, coarsest first: one chain of `NearbyPencils` given each
-    level's prolongation, with sigma on every level.  sigma must fit every
-    level: a constant field, or a per-facet one on an interval, whose
-    refinements keep its two facets.  Each value is the one
-    `lowest_eigenvalue` gives on its mesh, up to the eigensolver's gate."""
-    hierarchy = [mesh]
-    while hierarchy[-1].coarse is not None:
-        hierarchy.append(hierarchy[-1].coarse[0])
+def refinement_levels(mesh: Mesh, sigma: SigmaField,
+                      levels: int) -> Iterator[Tuple[Mesh, RobinResult]]:
+    """(mesh, lowest Robin eigenpair) on the top `levels` levels of mesh's
+    hierarchy, coarsest first and mesh itself last: one chain of `NearbyPencils`
+    given each level's prolongation, with sigma on every level.  The first
+    level is solved on its own LU.  sigma must fit every level: a constant
+    field, or a per-facet one on an interval, whose refinements keep its
+    two facets.  Each value is the one `lowest_eigenvalue` gives on its
+    mesh, up to the eigensolver's gate."""
+    hierarchy = []
+    for _ in range(levels):
+        hierarchy.append(mesh)
+        mesh = mesh.coarse[0]
     chain = NearbyPencils(mesh.dim)
-    for mesh in reversed(hierarchy[:-1]):
+    for mesh in reversed(hierarchy):
         ops = assembly.operators(mesh)
         b = assembly.assemble_boundary_mass(mesh, sigma)
-        res = chain.lowest(ops.stiffness + b, ops.mass, lambda: ops.order, mesh.coarse[1])
+        res = chain.lowest(ops.stiffness + b, ops.mass, (), mesh.coarse[1])
         yield mesh, _robin_result(mesh, res)
 
 

@@ -219,8 +219,6 @@ class TestOperators:
 
     def test_cached_arrays_are_write_locked(self):
         ops = assembly.operators(square_mesh(1))
-        with pytest.raises(ValueError):
-            ops.order[0] = 0
         for mat in (ops.stiffness, ops.mass):
             for arr in (mat.data, mat.indices, mat.indptr):
                 with pytest.raises(ValueError):
@@ -232,28 +230,20 @@ class TestOperators:
 
     def test_fields_are_read_only(self):
         ops = assembly.operators(square_mesh(1))
-        for name in ("stiffness", "mass", "load", "volume", "order"):
+        for name in ("stiffness", "mass", "load", "volume"):
             with pytest.raises(AttributeError):
                 setattr(ops, name, getattr(ops, name))
 
     def test_concurrent_first_access_assembles_once(self, monkeypatch):
         calls = []
-        orderings = []
         stiffness = assembly.assemble_stiffness
-        dissection = assembly._nested_dissection
 
         def slow_stiffness(m):
             calls.append(m)
             time.sleep(0.02)
             return stiffness(m)
 
-        def slow_dissection(coords, pattern):
-            orderings.append(coords)
-            time.sleep(0.02)
-            return dissection(coords, pattern)
-
         monkeypatch.setattr(assembly, "assemble_stiffness", slow_stiffness)
-        monkeypatch.setattr(assembly, "_nested_dissection", slow_dissection)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -263,24 +253,15 @@ class TestOperators:
 
                 def first_access(_):
                     barrier.wait(timeout=10)
-                    ops = assembly.operators(mesh)
-                    return ops, ops.order
+                    return assembly.operators(mesh)
 
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     results = list(pool.map(first_access, range(4), timeout=30))
                 assert calls.count(mesh) == 1
-                assert sum(coords is mesh.nodes for coords in orderings) == 1
-                assert all(ops is results[0][0] for ops, _ in results)
-                assert all(order is results[0][1] for _, order in results)
+                assert all(ops is results[0] for ops in results)
         finally:
             sys.setswitchinterval(interval)
         assert len(calls) == 5
-        # operators alone assembles but does not order
-        mesh = square_mesh(2)
-        ops = assembly.operators(mesh)
-        assert len(calls) == 6 and len(orderings) == 5
-        assert ops.order is ops.order
-        assert len(orderings) == 6
 
 
 class TestFunctionals:

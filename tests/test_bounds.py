@@ -258,7 +258,7 @@ class TestHardy:
         # points x 8 B per trial on this mesh (8,192 triangles)
         mesh = square_mesh(5)
         pairs = [(1.0, 0.25), (4.0, 0.125)]
-        bounds.hardy_reports(mesh, pairs, trials=0)  # shared operators and ordering
+        bounds.hardy_reports(mesh, pairs, trials=0)  # shared operators
         peaks = []
         for trials in (5, 50):
             tracemalloc.start()

@@ -209,8 +209,7 @@ class TestScalingGuard:
         mesh = cli._mesh_at_level(geometry.unit_square(), levels, None)
         ops = assembly.operators(mesh)
         b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
-        own = eigensolve.smallest_eigs(ops.stiffness + float(eps) * b, ops.mass,
-                                       order=ops.order).value
+        own = eigensolve.smallest_eigs(ops.stiffness + float(eps) * b, ops.mass).value
         assert abs(mu - own) <= eigensolve.DEFAULT_TOL * own
 
     @pytest.mark.parametrize("domain", [["--domain", "square", "--levels", "3"],
@@ -326,11 +325,25 @@ class TestMassBeyondTheMargin:
         assert code == 0
         header, row = out.splitlines()
         fields = row.split(",")
-        # slack_upper is a round-off difference of two equal values
+        # slack_upper is a round-off difference of two equal values, and
+        # slack_lower's last digits carry xi's round-off
         assert abs(float(fields.pop(6))) <= 1e-12
         assert fields == ["optimal eigenvalue mass=1e+10", "10000000000", "22.8657758845",
-                          "22.865775903", "22.865775903", "1.84768644829e-08",
+                          "22.865775903", "22.865775903", "1.84768573774e-08",
                           "0.457315518059", "true"]
+
+
+class TestBuiltBase:
+    @pytest.mark.parametrize("command", [["solve", "--sigma", "1"], ["optimal", "--m", "1"]],
+                             ids=["solve", "optimal"])
+    def test_factors_no_fine_level(self, command, factorizations, capsys, tmp_path):
+        # --target-h 0.02 builds a 16,641-node base mesh that keeps the
+        # hierarchy it was refined through, so it runs on V-cycles
+        extra = ["--csv", str(tmp_path / "sigma.csv")] if command[0] == "optimal" else []
+        code, _, _ = run_cli([*command, "--domain", "square", "--target-h", "0.02",
+                              "--levels", "0", *extra], capsys)
+        assert code == 0
+        assert factorizations and max(factorizations) <= eigensolve._COARSE_NODES
 
 
 def run_cli_process(args, cwd, timeout=None):

@@ -6,13 +6,33 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
-from scipy.sparse.linalg import lobpcg
+from scipy.sparse.linalg import lobpcg, splu
 
-from robinspec import assembly, bounds, cli, eigensolve, geometry
+from robinspec import assembly, bounds, cli, eigensolve, geometry, robin
 from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError, ConvergenceError, MatrixError
 
-from conftest import convex_polygons, dense_eigenvalues, interval_mesh, refined, square_mesh
+from conftest import (convex_polygons, dense_eigenvalues, disk_mesh, interval_mesh, refined,
+                      square_mesh, triangle_mesh)
+
+# meshes above dense size whose pencils are factored
+FACTORED = {
+    "square": lambda: square_mesh(4),
+    "triangle": lambda: triangle_mesh(4),
+    "disk": lambda: disk_mesh(3),
+    "interval": lambda: interval_mesh(300),
+}
+
+
+def factored_pencil(name, pinned):
+    """(K + M, M) on a FACTORED mesh, restricted to the free nodes where
+    pinned on gamma."""
+    mesh = FACTORED[name]()
+    ops = assembly.operators(mesh)
+    if not pinned:
+        return ops.stiffness + ops.mass, ops.mass
+    _, k_ff, m_ff = ops.restrict(geometry.gamma_nodes(mesh))
+    return k_ff + m_ff, m_ff
 
 
 class TestSolveSpd:
@@ -37,6 +57,15 @@ class TestSolveSpd:
         x = eigensolve.solve_spd(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["full", "pinned"])
+    @pytest.mark.parametrize("name", sorted(FACTORED))
+    def test_matches_a_reference_solve(self, name, pinned):
+        a, _ = factored_pencil(name, pinned)
+        b = np.random.default_rng(7).standard_normal(a.shape[0])
+        want = splu(sp.csc_matrix(a)).solve(b)  # SuperLU's defaults: partial pivoting
+        x = eigensolve.solve_spd(a, b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_indefinite_detected(self):
         a = sp.diags([1.0, -1.0]).tocsr()
         with pytest.raises(MatrixError):
@@ -46,6 +75,48 @@ class TestSolveSpd:
         a = sp.csr_matrix(np.zeros((3, 3)))
         with pytest.raises(MatrixError):
             eigensolve.solve_spd(a, np.ones(3))
+
+
+class TestShiftedFactor:
+    @pytest.mark.parametrize("name", sorted(FACTORED))
+    def test_lu_is_backward_stable(self, name):
+        # raw LU solves differ by the conditioning (about 1e6 on the
+        # interval); each must solve its own system to round-off
+        a, m = factored_pencil(name, False)
+        b = np.random.default_rng(8).standard_normal((a.shape[0], 3))
+        tau, lu = eigensolve.shifted_factor(a, m)
+        shifted = a - tau * m
+        x = lu.solve(b)
+        scale = abs(shifted).sum(axis=1).max() * np.linalg.norm(x)
+        assert np.linalg.norm(shifted @ x - b) <= 1e-14 * scale
+
+    def test_dense_size_pencils_are_not_factored(self, factorizations):
+        mesh = square_mesh(1)
+        assert mesh.num_nodes <= eigensolve._DENSE_CUTOFF
+        robin.lowest_eigenvalue(mesh, SigmaField.constant(1.0))
+        robin.dirichlet_eigenvalue(mesh, geometry.boundary_nodes(mesh))
+        robin.concentration_sweep(mesh, 1.0, (0.5, 0.0), 1)
+        assert factorizations == []
+
+    def test_a_ready_factor_is_not_factored_again(self, factorizations):
+        mesh = square_mesh(3)
+        assert eigensolve._DENSE_CUTOFF < mesh.num_nodes <= eigensolve._COARSE_NODES
+        ops = assembly.operators(mesh)
+        a = ops.stiffness + assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
+        factor = eigensolve.shifted_factor(a, ops.mass)
+        eigensolve.smallest_eigs(a, ops.mass, factor=factor)
+        assert factorizations == [mesh.num_nodes]
+
+    def test_large_meshes_factor_only_their_coarse_level(self, factorizations):
+        # solve and the shrinking support each run on V-cycles over one
+        # coarse LU
+        mesh = cli._mesh_at_level(geometry.unit_square(), 6, None)
+        coarse = mesh.coarse[0].coarse[0]
+        assert mesh.coarse[0].num_nodes > eigensolve._COARSE_NODES >= coarse.num_nodes
+        sigma = SigmaField.constant(1.0)
+        robin.lowest_eigenvalue(mesh, sigma)
+        robin.concentration_sweep(mesh, 1.0, (0.4, 0.0), 5)
+        assert factorizations == [coarse.num_nodes] * 2
 
 
 class TestSolveSpdCg:
@@ -198,7 +269,7 @@ def robin_pencil(domain, level, sigma):
     mesh = cli._mesh_at_level(domain, level, None)
     ops = assembly.operators(mesh)
     a = ops.stiffness + assembly.assemble_boundary_mass(mesh, SigmaField.constant(sigma))
-    return a, ops.mass, ops.order
+    return a, ops.mass
 
 
 class TestOwnFactorPath:
@@ -206,9 +277,9 @@ class TestOwnFactorPath:
     round-off."""
 
     def test_neumann_pencil_is_solved_by_its_start(self):
-        a, m, order = robin_pencil(geometry.unit_square(), 3, 0.0)
+        a, m = robin_pencil(geometry.unit_square(), 3, 0.0)
         assert a.shape[0] > eigensolve._DENSE_CUTOFF
-        res = eigensolve.smallest_eigs(a, m, order=order)
+        res = eigensolve.smallest_eigs(a, m)
         # (K - tau M)^-1 M 1 is the constant: the start meets the stop
         assert res.iterations == 0
         assert abs(res.value) <= 1e-13
@@ -221,8 +292,8 @@ class TestOwnFactorPath:
         (geometry.disk((0.0, 0.0), 1.0, 16), 4, 1e-3),
     ], ids=["square-L5", "triangle-L5", "disk-L4-near-neumann"])
     def test_lands_on_the_tight_value(self, domain, level, sigma):
-        a, m, order = robin_pencil(domain, level, sigma)
-        res = eigensolve.smallest_eigs(a, m, order=order)
+        a, m = robin_pencil(domain, level, sigma)
+        res = eigensolve.smallest_eigs(a, m)
         assert 0 < res.iterations <= eigensolve._LOBPCG_STEPS
         tight = tight_value(a, m)
         assert abs(res.value - tight) <= 1e-12 * max(abs(tight), 1.0)
@@ -234,13 +305,13 @@ SIGMAS = st.floats(-2.0, 2.0).map(lambda t: 10.0 ** t)
 
 
 def polygon_operators(dom):
-    """K, the boundary mass of sigma = 1, M and the order on a mesh of dom
-    above dense size."""
+    """K, the boundary mass of sigma = 1 and M on a mesh of dom above dense
+    size."""
     mesh = refined(geometry.build_mesh(dom, 0.5), 3)
     assert mesh.num_nodes > eigensolve._DENSE_CUTOFF
     ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
-    return ops.stiffness, b, ops.mass, ops.order
+    return ops.stiffness, b, ops.mass
 
 
 def scipy_applications(a, m, lu, x0, tol):
@@ -267,9 +338,9 @@ class TestKernel:
     @KERNEL_SETTINGS
     @given(convex_polygons(), SIGMAS)
     def test_own_lu_run_lands_on_the_tight_value(self, dom, sigma):
-        k, b, m, order = polygon_operators(dom)
+        k, b, m = polygon_operators(dom)
         a = k + sigma * b
-        res = eigensolve.smallest_eigs(a, m, order=order)
+        res = eigensolve.smallest_eigs(a, m)
         tight = tight_value(a, m)
         assert abs(res.value - tight) <= 1e-12 * max(abs(tight), 1.0)
 
@@ -278,9 +349,9 @@ class TestKernel:
     def test_takes_at_most_one_application_more_than_scipy(self, dom, sigma, ratio):
         # a family member: preconditioned by a nearby pencil's LU, started
         # from that pencil's LU^-1 M 1, stopped at the family tolerance
-        k, b, m, order = polygon_operators(dom)
+        k, b, m = polygon_operators(dom)
         a = k + sigma * b
-        _, lu = eigensolve.shifted_factor(k + ratio * sigma * b, m, order=order)
+        _, lu = eigensolve.shifted_factor(k + ratio * sigma * b, m)
         x0 = lu.solve(m @ np.ones(a.shape[0]))
         tol = eigensolve.DEFAULT_TOL * max(float(abs(a).sum(axis=1).max()), 1.0)
         try:
@@ -291,8 +362,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_preconditioner_output_raises_without_warnings(self, bad):
-        a, m, order = robin_pencil(geometry.unit_square(), 3, 1.0)
-        tau, lu = eigensolve.shifted_factor(a, m, order=order)
+        a, m = robin_pencil(geometry.unit_square(), 3, 1.0)
+        tau, lu = eigensolve.shifted_factor(a, m)
 
         class Broken:
             def solve(self, b):
@@ -337,16 +408,16 @@ class TestFailureDiagnostics:
     KEYS = {"iterations", "residual", "bound"}
 
     def test_gate(self, monkeypatch):
-        a, m, order = robin_pencil(geometry.unit_square(), 3, 1.0)
+        a, m = robin_pencil(geometry.unit_square(), 3, 1.0)
         monkeypatch.setattr(eigensolve, "DEFAULT_TOL", 1e-20)
         with pytest.raises(ConvergenceError) as info:
-            eigensolve.smallest_eigs(a, m, order=order)
+            eigensolve.smallest_eigs(a, m)
         diag = info.value.diagnostics
         assert set(diag) == self.KEYS
         assert diag["residual"] > diag["bound"] and diag["iterations"] > 0
 
     def test_breakdown(self):
-        a, m, _ = robin_pencil(geometry.unit_square(), 3, 1.0)
+        a, m = robin_pencil(geometry.unit_square(), 3, 1.0)
         factor = eigensolve.shifted_factor(a, m)
         with pytest.raises(ConvergenceError) as info:
             eigensolve.smallest_eigs(a, m, start=(factor, np.zeros(a.shape[0])))
@@ -362,8 +433,8 @@ class TestStart:
 
     @pytest.mark.parametrize("which", ["pair-without-guess", "guess-without-pair"])
     def test_incomplete_start_raises_before_any_solve(self, which, monkeypatch):
-        a, m, order = robin_pencil(geometry.unit_square(), 5, 1.0)
-        factor = eigensolve.shifted_factor(a, m, order=order)
+        a, m = robin_pencil(geometry.unit_square(), 5, 1.0)
+        factor = eigensolve.shifted_factor(a, m)
         guess = factor[1].solve(m @ np.ones(a.shape[0]))
         start = (factor, None) if which == "pair-without-guess" else (None, guess)
         solves = []
@@ -421,7 +492,7 @@ class TestRayleighQuotient:
         mesh = square_mesh(1) if dense else interval_mesh(1024)
         ops = assembly.operators(mesh)
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, SigmaField.constant(2.0))
-        res = eigensolve.smallest_eigs(a, ops.mass, order=ops.order)
+        res = eigensolve.smallest_eigs(a, ops.mass)
         assert (res.iterations == 0) == dense
         x = res.vector
         assert x @ (ops.mass @ x) == pytest.approx(1.0, rel=1e-14)
@@ -431,8 +502,8 @@ class TestRayleighQuotient:
 def test_concurrent_solves_leave_the_warning_filters_alone():
     # catch_warnings swaps the process-wide filter list: threads that enter
     # and leave it interleaved would leave LOBPCG's "ignore" filter behind
-    a, m, order = robin_pencil(geometry.unit_square(), 4, 1.0)
-    factor = eigensolve.shifted_factor(a, m, order=order)
+    a, m = robin_pencil(geometry.unit_square(), 4, 1.0)
+    factor = eigensolve.shifted_factor(a, m)
     before = list(warnings.filters)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -31,8 +31,8 @@ def members(monkeypatch):
     seen = []
     lowest = eigensolve.NearbyPencils.lowest
 
-    def recorded(self, a, m, order, prolongation=None):
-        res = lowest(self, a, m, order, prolongation)
+    def recorded(self, a, m, levels, prolongation=None):
+        res = lowest(self, a, m, levels, prolongation)
         seen.append((a, m, res, self))
         return res
 
@@ -137,11 +137,11 @@ class TestFallback:
         fam = eigensolve.NearbyPencils(2, reference=eigensolve.shifted_factor(k + 1e6 * b, m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fam.lowest(k + 1e-3 * b, m, None)
+            res = fam.lowest(k + 1e-3 * b, m, ())
         assert fam.fallbacks == 1
         assert len(factorizations) == 2
         # the member's LU is the new reference: its neighbour needs no refactor
-        fam.lowest(k + 2e-3 * b, m, None)
+        fam.lowest(k + 2e-3 * b, m, ())
         assert fam.fallbacks == 1
         assert len(factorizations) == 2
         # the fallback is the member's solve on its own LU, gate included
@@ -154,7 +154,7 @@ class TestFallback:
         # after a slow one; an LU reference serves every member
         k, b, m = self.pencil()
         fam = eigensolve.NearbyPencils(2, reference=eigensolve.shifted_factor(k + 30.0 * b, m))
-        runs = [fam.lowest(k + s * b, m, None).iterations for s in (1.0, 0.1, 0.05)]
+        runs = [fam.lowest(k + s * b, m, ()).iterations for s in (1.0, 0.1, 0.05)]
         assert min(runs[:-1]) > eigensolve._REREFERENCE and fam.fallbacks == 0
         assert len(factorizations) == 1
 
@@ -201,6 +201,6 @@ class TestPreconditionedPath:
         ops = assembly.operators(mesh)
         assert mesh.num_nodes <= eigensolve._DENSE_CUTOFF
         fam = eigensolve.NearbyPencils(mesh.dim)
-        res = fam.lowest(ops.stiffness + ops.mass, ops.mass, ops.order)
+        res = fam.lowest(ops.stiffness + ops.mass, ops.mass, ())
         assert factorizations == [] and res.iterations == 0
         assert res.value == eigensolve.smallest_eigs(ops.stiffness + ops.mass, ops.mass).value

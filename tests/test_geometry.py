@@ -358,11 +358,14 @@ def hierarchy_levels(name):
 class TestHierarchy:
     @pytest.mark.parametrize("name", sorted(HIERARCHY))
     def test_walk_reaches_the_base_mesh(self, name):
+        # through the base mesh of target_h, down to the unrefined one
         meshes = hierarchy_levels(name)
-        assert len(meshes) == HIERARCHY_LEVELS + 1
-        assert [m.level for m in meshes] == list(range(HIERARCHY_LEVELS, -1, -1))
         domain, target_h = HIERARCHY[name]
-        assert_same_mesh(meshes[-1], cli._mesh_at_level(domain, 0, target_h))
+        base = cli._mesh_at_level(domain, 0, target_h)
+        assert len(meshes) == HIERARCHY_LEVELS + base.level + 1
+        assert [m.level for m in meshes] == list(range(len(meshes) - 1, -1, -1))
+        assert_same_mesh(meshes[HIERARCHY_LEVELS], base)
+        assert_same_mesh(meshes[-1], geometry.build_mesh(domain, math.inf))
 
     @pytest.mark.parametrize("name", sorted(HIERARCHY))
     def test_each_level_is_the_refinement_of_the_one_below(self, name):
@@ -386,12 +389,19 @@ class TestHierarchy:
                 p.data[0] = 2.0
 
     @pytest.mark.parametrize("name", sorted(HIERARCHY))
-    def test_built_and_read_meshes_carry_no_hierarchy(self, name, tmp_path):
+    def test_only_built_meshes_keep_their_levels(self, name, tmp_path):
         domain, _ = HIERARCHY[name]
         built = geometry.build_mesh(domain, 0.3)
-        if domain.dim == 2:  # the initial mesh was refined inside build_mesh
-            assert built.num_elements > geometry.build_mesh(domain, math.inf).num_elements
-        assert built.coarse is None and built.level == 0
+        levels = [built]
+        while levels[-1].coarse is not None:
+            levels.append(levels[-1].coarse[0])
+        # a planar mesh is refined from the initial one inside build_mesh;
+        # an interval is built directly
+        assert (built.level > 0) == (domain.dim == 2)
+        assert_same_mesh(levels[-1], geometry.build_mesh(domain, math.inf)
+                         if domain.dim == 2 else built)
+        for fine in levels[:-1]:
+            assert_same_mesh(fine, geometry.refine(fine.coarse[0]))
         path = tmp_path / "mesh.txt"
         geometry.write_mesh(hierarchy_levels(name)[0], path)
         back = geometry.read_mesh(path)

@@ -195,8 +195,7 @@ class TestMassCurveModel:
         prob = mixed_dn.MixedProblem(square_l3)
         held = [v for obj in (prob, prob._model) for v in vars(obj).values()]
         held += [item for v in held if isinstance(v, tuple) for item in v]
-        lu_types = (eigensolve._OrderedLU, scipy.sparse.linalg.SuperLU)
-        assert not any(isinstance(v, lu_types) for v in held)
+        assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in held)
         # the inversions reuse the model; their only factorizations are
         # the true Newton steps' solve_spd
         model = prob._model

@@ -87,7 +87,7 @@ def hierarchy(name, top):
     mesh = level(name, 1)
     ops = assembly.operators(mesh)
     a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
-    tau, solver = eigensolve.shifted_factor(a, ops.mass, order=ops.order)
+    tau, solver = eigensolve.shifted_factor(a, ops.mass)
     for _ in range(1, top):
         mesh = geometry.refine(mesh)
         ops = assembly.operators(mesh)
@@ -237,7 +237,7 @@ class TestSmoothingWeight:
             for fine in reversed(meshes[:-1]):
                 fine_ops = assembly.operators(fine)
                 chain.lowest(fine_ops.stiffness + assembly.assemble_boundary_mass(fine, sigma),
-                             fine_ops.mass, fine_ops.order, fine.coarse[1])
+                             fine_ops.mass, (), fine.coarse[1])
             cycles = [(level, True) for _, solver in galerkin for level in cycle_levels(solver)]
             assert len(cycles) >= 4
             if not chain.fallbacks:
@@ -255,7 +255,7 @@ class TestSmoothingWeight:
 class TestChain:
     @pytest.mark.parametrize("name", sorted(DOMAINS))
     def test_meshes_are_the_per_level_meshes(self, name):
-        chain = robin.refinement_levels(level(name, 4), SigmaField.constant(1.0))
+        chain = robin.refinement_levels(level(name, 4), SigmaField.constant(1.0), 4)
         for lvl, (mesh, _) in enumerate(chain, start=1):
             want = level(name, lvl)
             assert mesh.level == want.level == lvl
@@ -267,26 +267,27 @@ class TestChain:
         ["--domain", "square", "--sigma", "1", "--levels", "5"],
         ["--domain", "interval", "--sigma-a", "1", "--sigma-b", "1", "--levels", "10"],
     ], ids=["disk", "square", "interval"])
-    def test_one_factorization_and_one_ordering(self, argv, splu_calls, monkeypatch):
-        orderings = []
-        dissection = assembly._nested_dissection
-
-        def counted(coords, pattern):
-            orderings.append(len(coords))
-            return dissection(coords, pattern)
-
-        monkeypatch.setattr(assembly, "_nested_dissection", counted)
+    def test_one_factorization_and_one_ordering(self, argv, splu_calls):
+        # SuperLU orders the one matrix it factors
         rows = converge(argv)
-        assert len(splu_calls) == 1 and orderings == splu_calls
+        assert len(splu_calls) == 1
         # the factored level is the first one above dense size
         sizes = [int(row[2]) for row in rows]
         assert splu_calls[0] == min(n for n in sizes if n > eigensolve._DENSE_CUTOFF)
+
+    def test_a_built_base_gives_only_the_levels_asked_for(self):
+        # the base of --target-h 0.3 is itself the third refinement of the
+        # initial square, yet the chain starts at its first refinement
+        rows = converge(["--domain", "square", "--sigma", "1", "--target-h", "0.3",
+                         "--levels", "3"])
+        assert [(row[0], row[2]) for row in rows] == [("1", "289"), ("2", "1089"),
+                                                      ("3", "4225")]
 
     @pytest.mark.parametrize("name", ["square", "disk", "triangle", "interval"])
     def test_values_match_per_level_solves(self, name):
         sigma = SigmaField.constant(1.0)
         top = 8 if name == "interval" else 4
-        for mesh, res in robin.refinement_levels(level(name, top), sigma):
+        for mesh, res in robin.refinement_levels(level(name, top), sigma, top):
             want = robin.lowest_eigenvalue(mesh, sigma)
             assert abs(res.value - want.value) <= 1e-12 * want.value
             # positive mean, like lowest_eigenvalue's eigenfunction
@@ -313,7 +314,7 @@ class TestStickyFallback:
         monkeypatch.setattr(robin, "NearbyPencils", Recorded)
         sigma = SigmaField.constant(1.0)
         finest = cli._mesh_at_level(STIFF[name], 6, None)
-        results = list(robin.refinement_levels(finest, sigma))
+        results = list(robin.refinement_levels(finest, sigma, 6))
         (chain,) = chains
         assert chain.fallbacks == 1
         # the first level above dense size, then every level from the one

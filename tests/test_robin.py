@@ -148,7 +148,7 @@ class TestHierarchyFallback:
         assert family.fallbacks == 1
         ops = assembly.operators(mesh)
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
-        want = smallest_eigs(a, ops.mass, order=ops.order)
+        want = smallest_eigs(a, ops.mass)
         assert res.value == want.value and res.residual == want.residual
 
 
@@ -156,13 +156,12 @@ class TestHierarchyFallback:
 class TestDirichletOnTheHierarchy:
     def test_one_coarse_factorization_and_the_own_lu_value(self, factorizations):
         # 3,969 free nodes: the pinned pencil runs on a V-cycle over one
-        # coarse LU, and the fine mesh is neither factored nor ordered
+        # coarse LU, and the fine mesh is not factored
         mesh = square_mesh(5)
         fixed = geometry.boundary_nodes(mesh)
         lam = robin.dirichlet_eigenvalue(mesh, fixed)
         assert len(factorizations) == 1
         assert factorizations[0] <= eigensolve._COARSE_NODES < mesh.num_nodes - len(fixed)
-        assert assembly._plan(mesh)._order is None
         own = robin.dirichlet_eigenvalue(dataclasses.replace(mesh, coarse=None), fixed)
         assert len(factorizations) == 2 and factorizations[1] == mesh.num_nodes - len(fixed)
         assert abs(lam - own) <= 1e-12 * own

@@ -12,7 +12,7 @@ import inspect
 
 MODULES = ("assembly", "bounds", "cli", "eigensolve", "errors", "exact1d",
            "geometry", "mixed_dn", "robin", "schema")
-SETTABLE = 38
+SETTABLE = 36
 
 
 def defaulted(fn):
@@ -50,5 +50,5 @@ def test_the_count_sees_dataclass_fields_and_methods():
     assert found["geometry.Mesh.__init__"] == ["projection", "coarse"]
     assert found["assembly.SigmaField.nodal"] == ["support"]
     assert found["eigensolve.NearbyPencils.lowest"] == ["prolongation"]
-    assert found["eigensolve.smallest_eigs"] == ["factor", "start", "order"]
+    assert found["eigensolve.smallest_eigs"] == ["factor", "start"]
     assert found["assembly.hierarchy"] == ["free"]
