@@ -27,8 +27,11 @@ from .errors import (ArgumentError, ConvergenceError, GeometryError, RobinspecEr
 from .geometry import DomainSpec, build_mesh, gamma_arcs, gamma_all, gamma_none, gamma_sides
 
 # Each worker solves its own pinned problem (a coarse LU and its V-cycle
-# above the coarse size, a fine LU at or below it) and the work is compiled
-# code, so threads beyond the core count add memory without adding speed.
+# above the coarse size, a fine LU at or below it).  The pool adds no speed:
+# on 2 cores, `bounds` with four masses on the square at level 7 took
+# 0.33 s on it against 0.34 s as four problems in series and 0.21 s as one
+# problem (medians of 10), though two threads of CSR products with that
+# mesh's stiffness ran 1.6 times as fast as the same products in series.
 _MAX_WORKERS = min(4, os.cpu_count() or 1)
 
 

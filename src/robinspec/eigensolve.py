@@ -37,10 +37,11 @@ elements of thin or obtuse domains, and the pencil is then factored and
 solved on its own LU (`lowest_alone`).
 
 `solve_spd_cg` solves a pinned resolvent system (K - xi M) U = M 1 by
-conjugate gradients on the V-cycle of K - tau M.  Warm-started from the
-last Newton step's U, it takes 3-21 V-cycles per solve on the square at
-level 7 for masses from 0.05 to 1e4, and 28-36 near the margin
-xi -> E1 (1 - 1e-9), where K - xi M is nearly singular.
+conjugate gradients on the V-cycle of K - tau M.  Started from the
+Galerkin model's U at xi (`mixed_dn`), it takes 3-19 V-cycles per solve on
+the square at level 7 for masses from 0.05 to 1e5 (14-19 for the first,
+7-12 for the second, 3-6 for a step from inside the stop), and 23-34
+near the margin xi -> E1 (1 - 1e-9), where K - xi M is nearly singular.
 
 `NearbyPencils` solves a sequence of nearby pencils in order: a family
 that shares M (one Robin problem under a range of boundary coefficients)
@@ -96,11 +97,15 @@ _COARSE_NODES = 1000
 # took more preconditioner applications than this: a V-cycle costs about nine
 _REREFERENCE = 12
 # `solve_spd_cg` stops at this recursive residual relative to ||b||, near
-# the float64 floor: Newton on the mass curve reads F from b.x, and its
-# last step at m = 1e5 (square, level 7) left |F - m| = 6e-11 m at a stop
-# of 1e-12 but 1.3e-12 m at 1e-14, for about 15 % more V-cycles
+# the float64 floor.  The mass curve's roots hardly depend on it: over the
+# square, triangle, disk and L-shape at levels 5-7 and masses 1e-3 to 1e10,
+# a stop of 1e-12 moves them by at most 4e-16 relative, and on the square
+# at level 7 it leaves the same last |F - m| (1.4e-10 m at m = 1e5, the
+# floor of F there) for 19 % fewer V-cycles (292 against 361 over masses
+# 0.05 to 1e10); the resolvents themselves are then less exact
 _CG_RTOL = 1e-14
-# far above the 3-39 steps of the pinned resolvents; the gates judge a run
+# far above the 2-53 steps of the pinned resolvents (square, triangle,
+# disk and L-shape at levels 5-7, masses 1e-3 to 1e10); the gates judge a run
 # that reaches it
 _CG_STEPS = 200
 

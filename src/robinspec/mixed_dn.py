@@ -6,7 +6,9 @@ parameter to the constant source, invert the resulting mass curve for a
 prescribed boundary mass, and recover the optimal coefficient from the
 variational boundary flux on gamma.  Above the coarse size the pinned
 pencil runs on its own hierarchy, where one coarse LU and its V-cycle serve
-the ground eigensolve and every resolvent solve; at or below it one sparse
+the ground eigensolve and every resolvent solve, and a Galerkin model of
+the resolvent over the ground state and its own samples proposes each
+spectral parameter (at most 3 solves per mass); at or below it one sparse
 factorization serves the ground eigensolve and a Lanczos model of the mass
 curve (`MixedProblem`).  The recovered total mass reproduces the
 prescribed one to root-finder tolerance, and the minimiser built from the
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+import scipy.linalg
 
 from . import assembly
 from .assembly import SigmaField
@@ -30,6 +33,9 @@ from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
 _XI_MARGIN = 1e-9
+# a move of xi below this, relative, is a few ulps: on the hierarchy a
+# model root that moves xi no further takes no resolvent solve
+_XI_ROUNDOFF = 1e-15
 _MASS_RTOL = 1e-10
 _MAX_NEWTON = 80
 _KRYLOV_STEPS = 20
@@ -121,28 +127,76 @@ class _MassCurveModel:
         return float(self.c @ y), float(y @ y)
 
 
+class _ResolventModel:
+    """Galerkin model of the pinned resolvent U(xi) = (K - xi M)^-1 b on the
+    free nodes, over the space of its own samples: rational Krylov
+    interpolation (Ruhe, Linear Algebra Appl. 197/198, 1994).
+
+    The basis is M-orthonormal, seeded with the ground state phi, and holds
+    the K-images of its vectors.  With Q^T K Q = V diag(lam) V^T and
+    d = V^T Q^T b, the Galerkin vector U_Q(xi) = Q V (d / (lam - xi)) gives
+    b^T U_Q = sum d^2 / (lam - xi) and ||U_Q||_M^2 = sum d^2 / (lam - xi)^2.
+    Below E1, U_Q minimises the energy of K - xi M over the space, so b^T U_Q
+    is at most b^T U: the model's mass curve lies below the true one and its
+    root above the true root, and each sample lowers it.  With phi alone
+    that root is `bounds.optimal_upper_bound`; a sampled resolvent makes the
+    model exact at its xi, in value and slope.
+    """
+
+    def __init__(self, k_ff, m_ff, b, phi):
+        self._k, self._m, self._b = k_ff, m_ff, b
+        self._basis = np.empty((0, len(b)))
+        self._images = np.empty((0, len(b)))
+        self.add(phi)
+
+    def add(self, u) -> None:
+        """Join u to the basis by Gram-Schmidt in the M inner product, applied
+        twice; a u within `_KRYLOV_BREAKDOWN` of the span is dropped."""
+        w = np.array(u, dtype=float)
+        scale = math.sqrt(float(w @ (self._m @ w)))
+        for _ in range(2):
+            w -= (self._basis @ (self._m @ w)) @ self._basis
+        norm = math.sqrt(float(w @ (self._m @ w)))
+        if not norm > _KRYLOV_BREAKDOWN * scale:
+            return
+        w /= norm
+        self._basis = np.vstack([self._basis, w])
+        self._images = np.vstack([self._images, self._k @ w])
+        h = self._basis @ self._images.T
+        # scipy's LAPACK, which LOBPCG's Ritz problems load anyway; numpy's
+        # eigh would map a second one (about 0.8 MB of resident pages)
+        self._lam, self._v = scipy.linalg.eigh(0.5 * (h + h.T), check_finite=False)
+        self._d = self._v.T @ (self._basis @ self._b)
+
+    def _coefficients(self, xi: float) -> np.ndarray:
+        return self._d / (self._lam - xi)
+
+    def moments(self, xi: float):
+        """Model values of (b^T U, U^T M U) at xi."""
+        y = self._coefficients(xi)
+        return float(self._d @ y), float(y @ y)
+
+    def vector(self, xi: float) -> np.ndarray:
+        """The Galerkin vector U_Q(xi)."""
+        return (self._v @ self._coefficients(xi)) @ self._basis
+
+
 def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float,
-                        polish: bool = False):
+                        lo: float = 0.0):
     """Newton on curve(xi) = (F, F', payload) for F(xi) = mass, safeguarded
-    by bisection inside (0, hi) and stopping at |F - mass| <= target or on
+    by bisection inside (lo, hi) and stopping at |F - mass| <= target or on
     a step that no longer moves xi.  With a positive target it also stops
     on a step that removes less than half of |F - mass|: started near the
     root, Newton removes far more, so F is at its evaluation floor above the
     target, and the evaluated xi with the smallest |F - mass| is returned.
-    With polish, an xi inside the target takes one more step, returned when
-    it stays inside.  Returns (xi, payload), or (xi, None) when the step
-    cap ends the loop on an unevaluated xi."""
-    lo = 0.0
+    Returns (xi, payload), or (xi, None) when the step cap ends the loop on
+    an unevaluated xi."""
     best = None
     for _ in range(_MAX_NEWTON):
         f, fp, payload = curve(xi)
         err = f - mass
         if abs(err) <= target:
-            step = xi - err / fp
-            if not (polish and lo < step < hi and step != xi):
-                return xi, payload
-            f, _, polished = curve(step)
-            return (step, polished) if abs(f - mass) <= target else (xi, payload)
+            return xi, payload
         if target > 0.0 and best is not None and abs(err) > 0.5 * best[0]:
             return (xi, payload) if abs(err) < best[0] else best[1:]
         best = (abs(err), xi, payload)
@@ -169,7 +223,8 @@ class MixedProblem:
     from a file) the ground state runs on the pinned pencil's hierarchy
     (`assembly.hierarchy` given the free nodes), and the problem keeps its
     V-cycle: each resolvent solve is conjugate gradients preconditioned by
-    it, warm-started from the last resolvent (`eigensolve.solve_spd_cg`).
+    it (`eigensolve.solve_spd_cg`), started from the Galerkin model's
+    vector at its xi (`_invert_on_hierarchy`).
     Otherwise, and where the ground state's run on the V-cycle gave up
     (`eigensolve.lowest_alone`), the shifted factorization of the ground
     eigensolve builds a Lanczos model of the mass curve and is not kept,
@@ -194,7 +249,7 @@ class MixedProblem:
         if integral < 0.0:
             phi, integral = -phi, -integral
         self.ground = MixedGroundState(res.value, phi, integral)
-        self._cycle = self._model = self._last_u = None
+        self._cycle = self._model = None
         if pair is not None and on_hierarchy(pair):
             self._cycle = pair[1]
         else:
@@ -207,22 +262,25 @@ class MixedProblem:
             raise RangeError(
                 f"spectral parameter must lie in (0, {e1:.6g}), got {xi}")
 
-    def resolvent_one(self, xi: float) -> np.ndarray:
-        """Solve (K - xi M) u = M 1 on free nodes; zero on gamma nodes."""
+    def resolvent_one(self, xi: float, start=None) -> np.ndarray:
+        """Solve (K - xi M) u = M 1 on free nodes; zero on gamma nodes.  On
+        the hierarchy the conjugate gradients start from start, a guess of u
+        on the free nodes (zero where None); an LU solve has no use for it."""
         self._check_xi(xi)
         shifted = self.k_ff - xi * self.m_ff
         if self._cycle is None:
             u_free = solve_spd(shifted, self.load)
         else:
-            u_free = self._last_u = solve_spd_cg(shifted, self.load, self._cycle, self._last_u)
+            u_free = solve_spd_cg(shifted, self.load, self._cycle, start)
         u = np.zeros(self.mesh.num_nodes)
         u[self.free] = u_free
         return u
 
-    def mass_function_with_derivative(self, xi: float):
+    def mass_function_with_derivative(self, xi: float, start=None):
         """Mass curve xi^2 int(U) + xi |Omega|, its (always positive)
-        derivative, and the resolvent U both come from."""
-        u = self.resolvent_one(xi)
+        derivative, and the resolvent U both come from (`resolvent_one`
+        from start)."""
+        u = self.resolvent_one(xi, start)
         int_u = float(np.ones(len(u)) @ (self.mass_matrix @ u))
         norm2_u = float(u @ (self.mass_matrix @ u))
         return (*self._curve(xi, int_u, norm2_u), u)
@@ -248,12 +306,9 @@ class MixedProblem:
         E1 (1 - 1e-9) raises RangeError.  With the Lanczos model, Newton
         runs to round-off on the model first, from that lower bound; its
         root starts the loop on true resolvent solves, which judges the
-        stopping test and usually stops at once.  On the hierarchy the loop
-        on true solves starts from the closed-form upper bound
-        (`bounds.optimal_upper_bound`), clamped to E1 (1 - 1e-9): F is
-        convex and increasing, so Newton from the right of the root moves
-        monotonically onto it.  A root found inside the stopping band takes
-        one more step, which brings xi to round-off.
+        stopping test and usually stops at once.  On the hierarchy the
+        Galerkin model of the resolvent proposes every xi
+        (`_invert_on_hierarchy`).
         """
         if mass <= 0:
             raise ArgumentError(f"mass must be positive, got {mass}")
@@ -266,13 +321,56 @@ class MixedProblem:
                 f"margin {_XI_MARGIN:g} of the pinned ground eigenvalue E1 = {e1:.6g}")
         target = _MASS_RTOL * max(mass, 1.0)
         if self._model is None:
-            from .bounds import optimal_upper_bound  # bounds imports this module
-            upper = optimal_upper_bound(mass, e1, self.volume, self.ground.integral)
-            return _safeguarded_newton(self.mass_function_with_derivative, mass,
-                                       min(upper, hi), hi, target, polish=True)
+            return self._invert_on_hierarchy(mass, xi, hi, target)
         xi = max(xi, hi * 1e-12)
         xi, _ = _safeguarded_newton(self._model_curve, mass, xi, hi, 0.0)
         return _safeguarded_newton(self.mass_function_with_derivative, mass, xi, hi, target)
+
+    def _invert_on_hierarchy(self, mass: float, lo: float, hi: float, target: float):
+        """`_invert_mass_curve` on the hierarchy, inside the bracket (lo, hi)
+        of the closed-form lower bound and the margin.
+
+        Each xi is the root of a `_ResolventModel` inside the bracket, by
+        Newton to round-off from its right end; each true resolvent solve
+        starts from the model's vector at its xi, narrows the bracket and
+        joins the model.  With phi alone the model's root is the closed-form
+        upper bound, clamped to the margin, and the model's roots fall onto
+        the root of the mass curve from the right.  The loop keeps the
+        stopping band, the floor stop and the step cap of
+        `_safeguarded_newton`, and ends on a model root within
+        `_XI_ROUNDOFF` of the xi just solved.  An xi inside the band takes at
+        most one more step, to the root of the model that holds its
+        resolvent, returned when it stays inside the band.
+        """
+        model = _ResolventModel(self.k_ff, self.m_ff, self.load,
+                                self.ground.eigenfunction[self.free])
+        xi, best = self._model_root(model, mass, lo, hi), None
+        for _ in range(_MAX_NEWTON):
+            f, _, u = self.mass_function_with_derivative(xi, model.vector(xi))
+            err = abs(f - mass)
+            if best is not None and best[0] <= target:  # the step from inside the band
+                return (xi, u) if err <= target else best[1:]
+            if best is not None and target < err and 0.5 * best[0] < err:
+                return (xi, u) if err < best[0] else best[1:]
+            best = (err, xi, u)
+            if f < mass:
+                lo = xi
+            else:
+                hi = xi
+            model.add(u[self.free])
+            step = self._model_root(model, mass, lo, hi)
+            if abs(step - xi) <= _XI_ROUNDOFF * xi:
+                return xi, u
+            xi = step
+        return xi, None
+
+    def _model_root(self, model, mass: float, lo: float, hi: float) -> float:
+        """The root of a `_ResolventModel`'s mass curve inside (lo, hi], by
+        Newton to round-off from hi: from the right of the root of the convex
+        curve, or hi itself where the root lies beyond it."""
+        def curve(x):
+            return (*self._curve(x, *model.moments(x)), None)
+        return _safeguarded_newton(curve, mass, hi, hi, 0.0, lo)[0]
 
     def optimal_sigma(self, mass: float) -> OptimalSigma:
         """Optimal coefficient of the given mass by variational flux recovery.

@@ -285,8 +285,9 @@ def square_l5_problems():
 
 class TestPinnedHierarchy:
     """A pinned pencil above the coarse size: the ground state by LOBPCG on
-    a V-cycle of its own hierarchy, Newton's resolvent solves by conjugate
-    gradients on the same V-cycle, from the closed-form upper bound."""
+    a V-cycle of its own hierarchy, the resolvent solves by conjugate
+    gradients on the same V-cycle, at the roots of a Galerkin model of the
+    resolvent that starts at the closed-form upper bound."""
 
     def test_paths(self, square_l5_problems):
         prob, own = square_l5_problems
@@ -302,7 +303,7 @@ class TestPinnedHierarchy:
         assert len(factorizations) == 1
         assert factorizations[0] <= eigensolve._COARSE_NODES < len(prob.free)
 
-    @pytest.mark.parametrize("mass", [1e-2, 1.0, 30.0, 360.0, 1e4, 1e10])
+    @pytest.mark.parametrize("mass", [1e-3, 1e-2, 1.0, 30.0, 360.0, 1e4, 1e8, 1e10])
     def test_newton_from_the_upper_bound(self, square_l5_problems, mass, monkeypatch):
         # 1e10 puts the root 1.3e-9 below E1, just inside the margin 1e-9,
         # where K - xi M is nearly singular
@@ -310,22 +311,42 @@ class TestPinnedHierarchy:
         steps = []
         step = mixed_dn.MixedProblem.mass_function_with_derivative
 
-        def counted_step(self, xi):
+        def counted_step(self, xi, *args):
             if self is prob:
                 steps.append(xi)
-            return step(self, xi)
+            return step(self, xi, *args)
 
         monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
         xi = prob.optimal_eigenvalue(mass)
-        assert len(steps) <= 6
-        # from the right of the root, Newton on the convex curve only falls
-        # (up to round-off, once inside the band)
-        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(steps, steps[1:]))
         e1, volume, integral = prob.ground.value, prob.volume, prob.ground.integral
         lower = bounds.optimal_lower_bound(mass, e1, volume)
         upper = bounds.optimal_upper_bound(mass, e1, volume, integral)
+        # the model of phi alone puts the first solve on the upper bound,
+        # clamped to the margin, and the model's roots then need at most
+        # one more solve and the polish step
+        first = min(upper, e1 * (1.0 - mixed_dn._XI_MARGIN))
+        assert abs(steps[0] - first) <= 1e-14 * first
+        assert len(steps) <= 3
         assert lower * (1.0 - 1e-12) <= xi <= upper * (1.0 + 1e-12)
         assert abs(xi - own.optimal_eigenvalue(mass)) <= 1e-12 * xi
+
+    @pytest.mark.parametrize("mass", [1e-2, 1.0, 30.0])
+    def test_resolvent_model_starts_at_the_upper_bound_and_fits_its_sample(
+            self, square_l5_problems, mass):
+        prob, _ = square_l5_problems
+        e1, volume = prob.ground.value, prob.volume
+        upper = bounds.optimal_upper_bound(mass, e1, volume, prob.ground.integral)
+        lower = bounds.optimal_lower_bound(mass, e1, volume)
+        model = mixed_dn._ResolventModel(prob.k_ff, prob.m_ff, prob.load,
+                                         prob.ground.eigenfunction[prob.free])
+        xi = prob._model_root(model, mass, lower, e1 * (1.0 - mixed_dn._XI_MARGIN))
+        assert abs(xi - upper) <= 1e-14 * upper
+        # a sampled resolvent makes the model exact at its xi
+        _, _, u = prob.mass_function_with_derivative(xi)
+        model.add(u[prob.free])
+        int_u, norm2_u = model.moments(xi)
+        assert abs(int_u - prob.load @ u[prob.free]) <= 1e-12 * int_u
+        assert abs(norm2_u - u @ (prob.mass_matrix @ u)) <= 1e-12 * norm2_u
 
     def test_resolvent_passes_the_solve_spd_gates(self, square_l5_problems):
         prob, own = square_l5_problems

@@ -12,7 +12,7 @@ import inspect
 
 MODULES = ("assembly", "bounds", "cli", "eigensolve", "errors", "exact1d",
            "geometry", "mixed_dn", "robin", "schema")
-SETTABLE = 36
+SETTABLE = 38
 
 
 def defaulted(fn):
