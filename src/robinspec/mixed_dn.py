@@ -4,20 +4,22 @@ The pipeline: pin the solution to zero on gamma, compute the ground
 eigenvalue of the pinned Laplacian, apply the resolvent at a spectral
 parameter to the constant source, invert the resulting mass curve for a
 prescribed boundary mass, and recover the optimal coefficient from the
-variational boundary flux on gamma.  Above the coarse size the pinned
-pencil runs on its own hierarchy, where one coarse LU and its V-cycle serve
-the ground eigensolve and every resolvent solve, and a Galerkin model of
-the resolvent over the ground state and its own samples proposes each
-spectral parameter (at most 3 solves per mass); at or below it one sparse
-factorization serves the ground eigensolve and a Lanczos model of the mass
-curve (`MixedProblem`).  The recovered total mass reproduces the
-prescribed one to root-finder tolerance, and the minimiser built from the
-resolvent nearly diagonalizes the recovered Robin pencil, so the
-cross-checks below hold far inside discretization error.
+variational boundary flux on gamma.  A Galerkin model of the resolvent
+proposes each spectral parameter, and each true resolvent solve joins it
+(`MixedProblem`).  Above the coarse size the pinned pencil runs on its own
+hierarchy, where one coarse LU and its V-cycle serve the ground eigensolve
+and every resolvent solve, and the model starts from the ground state alone
+(at most 3 solves per mass); at or below it the LU of the ground
+eigensolve also seeds the model with its Krylov vectors, and each mass
+takes one resolvent solve, on its own LU, as a rule.  The recovered total
+mass reproduces the prescribed one to root-finder tolerance, and the
+minimiser built from the resolvent nearly diagonalizes the recovered Robin
+pencil, so the cross-checks below hold far inside discretization error.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import List
@@ -33,8 +35,8 @@ from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
 _XI_MARGIN = 1e-9
-# a move of xi below this, relative, is a few ulps: on the hierarchy a
-# model root that moves xi no further takes no resolvent solve
+# a move of xi below this, relative, is a few ulps: a model root that moves
+# xi no further takes no resolvent solve
 _XI_ROUNDOFF = 1e-15
 _MASS_RTOL = 1e-10
 _MAX_NEWTON = 80
@@ -77,102 +79,78 @@ class OptimalSigma:
     sigma_min_raw: float
 
 
-class _MassCurveModel:
-    """Lanczos model of the resolvent moments on the free nodes.
-
-    With S = (K - tau M)^-1 and b = (M 1)_free, the Lanczos process on S M in
-    the M inner product, started from S b, gives an M-orthonormal basis Q and
-    the tridiagonal T = Q^T M S M Q.  Since K - xi M = (K - tau M)(I - (xi -
-    tau) S M), the resolvent U = (K - xi M)^-1 b is about Q y with
-    (I - (xi - tau) T) y = ||S b||_M e1, so b^T U ~ c^T y with c = Q^T b and
-    U^T M U ~ y^T y, for every xi from one Krylov space (Ericsson & Ruhe,
-    Math. Comp. 1980).  The process stops after `_KRYLOV_STEPS` steps, or
-    earlier when the Krylov space is exhausted, where the model is exact.
-    """
-
-    def __init__(self, m_ff, b, tau: float, lu):
-        r = lu.solve(b)
-        norm = math.sqrt(float(r @ (m_ff @ r)))
-        basis = np.empty((_KRYLOV_STEPS, len(b)))
-        basis[0] = r / norm
-        alpha: List[float] = []
-        beta: List[float] = []
-        for j in range(_KRYLOV_STEPS):
-            q = basis[: j + 1]
-            w = lu.solve(m_ff @ basis[j])
-            scale = math.sqrt(float(w @ (m_ff @ w)))
-            coef = np.zeros(j + 1)
-            for _ in range(2):  # full reorthogonalisation, repeated once
-                proj = q @ (m_ff @ w)
-                w -= proj @ q
-                coef += proj
-            alpha.append(float(coef[j]))
-            norm_w = math.sqrt(float(w @ (m_ff @ w)))
-            if j + 1 == _KRYLOV_STEPS or norm_w <= _KRYLOV_BREAKDOWN * scale:
-                break
-            beta.append(norm_w)
-            basis[j + 1] = w / norm_w
-        k = len(alpha)
-        self.tau = tau
-        self.start = np.zeros(k)
-        self.start[0] = norm
-        self.tridiag = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        self.c = basis[:k] @ b
-
-    def moments(self, xi: float):
-        """Model values of (b^T U, U^T M U) at xi: the integral and the
-        squared L2 norm of the resolvent."""
-        k = len(self.start)
-        y = np.linalg.solve(np.eye(k) - (xi - self.tau) * self.tridiag, self.start)
-        return float(self.c @ y), float(y @ y)
-
-
 class _ResolventModel:
     """Galerkin model of the pinned resolvent U(xi) = (K - xi M)^-1 b on the
-    free nodes, over the space of its own samples: rational Krylov
-    interpolation (Ruhe, Linear Algebra Appl. 197/198, 1994).
+    free nodes, over a space that grows with its own samples: rational
+    Krylov interpolation (Ruhe, Linear Algebra Appl. 197/198, 1994).
 
-    The basis is M-orthonormal, seeded with the ground state phi, and holds
-    the K-images of its vectors.  With Q^T K Q = V diag(lam) V^T and
-    d = V^T Q^T b, the Galerkin vector U_Q(xi) = Q V (d / (lam - xi)) gives
-    b^T U_Q = sum d^2 / (lam - xi) and ||U_Q||_M^2 = sum d^2 / (lam - xi)^2.
-    Below E1, U_Q minimises the energy of K - xi M over the space, so b^T U_Q
-    is at most b^T U: the model's mass curve lies below the true one and its
-    root above the true root, and each sample lowers it.  With phi alone
-    that root is `bounds.optimal_upper_bound`; a sampled resolvent makes the
-    model exact at its xi, in value and slope.
+    The basis is M-orthonormal and holds the K-images of its vectors.  It is
+    seeded with the ground state phi and, given the solver of a shifted
+    pencil S = K - tau M (an LU), with the `_KRYLOV_STEPS` Krylov vectors
+    S^-1 b, (S^-1 M) S^-1 b, ..., whose span approximates U(xi) for every xi
+    at once (Ericsson & Ruhe, Math. Comp. 1980) and holds it exactly once
+    they exhaust it.  With
+    Q^T K Q = V diag(lam) V^T and d = V^T Q^T b, the Galerkin vector
+    U_Q(xi) = Q V (d / (lam - xi)) gives b^T U_Q = sum d^2 / (lam - xi) and
+    ||U_Q||_M^2 = sum d^2 / (lam - xi)^2.  Below E1, U_Q minimises the energy
+    of K - xi M over the space, so b^T U_Q is at most b^T U: the model's mass
+    curve lies below the true one and its root above the true root, and each
+    sample lowers it.  With phi alone that root is
+    `bounds.optimal_upper_bound`; a sampled resolvent makes the model exact
+    at its xi, in value and slope.
     """
 
-    def __init__(self, k_ff, m_ff, b, phi):
+    def __init__(self, k_ff, m_ff, b, phi, solver=None):
         self._k, self._m, self._b = k_ff, m_ff, b
         self._basis = np.empty((0, len(b)))
         self._images = np.empty((0, len(b)))
-        self.add(phi)
+        self._join(phi)
+        if solver is not None:
+            w = b
+            for _ in range(_KRYLOV_STEPS):
+                if not self._join(solver.solve(w)):
+                    break
+                w = m_ff @ self._basis[-1]
+        self._fit()
 
-    def add(self, u) -> None:
+    def _join(self, u) -> bool:
         """Join u to the basis by Gram-Schmidt in the M inner product, applied
-        twice; a u within `_KRYLOV_BREAKDOWN` of the span is dropped."""
+        twice; a u within `_KRYLOV_BREAKDOWN` of the span is dropped (False)."""
         w = np.array(u, dtype=float)
-        scale = math.sqrt(float(w @ (self._m @ w)))
+        mw = self._m @ w
+        scale = math.sqrt(float(w @ mw))
         for _ in range(2):
-            w -= (self._basis @ (self._m @ w)) @ self._basis
-        norm = math.sqrt(float(w @ (self._m @ w)))
+            w -= (self._basis @ mw) @ self._basis
+            mw = self._m @ w
+        norm = math.sqrt(float(w @ mw))
         if not norm > _KRYLOV_BREAKDOWN * scale:
-            return
-        w /= norm
-        self._basis = np.vstack([self._basis, w])
-        self._images = np.vstack([self._images, self._k @ w])
+            return False
+        self._basis = np.vstack([self._basis, w / norm])
+        return True
+
+    def _fit(self) -> None:
+        """The Ritz pairs of K on the basis, after imaging the vectors joined
+        since the last fit."""
+        joined = self._basis[len(self._images):]
+        self._images = np.vstack([self._images, (self._k @ joined.T).T])
         h = self._basis @ self._images.T
         # scipy's LAPACK, which LOBPCG's Ritz problems load anyway; numpy's
         # eigh would map a second one (about 0.8 MB of resident pages)
         self._lam, self._v = scipy.linalg.eigh(0.5 * (h + h.T), check_finite=False)
         self._d = self._v.T @ (self._basis @ self._b)
 
+    def add(self, u) -> None:
+        """Join the sample u and refit.  The arrays are replaced, not written
+        into, so a shallow copy of the model is left as it was."""
+        if self._join(u):
+            self._fit()
+
     def _coefficients(self, xi: float) -> np.ndarray:
         return self._d / (self._lam - xi)
 
     def moments(self, xi: float):
-        """Model values of (b^T U, U^T M U) at xi."""
+        """Model values of (b^T U, U^T M U) at xi: the integral and the
+        squared L2 norm of the resolvent."""
         y = self._coefficients(xi)
         return float(self._d @ y), float(y @ y)
 
@@ -181,54 +159,23 @@ class _ResolventModel:
         return (self._v @ self._coefficients(xi)) @ self._basis
 
 
-def _safeguarded_newton(curve, mass: float, xi: float, hi: float, target: float,
-                        lo: float = 0.0):
-    """Newton on curve(xi) = (F, F', payload) for F(xi) = mass, safeguarded
-    by bisection inside (lo, hi) and stopping at |F - mass| <= target or on
-    a step that no longer moves xi.  With a positive target it also stops
-    on a step that removes less than half of |F - mass|: started near the
-    root, Newton removes far more, so F is at its evaluation floor above the
-    target, and the evaluated xi with the smallest |F - mass| is returned.
-    Returns (xi, payload), or (xi, None) when the step cap ends the loop on
-    an unevaluated xi."""
-    best = None
-    for _ in range(_MAX_NEWTON):
-        f, fp, payload = curve(xi)
-        err = f - mass
-        if abs(err) <= target:
-            return xi, payload
-        if target > 0.0 and best is not None and abs(err) > 0.5 * best[0]:
-            return (xi, payload) if abs(err) < best[0] else best[1:]
-        best = (abs(err), xi, payload)
-        if err < 0:
-            lo = xi
-        else:
-            hi = xi
-        step = xi - err / fp
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if step == xi:
-            return xi, payload
-        xi = step
-    return xi, None
-
-
 class MixedProblem:
     """The problem pinned on gamma for one mesh: the mesh's shared operators
-    restricted to the free nodes and the ground state, computed once, on
-    construction.
+    restricted to the free nodes, the ground state and the seeded space of
+    the Galerkin resolvent model, computed once, on construction.
 
     Above `eigensolve._COARSE_NODES` free nodes on a planar mesh with
     coarser levels (any mesh `refine` or `build_mesh` made; not one read
     from a file) the ground state runs on the pinned pencil's hierarchy
     (`assembly.hierarchy` given the free nodes), and the problem keeps its
-    V-cycle: each resolvent solve is conjugate gradients preconditioned by
-    it (`eigensolve.solve_spd_cg`), started from the Galerkin model's
-    vector at its xi (`_invert_on_hierarchy`).
+    V-cycle: the model is seeded with phi alone, and each resolvent solve is
+    conjugate gradients preconditioned by the V-cycle
+    (`eigensolve.solve_spd_cg`), started from the model's vector at its xi.
     Otherwise, and where the ground state's run on the V-cycle gave up
-    (`eigensolve.lowest_alone`), the shifted factorization of the ground
-    eigensolve builds a Lanczos model of the mass curve and is not kept,
-    and each resolvent solve factors K - xi M.
+    (`eigensolve.lowest_alone`), the shifted LU of the ground eigensolve (at
+    dense size, one made for it) seeds the model with its Krylov vectors
+    and is not kept, and each resolvent solve factors K - xi M
+    (`eigensolve.solve_spd`).
     """
 
     def __init__(self, mesh: Mesh):
@@ -249,12 +196,12 @@ class MixedProblem:
         if integral < 0.0:
             phi, integral = -phi, -integral
         self.ground = MixedGroundState(res.value, phi, integral)
-        self._cycle = self._model = None
+        self._cycle = lu = None
         if pair is not None and on_hierarchy(pair):
             self._cycle = pair[1]
         else:
-            factor = pair or shifted_factor(self.k_ff, self.m_ff)
-            self._model = _MassCurveModel(self.m_ff, self.load, *factor)
+            lu = (pair or shifted_factor(self.k_ff, self.m_ff))[1]
+        self._seeded = _ResolventModel(self.k_ff, self.m_ff, self.load, phi[self.free], lu)
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
@@ -290,12 +237,9 @@ class MixedProblem:
         fp = 2.0 * xi * int_u + xi * xi * norm2_u + self.volume
         return f, fp
 
-    def _model_curve(self, xi: float):
-        return (*self._curve(xi, *self._model.moments(xi)), None)
-
     def optimal_eigenvalue(self, mass: float) -> float:
-        """Invert the mass curve: Newton safeguarded by bisection inside
-        (0, E1 (1 - 1e-9)), stopping at |F(xi) - m| <= 1e-10 max(m, 1)."""
+        """Invert the mass curve inside (0, E1 (1 - 1e-9)), stopping at
+        |F(xi) - m| <= 1e-10 max(m, 1) (`_invert_mass_curve`)."""
         return self._invert_mass_curve(mass)[0]
 
     def _invert_mass_curve(self, mass: float):
@@ -303,47 +247,34 @@ class MixedProblem:
         None in place of U when the step cap ends the loop on a new xi.
 
         A mass whose closed-form lower bound m E1 / (m + |Omega| E1) reaches
-        E1 (1 - 1e-9) raises RangeError.  With the Lanczos model, Newton
-        runs to round-off on the model first, from that lower bound; its
-        root starts the loop on true resolvent solves, which judges the
-        stopping test and usually stops at once.  On the hierarchy the
-        Galerkin model of the resolvent proposes every xi
-        (`_invert_on_hierarchy`).
+        E1 (1 - 1e-9) raises RangeError.  Otherwise the root lies in the
+        bracket (lo, hi) of that bound and the margin.  Each xi is the root
+        of the `_ResolventModel` inside the bracket (`_model_root`); each
+        true resolvent solve starts from the model's vector at its xi,
+        narrows the bracket and joins a copy of the problem's seeded model,
+        which the inversion leaves as it was.  On the hierarchy the first
+        root is the closed-form upper bound, clamped to the margin, and the
+        roots fall onto the root of the mass curve from the right; with the
+        Krylov vectors of an LU the first root is the root already, and the
+        loop usually ends after one solve.  The loop stops once |F - m|
+        <= 1e-10 max(m, 1) has held for a step, on a step that removes less
+        than half of |F - m| (F at its evaluation floor; the better of the
+        two is returned), on a model root within `_XI_ROUNDOFF` of the xi
+        just solved, or at the step cap.  An xi inside the band takes at
+        most one more step, to the root of the model that holds its
+        resolvent, returned when it stays inside the band.
         """
         if mass <= 0:
             raise ArgumentError(f"mass must be positive, got {mass}")
         e1 = self.ground.value
         hi = e1 * (1.0 - _XI_MARGIN)
-        xi = mass * e1 / (mass + self.volume * e1)
-        if xi >= hi:
+        lo = mass * e1 / (mass + self.volume * e1)
+        if lo >= hi:
             raise RangeError(
                 f"mass {mass:g} is too large: the root of its mass curve lies within the "
                 f"margin {_XI_MARGIN:g} of the pinned ground eigenvalue E1 = {e1:.6g}")
         target = _MASS_RTOL * max(mass, 1.0)
-        if self._model is None:
-            return self._invert_on_hierarchy(mass, xi, hi, target)
-        xi = max(xi, hi * 1e-12)
-        xi, _ = _safeguarded_newton(self._model_curve, mass, xi, hi, 0.0)
-        return _safeguarded_newton(self.mass_function_with_derivative, mass, xi, hi, target)
-
-    def _invert_on_hierarchy(self, mass: float, lo: float, hi: float, target: float):
-        """`_invert_mass_curve` on the hierarchy, inside the bracket (lo, hi)
-        of the closed-form lower bound and the margin.
-
-        Each xi is the root of a `_ResolventModel` inside the bracket, by
-        Newton to round-off from its right end; each true resolvent solve
-        starts from the model's vector at its xi, narrows the bracket and
-        joins the model.  With phi alone the model's root is the closed-form
-        upper bound, clamped to the margin, and the model's roots fall onto
-        the root of the mass curve from the right.  The loop keeps the
-        stopping band, the floor stop and the step cap of
-        `_safeguarded_newton`, and ends on a model root within
-        `_XI_ROUNDOFF` of the xi just solved.  An xi inside the band takes at
-        most one more step, to the root of the model that holds its
-        resolvent, returned when it stays inside the band.
-        """
-        model = _ResolventModel(self.k_ff, self.m_ff, self.load,
-                                self.ground.eigenfunction[self.free])
+        model = copy.copy(self._seeded)
         xi, best = self._model_root(model, mass, lo, hi), None
         for _ in range(_MAX_NEWTON):
             f, _, u = self.mass_function_with_derivative(xi, model.vector(xi))
@@ -366,11 +297,27 @@ class MixedProblem:
 
     def _model_root(self, model, mass: float, lo: float, hi: float) -> float:
         """The root of a `_ResolventModel`'s mass curve inside (lo, hi], by
-        Newton to round-off from hi: from the right of the root of the convex
-        curve, or hi itself where the root lies beyond it."""
-        def curve(x):
-            return (*self._curve(x, *model.moments(x)), None)
-        return _safeguarded_newton(curve, mass, hi, hi, 0.0, lo)[0]
+        Newton safeguarded by bisection, to round-off from hi: from the right
+        of the root of the convex curve, or hi itself where the root lies
+        beyond it.  It stops where a step no longer moves xi, or at the step
+        cap."""
+        xi = hi
+        for _ in range(_MAX_NEWTON):
+            f, fp = self._curve(xi, *model.moments(xi))
+            err = f - mass
+            if err == 0.0:
+                return xi
+            if err < 0:
+                lo = xi
+            else:
+                hi = xi
+            step = xi - err / fp
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if step == xi:
+                return xi
+            xi = step
+        return xi
 
     def optimal_sigma(self, mass: float) -> OptimalSigma:
         """Optimal coefficient of the given mass by variational flux recovery.

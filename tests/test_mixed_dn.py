@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -10,7 +11,9 @@ from robinspec.assembly import SigmaField
 from robinspec.errors import ArgumentError, RangeError
 from robinspec.exact1d import optimal_eigenvalue_interval
 
-from conftest import boundary_length, disk_mesh, interval_mesh, refined, square_mesh
+from conftest import (boundary_length, disk_mesh, interval_mesh, refined, square_mesh,
+                      triangle_mesh)
+from interval_oracles import tight_mass_root
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -131,8 +134,16 @@ class TestMassFunction:
             assert abs(fp - fd) / fd <= 1e-5
 
 
+def obtuse_triangle_mesh(level):
+    # the CLI's mesh of a triangle with an obtuse corner at (0.9, 0.1)
+    domain = geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)])
+    return cli._mesh_at_level(domain, level, None)
+
+
 class TestMassCurveModel:
-    """The Lanczos model of the mass curve against true resolvent solves."""
+    """The Galerkin resolvent model of a problem on its own LU, seeded with
+    the ground state and the Krylov vectors of the ground eigensolve's LU,
+    against true resolvent solves."""
 
     @pytest.mark.parametrize("mesh", [square_mesh(4), interval_mesh(64)],
                              ids=["square_l4", "interval_l6"])
@@ -142,7 +153,7 @@ class TestMassCurveModel:
         e1 = prob.ground.value
         xi = fraction * e1
         f, fp, _ = prob.mass_function_with_derivative(xi)
-        f_model, fp_model, _ = prob._model_curve(xi)
+        f_model, fp_model = prob._curve(xi, *prob._seeded.moments(xi))
         # near E1 both sides carry the round-off of K - xi M, amplified by
         # (lambda_max / E1) (E1 / (E1 - xi)); elsewhere 1e-10 applies
         lam_max = scipy.sparse.linalg.eigsh(prob.k_ff, 1, M=prob.m_ff, which="LA",
@@ -154,25 +165,29 @@ class TestMassCurveModel:
     @pytest.mark.parametrize("mesh,steps", [(interval_mesh(12), None), (interval_mesh(42), 64)],
                              ids=["dense_path", "just_above_dense_cutoff"])
     def test_exhausted_krylov_space_gives_exact_model(self, mesh, steps, monkeypatch):
-        # with the step cap above the free dofs the space runs out (beta -> 0)
+        # at dense size the seed comes from shifted_factor; with the step cap
+        # above the free nodes, phi and the Krylov vectors span them all
+        # and the model is exact
         if steps is not None:
             monkeypatch.setattr(mixed_dn, "_KRYLOV_STEPS", steps)
         prob = mixed_dn.MixedProblem(mesh)
         n_free = len(prob.free)
         assert (n_free > eigensolve._DENSE_CUTOFF) == (steps is not None)
-        model = prob._model
-        assert len(model.start) == n_free < mixed_dn._KRYLOV_STEPS
-        assert np.all(np.isfinite(model.tridiag)) and np.all(np.isfinite(model.c))
+        assert n_free < 1 + mixed_dn._KRYLOV_STEPS
+        basis = prob._seeded._basis
+        assert basis.shape == (n_free, n_free)
+        np.testing.assert_allclose(basis @ (prob.m_ff @ basis.T), np.eye(n_free),
+                                   rtol=0, atol=1e-12)
         for fraction in (0.1, 0.5, 0.9):
             xi = fraction * prob.ground.value
             f, fp, _ = prob.mass_function_with_derivative(xi)
-            f_model, fp_model, _ = prob._model_curve(xi)
+            f_model, fp_model = prob._curve(xi, *prob._seeded.moments(xi))
             assert abs(f_model - f) <= 1e-12 * f
             assert abs(fp_model - fp) <= 1e-12 * fp
 
     @pytest.mark.parametrize("mass", [0.01, 1.0, 100.0])
     def test_factorization_budget(self, square_l3, mass, monkeypatch):
-        # the ground eigensolve's factorization builds the model; each true
+        # the ground eigensolve's factorization seeds the model; each true
         # Newton step factors once more
         factorizations, steps = [], []
         splu = eigensolve.splu
@@ -182,9 +197,9 @@ class TestMassCurveModel:
             factorizations.append(a.shape)
             return splu(a, **kwargs)
 
-        def counted_step(self, xi):
+        def counted_step(self, xi, *args):
             steps.append(xi)
-            return step(self, xi)
+            return step(self, xi, *args)
 
         monkeypatch.setattr(eigensolve, "splu", counted_splu)
         monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
@@ -193,14 +208,16 @@ class TestMassCurveModel:
 
     def test_model_built_on_construction_and_no_lu_kept(self, square_l3, monkeypatch):
         prob = mixed_dn.MixedProblem(square_l3)
-        held = [v for obj in (prob, prob._model) for v in vars(obj).values()]
+        held = [v for obj in (prob, prob._seeded) for v in vars(obj).values()]
         held += [item for v in held if isinstance(v, tuple) for item in v]
         assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in held)
-        # the inversions reuse the model; their only factorizations are
-        # the true Newton steps' solve_spd
-        model = prob._model
+        # the inversions start from the seeded model and leave it as it
+        # was; their only factorizations are the true Newton steps' solve_spd
+        seeded = prob._seeded
+        basis = seeded._basis
+        assert basis.shape[0] == 1 + mixed_dn._KRYLOV_STEPS
         builds, factored, inside = [], [], []
-        build = mixed_dn._MassCurveModel.__init__
+        build = mixed_dn._ResolventModel.__init__
         splu = eigensolve.splu
         solve = mixed_dn.solve_spd
 
@@ -219,14 +236,64 @@ class TestMassCurveModel:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(mixed_dn._MassCurveModel, "__init__", counted_build)
+        monkeypatch.setattr(mixed_dn._ResolventModel, "__init__", counted_build)
         monkeypatch.setattr(eigensolve, "splu", counted_splu)
         monkeypatch.setattr(mixed_dn, "solve_spd", marked_solve)
         first = prob.optimal_eigenvalue(2.0)
         second = prob.optimal_eigenvalue(20.0)
-        assert prob._model is model and builds == []
+        assert prob._seeded is seeded and seeded._basis is basis and builds == []
         assert factored and all(factored)
         assert 0.0 < first < second < prob.ground.value
+        assert second == mixed_dn.MixedProblem(square_l3).optimal_eigenvalue(20.0)
+
+
+# every kind of mesh whose pinned pencil keeps its own LU: at most
+# eigensolve._COARSE_NODES free nodes, at dense size, or an interval
+OWN_LU_MESHES = {
+    "square_l3": lambda: square_mesh(3),
+    "triangle_l5": lambda: triangle_mesh(5),
+    "disk_l1": lambda: disk_mesh(1),
+    "square_side0_l3": lambda: square_mesh(3, gamma=geometry.gamma_sides(0)),
+    "obtuse_triangle_l4": lambda: obtuse_triangle_mesh(4),
+    "interval_12": lambda: interval_mesh(12),
+    "interval_l10": lambda: refined(interval_mesh(1), 10),
+}
+
+
+@pytest.mark.parametrize("make_mesh", list(OWN_LU_MESHES.values()), ids=list(OWN_LU_MESHES))
+def test_own_lu_takes_one_solve_per_mass(make_mesh, factorizations, monkeypatch):
+    # the model seeded with the Krylov vectors puts the first solve on the
+    # root: one true solve per mass, whose LU is the only one after the
+    # construction's
+    steps = []
+    step = mixed_dn.MixedProblem.mass_function_with_derivative
+
+    def counted_step(self, xi, *args):
+        steps.append(xi)
+        return step(self, xi, *args)
+
+    monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
+    prob = mixed_dn.MixedProblem(make_mesh())
+    assert prob._cycle is None and len(factorizations) == 1
+    e1, volume = prob.ground.value, prob.volume
+    inside = [m for m in (1e-3, 1e-2, 1.0, 30.0, 360.0, 2000.0, 1e4, 1e8, 1e10)
+              if bounds.optimal_lower_bound(m, e1, volume) < e1 * (1.0 - mixed_dn._XI_MARGIN)]
+    assert len(inside) >= 8
+    for mass in inside:
+        del steps[:], factorizations[:]
+        prob.optimal_eigenvalue(mass)
+        assert (len(steps), len(factorizations)) == (1, 1), mass
+
+
+@pytest.mark.parametrize("level,rtol", [(10, 1e-12), (12, 1e-11)])
+def test_interval_root_is_tight(level, rtol):
+    # against the long-double Newton root of the same float64 pencil
+    mesh = refined(interval_mesh(1), level)
+    prob = mixed_dn.MixedProblem(mesh)
+    for mass in (1.0, 30.0, 360.0, 2000.0, 1e4, 1e8):
+        xi = prob.optimal_eigenvalue(mass)
+        tight = tight_mass_root(mesh, mass, xi)
+        assert abs(xi - tight) <= rtol * tight, mass
 
 
 @pytest.fixture(scope="module")
@@ -245,8 +312,8 @@ class TestEvaluationFloor:
         seen = []
         step = mixed_dn.MixedProblem.mass_function_with_derivative
 
-        def counted_step(self, xi):
-            out = step(self, xi)
+        def counted_step(self, xi, *args):
+            out = step(self, xi, *args)
             seen.append(abs(out[0] - mass))
             return out
 
@@ -258,15 +325,28 @@ class TestEvaluationFloor:
         assert abs(f - mass) == min(seen)
         assert abs(f - mass) <= 1e-6 * mass
 
+    def test_floor_stop_returns_the_better_of_the_last_two(self, square_l5_problems,
+                                                           monkeypatch):
+        # a curve stuck at its floor: the second evaluation removes less
+        # than half of the first's |F - m|, and the better of the two ends
+        # the loop, whether it is the first (factor 2) or the second
+        prob, _ = square_l5_problems
+        step = mixed_dn.MixedProblem.mass_function_with_derivative
+        for factor, kept in ((2.0, 0), (0.75, 1)):
+            seen = []
 
-    def test_floor_stop_returns_the_better_of_the_last_two(self):
-        # a curve stuck at its floor: the second evaluation is worse
-        errors = iter([4e-4, -9e-4])
+            def floored_step(self, xi, *args):
+                f, fp, u = step(self, xi, *args)
+                if seen:
+                    f = 1.0 + factor * (seen[0][1] - 1.0)
+                seen.append((xi, f, u))
+                return f, fp, u
 
-        def curve(xi):
-            return 1.0 + next(errors), 1e3, xi
-
-        assert mixed_dn._safeguarded_newton(curve, 1.0, 0.5, 1.0, 1e-10) == (0.5, 0.5)
+            monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative",
+                                floored_step)
+            xi, u = prob._invert_mass_curve(1.0)
+            assert len(seen) == 2 and seen[0][1] != 1.0
+            assert xi == seen[kept][0] and u is seen[kept][2]
 
 
 def without_hierarchy(mesh):
@@ -292,8 +372,10 @@ class TestPinnedHierarchy:
     def test_paths(self, square_l5_problems):
         prob, own = square_l5_problems
         assert len(prob.free) > eigensolve._COARSE_NODES
-        assert prob._cycle is not None and prob._model is None
-        assert own._cycle is None and own._model is not None
+        assert prob._cycle is not None and own._cycle is None
+        # phi alone on the hierarchy; phi and the Krylov vectors on the LU
+        assert prob._seeded._basis.shape[0] == 1
+        assert own._seeded._basis.shape[0] == 1 + mixed_dn._KRYLOV_STEPS
         assert abs(prob.ground.value - own.ground.value) <= 1e-12 * own.ground.value
 
     def test_one_coarse_factorization(self, factorizations):
@@ -337,13 +419,14 @@ class TestPinnedHierarchy:
         e1, volume = prob.ground.value, prob.volume
         upper = bounds.optimal_upper_bound(mass, e1, volume, prob.ground.integral)
         lower = bounds.optimal_lower_bound(mass, e1, volume)
-        model = mixed_dn._ResolventModel(prob.k_ff, prob.m_ff, prob.load,
-                                         prob.ground.eigenfunction[prob.free])
+        model = copy.copy(prob._seeded)
         xi = prob._model_root(model, mass, lower, e1 * (1.0 - mixed_dn._XI_MARGIN))
         assert abs(xi - upper) <= 1e-14 * upper
-        # a sampled resolvent makes the model exact at its xi
+        # a sampled resolvent makes the model exact at its xi, and the
+        # problem's seeded model stays as it was
         _, _, u = prob.mass_function_with_derivative(xi)
         model.add(u[prob.free])
+        assert prob._seeded._basis.shape[0] == 1 and model._basis.shape[0] == 2
         int_u, norm2_u = model.moments(xi)
         assert abs(int_u - prob.load @ u[prob.free]) <= 1e-12 * int_u
         assert abs(norm2_u - u @ (prob.mass_matrix @ u)) <= 1e-12 * norm2_u
@@ -366,11 +449,11 @@ class TestPinnedHierarchy:
     def test_a_ground_state_that_gives_up_keeps_the_lu_path(self, factorizations):
         # stretched elements: LOBPCG on the V-cycle gives up, the ground
         # state falls back on the pencil's own LU, as a Robin pencil's does,
-        # and that LU builds the Lanczos model
-        domain = geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)])
-        mesh = cli._mesh_at_level(domain, 6, None)
+        # and that LU seeds the model with its Krylov vectors
+        mesh = obtuse_triangle_mesh(6)
         prob = mixed_dn.MixedProblem(mesh)
-        assert prob._cycle is None and prob._model is not None
+        assert prob._cycle is None
+        assert prob._seeded._basis.shape[0] == 1 + mixed_dn._KRYLOV_STEPS
         assert factorizations == [factorizations[0], len(prob.free)]
         assert factorizations[0] <= eigensolve._COARSE_NODES < len(prob.free)
         own = mixed_dn.MixedProblem(without_hierarchy(mesh))
@@ -472,7 +555,7 @@ class TestOptimalSigma:
         assert np.all(mesh.nodes[support, 0] > -1e-9)
 
     def test_reuses_last_newton_resolvent(self, square_l3, monkeypatch):
-        # the Lanczos model's root needs one true step, whose resolvent is
+        # the seeded model's root needs one true step, whose resolvent is
         # not redone
         prob = mixed_dn.MixedProblem(square_l3)
         solves, steps = [], []
@@ -483,9 +566,9 @@ class TestOptimalSigma:
             solves.append(b)
             return solve(a, b, **kwargs)
 
-        def counted_step(self, xi):
+        def counted_step(self, xi, *args):
             steps.append(xi)
-            return step(self, xi)
+            return step(self, xi, *args)
 
         monkeypatch.setattr(mixed_dn, "solve_spd", counted_solve)
         monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
