@@ -84,7 +84,7 @@ class _ResolventModel:
     free nodes, over a space that grows with its own samples: rational
     Krylov interpolation (Ruhe, Linear Algebra Appl. 197/198, 1994).
 
-    The basis is M-orthonormal and holds the K-images of its vectors.  It is
+    The basis is M-orthonormal; its K-images are formed at each fit.  It is
     seeded with the ground state phi and, given the solver of a shifted
     pencil S = K - tau M (an LU), with the `_KRYLOV_STEPS` Krylov vectors
     S^-1 b, (S^-1 M) S^-1 b, ..., whose span approximates U(xi) for every xi
@@ -103,7 +103,6 @@ class _ResolventModel:
     def __init__(self, k_ff, m_ff, b, phi, solver=None):
         self._k, self._m, self._b = k_ff, m_ff, b
         self._basis = np.empty((0, len(b)))
-        self._images = np.empty((0, len(b)))
         self._join(phi)
         if solver is not None:
             w = b
@@ -129,11 +128,8 @@ class _ResolventModel:
         return True
 
     def _fit(self) -> None:
-        """The Ritz pairs of K on the basis, after imaging the vectors joined
-        since the last fit."""
-        joined = self._basis[len(self._images):]
-        self._images = np.vstack([self._images, (self._k @ joined.T).T])
-        h = self._basis @ self._images.T
+        """The Ritz pairs of K on the basis."""
+        h = self._basis @ (self._k @ self._basis.T)
         # scipy's LAPACK, which LOBPCG's Ritz problems load anyway; numpy's
         # eigh would map a second one (about 0.8 MB of resident pages)
         self._lam, self._v = scipy.linalg.eigh(0.5 * (h + h.T), check_finite=False)
@@ -248,7 +244,9 @@ class MixedProblem:
 
         A mass whose closed-form lower bound m E1 / (m + |Omega| E1) reaches
         E1 (1 - 1e-9) raises RangeError.  Otherwise the root lies in the
-        bracket (lo, hi) of that bound and the margin.  Each xi is the root
+        bracket (lo, hi) of that bound and the margin; on an LU, hi is at
+        most the closed-form upper bound, which the seeded model's root can
+        pass by the round-off of its lowest Ritz value.  Each xi is the root
         of the `_ResolventModel` inside the bracket (`_model_root`); each
         true resolvent solve starts from the model's vector at its xi,
         narrows the bracket and joins a copy of the problem's seeded model,
@@ -273,6 +271,9 @@ class MixedProblem:
             raise RangeError(
                 f"mass {mass:g} is too large: the root of its mass curve lies within the "
                 f"margin {_XI_MARGIN:g} of the pinned ground eigenvalue E1 = {e1:.6g}")
+        if self._cycle is None:
+            disc = (self.volume * e1 - mass) ** 2 + 4.0 * self.ground.integral ** 2 * mass * e1
+            hi = min(hi, 2.0 * mass * e1 / (mass + self.volume * e1 + math.sqrt(disc)))
         target = _MASS_RTOL * max(mass, 1.0)
         model = copy.copy(self._seeded)
         xi, best = self._model_root(model, mass, lo, hi), None

@@ -329,7 +329,7 @@ class TestMassBeyondTheMargin:
         # slack_lower's last digits carry xi's round-off
         assert abs(float(fields.pop(6))) <= 1e-12
         assert fields == ["optimal eigenvalue mass=1e+10", "10000000000", "22.8657758845",
-                          "22.865775903", "22.865775903", "1.84768715883e-08",
+                          "22.865775903", "22.865775903", "1.84768609301e-08",
                           "0.457315518059", "true"]
 
 

@@ -296,6 +296,42 @@ def test_interval_root_is_tight(level, rtol):
         assert abs(xi - tight) <= rtol * tight, mass
 
 
+def dense_tight_mass_root(prob, mass, xi, steps=4):
+    """The root of prob's mass curve by Newton in long double from xi near
+    it, each step a dense elimination of K - xi M on the float64 pencil."""
+    k, m = (a.toarray().astype(np.longdouble) for a in (prob.k_ff, prob.m_ff))
+    row_sums = prob.mass_matrix.toarray().astype(np.longdouble).sum(axis=1)
+    b, volume = row_sums[prob.free], row_sums.sum()
+    xi = np.longdouble(xi)
+    for _ in range(steps):
+        a, u = k - xi * m, b.copy()
+        for j in range(len(u) - 1):  # positive definite below E1: no pivoting
+            factors = a[j + 1:, j] / a[j, j]
+            a[j + 1:, j + 1:] -= np.outer(factors, a[j, j + 1:])
+            u[j + 1:] -= factors * u[j]
+        for j in range(len(u) - 1, -1, -1):
+            u[j] = (u[j] - a[j, j + 1:] @ u[j + 1:]) / a[j, j]
+        int_u = b @ u
+        f = xi * xi * int_u + xi * volume
+        xi -= (f - mass) / (2 * xi * int_u + xi * xi * (u @ (m @ u)) + volume)
+    return xi
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: square_mesh(1), lambda: square_mesh(2),
+                                       lambda: square_mesh(3), lambda: triangle_mesh(3),
+                                       lambda: triangle_mesh(4)],
+                         ids=["square_9", "square_49", "square_225", "triangle_21",
+                              "triangle_105"])
+def test_planar_root_is_tight(make_mesh):
+    # the CLI's square at levels 2-4 and triangle at levels 3-4, named by
+    # their free nodes; the float64 floor of xi is a few ulps
+    prob = mixed_dn.MixedProblem(make_mesh())
+    for mass in (1.0, 30.0, 2000.0, 1e6, 1e8, 1e9, 1e10):
+        xi = prob.optimal_eigenvalue(mass)
+        tight = dense_tight_mass_root(prob, mass, xi)
+        assert abs(xi - tight) <= 10 * np.spacing(xi), mass
+
+
 @pytest.fixture(scope="module")
 def interval_l10_problem():
     # the CLI's interval at level 10: one element refined ten times
