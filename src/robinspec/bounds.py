@@ -3,8 +3,8 @@
 Everything here is either a direct formula in (mass, pinned ground
 eigenvalue, volume, ...) or a check wiring those formulas to the FEM
 pipeline: two-sided bounds on the optimal eigenvalue, the inradius
-sandwiches for Dirichlet and constant-coefficient Robin problems on convex
-domains, a weighted Hardy-type lower bound, and the shrink/expand scaling
+sandwich for constant-coefficient Robin problems on convex domains, a
+weighted Hardy-type lower bound, and the shrink/expand scaling
 table computed by coefficient scaling on a fixed mesh.
 """
 
@@ -144,22 +144,8 @@ def unit_ball_dirichlet_eigenvalue(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Inradius sandwiches
+# Inradius sandwich
 # ---------------------------------------------------------------------------
-
-def dirichlet_inradius_report(mesh: Mesh, domain: DomainSpec) -> BoundReport:
-    """Check 1/4 R^-2 <= lambda_D <= K_n R^-2 on a convex domain."""
-    r = geometry.inradius(domain)
-    n = domain.dim
-    if n == 1:
-        lam = (math.pi / (domain.b - domain.a)) ** 2
-    else:
-        lam = robin.dirichlet_eigenvalue(mesh, geometry.boundary_nodes(mesh))
-    lower = 0.25 / r ** 2
-    upper = unit_ball_dirichlet_eigenvalue(n) / r ** 2
-    return _make_report("dirichlet eigenvalue vs inradius", lower, float(lam),
-                        upper)
-
 
 def robin_inradius_report(mesh: Optional[Mesh], domain: DomainSpec,
                           sigma_const: float) -> BoundReport:
@@ -237,12 +223,17 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42) -> List[H
                  for alpha in dict.fromkeys(a for _, a in pairs)}
     coefs = [alpha * s * (1.0 - alpha * s) for s, alpha in pairs]
 
+    k_diagonal, b_diagonal = kmat.diagonal(), b1.diagonal()
+
     def sides(u):
-        """u's (left, right) side under each pair."""
+        """u's (left side, right side, the left side's round-off) under each
+        pair, the last as 1e-12 times the diagonal part of the left form."""
         k_form, b_form = u @ (kmat @ u), u @ (b1 @ u)
+        k_scale, b_scale = k_diagonal @ (u * u), b_diagonal @ (u * u)
         with np.errstate(over="ignore", invalid="ignore"):
             h_forms = {alpha: float(u @ (h @ u)) for alpha, h in hardy.items()}
-        return [(float(k_form + s * b_form), c * h_forms[alpha])
+        return [(float(k_form + s * b_form), c * h_forms[alpha],
+                 1e-12 * float(k_scale + s * b_scale))
                 for (s, alpha), c in zip(pairs, coefs)]
 
     rng = np.random.default_rng(seed)
@@ -255,11 +246,11 @@ def hardy_reports(mesh: Mesh, pairs, trials: int = 25, seed: int = 42) -> List[H
     for i, (sigma_const, alpha) in enumerate(pairs):
         rows: List[HardyTrial] = []
         violations = 0
-        for lhs, rhs in (t[i] for t in random_sides + [ground_sides[sigma_const]]):
+        for lhs, rhs, roundoff in (t[i] for t in random_sides + [ground_sides[sigma_const]]):
             if not math.isfinite(rhs):
                 raise ArgumentError(f"the Hardy right side at sigma={sigma_const!r}, "
                                     f"alpha={alpha!r} is not finite: alpha is too small")
-            bad = lhs < rhs - _HARDY_RTOL * abs(rhs) - 1e-12 * max(lhs, 1.0)
+            bad = lhs < rhs - _HARDY_RTOL * abs(rhs) - roundoff
             violations += bad
             rows.append(HardyTrial(lhs, rhs, bool(bad)))
         reports.append(HardyReport(sigma_const, alpha, coefs[i], rows, violations,

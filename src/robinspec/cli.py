@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import bounds, eigensolve, exact1d, geometry, mixed_dn, robin
+from . import assembly, bounds, eigensolve, exact1d, geometry, mixed_dn, robin
 from .assembly import SigmaField
 from .errors import (ArgumentError, ConvergenceError, GeometryError, RobinspecError,
                      UnsupportedDomainError)
@@ -227,14 +227,16 @@ def cmd_converge(opts: dict, domain: DomainSpec, mesh) -> List[List[str]]:
     is log2 of the ratio of successive diffs; it is left empty when either
     diff is within `eigensolve.eigenvalue_floor` of its eigenvalue, where
     the difference is round-off rather than discretization error."""
-    values, hs, dofs = [], [], []
+    values, hs, dofs, ops = [], [], [], []
     for level_mesh, res in robin.refinement_levels(mesh, _sigma_from(opts), opts["levels"]):
         values.append(res.value)
         hs.append(geometry.max_element_diameter(level_mesh))
         dofs.append(level_mesh.num_nodes)
+        ops.append(assembly.operators(level_mesh))
     rows = [["level", "h", "dofs", "lambda1", "diff", "order"]]
     diffs = [abs(values[i] - values[i + 1]) for i in range(len(values) - 1)]
-    resolved = [diffs[i] > eigensolve.eigenvalue_floor(max(abs(values[i]), abs(values[i + 1])))
+    resolved = [diffs[i] > eigensolve.eigenvalue_floor(max(abs(values[i]), abs(values[i + 1])),
+                                                       ops[i + 1].stiffness, ops[i + 1].mass)
                 for i in range(len(diffs))]
     for i, lam in enumerate(values):
         diff = _fmt(diffs[i]) if i < len(diffs) else ""

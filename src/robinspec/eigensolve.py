@@ -1,13 +1,13 @@
 """Sparse SPD linear solves and the lowest eigenpair of A x = lambda M x.
 
-Every eigensolve returns the lowest eigenpair only.  Pencils of dense size
-(n <= 40) are solved by a dense generalized eigensolve; every larger pencil
-runs LOBPCG (Knyazev, SISC 23, 2001) for one vector, preconditioned by a
-solve with a shifted pencil S = A - tau M (`shifted_factor`): its LU, or a
+Every eigensolve returns the lowest eigenpair only.  Every pencil runs
+LOBPCG (Knyazev, SISC 23, 2001) for one vector, preconditioned by a solve
+with a shifted pencil S = A - tau M (`shifted_factor`): its LU, or a
 V-cycle over a coarse LU of it.  LOBPCG is this module's own single-vector
 kernel (`_lobpcg`): a step is one preconditioner solve, the products of
-one vector with A and M, and a Ritz problem of size 3 at most.  It raises ConvergenceError on a breakdown instead of warning,
-so it touches no process-wide state and threads run it without a lock.
+one vector with A and M, and a Ritz problem of size 3 at most.  It raises
+ConvergenceError on a breakdown instead of warning, so it touches no
+process-wide state and threads run it without a lock.
 
 A pencil on a refined planar mesh above `_COARSE_NODES` nodes runs on its
 hierarchy: `shifted_factor` coarsens S by Galerkin products P^T S P down
@@ -23,18 +23,19 @@ intervals (whose tridiagonal LU has no fill), meshes without coarser
 levels (read from a file) or with at most `_COARSE_NODES` nodes (free
 nodes, where pinned), and the first level of a refinement chain.
 
-A pencil solved on its own is preconditioned by its own shifted pair and
-started from solver^-1 M 1.  That run stops at round-off, at a residual of
-max(1e-12 |rho| ||M||_inf, 1e-14 max(||A||_inf, 1)) with rho the Rayleigh
-quotient of the start; the floor holds where lambda itself is at round-off
-(sigma = 0) and where the residual cannot be formed more finely.
-It takes a handful of LU applications: 5-9 for sigma from 1 to 1000 on the
-square at level 7 and the disk at level 6, 0 or 1 near sigma = 0; on the
-hierarchy, for sigma from 1e-3 to 1e5 at levels 5 and 6, it takes 6-12
-V-cycles on the square and 13-21 on the disk.  A run on a V-cycle gives up
-once its pace would miss the stop at the step cap, as on the stretched
-elements of thin or obtuse domains, and the pencil is then factored and
-solved on its own LU (`lowest_alone`).
+Every stop and gate is one rule on the residual r = A x - rho M x of the
+M-normalised iterate and its Ritz value (`_yardstick`): ||M_lump^-1/2 r||
+<= tol |rho| + `_ROUNDOFF` lambda_est, free of units and of sigma.  A
+pencil solved on its own is preconditioned by its own shifted pair,
+started from solver^-1 M 1 and stopped at tol = `_OWN_RTOL`, above where
+the residual levels off (at most 4e-12 on the square at level 3 for sigma
+up to 1e200).  It takes a handful of LU applications: 5-9 for sigma from
+1 to 1000 on the square at level 7 and the disk at level 6, 0 or 1 near
+sigma = 0; on the hierarchy, for sigma from 1e-3 to 1e5 at levels 5 and 6,
+it takes 6-11 V-cycles on the square and 12-20 on the disk.  A run on a
+V-cycle gives up once its pace would miss the stop at the step cap, as on
+the stretched elements of thin or obtuse domains, and the pencil is then
+factored and solved on its own LU (`lowest_alone`).
 
 `solve_spd_cg` solves a pinned resolvent system (K - xi M) U = M 1 by
 conjugate gradients on the V-cycle of K - tau M.  Started from the
@@ -46,19 +47,19 @@ near the margin xi -> E1 (1 - 1e-9), where K - xi M is nearly singular.
 `NearbyPencils` solves a sequence of nearby pencils in order: a family
 that shares M (one Robin problem under a range of boundary coefficients)
 or a chain of uniformly refined meshes.  Each pencil is warm-started from
-the last and stops at `DEFAULT_TOL` times max(||A||_inf, 1); one it cannot
-finish is factored and solved on its own LU.  After such a fallback a
-family takes the new LU as its reference and stays on LUs, while a chain
-stops nesting.
+the last and stops at tol = `_NEARBY_RTOL`; one it cannot finish is
+factored and solved on its own LU.  After such a fallback a family takes
+the new LU as its reference and stays on LUs, while a chain stops
+nesting.
 
 Every path returns the Rayleigh quotient of its M-normalised vector as the
-eigenvalue, so the value is accurate to the square of the residual, and
-every result passes one gate: ||A x - lambda M x|| <= `DEFAULT_TOL` times
-max(||A||_inf + |lambda| ||M||_inf, 1).  A LOBPCG breakdown, a run over the
-step cap and a result over the gate all raise ConvergenceError with the
+eigenvalue, accurate to the square of the residual: within 4e-14 |rho|
+(|rho| / gap) at tol = 1e-7, gap the distance to the next eigenvalue.  The
+gate is the rule at tol = `_NEARBY_RTOL`.  A LOBPCG breakdown, a run over
+the step cap and a result over the gate all raise ConvergenceError with the
 same diagnostics: the preconditioner applications (`iterations`), the
-residual reached (`residual`, None where no vector came back) and the
-bound it had to meet (`bound`).
+residual reached (`residual`, None where no vector came back) and the bound
+it had to meet (`bound`).
 
 Every factorization is a sparse LU in SuperLU's own column order (COLAMD),
 with diagonal pivots in symmetric mode, as the matrices factored here are
@@ -76,16 +77,17 @@ from scipy.sparse.linalg import splu
 
 from .errors import ArgumentError, ConvergenceError, MatrixError
 
-# the relative tolerance of the eigenpair residual gate
+# the smallest relative difference between eigenvalues solves resolve
 DEFAULT_TOL = 1e-10
-_DENSE_CUTOFF = 40
 _LOBPCG_STEPS = 40
 # the first application at which a paced LOBPCG run judges its rate
 _PACE_FROM = 2
-# the round-off stop of a pencil's run on its own LU: relative to the start's
-# Rayleigh quotient, with an absolute floor for eigenvalues at round-off
-_OWN_RTOL = 1e-12
-_OWN_FLOOR = 1e-14
+# tol of a run on its own pair and of a warm-started one (and the gate), and
+# the floor and the shift in units of lambda_est (see `_yardstick`)
+_OWN_RTOL = 5e-12
+_NEARBY_RTOL = 1e-7
+_ROUNDOFF = 1e-15
+_SHIFT = 1e-12
 # Jacobi steps before and after the V-cycle's coarse correction, and their
 # weight times a bound on each level's lambda_max(diag(S)^-1 S) (see _VCycle)
 _SWEEPS = 2
@@ -115,8 +117,7 @@ class EigResult:
     """The lowest eigenvalue and its M-normalised eigenvector.
 
     residual = ||A x - value M x||_2.  iterations counts preconditioner
-    applications of LOBPCG: 0 on the dense path, and 0 on a LOBPCG run whose
-    start already meets its stop.
+    applications of LOBPCG, 0 on a run whose start already meets its stop.
     """
 
     value: float
@@ -227,10 +228,28 @@ def _gated(a, b: np.ndarray, x: np.ndarray, norm_a: float) -> np.ndarray:
     return x
 
 
+def _yardstick(a: sp.spmatrix, m: sp.spmatrix):
+    """(M_lump, M_lump^-1/2, lambda_est) of the pencil (A, M), for the rule
+    ||M_lump^-1/2 r|| <= tol |rho| + `_ROUNDOFF` lambda_est: M_lump = M 1 is
+    the lumped mass and lambda_est = max_i -sum_j min(a_ij, 0) / (M_lump)_i
+    a lambda_max estimate.  For P1, M >= M_lump / 4, so with x M-normalised
+    |lambda - rho| <= ||r||_M^-1 <= 2 ||M_lump^-1/2 r|| (Parlett, The
+    Symmetric Eigenvalue Problem, 1998), and both sides of the rule scale as
+    lambda under x -> t x.  B(sigma) only adds positive entries to boundary
+    rows, so sigma never raises lambda_est.  The floor is for lambda at
+    round-off: a Neumann pencil's constant vector has a residual of 0.3-0.8
+    eps lambda_est (square, triangle, disks, L-shape, thin and obtuse
+    domains at levels 2-7)."""
+    lumped = m @ np.ones(m.shape[0])
+    negative = a.minimum(0.0) @ np.ones(a.shape[0])
+    return lumped, 1.0 / np.sqrt(lumped), float(np.max(-negative / lumped))
+
+
 def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, levels=()):
     """(tau, solver): the shifted pair `smallest_eigs` preconditions the
-    pencil (A, M) with.  tau is a small negative multiple of A's mean
-    diagonal, so a Neumann kernel leaves S = A - tau M positive definite.
+    pencil (A, M) with.  tau is `_SHIFT` times the pencil's lambda_max
+    estimate (`_yardstick`), negative, so a Neumann kernel leaves
+    S = A - tau M positive definite, and far below lambda_1 elsewhere.
 
     levels are the prolongations of a planar mesh's hierarchy
     (`assembly.hierarchy`), finest first, each from a level onto the one
@@ -241,7 +260,7 @@ def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, levels=()):
     """
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
-    tau = -1e-8 * max(float(a.diagonal().sum()), 1.0) / a.shape[0]
+    tau = -_SHIFT * _yardstick(a, m)[2]
     shifted = a - tau * m
     cycles = []
     for prolongation in levels:
@@ -264,16 +283,14 @@ def on_hierarchy(pair) -> bool:
     return isinstance(pair[1], _VCycle)
 
 
-def eigenvalue_floor(value: float) -> float:
-    """The smallest difference between eigenvalues near `value` that
-    `smallest_eigs` resolves: `DEFAULT_TOL` times max(|value|, 1).
+def eigenvalue_floor(value: float, a: sp.spmatrix, m: sp.spmatrix) -> float:
+    """The smallest difference between eigenvalues near `value` of the
+    pencil (a, m) (or of pencils of its mesh) that `smallest_eigs` resolves:
+    `DEFAULT_TOL` |value| plus `_ROUNDOFF` times the pencil's lambda_max
+    estimate (`_yardstick`), where value itself is round-off (sigma = 0).
     Differences below it may be round-off, or where each solve stopped
-    inside the gate."""
-    return DEFAULT_TOL * max(abs(value), 1.0)
-
-
-def _dense(n: int) -> bool:
-    return n <= _DENSE_CUTOFF
+    inside its gate."""
+    return DEFAULT_TOL * abs(value) + _ROUNDOFF * _yardstick(a, m)[2]
 
 
 def _failure(message: str, iterations: int, residual, bound: float) -> ConvergenceError:
@@ -282,30 +299,30 @@ def _failure(message: str, iterations: int, residual, bound: float) -> Convergen
 
 
 def _normalised(a, m, x: np.ndarray):
-    """(value, x, residual): x M-normalised, its Rayleigh quotient and
-    ||A x - value M x||."""
+    """(value, x, r): x M-normalised, its Rayleigh quotient and the residual
+    A x - value M x."""
     x = x / np.sqrt(x @ (m @ x))
     value = float(x @ (a @ x))
-    return value, x, float(np.linalg.norm(a @ x - value * (m @ x)))
+    return value, x, a @ x - value * (m @ x)
 
 
-def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
+def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, floor: float, weights, paced: bool = False):
     """Single-vector LOBPCG (Knyazev, SISC 23, 2001) for the lowest eigenpair
-    of (A, M) from x0, preconditioned by lu.solve, to residual tol; returns
-    (vector, number of preconditioner applications).  A paced run also
-    gives up, from `_PACE_FROM` applications on, once the residual, falling
-    at its mean rate so far, would still be above tol at the step cap.
+    of (A, M) from x0, preconditioned by lu.solve, to ||weights r|| <= tol
+    |rho| + floor (`_yardstick`); returns (vector, number of preconditioner
+    applications).  A paced run also gives up, from `_PACE_FROM`
+    applications on, once that residual, falling at its mean rate so far,
+    would still be above the stop at the step cap.
 
     The basis rows are the iterate x, the preconditioned residual w, made
     M-orthogonal to x and M-normal, and the last step p, M-normal, each
     carried with its A- and M-image.  A step applies the preconditioner
     once, multiplies w by A and M, and takes the lowest Ritz pair of the
     basis: 2 x 2 on the first step, 3 x 3 after it, and 2 x 2 again where p
-    leaves the M-Gram matrix indefinite.  The run stops once
-    ||A x - rho M x|| <= tol, with x M-normalised and rho its Ritz value, so
-    a start that meets tol takes no application.  A zero or non-finite start
-    or preconditioner output, a Ritz problem that fails without p, and a run
-    that needs more than `_LOBPCG_STEPS` applications raise ConvergenceError.
+    leaves the M-Gram matrix indefinite.  A start that meets the stop takes
+    no application.  A zero or non-finite start or preconditioner output, a
+    Ritz problem that fails without p, and a run that needs more than
+    `_LOBPCG_STEPS` applications raise ConvergenceError.
     """
     basis = np.empty((3, a.shape[0]))
     a_basis = np.empty_like(basis)
@@ -314,7 +331,7 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
     mx = m @ x
     square = x @ mx
     if not (np.isfinite(square) and square > 0.0):
-        raise _failure("LOBPCG breakdown: a start of zero or non-finite M-norm", 0, None, tol)
+        raise _failure("LOBPCG breakdown: a start of zero or non-finite M-norm", 0, None, floor)
     basis[0] = x / np.sqrt(square)
     m_basis[0] = mx / np.sqrt(square)
     a_basis[0] = a @ basis[0]
@@ -322,18 +339,19 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
     rows = 2  # x and w; p joins after the first step
     for applications in range(_LOBPCG_STEPS + 1):
         r = a_basis[0] - rho * m_basis[0]
-        residual = float(np.linalg.norm(r))
-        if residual <= tol:
+        residual = float(np.linalg.norm(weights * r))
+        stop = tol * abs(rho) + floor
+        if residual <= stop:
             return basis[0].copy(), applications
         if applications == 0:
             first = residual
         if applications == _LOBPCG_STEPS:
             raise _failure("LOBPCG did not converge within its step cap", applications + 1,
-                           residual, tol)
+                           residual, stop)
         if (paced and applications >= _PACE_FROM
-                and np.log(residual / first) * _LOBPCG_STEPS / applications > np.log(tol / first)):
+                and np.log(residual / first) * _LOBPCG_STEPS / applications > np.log(stop / first)):
             raise _failure("LOBPCG would not converge within its step cap at its pace",
-                           applications, residual, tol)
+                           applications, residual, stop)
         w = lu.solve(r)
         square = 0.0
         if np.isfinite(w).all():
@@ -342,7 +360,7 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
             square = w @ mw
         if not (np.isfinite(square) and square > 0.0):
             raise _failure("LOBPCG breakdown: a zero or non-finite preconditioned residual",
-                           applications + 1, residual, tol)
+                           applications + 1, residual, stop)
         np.divide(w, np.sqrt(square), out=basis[1])
         np.divide(mw, np.sqrt(square), out=m_basis[1])
         a_basis[1] = a @ basis[1]
@@ -357,7 +375,7 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
             break
         else:
             raise _failure("LOBPCG breakdown: the Ritz problem failed", applications + 1,
-                           residual, tol)
+                           residual, stop)
         c = vectors[:, 0]
         rho = values[0]
         # the step is the new iterate's move off x: form it from the old rows
@@ -374,56 +392,44 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, paced: bool = False):
 
 
 def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None) -> EigResult:
-    """The lowest eigenpair of the symmetric pencil (A, M), A PSD, M SPD.
+    """The lowest eigenpair of the symmetric pencil (A, M), A PSD, M SPD with
+    positive row sums (a P1 mass matrix).
 
-    The eigenvalue is the Rayleigh quotient of the M-normalised vector, and
-    its residual must pass the gate of the module docstring.  Without start
-    LOBPCG runs on the pencil's own shifted LU from LU^-1 M 1 to round-off;
-    factor is the pencil's `shifted_factor(a, m)` pair to reuse, and without
-    one the pair is made here, on the pencil's own LU; a run on a V-cycle is
-    paced (see `_lobpcg`), and `NearbyPencils` falls back from one that
-    gives up.  start = (pair, guess)
-    is a `shifted_factor` pair of a nearby pencil (or a pair whose second
-    item has the same solve) and a start vector: LOBPCG runs from guess,
-    preconditioned by the pair, to `DEFAULT_TOL` times max(||A||_inf, 1).
-    A start that lacks either item raises ArgumentError before any solve; a
-    breakdown, a run over the step cap or a result over the gate raises
-    ConvergenceError.  The dense path ignores factor and start.
+    The eigenvalue is the Rayleigh quotient of the M-normalised vector.
+    Without start LOBPCG runs on the pencil's own shifted pair from
+    solver^-1 M 1 to the rule of `_yardstick` at tol = `_OWN_RTOL`; factor
+    is the pencil's `shifted_factor(a, m)` pair to reuse, and without one
+    the pair is made here, on the pencil's own LU; a run on a V-cycle is
+    paced (see `_lobpcg`), and `lowest_alone` falls back from one that gives
+    up.  start = (pair, guess) is a `shifted_factor` pair of a nearby pencil
+    (or a pair whose second item has the same solve) and a start vector:
+    LOBPCG runs from guess, preconditioned by the pair, to tol =
+    `_NEARBY_RTOL`, the gate of every result.  A start that lacks either
+    item raises ArgumentError before any solve; a breakdown, a run over the
+    step cap or a result over the gate raises ConvergenceError.
     """
     if start is not None and (start[0] is None or start[1] is None):
         raise ArgumentError("start takes a nearby shifted pair and a guess, both given")
     a = sp.csr_matrix(a)
     m = sp.csr_matrix(m)
-    n = a.shape[0]
-    norm_a = _inf_norm_estimate(a)
-    norm_m = _inf_norm_estimate(m)
+    lumped, weights, scale = _yardstick(a, m)
+    floor = _ROUNDOFF * scale
     # overflow and 0/0 show as non-finite values, which the checks below raise on
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if _dense(n):
-            x, iterations = scipy.linalg.eigh(a.toarray(), m.toarray())[1][:, 0], 0
+        if start is not None:
+            lu, x0, tol = start[0][1], np.asarray(start[1], dtype=float), _NEARBY_RTOL
         else:
-            if start is not None:
-                # the gate's bound at lambda = 0, never above the bound at lambda
-                lu, x0 = start[0][1], np.asarray(start[1], dtype=float)
-                tol = DEFAULT_TOL * max(norm_a, 1.0)
-            else:
-                _, lu = factor if factor is not None else shifted_factor(a, m)
-                x0 = lu.solve(m @ np.ones(n))
-                floor = _OWN_FLOOR * max(norm_a, 1.0)
-                square = float(x0 @ (m @ x0))
-                if not (np.isfinite(square) and square > 0.0):
-                    raise _failure("LOBPCG breakdown: a start of zero or non-finite M-norm",
-                                   0, None, floor)
-                rho = float(x0 @ (a @ x0)) / square
-                tol = max(_OWN_RTOL * abs(rho) * norm_m, floor)
-            # an own run on a V-cycle can fall back on the fine LU
-            x, iterations = _lobpcg(a, m, lu, x0, tol,
-                                    paced=start is None and isinstance(lu, _VCycle))
-        value, x, residual = _normalised(a, m, x)
-    bound = DEFAULT_TOL * max(norm_a + abs(value) * norm_m, 1.0)
-    if not (np.isfinite(bound) and residual <= bound):
-        raise _failure("eigenpair residual above tolerance", iterations, residual, bound)
-    return EigResult(value, x, residual, iterations)
+            _, lu = factor if factor is not None else shifted_factor(a, m)
+            x0, tol = lu.solve(lumped), _OWN_RTOL
+        # an own run on a V-cycle can fall back on the fine LU
+        x, iterations = _lobpcg(a, m, lu, x0, tol, floor, weights,
+                                paced=start is None and isinstance(lu, _VCycle))
+        value, x, r = _normalised(a, m, x)
+        bound = _NEARBY_RTOL * abs(value) + floor
+        judged = float(np.linalg.norm(weights * r))
+    if not (np.isfinite(bound) and judged <= bound):
+        raise _failure("eigenpair residual above tolerance", iterations, judged, bound)
+    return EigResult(value, x, float(np.linalg.norm(r)), iterations)
 
 
 class _VCycle:
@@ -476,7 +482,8 @@ class NearbyPencils:
     from the one below: Knyazev and Neymeyr, ETNA 15, 2003), it runs from
     the prolonged eigenvector, preconditioned by a `_VCycle` on the same
     shift whose coarse solve is the last preconditioner, and that cycle
-    preconditions the level after.  Both stop at `DEFAULT_TOL` times max(||A||_inf, 1).
+    preconditions the level after.  Both stop at the rule of `_yardstick`
+    with tol = `_NEARBY_RTOL`.
 
     The first pencil without a reference is solved on its own
     `shifted_factor` pair, as `smallest_eigs` solves a pencil alone: a
@@ -489,8 +496,7 @@ class NearbyPencils:
     after a fallback it stays on LUs.  On a V-cycle, the member after one
     that took more than `_REREFERENCE` applications runs on a new V-cycle,
     the family's next reference.  A fallback ends a chain's nesting: every
-    later level is factored.  Pencils of dense size are solved densely and
-    leave the sequence as it was.
+    later level is factored.
 
     reference is a nearby pencil's `shifted_factor` pair on the first
     pencil's nodes, which the first pencil then runs on from
@@ -514,8 +520,6 @@ class NearbyPencils:
         """
         a = sp.csr_matrix(a)
         m = sp.csr_matrix(m)
-        if _dense(a.shape[0]):
-            return smallest_eigs(a, m)
         if self._pair is not None:
             tau, solver = pair = self._pair
             if prolongation is not None:
@@ -546,12 +550,10 @@ class NearbyPencils:
 def lowest_alone(a: sp.spmatrix, m: sp.spmatrix, levels):
     """(EigResult, pair, fell back): the lowest eigenpair of the pencil
     (a, m) solved on its own, as `smallest_eigs` solves it, and the
-    `shifted_factor` pair it was solved on, None at dense size, where
-    nothing is factored.  levels are as in `shifted_factor`.  Where the
-    pair is a V-cycle the run is paced, and a run that gives up falls back
-    on the pencil's own LU, which the pair then is."""
-    if _dense(a.shape[0]):
-        return smallest_eigs(a, m), None, False
+    `shifted_factor` pair it was solved on.  levels are as in
+    `shifted_factor`.  Where the pair is a V-cycle the run is paced, and a
+    run that gives up falls back on the pencil's own LU, which the pair then
+    is."""
     factor = shifted_factor(a, m, levels)
     try:
         return smallest_eigs(a, m, factor=factor), factor, False

@@ -29,8 +29,7 @@ import scipy.linalg
 
 from . import assembly
 from .assembly import SigmaField
-from .eigensolve import (NearbyPencils, lowest_alone, on_hierarchy, shifted_factor, solve_spd,
-                         solve_spd_cg)
+from .eigensolve import NearbyPencils, lowest_alone, on_hierarchy, solve_spd, solve_spd_cg
 from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
@@ -84,7 +83,8 @@ class _ResolventModel:
     free nodes, over a space that grows with its own samples: rational
     Krylov interpolation (Ruhe, Linear Algebra Appl. 197/198, 1994).
 
-    The basis is M-orthonormal; its K-images are formed at each fit.  It is
+    The basis Q is M-orthonormal, and Q^T K Q grows by a row and a column
+    with each vector joined, so no K-image of the basis is kept.  It is
     seeded with the ground state phi and, given the solver of a shifted
     pencil S = K - tau M (an LU), with the `_KRYLOV_STEPS` Krylov vectors
     S^-1 b, (S^-1 M) S^-1 b, ..., whose span approximates U(xi) for every xi
@@ -102,43 +102,51 @@ class _ResolventModel:
 
     def __init__(self, k_ff, m_ff, b, phi, solver=None):
         self._k, self._m, self._b = k_ff, m_ff, b
-        self._basis = np.empty((0, len(b)))
-        self._join(phi)
-        if solver is not None:
-            w = b
-            for _ in range(_KRYLOV_STEPS):
-                if not self._join(solver.solve(w)):
-                    break
-                w = m_ff @ self._basis[-1]
+        # one block, trimmed once where the Krylov space runs out early
+        block = np.empty((1 + (_KRYLOV_STEPS if solver is not None else 0), len(b)))
+        h = np.empty((len(block), len(block)))
+        rows, u = 0, phi
+        while rows < len(block) and (q := self._orthonormal(u, block[:rows])) is not None:
+            block[rows] = q
+            h[rows, :rows + 1] = h[:rows + 1, rows] = block[:rows + 1] @ (k_ff @ q)
+            rows += 1
+            if rows < len(block):
+                u = solver.solve(b if rows == 1 else m_ff @ q)
+        self._basis = block if rows == len(block) else block[:rows].copy()
+        self._h = h[:rows, :rows].copy()
         self._fit()
 
-    def _join(self, u) -> bool:
-        """Join u to the basis by Gram-Schmidt in the M inner product, applied
-        twice; a u within `_KRYLOV_BREAKDOWN` of the span is dropped (False)."""
+    def _orthonormal(self, u, basis):
+        """u made M-orthonormal to the rows of basis by Gram-Schmidt in the M
+        inner product, applied twice, or None within `_KRYLOV_BREAKDOWN` of
+        their span."""
         w = np.array(u, dtype=float)
         mw = self._m @ w
         scale = math.sqrt(float(w @ mw))
         for _ in range(2):
-            w -= (self._basis @ mw) @ self._basis
+            w -= (basis @ mw) @ basis
             mw = self._m @ w
         norm = math.sqrt(float(w @ mw))
         if not norm > _KRYLOV_BREAKDOWN * scale:
-            return False
-        self._basis = np.vstack([self._basis, w / norm])
-        return True
+            return None
+        w /= norm
+        return w
 
     def _fit(self) -> None:
         """The Ritz pairs of K on the basis."""
-        h = self._basis @ (self._k @ self._basis.T)
         # scipy's LAPACK, which LOBPCG's Ritz problems load anyway; numpy's
         # eigh would map a second one (about 0.8 MB of resident pages)
-        self._lam, self._v = scipy.linalg.eigh(0.5 * (h + h.T), check_finite=False)
+        self._lam, self._v = scipy.linalg.eigh(self._h, check_finite=False)
         self._d = self._v.T @ (self._basis @ self._b)
 
     def add(self, u) -> None:
         """Join the sample u and refit.  The arrays are replaced, not written
         into, so a shallow copy of the model is left as it was."""
-        if self._join(u):
+        q = self._orthonormal(u, self._basis)
+        if q is not None:
+            basis = np.vstack([self._basis, q])
+            column = basis @ (self._k @ q)
+            self._basis, self._h = basis, np.block([[self._h, column[:-1, None]], [column]])
             self._fit()
 
     def _coefficients(self, xi: float) -> np.ndarray:
@@ -168,10 +176,9 @@ class MixedProblem:
     conjugate gradients preconditioned by the V-cycle
     (`eigensolve.solve_spd_cg`), started from the model's vector at its xi.
     Otherwise, and where the ground state's run on the V-cycle gave up
-    (`eigensolve.lowest_alone`), the shifted LU of the ground eigensolve (at
-    dense size, one made for it) seeds the model with its Krylov vectors
-    and is not kept, and each resolvent solve factors K - xi M
-    (`eigensolve.solve_spd`).
+    (`eigensolve.lowest_alone`), the shifted LU of the ground eigensolve
+    seeds the model with its Krylov vectors and is not kept, and each
+    resolvent solve factors K - xi M (`eigensolve.solve_spd`).
     """
 
     def __init__(self, mesh: Mesh):
@@ -192,12 +199,9 @@ class MixedProblem:
         if integral < 0.0:
             phi, integral = -phi, -integral
         self.ground = MixedGroundState(res.value, phi, integral)
-        self._cycle = lu = None
-        if pair is not None and on_hierarchy(pair):
-            self._cycle = pair[1]
-        else:
-            lu = (pair or shifted_factor(self.k_ff, self.m_ff))[1]
-        self._seeded = _ResolventModel(self.k_ff, self.m_ff, self.load, phi[self.free], lu)
+        self._cycle = pair[1] if on_hierarchy(pair) else None
+        self._seeded = _ResolventModel(self.k_ff, self.m_ff, self.load, phi[self.free],
+                                       None if self._cycle is not None else pair[1])
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
@@ -235,7 +239,7 @@ class MixedProblem:
 
     def optimal_eigenvalue(self, mass: float) -> float:
         """Invert the mass curve inside (0, E1 (1 - 1e-9)), stopping at
-        |F(xi) - m| <= 1e-10 max(m, 1) (`_invert_mass_curve`)."""
+        |F(xi) - m| <= 1e-10 m (`_invert_mass_curve`)."""
         return self._invert_mass_curve(mass)[0]
 
     def _invert_mass_curve(self, mass: float):
@@ -255,10 +259,10 @@ class MixedProblem:
         roots fall onto the root of the mass curve from the right; with the
         Krylov vectors of an LU the first root is the root already, and the
         loop usually ends after one solve.  The loop stops once |F - m|
-        <= 1e-10 max(m, 1) has held for a step, on a step that removes less
-        than half of |F - m| (F at its evaluation floor; the better of the
-        two is returned), on a model root within `_XI_ROUNDOFF` of the xi
-        just solved, or at the step cap.  An xi inside the band takes at
+        <= 1e-10 m, relative like every stop, has held for a step, on a step
+        that removes less than half of |F - m| (F at its evaluation floor;
+        the better of the two is returned), on a model root within
+        `_XI_ROUNDOFF` of the xi just solved, or at the step cap.  An xi inside the band takes at
         most one more step, to the root of the model that holds its
         resolvent, returned when it stays inside the band.
         """
@@ -274,7 +278,7 @@ class MixedProblem:
         if self._cycle is None:
             disc = (self.volume * e1 - mass) ** 2 + 4.0 * self.ground.integral ** 2 * mass * e1
             hi = min(hi, 2.0 * mass * e1 / (mass + self.volume * e1 + math.sqrt(disc)))
-        target = _MASS_RTOL * max(mass, 1.0)
+        target = _MASS_RTOL * mass
         model = copy.copy(self._seeded)
         xi, best = self._model_root(model, mass, lo, hi), None
         for _ in range(_MAX_NEWTON):

@@ -141,25 +141,6 @@ class TestBallEigenvalue:
         assert abs(bounds.bessel_j(0.0, root)) <= 1e-12
 
 
-class TestDirichletInradius:
-    def test_square(self, square_l3):
-        rep = bounds.dirichlet_inradius_report(square_l3, geometry.unit_square())
-        assert rep.passed
-        assert abs(rep.computed - 2 * math.pi ** 2) / (2 * math.pi ** 2) <= 1e-2
-
-    def test_disk_saturates_upper(self, disk_l2):
-        dom = geometry.disk((0, 0), 1.0, 16)
-        rep = bounds.dirichlet_inradius_report(disk_l2, dom)
-        assert rep.passed
-        assert abs(rep.computed - K2_REFERENCE) / K2_REFERENCE <= 0.02
-
-    def test_interval(self):
-        dom = geometry.interval(0, 1)
-        rep = bounds.dirichlet_inradius_report(None, dom)
-        assert rep.passed
-        assert abs(rep.computed - rep.upper) <= 1e-12  # upper end tight in 1d
-
-
 class TestRobinInradius:
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0, 100.0])
     def test_square(self, square_l3, sigma):

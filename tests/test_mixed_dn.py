@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,14 +166,15 @@ class TestMassCurveModel:
     @pytest.mark.parametrize("mesh,steps", [(interval_mesh(12), None), (interval_mesh(42), 64)],
                              ids=["dense_path", "just_above_dense_cutoff"])
     def test_exhausted_krylov_space_gives_exact_model(self, mesh, steps, monkeypatch):
-        # at dense size the seed comes from shifted_factor; with the step cap
-        # above the free nodes, phi and the Krylov vectors span them all
-        # and the model is exact
+        # with the step cap above the free nodes, phi and the Krylov vectors
+        # of the ground eigensolve's LU span them all and the model is
+        # exact.  The ids name the sizes either side of 40 nodes, where a
+        # dense eigensolve once took the ground state and made no LU
         if steps is not None:
             monkeypatch.setattr(mixed_dn, "_KRYLOV_STEPS", steps)
         prob = mixed_dn.MixedProblem(mesh)
         n_free = len(prob.free)
-        assert (n_free > eigensolve._DENSE_CUTOFF) == (steps is not None)
+        assert (n_free > 40) == (steps is not None)
         assert n_free < 1 + mixed_dn._KRYLOV_STEPS
         basis = prob._seeded._basis
         assert basis.shape == (n_free, n_free)
@@ -184,6 +186,26 @@ class TestMassCurveModel:
             f_model, fp_model = prob._curve(xi, *prob._seeded.moments(xi))
             assert abs(f_model - f) <= 1e-12 * f
             assert abs(fp_model - fp) <= 1e-12 * fp
+
+    def test_seeding_holds_one_basis(self):
+        # phi and the Krylov vectors fill one block of 1 + _KRYLOV_STEPS rows,
+        # and Q^T K Q grows a column at a time: the peak is the block and a
+        # few vectors in flight, with no second copy of the basis and no
+        # K Q^T
+        mesh = interval_mesh(8192)
+        ops = assembly.operators(mesh)
+        free, k_ff, m_ff = ops.restrict(geometry.gamma_nodes(mesh))
+        res, pair, _ = eigensolve.lowest_alone(k_ff, m_ff, ())
+        load = ops.load[free]
+        rows = 1 + mixed_dn._KRYLOV_STEPS
+        tracemalloc.start()
+        try:
+            model = mixed_dn._ResolventModel(k_ff, m_ff, load, res.vector, pair[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model._basis.shape == (rows, len(free))
+        assert peak <= (rows + 10) * model._basis[0].nbytes
 
     @pytest.mark.parametrize("mass", [0.01, 1.0, 100.0])
     def test_factorization_budget(self, square_l3, mass, monkeypatch):

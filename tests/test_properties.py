@@ -33,20 +33,28 @@ is inverted in at most 3 resolvent solves.
 Random masses: the optimal eigenvalue, whose Newton loop starts from the
 Lanczos model's root, must reproduce the mass on a true resolvent solve and
 lie between the closed-form bounds.
+
+The scale law: under x -> t x with the coefficient sigma / t (and the mass
+m t^(d-2)), the Robin lambda, the pinned E1, the optimal xi and its
+lambda_check all scale as t^-2, on random convex polygons with random gamma
+sides and on the interval, for t from 1e-6 to 1e6, and the CLI exits 0 at
+every t.
 """
 
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from robinspec import assembly, bounds, eigensolve, geometry, mixed_dn, robin
+from robinspec import assembly, bounds, cli, eigensolve, geometry, mixed_dn, robin
 from robinspec.assembly import SigmaField
 
 from conftest import convex_polygons, interval_mesh, refined, square_mesh
 
-# both meshes exceed the dense cutoff, so robin runs LOBPCG on the pencil's LU
+# robin runs LOBPCG on the pencil's LU on both meshes
 MESHES = {"square": square_mesh(2), "interval": interval_mesh(48)}
 RTOL = 1e-9
 FLOOR = 1e-12
@@ -134,7 +142,7 @@ def test_coefficient_family_matches_dense_solves(members, reference):
         ref = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)[0]
         assert abs(lam - ref) <= RTOL * abs(ref) + round_off(a)
         alone = eigensolve.smallest_eigs(pencil, ops.mass).value
-        assert abs(lam - alone) <= eigensolve.eigenvalue_floor(alone)
+        assert abs(lam - alone) <= eigensolve.eigenvalue_floor(alone, pencil, ops.mass)
     assert family.fallbacks > 0 or reference != "far"
 
 
@@ -151,8 +159,8 @@ def test_refinement_chain_matches_per_level_solves(domain, log_sigma):
         # is absolute, leaves about 1e-14 (6e-12 relative at sigma = 1e-3)
         assert abs(res.value - want) <= 1e-12 * max(want, 1.0)
         sizes.append(mesh.num_nodes)
-    # at least two levels above dense size: one factored, one nested
-    assert sizes[-2] > eigensolve._DENSE_CUTOFF
+    # the first level factored, the three above it nested
+    assert len(sizes) == 4
 
 
 @settings(max_examples=10, derandomize=True, deadline=None,
@@ -170,7 +178,7 @@ def test_hierarchy_matches_the_fine_lu(domain, data, log_sigma):
     family = eigensolve.NearbyPencils(mesh.dim)
     lam = family.lowest(a, ops.mass, assembly.hierarchy(mesh)).value
     want = eigensolve.smallest_eigs(a, ops.mass).value
-    assert abs(lam - want) <= eigensolve.eigenvalue_floor(want)
+    assert abs(lam - want) <= eigensolve.eigenvalue_floor(want, a, ops.mass)
     # a fallback is the fine LU's own solve
     assert lam == want or not family.fallbacks
 
@@ -213,3 +221,65 @@ def test_optimal_eigenvalue_certified_and_bounded(name, log_mass):
     lower = bounds.optimal_lower_bound(mass, e1, volume)
     upper = bounds.optimal_upper_bound(mass, e1, volume, prob.ground.integral)
     assert lower * (1.0 - 1e-12) <= xi <= upper * (1.0 + 1e-12)
+
+
+@st.composite
+def scale_problems(draw):
+    """(domain, level): a convex polygon at level 3 with gamma a random
+    nonempty set of its sides, or the unit interval at level 4 with gamma
+    one end or both."""
+    if draw(st.booleans()):
+        return geometry.interval(0.0, 1.0, gamma=geometry.gamma_sides(
+            *draw(st.sampled_from([(0,), (1,), (0, 1)])))), 4
+    verts = draw(convex_polygons()).vertices
+    sides = draw(st.sets(st.integers(0, len(verts) - 1), min_size=1))
+    return geometry.polygon(verts, gamma=geometry.gamma_sides(*sides)), 3
+
+
+def scaled_options(domain, t):
+    """The CLI's domain flags for domain under x -> t x, each as one
+    --flag=value, which argparse reads even where the value starts with -."""
+    sides = ",".join(map(str, sorted(domain.gamma.sides)))
+    if domain.kind == "interval":
+        flags = ["--domain=interval", "--a=0", f"--b={t * domain.b!r}"]
+    else:
+        flags = ["--domain=polygon", "--vertices=" + ";".join(
+            f"{t * x!r},{t * y!r}" for x, y in domain.vertices)]
+    return flags + [f"--gamma=edges={sides}"]
+
+
+def scale_free_values(domain, level, sigma, mass):
+    """(lambda, E1, xi, lambda_check) on the domain's mesh at level, and the
+    round-off floor of its pencils, `eigenvalue_floor` at 0."""
+    mesh = cli._mesh_at_level(domain, level, None)
+    ops = assembly.operators(mesh)
+    lam = robin.lowest_eigenvalue(mesh, SigmaField.on_gamma(sigma)).value
+    prob = mixed_dn.MixedProblem(mesh)
+    opt = prob.optimal_sigma(mass)
+    return (np.array([lam, prob.ground.value, opt.value, opt.lambda_check]),
+            eigensolve.eigenvalue_floor(0.0, ops.stiffness, ops.mass))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(scale_problems(), st.floats(-6.0, 6.0), st.floats(-3.0, 3.0), st.floats(-1.0, 2.0))
+def test_scale_law(tmp_path_factory, problem, log_t, log_sigma, log_mass):
+    domain, level = problem
+    t, sigma, mass = 10.0 ** log_t, 10.0 ** log_sigma, 10.0 ** log_mass
+    scaled_mass = mass * t ** (domain.dim - 2)
+    if domain.kind == "interval":
+        scaled = geometry.interval(0.0, t * domain.b, gamma=domain.gamma)
+    else:
+        scaled = geometry.polygon([(t * x, t * y) for x, y in domain.vertices], gamma=domain.gamma)
+    want, floor = scale_free_values(domain, level, sigma, mass)
+    got = scale_free_values(scaled, level, sigma / t, scaled_mass)[0] * t * t
+    # 1e-12 relative, over the round-off of the pencil as it is formed in
+    # float64, which sets lambda's 12th digit near sigma = 0 (1.6e-11
+    # relative on the interval at sigma = 1e-3)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + floor), (got, want)
+    csv = str(tmp_path_factory.mktemp("scale") / "s.csv")
+    common = scaled_options(domain, t) + [f"--levels={level}"]
+    for argv in (["solve", f"--sigma={sigma / t!r}"],
+                 ["optimal", f"--m={scaled_mass!r}", f"--csv={csv}"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + common) == 0, argv + common

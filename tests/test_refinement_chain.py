@@ -271,9 +271,8 @@ class TestChain:
         # SuperLU orders the one matrix it factors
         rows = converge(argv)
         assert len(splu_calls) == 1
-        # the factored level is the first one above dense size
-        sizes = [int(row[2]) for row in rows]
-        assert splu_calls[0] == min(n for n in sizes if n > eigensolve._DENSE_CUTOFF)
+        # the factored level is the first one
+        assert splu_calls[0] == int(rows[0][2])
 
     def test_a_built_base_gives_only_the_levels_asked_for(self):
         # the base of --target-h 0.3 is itself the third refinement of the
@@ -294,9 +293,10 @@ class TestChain:
             assert assembly.operators(mesh).load @ res.eigenfunction > 0
 
 
+# domains on whose chain LOBPCG cannot finish some level on its V-cycle
 STIFF = {
     "thin-rectangle": geometry.rectangle(1.0, 0.05),
-    "obtuse-triangle": geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)]),
+    "obtuse-triangle": geometry.polygon([(0, 0), (1, 0), (0.95, 0.05)]),
 }
 
 
@@ -317,10 +317,9 @@ class TestStickyFallback:
         results = list(robin.refinement_levels(finest, sigma, 6))
         (chain,) = chains
         assert chain.fallbacks == 1
-        # the first level above dense size, then every level from the one
-        # LOBPCG could not finish, is factored
-        factored = [mesh.num_nodes for mesh, _ in results
-                    if mesh.num_nodes > eigensolve._DENSE_CUTOFF]
+        # the first level, then every level from the one LOBPCG could not
+        # finish, is factored
+        factored = [mesh.num_nodes for mesh, _ in results]
         first_fallback = len(factored) - len(splu_calls) + 1
         assert 1 <= first_fallback < len(factored)
         assert splu_calls == [factored[0]] + factored[first_fallback:]
@@ -353,6 +352,12 @@ class TestOrderColumn:
         assert all(1.8 < float(o) < 2.2 for o in orders[:-2])
 
     def test_floor_follows_the_gate(self):
+        # DEFAULT_TOL relative, over the round-off floor of the pencil's
+        # lambda_max estimate, max_i -sum_j min(k_ij, 0) / (M 1)_i: 4 / h^2
+        # at the square's interior nodes
+        ops = assembly.operators(level("square", 3))
         floor = eigensolve.eigenvalue_floor
-        assert floor(0.0) == floor(1.0) == eigensolve.DEFAULT_TOL
-        assert floor(-4000.0) == 4000.0 * eigensolve.DEFAULT_TOL
+        round_off = eigensolve._ROUNDOFF * 4.0 * 64.0
+        assert floor(0.0, ops.stiffness, ops.mass) == pytest.approx(round_off, rel=1e-12)
+        assert floor(-4000.0, ops.stiffness, ops.mass) == pytest.approx(
+            4000.0 * eigensolve.DEFAULT_TOL + round_off, rel=1e-12)
