@@ -2,7 +2,8 @@
 
 Everything here is either a direct formula in (mass, pinned ground
 eigenvalue, volume, ...) or a check wiring those formulas to the FEM
-pipeline: two-sided bounds on the optimal eigenvalue, the inradius
+pipeline: two-sided bounds on the optimal eigenvalue (kept in `mixed_dn`,
+whose mass-curve inversion brackets its root with them), the inradius
 sandwich for constant-coefficient Robin problems on convex domains, a
 weighted Hardy-type lower bound, and the shrink/expand scaling
 table computed by coefficient scaling on a fixed mesh.
@@ -21,6 +22,7 @@ from .assembly import SigmaField
 from .eigensolve import NearbyPencils, shifted_factor
 from .errors import ArgumentError
 from .geometry import DomainSpec, Mesh
+from .mixed_dn import optimal_lower_bound, optimal_upper_bound
 
 _BESSEL_TERMS = 40
 _BESSEL_XMAX = 12.0
@@ -57,32 +59,8 @@ def _make_report(quantity: str, lower: float, computed: float,
 
 
 # ---------------------------------------------------------------------------
-# Closed-form bounds on the optimal eigenvalue
+# The optimal eigenvalue against its closed-form bounds
 # ---------------------------------------------------------------------------
-
-def optimal_lower_bound(mass: float, e1: float, volume: float) -> float:
-    """Lower bound m E1 / (m + |Omega| E1) on the optimal eigenvalue."""
-    if mass <= 0 or e1 <= 0 or volume <= 0:
-        raise ArgumentError("mass, e1, volume must be positive")
-    return mass * e1 / (mass + volume * e1)
-
-
-def optimal_upper_bound(mass: float, e1: float, volume: float,
-                        phi_integral: float) -> float:
-    """Upper bound from the interpolated test family.
-
-    phi_integral is the integral of the normalized pinned ground state; it
-    must lie in (0, sqrt(volume)].  With phi_integral = sqrt(volume) the
-    bound collapses onto the lower bound.
-    """
-    if mass <= 0 or e1 <= 0 or volume <= 0:
-        raise ArgumentError("mass, e1, volume must be positive")
-    if not 0.0 < phi_integral <= math.sqrt(volume) * (1.0 + 1e-12):
-        raise ArgumentError(
-            f"phi_integral must lie in (0, sqrt(volume)], got {phi_integral}")
-    disc = (volume * e1 - mass) ** 2 + 4.0 * phi_integral ** 2 * mass * e1
-    return 2.0 * mass * e1 / (mass + volume * e1 + math.sqrt(disc))
-
 
 def optimal_eigenvalue_sandwich(mesh: Mesh, mass: float) -> BoundReport:
     """Two-sided check of the optimal eigenvalue computed on a mesh.

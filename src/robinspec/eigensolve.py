@@ -17,7 +17,7 @@ level's own Gershgorin weight, so the fine mesh is never factored.  Robin
 pencils run on the mesh's hierarchy, and pencils pinned on gamma or the
 boundary on its restriction to their free nodes (`assembly.hierarchy`),
 where the V-cycle also preconditions the conjugate gradients of
-`solve_spd_cg`.
+`solve_spd`.
 Pencils keep an LU of their own where there is no such hierarchy:
 intervals (whose tridiagonal LU has no fill), meshes without coarser
 levels (read from a file) or with at most `_COARSE_NODES` nodes (free
@@ -37,12 +37,15 @@ V-cycle gives up once its pace would miss the stop at the step cap, as on
 the stretched elements of thin or obtuse domains, and the pencil is then
 factored and solved on its own LU (`lowest_alone`).
 
-`solve_spd_cg` solves a pinned resolvent system (K - xi M) U = M 1 by
-conjugate gradients on the V-cycle of K - tau M.  Started from the
-Galerkin model's U at xi (`mixed_dn`), it takes 3-19 V-cycles per solve on
-the square at level 7 for masses from 0.05 to 1e5 (14-19 for the first,
-7-12 for the second, 3-6 for a step from inside the stop), and 23-34
-near the margin xi -> E1 (1 - 1e-9), where K - xi M is nearly singular.
+`solve_spd` solves a pinned resolvent system (K - xi M) U = M 1 by
+conjugate gradients, on the V-cycle of K - tau M where the pinned pencil
+has a hierarchy and on the LU of K - xi M itself where it has not.
+Started from the Galerkin model's U at xi (`mixed_dn`), it takes 3-19
+V-cycles per solve on the square at level 7 for masses from 0.05 to 1e5
+(14-19 for the first, 7-12 for the second, 3-6 for a step from inside the
+stop), and 23-34 near the margin xi -> E1 (1 - 1e-9), where K - xi M is
+nearly singular.  On its own LU it takes 0-2 steps, each an iterative
+refinement step (the tests' own-LU meshes, masses from 1e-3 to 1e10).
 
 `NearbyPencils` solves a sequence of nearby pencils in order: a family
 that shares M (one Robin problem under a range of boundary coefficients)
@@ -98,10 +101,11 @@ _COARSE_NODES = 1000
 # a family on a hierarchy builds a new reference for the member after one that
 # took more preconditioner applications than this: a V-cycle costs about nine
 _REREFERENCE = 12
-# `solve_spd_cg` stops at this recursive residual relative to ||b||, near
-# the float64 floor.  The mass curve's roots hardly depend on it: over the
-# square, triangle, disk and L-shape at levels 5-7 and masses 1e-3 to 1e10,
-# a stop of 1e-12 moves them by at most 4e-16 relative, and on the square
+# `solve_spd` stops at this recursive residual relative to ||b||, near
+# the float64 floor, on a V-cycle or on the system's own LU.  The mass
+# curve's roots hardly depend on it on the V-cycle: over the square,
+# triangle, disk and L-shape at levels 5-7 and masses 1e-3 to 1e10, a stop
+# of 1e-12 moves them by at most 4e-16 relative, and on the square
 # at level 7 it leaves the same last |F - m| (1.4e-10 m at m = 1e5, the
 # floor of F there) for 19 % fewer V-cycles (292 against 361 over masses
 # 0.05 to 1e10); the resolvents themselves are then less exact
@@ -143,53 +147,27 @@ def _factor(a: sp.spmatrix):
     return splu(sp.csc_matrix(a), diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def solve_spd(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A.
-
-    Direct sparse factorization plus iterative refinement targeting
-    ||Ax - b|| <= 1e-12 ||b||; stiff systems where that is below the
-    float64 floor are accepted at backward error 1e-12 relative to
-    ||b|| + ||A|| ||x|| instead.  Raises MatrixError on factorization
-    breakdown, on a backward-unstable residual, or when negative curvature
-    (b.x < 0) reveals an indefinite matrix.
-    """
-    norm_a = _inf_norm_estimate(a)
-    a = sp.csc_matrix(a)
-    b = np.asarray(b, dtype=float)
-    try:
-        lu = _factor(a)
-    except RuntimeError as exc:
-        raise MatrixError(f"factorization breakdown: {exc}") from exc
-    x = lu.solve(b)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-    for _ in range(5):
-        res = np.linalg.norm(b - a @ x)
-        if res <= 1e-12 * norm_b:
-            break
-        x_new = x + lu.solve(b - a @ x)
-        if np.linalg.norm(b - a @ x_new) >= res:
-            break  # refinement hit the float64 floor
-        x = x_new
-    return _gated(a, b, x, norm_a)
-
-
-def solve_spd_cg(a: sp.spmatrix, b: np.ndarray, solver, x0) -> np.ndarray:
+def solve_spd(a: sp.spmatrix, b: np.ndarray, solver, x0) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A by conjugate
     gradients preconditioned by solver.solve, a symmetric positive definite
-    approximation of A^-1 (a `shifted_factor` V-cycle of a nearby pencil).
-    It starts from the multiple of x0 nearest the solution in the A-norm,
-    (x0.b / x0.A x0) x0, so a guess of the wrong scale is rescaled, not
-    iterated away, or from zero where x0 is None.
+    approximation of A^-1 (a `shifted_factor` V-cycle of a nearby pencil),
+    or by A's own sparse LU where solver is None.  It starts from the
+    multiple of x0 nearest the solution in the A-norm, (x0.b / x0.A x0) x0,
+    so a guess of the wrong scale is rescaled, not iterated away, or from
+    zero where x0 is None.
 
     The run stops once its recursive residual is below `_CG_RTOL` ||b||,
     near the float64 floor, or after `_CG_STEPS` steps, and its result
-    passes `solve_spd`'s gates.  A step of non-positive curvature
-    (p.A p <= 0) raises MatrixError too.
+    passes the gates of `_gated`.  A factorization breakdown and a step of
+    non-positive curvature (p.A p <= 0) raise MatrixError too.
     """
     a = sp.csr_matrix(a)
     b = np.asarray(b, dtype=float)
+    if solver is None:
+        try:
+            solver = _factor(a)
+        except RuntimeError as exc:
+            raise MatrixError(f"factorization breakdown: {exc}") from exc
     x = np.zeros_like(b)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
@@ -218,7 +196,7 @@ def solve_spd_cg(a: sp.spmatrix, b: np.ndarray, solver, x0) -> np.ndarray:
 
 
 def _gated(a, b: np.ndarray, x: np.ndarray, norm_a: float) -> np.ndarray:
-    """x, once it passes the gates of `solve_spd`: a backward error of at
+    """x, once it passes the gates of a linear solve: a backward error of at
     most 1e-12 relative to ||b|| + ||A||_inf ||x||, and b.x >= 0."""
     res = np.linalg.norm(b - a @ x)
     if not res <= 1e-12 * (np.linalg.norm(b) + norm_a * np.linalg.norm(x)):

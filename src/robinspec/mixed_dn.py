@@ -11,8 +11,8 @@ hierarchy, where one coarse LU and its V-cycle serve the ground eigensolve
 and every resolvent solve, and the model starts from the ground state alone
 (at most 3 solves per mass); at or below it the LU of the ground
 eigensolve also seeds the model with its Krylov vectors, and each mass
-takes one resolvent solve, on its own LU, as a rule.  The recovered total
-mass reproduces the prescribed one to root-finder tolerance, and the
+takes one resolvent solve, conjugate gradients on an LU of K - xi M, as a
+rule.  The recovered total mass reproduces the prescribed one to root-finder tolerance, and the
 minimiser built from the resolvent nearly diagonalizes the recovered Robin
 pencil, so the cross-checks below hold far inside discretization error.
 """
@@ -29,7 +29,7 @@ import scipy.linalg
 
 from . import assembly
 from .assembly import SigmaField
-from .eigensolve import NearbyPencils, lowest_alone, on_hierarchy, solve_spd, solve_spd_cg
+from .eigensolve import NearbyPencils, lowest_alone, on_hierarchy, solve_spd
 from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
@@ -78,6 +78,30 @@ class OptimalSigma:
     sigma_min_raw: float
 
 
+def optimal_lower_bound(mass: float, e1: float, volume: float) -> float:
+    """Lower bound m E1 / (m + |Omega| E1) on the optimal eigenvalue."""
+    if mass <= 0 or e1 <= 0 or volume <= 0:
+        raise ArgumentError("mass, e1, volume must be positive")
+    return mass * e1 / (mass + volume * e1)
+
+
+def optimal_upper_bound(mass: float, e1: float, volume: float,
+                        phi_integral: float) -> float:
+    """Upper bound from the interpolated test family.
+
+    phi_integral is the integral of the normalized pinned ground state; it
+    must lie in (0, sqrt(volume)].  With phi_integral = sqrt(volume) the
+    bound collapses onto the lower bound.
+    """
+    if mass <= 0 or e1 <= 0 or volume <= 0:
+        raise ArgumentError("mass, e1, volume must be positive")
+    if not 0.0 < phi_integral <= math.sqrt(volume) * (1.0 + 1e-12):
+        raise ArgumentError(
+            f"phi_integral must lie in (0, sqrt(volume)], got {phi_integral}")
+    disc = (volume * e1 - mass) ** 2 + 4.0 * phi_integral ** 2 * mass * e1
+    return 2.0 * mass * e1 / (mass + volume * e1 + math.sqrt(disc))
+
+
 class _ResolventModel:
     """Galerkin model of the pinned resolvent U(xi) = (K - xi M)^-1 b on the
     free nodes, over a space that grows with its own samples: rational
@@ -96,7 +120,7 @@ class _ResolventModel:
     of K - xi M over the space, so b^T U_Q is at most b^T U: the model's mass
     curve lies below the true one and its root above the true root, and each
     sample lowers it.  With phi alone that root is
-    `bounds.optimal_upper_bound`; a sampled resolvent makes the model exact
+    `optimal_upper_bound`; a sampled resolvent makes the model exact
     at its xi, in value and slope.
     """
 
@@ -172,13 +196,13 @@ class MixedProblem:
     coarser levels (any mesh `refine` or `build_mesh` made; not one read
     from a file) the ground state runs on the pinned pencil's hierarchy
     (`assembly.hierarchy` given the free nodes), and the problem keeps its
-    V-cycle: the model is seeded with phi alone, and each resolvent solve is
-    conjugate gradients preconditioned by the V-cycle
-    (`eigensolve.solve_spd_cg`), started from the model's vector at its xi.
-    Otherwise, and where the ground state's run on the V-cycle gave up
-    (`eigensolve.lowest_alone`), the shifted LU of the ground eigensolve
-    seeds the model with its Krylov vectors and is not kept, and each
-    resolvent solve factors K - xi M (`eigensolve.solve_spd`).
+    V-cycle, which preconditions each resolvent solve; the model is seeded
+    with phi alone.  Otherwise, and where the ground state's run on the
+    V-cycle gave up (`eigensolve.lowest_alone`), the shifted LU of the
+    ground eigensolve seeds the model with its Krylov vectors and is not
+    kept, and each resolvent solve runs on its own LU of K - xi M.  Every
+    resolvent solve is the same conjugate gradients (`eigensolve.solve_spd`),
+    started from the model's vector at its xi.
     """
 
     def __init__(self, mesh: Mesh):
@@ -205,22 +229,18 @@ class MixedProblem:
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
-        if not 0.0 < xi < e1 * (1.0 - _XI_MARGIN):
+        if not 0.0 < xi <= e1 * (1.0 - _XI_MARGIN):
             raise RangeError(
                 f"spectral parameter must lie in (0, {e1:.6g}), got {xi}")
 
     def resolvent_one(self, xi: float, start=None) -> np.ndarray:
-        """Solve (K - xi M) u = M 1 on free nodes; zero on gamma nodes.  On
-        the hierarchy the conjugate gradients start from start, a guess of u
-        on the free nodes (zero where None); an LU solve has no use for it."""
+        """Solve (K - xi M) u = M 1 on free nodes; zero on gamma nodes.  The
+        conjugate gradients start from start, a guess of u on the free nodes
+        (zero where None)."""
         self._check_xi(xi)
         shifted = self.k_ff - xi * self.m_ff
-        if self._cycle is None:
-            u_free = solve_spd(shifted, self.load)
-        else:
-            u_free = solve_spd_cg(shifted, self.load, self._cycle, start)
         u = np.zeros(self.mesh.num_nodes)
-        u[self.free] = u_free
+        u[self.free] = solve_spd(shifted, self.load, solver=self._cycle, x0=start)
         return u
 
     def mass_function_with_derivative(self, xi: float, start=None):
@@ -238,7 +258,7 @@ class MixedProblem:
         return f, fp
 
     def optimal_eigenvalue(self, mass: float) -> float:
-        """Invert the mass curve inside (0, E1 (1 - 1e-9)), stopping at
+        """Invert the mass curve inside (0, E1 (1 - 1e-9)], stopping at
         |F(xi) - m| <= 1e-10 m (`_invert_mass_curve`)."""
         return self._invert_mass_curve(mass)[0]
 
@@ -246,43 +266,45 @@ class MixedProblem:
         """(xi, U): the root of the mass curve and the resolvent at it, or
         None in place of U when the step cap ends the loop on a new xi.
 
-        A mass whose closed-form lower bound m E1 / (m + |Omega| E1) reaches
-        E1 (1 - 1e-9) raises RangeError.  Otherwise the root lies in the
-        bracket (lo, hi) of that bound and the margin; on an LU, hi is at
-        most the closed-form upper bound, which the seeded model's root can
-        pass by the round-off of its lowest Ritz value.  Each xi is the root
-        of the `_ResolventModel` inside the bracket (`_model_root`); each
-        true resolvent solve starts from the model's vector at its xi,
-        narrows the bracket and joins a copy of the problem's seeded model,
-        which the inversion leaves as it was.  On the hierarchy the first
-        root is the closed-form upper bound, clamped to the margin, and the
-        roots fall onto the root of the mass curve from the right; with the
-        Krylov vectors of an LU the first root is the root already, and the
-        loop usually ends after one solve.  The loop stops once |F - m|
-        <= 1e-10 m, relative like every stop, has held for a step, on a step
-        that removes less than half of |F - m| (F at its evaluation floor;
-        the better of the two is returned), on a model root within
-        `_XI_ROUNDOFF` of the xi just solved, or at the step cap.  An xi inside the band takes at
-        most one more step, to the root of the model that holds its
-        resolvent, returned when it stays inside the band.
+        A mass whose `optimal_lower_bound` reaches the margin E1 (1 - 1e-9),
+        or whose mass curve is still below m there, raises RangeError.
+        Otherwise the root lies in the bracket (lo, hi] of that bound and
+        the margin; on an LU, hi is at most `optimal_upper_bound`, which the
+        seeded model's root can pass by the round-off of its lowest Ritz
+        value.  Each xi is the root of the `_ResolventModel` inside the
+        bracket (`_model_root`); each true resolvent solve starts from the
+        model's vector at its xi, narrows the bracket and joins a copy of
+        the problem's seeded model, which the inversion leaves as it was.  On
+        the hierarchy the first root is the closed-form upper bound, clamped
+        to the margin, and the roots fall onto the root of the mass curve
+        from the right; with the Krylov vectors of an LU the first root is
+        the root already, and the loop usually ends after one solve.  The
+        loop stops once |F - m| <= 1e-10 m, relative like every stop, has
+        held for a step, on a step that removes less than half of |F - m| (F
+        at its evaluation floor; the better of the two is returned), on a
+        model root within `_XI_ROUNDOFF` of the xi just solved, or at the
+        step cap.  An xi inside the band takes at most one more step, to the
+        root of the model that holds its resolvent, returned when it stays
+        inside the band.
         """
         if mass <= 0:
             raise ArgumentError(f"mass must be positive, got {mass}")
         e1 = self.ground.value
-        hi = e1 * (1.0 - _XI_MARGIN)
-        lo = mass * e1 / (mass + self.volume * e1)
+        hi = top = e1 * (1.0 - _XI_MARGIN)
+        lo = optimal_lower_bound(mass, e1, self.volume)
+        too_large = (f"mass {mass:g} is too large: the root of its mass curve lies within the "
+                     f"margin {_XI_MARGIN:g} of the pinned ground eigenvalue E1 = {e1:.6g}")
         if lo >= hi:
-            raise RangeError(
-                f"mass {mass:g} is too large: the root of its mass curve lies within the "
-                f"margin {_XI_MARGIN:g} of the pinned ground eigenvalue E1 = {e1:.6g}")
+            raise RangeError(too_large)
         if self._cycle is None:
-            disc = (self.volume * e1 - mass) ** 2 + 4.0 * self.ground.integral ** 2 * mass * e1
-            hi = min(hi, 2.0 * mass * e1 / (mass + self.volume * e1 + math.sqrt(disc)))
+            hi = min(hi, optimal_upper_bound(mass, e1, self.volume, self.ground.integral))
         target = _MASS_RTOL * mass
         model = copy.copy(self._seeded)
         xi, best = self._model_root(model, mass, lo, hi), None
         for _ in range(_MAX_NEWTON):
             f, _, u = self.mass_function_with_derivative(xi, model.vector(xi))
+            if xi == top and f < mass:
+                raise RangeError(too_large)
             err = abs(f - mass)
             if best is not None and best[0] <= target:  # the step from inside the band
                 return (xi, u) if err <= target else best[1:]

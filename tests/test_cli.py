@@ -335,7 +335,11 @@ class TestMassBeyondTheMargin:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--domain", "square", "--m", "1e11", "--levels", "2"],
         ["optimal", "--domain", "interval", "--m", "1e10", "--levels", "4"],
-    ], ids=["bounds-square", "optimal-interval"])
+        # masses whose lower bound lies below the margin but whose root lies
+        # inside it, on an own LU and on the pinned hierarchy
+        ["bounds", "--domain", "square", "--m", "1.5e10", "--levels", "3"],
+        ["bounds", "--domain", "square", "--m", "1.3e10", "--levels", "6"],
+    ], ids=["bounds-square", "optimal-interval", "root-in-margin-lu", "root-in-margin-hierarchy"])
     def test_range_error_names_the_mass(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 3 and out == ""

@@ -38,14 +38,14 @@ def factored_pencil(name, pinned):
 class TestSolveSpd:
     def test_diagonal(self):
         a = sp.diags([2.0] * 10).tocsr()
-        x = eigensolve.solve_spd(a, np.ones(10))
+        x = eigensolve.solve_spd(a, np.ones(10), None, None)
         np.testing.assert_allclose(x, 0.5 * np.ones(10), atol=1e-14)
 
     def test_matches_dense_oracle(self):
         mesh = interval_mesh(100)
         a = assembly.assemble_stiffness(mesh) + assembly.assemble_mass(mesh)
         b = assembly.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
-        x = eigensolve.solve_spd(a, b)
+        x = eigensolve.solve_spd(a, b, None, None)
         oracle = np.linalg.solve(a.toarray(), b)
         np.testing.assert_allclose(x, oracle, atol=1e-10)
 
@@ -54,7 +54,7 @@ class TestSolveSpd:
         raw = rng.standard_normal((50, 50))
         a = sp.csr_matrix(raw.T @ raw + np.eye(50))
         b = rng.standard_normal(50)
-        x = eigensolve.solve_spd(a, b)
+        x = eigensolve.solve_spd(a, b, None, None)
         assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["full", "pinned"])
@@ -63,18 +63,18 @@ class TestSolveSpd:
         a, _ = factored_pencil(name, pinned)
         b = np.random.default_rng(7).standard_normal(a.shape[0])
         want = splu(sp.csc_matrix(a)).solve(b)  # SuperLU's defaults: partial pivoting
-        x = eigensolve.solve_spd(a, b)
+        x = eigensolve.solve_spd(a, b, None, None)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_indefinite_detected(self):
         a = sp.diags([1.0, -1.0]).tocsr()
         with pytest.raises(MatrixError):
-            eigensolve.solve_spd(a, np.array([0.0, 1.0]))
+            eigensolve.solve_spd(a, np.array([0.0, 1.0]), None, None)
 
     def test_singular_detected(self):
         a = sp.csr_matrix(np.zeros((3, 3)))
         with pytest.raises(MatrixError):
-            eigensolve.solve_spd(a, np.ones(3))
+            eigensolve.solve_spd(a, np.ones(3), None, None)
 
 
 class TestShiftedFactor:
@@ -112,6 +112,8 @@ class TestShiftedFactor:
 
 
 class TestSolveSpdCg:
+    """`solve_spd`'s conjugate gradients on a given preconditioner."""
+
     class Jacobi:
         def __init__(self, a):
             self.inverse = 1.0 / a.diagonal()
@@ -123,24 +125,24 @@ class TestSolveSpdCg:
         mesh = interval_mesh(100)
         a = assembly.assemble_stiffness(mesh) + assembly.assemble_mass(mesh)
         b = assembly.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
-        want = eigensolve.solve_spd(a, b)
+        want = splu(sp.csc_matrix(a)).solve(b)  # as in test_matches_a_reference_solve
         # a start of the wrong scale is rescaled, not iterated away
         for x0 in (None, 1e9 * want, -want):
-            x = eigensolve.solve_spd_cg(a, b, self.Jacobi(a), x0)
+            x = eigensolve.solve_spd(a, b, self.Jacobi(a), x0)
             assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-        assert not eigensolve.solve_spd_cg(a, np.zeros_like(b), self.Jacobi(a), want).any()
+        assert not eigensolve.solve_spd(a, np.zeros_like(b), self.Jacobi(a), want).any()
 
     def test_indefinite_detected(self):
         a = sp.diags([1.0, -1.0]).tocsr()
         with pytest.raises(MatrixError):
-            eigensolve.solve_spd_cg(a, np.array([1.0, 1.0]), self.Jacobi(a), None)
+            eigensolve.solve_spd(a, np.array([1.0, 1.0]), self.Jacobi(a), None)
 
     def test_a_capped_run_is_gated(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "_CG_STEPS", 1)
         mesh = interval_mesh(100)
         a = assembly.assemble_stiffness(mesh) + assembly.assemble_mass(mesh)
         with pytest.raises(MatrixError):
-            eigensolve.solve_spd_cg(a, np.ones(mesh.num_nodes), self.Jacobi(a), None)
+            eigensolve.solve_spd(a, np.ones(mesh.num_nodes), self.Jacobi(a), None)
 
 
 class TestSmallestEigs:

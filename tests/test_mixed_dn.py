@@ -279,6 +279,7 @@ OWN_LU_MESHES = {
     "obtuse_triangle_l4": lambda: obtuse_triangle_mesh(4),
     "interval_12": lambda: interval_mesh(12),
     "interval_l10": lambda: refined(interval_mesh(1), 10),
+    "square_l5_no_hierarchy": lambda: without_hierarchy(square_mesh(5)),
 }
 
 
@@ -372,16 +373,15 @@ class TestEvaluationFloor:
 
         def counted_step(self, xi, *args):
             out = step(self, xi, *args)
-            seen.append(abs(out[0] - mass))
+            seen.append((abs(out[0] - mass), xi, out[2]))
             return out
 
         monkeypatch.setattr(mixed_dn.MixedProblem, "mass_function_with_derivative", counted_step)
         xi, u = prob._invert_mass_curve(mass)
         assert len(seen) <= 6
-        f, _, u_again = step(prob, xi)
-        np.testing.assert_array_equal(u, u_again)
-        assert abs(f - mass) == min(seen)
-        assert abs(f - mass) <= 1e-6 * mass
+        err, best_xi, best_u = min(seen, key=lambda s: s[0])
+        assert xi == best_xi and u is best_u
+        assert err <= 1e-6 * mass
 
     def test_floor_stop_returns_the_better_of_the_last_two(self, square_l5_problems,
                                                            monkeypatch):
