@@ -32,10 +32,14 @@ the residual levels off (at most 4e-12 on the square at level 3 for sigma
 up to 1e200).  It takes a handful of LU applications: 5-9 for sigma from
 1 to 1000 on the square at level 7 and the disk at level 6, 0 or 1 near
 sigma = 0; on the hierarchy, for sigma from 1e-3 to 1e5 at levels 5 and 6,
-it takes 6-11 V-cycles on the square and 12-20 on the disk.  A run on a
-V-cycle gives up once its pace would miss the stop at the step cap, as on
-the stretched elements of thin or obtuse domains, and the pencil is then
-factored and solved on its own LU (`lowest_alone`).
+it takes 6-11 V-cycles on the square and 12-20 on the disk.
+
+Every LOBPCG run ends by one rule (`_lobpcg`).  A run that has a next rung
+gives up to it once its pace would miss the stop at the step cap: a
+warm-started run to the pencil solved on its own, an own run on a V-cycle
+(as on the stretched elements of thin or obtuse domains) to its own LU.
+The last rung, an own run on its own LU, runs to the cap and its best
+iterate faces the gate.
 
 `solve_spd` solves a pinned resolvent system (K - xi M) U = M 1 by
 conjugate gradients, on the V-cycle of K - tau M where the pinned pencil
@@ -50,16 +54,16 @@ refinement step (the tests' own-LU meshes, masses from 1e-3 to 1e10).
 `NearbyPencils` solves a sequence of nearby pencils in order: a family
 that shares M (one Robin problem under a range of boundary coefficients)
 or a chain of uniformly refined meshes.  Each pencil is warm-started from
-the last and stops at tol = `_NEARBY_RTOL`; one it cannot finish is
-factored and solved on its own LU.  After such a fallback a family takes
-the new LU as its reference and stays on LUs, while a chain stops
-nesting.
+the last and stops at tol = `_NEARBY_RTOL`.  A member that gives up on a
+family's V-cycle is solved alone on its hierarchy; one that gives up on an
+LU, or a chain level, falls back on its own LU, after which a family stays
+on LUs and a chain stops nesting.
 
 Every path returns the Rayleigh quotient of its M-normalised vector as the
 eigenvalue, accurate to the square of the residual: within 4e-14 |rho|
 (|rho| / gap) at tol = 1e-7, gap the distance to the next eigenvalue.  The
-gate is the rule at tol = `_NEARBY_RTOL`.  A LOBPCG breakdown, a run over
-the step cap and a result over the gate all raise ConvergenceError with the
+gate is the rule at tol = `_NEARBY_RTOL`.  A LOBPCG breakdown, a paced run
+that gives up and a result over the gate all raise ConvergenceError with the
 same diagnostics: the preconditioner applications (`iterations`), the
 residual reached (`residual`, None where no vector came back) and the bound
 it had to meet (`bound`).
@@ -98,9 +102,6 @@ _SMOOTHING = 1.6
 # `shifted_factor` coarsens a pencil on a hierarchy to at most this many
 # nodes and factors that level
 _COARSE_NODES = 1000
-# a family on a hierarchy builds a new reference for the member after one that
-# took more preconditioner applications than this: a V-cycle costs about nine
-_REREFERENCE = 12
 # `solve_spd` stops at this recursive residual relative to ||b||, near
 # the float64 floor, on a V-cycle or on the system's own LU.  The mass
 # curve's roots hardly depend on it on the V-cycle: over the square,
@@ -219,7 +220,10 @@ def _yardstick(a: sp.spmatrix, m: sp.spmatrix):
     eps lambda_est (square, triangle, disks, L-shape, thin and obtuse
     domains at levels 2-7)."""
     lumped = m @ np.ones(m.shape[0])
-    negative = a.minimum(0.0) @ np.ones(a.shape[0])
+    # A's pattern with its positive entries zeroed: the product sums rows in
+    # order, to the bits of `a.minimum(0.0) @ 1` (a pairwise reduceat is not)
+    negative = sp.csr_matrix((np.minimum(a.data, 0.0), a.indices, a.indptr),
+                             shape=a.shape) @ np.ones(a.shape[0])
     return lumped, 1.0 / np.sqrt(lumped), float(np.max(-negative / lumped))
 
 
@@ -288,9 +292,10 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, floor: float, weights, paced: 
     """Single-vector LOBPCG (Knyazev, SISC 23, 2001) for the lowest eigenpair
     of (A, M) from x0, preconditioned by lu.solve, to ||weights r|| <= tol
     |rho| + floor (`_yardstick`); returns (vector, number of preconditioner
-    applications).  A paced run also gives up, from `_PACE_FROM`
-    applications on, once that residual, falling at its mean rate so far,
-    would still be above the stop at the step cap.
+    applications).  A paced run, one with a next rung, raises from
+    `_PACE_FROM` applications on once that residual, falling at its mean
+    rate so far, would miss the stop at `_LOBPCG_STEPS`; any other returns
+    its iterate of least residual there, for the caller's gate.
 
     The basis rows are the iterate x, the preconditioned residual w, made
     M-orthogonal to x and M-normal, and the last step p, M-normal, each
@@ -298,9 +303,8 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, floor: float, weights, paced: 
     once, multiplies w by A and M, and takes the lowest Ritz pair of the
     basis: 2 x 2 on the first step, 3 x 3 after it, and 2 x 2 again where p
     leaves the M-Gram matrix indefinite.  A start that meets the stop takes
-    no application.  A zero or non-finite start or preconditioner output, a
-    Ritz problem that fails without p, and a run that needs more than
-    `_LOBPCG_STEPS` applications raise ConvergenceError.
+    no application.  A zero or non-finite start or preconditioner output and
+    a Ritz problem that fails without p raise ConvergenceError.
     """
     basis = np.empty((3, a.shape[0]))
     a_basis = np.empty_like(basis)
@@ -322,14 +326,16 @@ def _lobpcg(a, m, lu, x0: np.ndarray, tol: float, floor: float, weights, paced: 
         if residual <= stop:
             return basis[0].copy(), applications
         if applications == 0:
-            first = residual
-        if applications == _LOBPCG_STEPS:
-            raise _failure("LOBPCG did not converge within its step cap", applications + 1,
-                           residual, stop)
+            first = least = residual
+        if residual <= least:
+            least, best = residual, basis[0].copy()
+        # at the cap the pace is the stop itself
         if (paced and applications >= _PACE_FROM
                 and np.log(residual / first) * _LOBPCG_STEPS / applications > np.log(stop / first)):
             raise _failure("LOBPCG would not converge within its step cap at its pace",
                            applications, residual, stop)
+        if applications == _LOBPCG_STEPS:
+            return best, applications
         w = lu.solve(r)
         square = 0.0
         if np.isfinite(w).all():
@@ -377,14 +383,14 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None) -> Ei
     Without start LOBPCG runs on the pencil's own shifted pair from
     solver^-1 M 1 to the rule of `_yardstick` at tol = `_OWN_RTOL`; factor
     is the pencil's `shifted_factor(a, m)` pair to reuse, and without one
-    the pair is made here, on the pencil's own LU; a run on a V-cycle is
-    paced (see `_lobpcg`), and `lowest_alone` falls back from one that gives
-    up.  start = (pair, guess) is a `shifted_factor` pair of a nearby pencil
-    (or a pair whose second item has the same solve) and a start vector:
-    LOBPCG runs from guess, preconditioned by the pair, to tol =
-    `_NEARBY_RTOL`, the gate of every result.  A start that lacks either
-    item raises ArgumentError before any solve; a breakdown, a run over the
-    step cap or a result over the gate raises ConvergenceError.
+    the pair is made here, on the pencil's own LU.  start = (pair, guess) is
+    a `shifted_factor` pair of a nearby pencil (or a pair whose second item
+    has the same solve) and a start vector: LOBPCG runs from guess,
+    preconditioned by the pair, to tol = `_NEARBY_RTOL`, the gate of every
+    result.  Warm runs and own runs on a V-cycle are paced (`_lobpcg`); an
+    own run on its own LU hands its best iterate to the gate.  A start
+    lacking either item raises ArgumentError before any solve; a breakdown,
+    a paced give-up or a result over the gate raises ConvergenceError.
     """
     if start is not None and (start[0] is None or start[1] is None):
         raise ArgumentError("start takes a nearby shifted pair and a guess, both given")
@@ -399,9 +405,9 @@ def smallest_eigs(a: sp.spmatrix, m: sp.spmatrix, factor=None, start=None) -> Ei
         else:
             _, lu = factor if factor is not None else shifted_factor(a, m)
             x0, tol = lu.solve(lumped), _OWN_RTOL
-        # an own run on a V-cycle can fall back on the fine LU
+        # only an own run on its own LU has no next rung
         x, iterations = _lobpcg(a, m, lu, x0, tol, floor, weights,
-                                paced=start is None and isinstance(lu, _VCycle))
+                                paced=start is not None or isinstance(lu, _VCycle))
         value, x, r = _normalised(a, m, x)
         bound = _NEARBY_RTOL * abs(value) + floor
         judged = float(np.linalg.norm(weights * r))
@@ -466,15 +472,12 @@ class NearbyPencils:
     The first pencil without a reference is solved on its own
     `shifted_factor` pair, as `smallest_eigs` solves a pencil alone: a
     V-cycle over its hierarchy's coarse LU where it is given the
-    prolongations of coarser levels, its own LU otherwise.  A pencil that
-    LOBPCG does not bring through the stop, within `_LOBPCG_STEPS`
-    iterations as a warm-started member or at its pace on its own V-cycle,
-    is factored and solved on its own LU; `fallbacks` counts these.  A
-    family takes the pair it solved a pencil on alone as its reference, and
-    after a fallback it stays on LUs.  On a V-cycle, the member after one
-    that took more than `_REREFERENCE` applications runs on a new V-cycle,
-    the family's next reference.  A fallback ends a chain's nesting: every
-    later level is factored.
+    prolongations of coarser levels, its own LU otherwise.  Every warm run
+    is paced.  A member that gives up on a family's V-cycle is solved alone
+    on its hierarchy (`lowest_alone`), and the family's only re-reference
+    is the pair it solved a pencil on alone.  Any other give-up is factored
+    and solved on its own LU; `fallbacks` counts these.  After a fallback a
+    family stays on LUs and a chain stops nesting.
 
     reference is a nearby pencil's `shifted_factor` pair on the first
     pencil's nodes, which the first pencil then runs on from
@@ -486,7 +489,6 @@ class NearbyPencils:
         self.fallbacks = 0
         self._pair = reference  # (tau, solver) that preconditions the next pencil
         self._vector = None
-        self._stale = False  # the last member took more than _REREFERENCE applications
 
     def lowest(self, a: sp.spmatrix, m: sp.spmatrix, levels,
                prolongation: sp.spmatrix = None) -> EigResult:
@@ -505,17 +507,15 @@ class NearbyPencils:
                 guess = prolongation @ self._vector
             elif self._vector is not None:
                 guess = self._vector
-                if self._stale and isinstance(solver, _VCycle):  # a family on LUs keeps its LU
-                    pair = shifted_factor(a, m, levels)
             else:
                 guess = solver.solve(m @ np.ones(m.shape[0]))
             try:
                 res = smallest_eigs(a, m, start=(pair, guess))
             except ConvergenceError:
-                self.fallbacks += 1
+                # only a family member on a V-cycle gives up to its hierarchy
+                self.fallbacks += prolongation is not None or not on_hierarchy(pair)
                 self._pair = self._vector = None  # release the LU or hierarchy
             else:
-                self._stale = res.iterations > _REREFERENCE
                 self._pair, self._vector = pair, res.vector
                 return res
         res, factor, fell_back = lowest_alone(a, m, () if self.fallbacks else levels)

@@ -256,7 +256,9 @@ class TestHugeCoefficients:
         ["converge", "--domain", "square", "--sigma", "1e200", "--levels", "5"],
         ["solve", "--domain", "square", "--sigma", "1e300", "--levels", "2"],
         ["hardy", "--domain", "square", "--sigma", "1e300", "--alpha", "1", "--levels", "2"],
-    ], ids=["converge-1e200", "solve-1e300", "hardy-1e300"])
+        # the own run's best residual on its own LU, 1.2e-7 rho, is above the gate
+        ["solve", "--domain", "interval", "--sigma", "1e20", "--levels", "3"],
+    ], ids=["converge-1e200", "solve-1e300", "hardy-1e300", "interval-1e20"])
     def test_exit_3_with_one_json_line(self, argv, capsys):
         # warnings are errors here, so an overflow warning would end the run
         code, out, err = run_cli(argv, capsys)
@@ -264,20 +266,34 @@ class TestHugeCoefficients:
         lines = err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConvergenceError"
 
-    def test_eigenvalue_stays_below_the_pinned_limit(self, capsys):
-        # every P1 Robin eigenvalue lies below the ground state pinned on the
-        # boundary, the scaling table's expand limit (20.5055448977); with a
-        # stop relative to the eigenvalue and a shift free of sigma the solve
-        # reaches it at every sigma whose B does not overflow
-        _, out, _ = run_cli(["scaling", "--domain", "square", "--sigma", "1", "--eps", "1",
+    @staticmethod
+    def assert_pinned_limit(domain, sigmas, capsys):
+        # exit 0 and lambda at the scaling table's expand limit, the ground
+        # state pinned on the boundary, which bounds every P1 Robin eigenvalue
+        _, out, _ = run_cli(["scaling", "--domain", domain, "--sigma", "1", "--eps", "1",
                              "--levels", "3"], capsys)
         limit = float(out.splitlines()[1].split(",")[5])
-        for sigma in ("1e15", "1e16", "1e17", "1e18", "1e20", "1e50", "1e200"):
-            code, out, _ = run_cli(["solve", "--domain", "square", "--sigma", sigma,
+        for sigma in sigmas:
+            code, out, _ = run_cli(["solve", "--domain", domain, "--sigma", sigma,
                                     "--levels", "3"], capsys)
             assert code == 0, sigma
             assert limit * (1 - 1e-9) <= json.loads(out)["lambda1"] <= limit * (
                 1 + eigensolve.DEFAULT_TOL), sigma
+
+    def test_eigenvalue_stays_below_the_pinned_limit(self, capsys):
+        # on the square the limit is 20.5055448977; with a stop relative to
+        # the eigenvalue and a shift free of sigma the solve reaches it at
+        # every sigma whose B does not overflow
+        self.assert_pinned_limit(
+            "square", ("1e15", "1e16", "1e17", "1e18", "1e20", "1e50", "1e200"), capsys)
+
+    @pytest.mark.parametrize("domain, sigmas", [("triangle", ("1e15", "1e20", "1e50")),
+                                                ("interval", ("1e15", "1e50"))])
+    def test_coarse_own_lu_reaches_the_pinned_limit(self, domain, sigmas, capsys):
+        # the own run's residual levels off above its stop on these coarse
+        # meshes (3.6e-11 rho on the triangle); run to the step cap on its
+        # own LU, its best iterate passes the gate at the pinned limit
+        self.assert_pinned_limit(domain, sigmas, capsys)
 
 
 class TestScaleFree:

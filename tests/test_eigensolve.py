@@ -376,8 +376,9 @@ class TestKernel:
         # the benchmark's grid on the CLI's squares, all above the coarse
         # size.  On one fine LU of the unscaled pencil its eps = 1000 member
         # took 39 of the 40 applications allowed at level 7 and fell back at
-        # levels 5 and 6; on V-cycles the family re-references from each
-        # member that takes more than _REREFERENCE applications.
+        # levels 5 and 6.  On V-cycles its eps = 100 member gives up at its
+        # pace and is solved on its own hierarchy, the family's next
+        # reference, which is no fallback.
         families = []
         init = eigensolve.NearbyPencils.__init__
 
@@ -395,7 +396,7 @@ class TestKernel:
 
 
 class TestFailureDiagnostics:
-    """A LOBPCG breakdown, a run over the step cap and a result over the
+    """A LOBPCG breakdown, a paced run that gives up and a result over the
     gate report the same diagnostics."""
 
     KEYS = {"iterations", "residual", "bound"}
@@ -477,6 +478,43 @@ class TestInfNorm:
     def test_matrices_without_entries(self, shape):
         a = sp.csr_matrix(shape)
         assert eigensolve._inf_norm_estimate(a) == copied_inf_norm(a) == 0.0
+
+
+def copied_lambda_est(a, m):
+    """lambda_est as `_yardstick` took it before, from the negative row sums
+    of a sparse copy, `a.minimum(0.0)`."""
+    lumped = m @ np.ones(m.shape[0])
+    return float(np.max(-(a.minimum(0.0) @ np.ones(a.shape[0])) / lumped))
+
+
+class TestYardstick:
+    """`_yardstick` sums A's negative entries on A's own pattern, to the same
+    bits as the sparse copy; a pairwise sum would move lambda_est by an ulp
+    on the disk at level 4."""
+
+    @pytest.mark.parametrize("domain, level", [
+        (geometry.unit_square(), 5),
+        (geometry.disk((0.0, 0.0), 1.0, 16), 4),
+        (geometry.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+                          gamma=geometry.gamma_sides(0, 5)), 4),
+        (geometry.interval(0.0, 1.0), 8),
+    ], ids=["square", "disk", "l_shape", "interval"])
+    def test_mesh_pencils(self, domain, level):
+        mesh = cli._mesh_at_level(domain, level, None)
+        ops = assembly.operators(mesh)
+        pencils = [ops.restrict(geometry.gamma_nodes(mesh))[1:]]
+        for sigma in (0.0, 1e-3, 1.0, 1e3, 1e15):
+            b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(sigma))
+            pencils.append((sp.csr_matrix(ops.stiffness + b), ops.mass))
+        for a, m in pencils:
+            assert eigensolve._yardstick(a, m)[2] == copied_lambda_est(a, m)
+
+    def test_empty_row(self):
+        # row 3 is empty and row 1 has no negative entry
+        a = sp.csr_matrix(([2.0, -1.0, 3.0, -0.5, -0.25, 1.0, -2.0],
+                           ([0, 0, 1, 2, 2, 2, 4], [0, 2, 1, 0, 1, 2, 0])), shape=(5, 5))
+        m = sp.diags([1.0, 2.0, 0.5, 1.0, 4.0]).tocsr()
+        assert eigensolve._yardstick(a, m)[2] == copied_lambda_est(a, m) == 1.5
 
 
 class TestRayleighQuotient:

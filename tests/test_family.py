@@ -3,16 +3,18 @@ one shared preconditioner: a shifted LU, or on a refined mesh above the
 coarse size a V-cycle over its hierarchy's coarse LU.
 
 A family must reproduce each member's solve on its own LU (which replaced
-shift-invert ARPACK, hence the class name), fall back to that solve (and
-take its LU as the reference) where its reference is poor, keep to one
-factorization per reference it takes, factor the fine mesh only on a
-fallback, and raise no warnings.
+shift-invert ARPACK, hence the class name), give up at its pace where its
+reference is poor and then solve the member on its own (on its hierarchy
+from a V-cycle, on its own LU from an LU, which then is the reference),
+keep to one factorization per reference it takes, factor the fine mesh
+only on a fallback, and raise no warnings.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robinspec import assembly, bounds, eigensolve, mixed_dn, robin
 from robinspec.assembly import SigmaField
@@ -37,6 +39,24 @@ def members(monkeypatch):
         return res
 
     monkeypatch.setattr(eigensolve.NearbyPencils, "lowest", recorded)
+    return seen
+
+
+@pytest.fixture
+def give_ups(monkeypatch):
+    """The diagnostics of every warm-started run that gave up, in order."""
+    seen = []
+    smallest_eigs = eigensolve.smallest_eigs
+
+    def recorded(a, m, factor=None, start=None):
+        try:
+            return smallest_eigs(a, m, factor=factor, start=start)
+        except ConvergenceError as exc:
+            if start is not None:
+                seen.append(exc.diagnostics)
+            raise
+
+    monkeypatch.setattr(eigensolve, "smallest_eigs", recorded)
     return seen
 
 
@@ -91,22 +111,20 @@ class TestAgreementWithArpack:
 class TestFactorizationBudget:
     @pytest.mark.parametrize("which", ["scaling", "concentration"])
     @pytest.mark.parametrize("level", sorted(MESHES))
-    def test_one_factorization_per_family(self, level, which, members, factorizations):
+    def test_one_factorization_per_family(self, level, which, members, factorizations,
+                                          give_ups):
         # both meshes lie above the coarse size: the family's references are
         # V-cycles over a coarse LU, the first one and one for each member
-        # after one that took more than _REREFERENCE applications, so the
-        # last member builds none
+        # that gave up at its pace on the family's V-cycle, which is then
+        # solved alone on its own hierarchy, so no give-up is a fallback
         run_family(level, which)
         (fam,) = families(members)
         assert fam.fallbacks == 0
-        warm = members if which == "scaling" else members[1:]
-        slow = [r.iterations > eigensolve._REREFERENCE for _, _, r, _ in warm]
-        assert len(factorizations) == 1 + sum(slow[:-1])
-        # a member after a slow one runs on its own V-cycle, warm-started
-        assert all(r.iterations <= eigensolve._REREFERENCE
-                   for was_slow, (_, _, r, _) in zip(slow, warm[1:]) if was_slow)
-        if which == "scaling":
-            assert any(slow[:-1])
+        assert len(factorizations) == 1 + len(give_ups)
+        # the scale grid's eps = 100 member falls behind on the V-cycle of
+        # K + B; the concentration steps keep their pace
+        assert len(give_ups) == (1 if which == "scaling" else 0)
+        assert all(g["iterations"] < eigensolve._LOBPCG_STEPS for g in give_ups)
         assert max(factorizations) <= eigensolve._COARSE_NODES < MESHES[level].num_nodes
 
     @pytest.mark.parametrize("level", sorted(MESHES))
@@ -149,40 +167,85 @@ class TestFallback:
         assert res.value == own.value and res.residual == own.residual
         assert res.iterations == own.iterations > 0
 
-    def test_family_on_an_lu_keeps_it_after_slow_members(self, factorizations):
-        # only a family on a V-cycle builds a new reference for the member
-        # after a slow one; an LU reference serves every member
+    def test_family_on_an_lu_keeps_it_after_slow_members(self, factorizations, give_ups):
+        # a member that is slow on the family's LU but keeps its pace does
+        # not give up, so the LU serves every member
         k, b, m = self.pencil()
         fam = eigensolve.NearbyPencils(2, reference=eigensolve.shifted_factor(k + 30.0 * b, m))
-        runs = [fam.lowest(k + s * b, m, ()).iterations for s in (1.0, 0.1, 0.05)]
-        assert min(runs[:-1]) > eigensolve._REREFERENCE and fam.fallbacks == 0
+        sigmas = (1.0, 0.1, 0.05)
+        runs = [fam.lowest(k + s * b, m, ()).iterations for s in sigmas]
+        assert give_ups == [] and fam.fallbacks == 0
         assert len(factorizations) == 1
+        # each takes twice the applications of its own LU's run to a tighter stop
+        own = [eigensolve.smallest_eigs(k + s * b, m).iterations for s in sigmas]
+        assert all(run > 2 * alone for run, alone in zip(runs, own))
 
-    def test_cap_exceeded_raises_in_smallest_eigs(self):
+    def test_random_nodal_families_give_up_at_their_pace(self, give_ups):
+        # five families of four members on square L3, each boundary node 0
+        # or 10^U[-3, 3]: a member the family's LU cannot bring down gives
+        # up within a few applications, where it once ran to the cap
+        mesh = square_mesh(3)
+        ops = assembly.operators(mesh)
+        nodes = np.unique(mesh.boundary)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            fam = eigensolve.NearbyPencils(mesh.dim)
+            for _ in range(4):
+                values = np.zeros(mesh.num_nodes)
+                values[nodes] = np.where(rng.random(len(nodes)) < 0.5, 0.0,
+                                         10.0 ** rng.uniform(-3.0, 3.0, len(nodes)))
+                a = ops.stiffness + assembly.assemble_boundary_mass(mesh, SigmaField.nodal(values))
+                lam = fam.lowest(a, ops.mass, ()).value
+                ref = scipy.linalg.eigh(a.toarray(), ops.mass.toarray(), eigvals_only=True)[0]
+                assert abs(lam - ref) <= AGREEMENT_RTOL * ref
+        assert give_ups and all(g["iterations"] <= 10 for g in give_ups)
+
+    def test_warm_run_gives_up_at_its_pace(self):
+        # a warm-started run has a next rung, the member's own solve: on a
+        # near-Dirichlet reference a near-Neumann member falls behind at once
         k, b, m = self.pencil()
         reference = eigensolve.shifted_factor(k + 1e6 * b, m)
         guess = reference[1].solve(m @ np.ones(m.shape[0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError) as info:
+            with pytest.raises(ConvergenceError, match="at its pace") as info:
                 eigensolve.smallest_eigs(k + 1e-3 * b, m, start=(reference, guess))
         diag = info.value.diagnostics
         assert set(diag) == {"iterations", "residual", "bound"}
-        assert diag["iterations"] > eigensolve._LOBPCG_STEPS
+        assert eigensolve._PACE_FROM <= diag["iterations"] <= 10
         # the family's stop at the last Ritz value, above the floor alone
         a = k + 1e-3 * b
         floor = eigensolve._ROUNDOFF * eigensolve._yardstick(a, m)[2]
         assert diag["residual"] > diag["bound"] > floor
 
-    def test_cap_applies_even_below_the_gate(self):
+    def test_last_rung_hands_its_best_iterate_to_the_gate(self, monkeypatch):
         # an exact preconditioner converges fast, but never to a zero-width
-        # tolerance: the cap ends the run however small the residual is
+        # tolerance.  Paced, the run gives up as soon as it is judged; not
+        # paced, it runs to the cap and returns its iterate of least residual
         k, b, m = self.pencil()
-        _, lu = eigensolve.shifted_factor(k + b, m)
+        a = k + b
+        _, lu = eigensolve.shifted_factor(a, m)
         x0 = lu.solve(m @ np.ones(m.shape[0])).reshape(-1, 1)
-        with pytest.raises(ConvergenceError) as info:
-            eigensolve._lobpcg(k + b, m, lu, x0, 1e-300, 0.0, 1.0)
-        assert info.value.diagnostics["iterations"] == eigensolve._LOBPCG_STEPS + 1
+        with pytest.raises(ConvergenceError, match="at its pace") as info:
+            eigensolve._lobpcg(a, m, lu, x0, 1e-300, 0.0, 1.0, paced=True)
+        assert info.value.diagnostics["iterations"] == eigensolve._PACE_FROM
+        x, applications = eigensolve._lobpcg(a, m, lu, x0, 1e-300, 0.0, 1.0)
+        assert applications == eigensolve._LOBPCG_STEPS
+        value, _, r = eigensolve._normalised(a, m, x)
+        assert np.linalg.norm(r) <= 1e-12 * value
+        # an own run on its own LU to a zero stop: the best iterate passes
+        # the gate, and a gate below it raises the gate's error
+        monkeypatch.setattr(eigensolve, "_OWN_RTOL", 0.0)
+        monkeypatch.setattr(eigensolve, "_ROUNDOFF", 0.0)
+        res = eigensolve.smallest_eigs(a, m)
+        assert res.iterations == eigensolve._LOBPCG_STEPS
+        assert res.value == pytest.approx(value, rel=1e-14)
+        monkeypatch.setattr(eigensolve, "_NEARBY_RTOL", 1e-300)
+        with pytest.raises(ConvergenceError, match="above tolerance") as info:
+            eigensolve.smallest_eigs(a, m)
+        diag = info.value.diagnostics
+        assert diag["iterations"] == eigensolve._LOBPCG_STEPS
+        assert diag["residual"] > diag["bound"]
 
 
 class TestPreconditionedPath:

@@ -53,6 +53,7 @@ from robinspec import assembly, bounds, cli, eigensolve, geometry, mixed_dn, rob
 from robinspec.assembly import SigmaField
 
 from conftest import convex_polygons, interval_mesh, refined, square_mesh
+from test_mixed_dn import dense_tight_mass_root
 
 # robin runs LOBPCG on the pencil's LU on both meshes
 MESHES = {"square": square_mesh(2), "interval": interval_mesh(48)}
@@ -204,6 +205,25 @@ def test_pinned_hierarchy_matches_the_own_lu(domain, data, log_mass):
                         (prob.optimal_eigenvalue(mass), own.optimal_eigenvalue(mass))]:
         assert abs(value - want) <= 1e-12 * max(abs(want), 1.0)
     assert len(steps) <= 3
+
+
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(convex_polygons(), st.data(), st.floats(-3.0, 8.0))
+def test_own_lu_root_is_tight(domain, data, log_mass):
+    # pinned problems of at most _COARSE_NODES free nodes invert the mass
+    # curve on their own LU; refined once, these keep the dense long-double
+    # Newton root cheap
+    verts = domain.vertices
+    sides = data.draw(st.none() | st.sets(st.integers(0, len(verts) - 1), min_size=1))
+    gamma = geometry.gamma_all() if sides is None else geometry.gamma_sides(*sides)
+    mesh = geometry.refine(geometry.build_mesh(geometry.polygon(verts, gamma=gamma), 0.5))
+    prob = mixed_dn.MixedProblem(mesh)
+    assert len(prob.free) <= eigensolve._COARSE_NODES
+    mass = 10.0 ** log_mass
+    xi = prob.optimal_eigenvalue(mass)
+    tight = float(dense_tight_mass_root(prob, mass, xi))
+    assert abs(xi - tight) <= 1e-12 * tight
 
 
 PROBLEMS = {name: mixed_dn.MixedProblem(mesh) for name, mesh in MESHES.items()}
