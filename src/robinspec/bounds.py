@@ -262,8 +262,7 @@ def scaling_table(mesh: Mesh, sigma: SigmaField, eps_grid) -> List[ScalingRow]:
     ops = assembly.operators(mesh)
     bmat = assembly.assemble_boundary_mass(mesh, sigma)
     levels = assembly.hierarchy(mesh)
-    family = NearbyPencils(mesh.dim,
-                           reference=shifted_factor(ops.stiffness + bmat, ops.mass, levels))
+    family = NearbyPencils(reference=shifted_factor(ops.stiffness + bmat, ops.mass, levels))
     mus = [family.lowest(ops.stiffness + eps * bmat, ops.mass, levels).value for eps in eps_grid]
     return [ScalingRow(float(e), mu / (e * e), mu / e, mu) for e, mu in zip(eps_grid, mus)]
 

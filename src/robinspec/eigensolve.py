@@ -51,13 +51,13 @@ stop), and 23-34 near the margin xi -> E1 (1 - 1e-9), where K - xi M is
 nearly singular.  On its own LU it takes 0-2 steps, each an iterative
 refinement step (the tests' own-LU meshes, masses from 1e-3 to 1e10).
 
-`NearbyPencils` solves a sequence of nearby pencils in order: a family
-that shares M (one Robin problem under a range of boundary coefficients)
-or a chain of uniformly refined meshes.  Each pencil is warm-started from
-the last and stops at tol = `_NEARBY_RTOL`.  A member that gives up on a
-family's V-cycle is solved alone on its hierarchy; one that gives up on an
-LU, or a chain level, falls back on its own LU, after which a family stays
-on LUs and a chain stops nesting.
+`NearbyPencils` solves every pencil: a single one, a family that shares M
+(one Robin problem under a range of boundary coefficients) or a chain of
+uniformly refined meshes, each warm-started from the last to tol =
+`_NEARBY_RTOL`.  One rule ends every give-up: a pencil without a reference,
+or whose warm run gave up, is solved alone on its `shifted_factor` pair,
+and where that V-cycle's run gives up, on its own LU.  The pair it was
+solved on is the next reference.
 
 Every path returns the Rayleigh quotient of its M-normalised vector as the
 eigenvalue, accurate to the square of the residual: within 4e-14 |rho|
@@ -255,7 +255,7 @@ def shifted_factor(a: sp.spmatrix, m: sp.spmatrix, levels=()):
     except RuntimeError as exc:
         raise MatrixError(f"shifted factorization failed: {exc}") from exc
     for fine, prolongation in reversed(cycles):
-        solver = _VCycle(fine, prolongation, solver, cap=3)  # planar: d + 1
+        solver = _VCycle(fine, prolongation, solver)
     return tau, solver
 
 
@@ -423,24 +423,26 @@ class _VCycle:
 
     With W = omega diag(S)^-1, Q = (I - W S)^_SWEEPS and C the coarse solve,
     the cycle is B = S^-1 - Q S^-1 Q^T + Q P C P^T Q^T, symmetric when C is.
-    omega is `_SMOOTHING` / min(g, cap), with g = max_i sum_j |s_ij| / s_ii
+    omega is `_SMOOTHING` / min(g, 3), with g = max_i sum_j |s_ij| / s_ii
     the level's Gershgorin bound on lambda_max(diag(S)^-1 S) (2 on every
-    level of the refined square, disk and triangle) and cap = d + 1 the
-    bound for P1 elements in d dimensions, which holds for a Galerkin P^T S P
-    too: it sums one positive semidefinite block of size d + 1 per coarse
-    element.  So lambda_max(W S) < 2, the smoother contracts in the S-norm,
-    S^-1 - Q S^-1 Q^T is positive definite, and so is B whenever C is
-    positive semidefinite.
+    level of the refined square, disk and triangle) and 3 = d + 1 the bound
+    for P1 elements in the plane, which holds for a Galerkin P^T S P too: it
+    sums one positive semidefinite block of size d + 1 per coarse element.
+    On an interval g <= 2 = d + 1 itself (at most 1.9999999999990 on levels
+    0-10 for sigma up to 1e12), so the cap leaves its weight alone.  So
+    lambda_max(W S) < 2, the smoother contracts in the S-norm, S^-1 -
+    Q S^-1 Q^T is positive definite, and so is B whenever C is positive
+    semidefinite.
     """
 
-    def __init__(self, shifted: sp.csr_matrix, prolongation: sp.spmatrix, coarse, cap: int):
+    def __init__(self, shifted: sp.csr_matrix, prolongation: sp.spmatrix, coarse):
         self.shifted = shifted
         self.prolongation = sp.csr_matrix(prolongation)
         self.restriction = self.prolongation.T.tocsr()
         self.coarse = coarse
         diagonal = shifted.diagonal()  # in every row, so no row is empty
         rows = np.add.reduceat(np.abs(shifted.data), shifted.indptr[:-1])
-        self.weights = _SMOOTHING / min(np.max(rows / diagonal), cap) / diagonal
+        self.weights = _SMOOTHING / min(np.max(rows / diagonal), 3) / diagonal
 
     def _smooth(self, x: np.ndarray, b: np.ndarray, sweeps: int) -> np.ndarray:
         for _ in range(sweeps):
@@ -455,39 +457,32 @@ class _VCycle:
 
 
 class NearbyPencils:
-    """Lowest eigenpairs of a sequence of nearby pencils, solved in order,
-    each warm-started from the last.
+    """Lowest eigenpairs of a sequence of nearby pencils, or of one, solved
+    in order, each warm-started from the last.
 
     The next pencil runs LOBPCG from the last eigenvector, preconditioned by
-    the last pencil's shifted pair: a family of pencils (A_j, M) that share
-    M, such as one Robin problem under a range of boundary coefficients,
-    keeps one preconditioner.  With a prolongation from the last pencil's
-    nodes, as on a chain of uniformly refined meshes (each level started
-    from the one below: Knyazev and Neymeyr, ETNA 15, 2003), it runs from
-    the prolonged eigenvector, preconditioned by a `_VCycle` on the same
-    shift whose coarse solve is the last preconditioner, and that cycle
-    preconditions the level after.  Both stop at the rule of `_yardstick`
-    with tol = `_NEARBY_RTOL`.
+    the reference `pair`: a family of pencils (A_j, M) that share M, such as
+    one Robin problem under a range of boundary coefficients, keeps one
+    preconditioner.  With a prolongation from the last pencil's nodes, as on
+    a chain of uniformly refined meshes (each level started from the one
+    below: Knyazev and Neymeyr, ETNA 15, 2003), it runs from the prolonged
+    eigenvector, preconditioned by a `_VCycle` on the same shift whose
+    coarse solve is the reference's solver, and that cycle is the next
+    reference.  Both stop at the rule of `_yardstick` with tol =
+    `_NEARBY_RTOL`, and every warm run is paced.
 
-    The first pencil without a reference is solved on its own
-    `shifted_factor` pair, as `smallest_eigs` solves a pencil alone: a
-    V-cycle over its hierarchy's coarse LU where it is given the
-    prolongations of coarser levels, its own LU otherwise.  Every warm run
-    is paced.  A member that gives up on a family's V-cycle is solved alone
-    on its hierarchy (`lowest_alone`), and the family's only re-reference
-    is the pair it solved a pencil on alone.  Any other give-up is factored
-    and solved on its own LU; `fallbacks` counts these.  After a fallback a
-    family stays on LUs and a chain stops nesting.
+    A pencil without a reference, or whose warm run gave up, is solved
+    alone by `smallest_eigs` on `shifted_factor(a, m, levels)`, a V-cycle
+    where levels are given, and where that run gives up, on its own LU.  The
+    pair it was solved on is the next reference.
 
     reference is a nearby pencil's `shifted_factor` pair on the first
     pencil's nodes, which the first pencil then runs on from
     solver^-1 M 1.
     """
 
-    def __init__(self, dim: int, reference=None):
-        self._cap = dim + 1  # the weight's cap in a chain's cycles (see _VCycle)
-        self.fallbacks = 0
-        self._pair = reference  # (tau, solver) that preconditions the next pencil
+    def __init__(self, reference=None):
+        self.pair = reference  # (tau, solver) that preconditions the next pencil
         self._vector = None
 
     def lowest(self, a: sp.spmatrix, m: sp.spmatrix, levels,
@@ -500,10 +495,10 @@ class NearbyPencils:
         """
         a = sp.csr_matrix(a)
         m = sp.csr_matrix(m)
-        if self._pair is not None:
-            tau, solver = pair = self._pair
+        if self.pair is not None:
+            tau, solver = pair = self.pair
             if prolongation is not None:
-                pair = (tau, _VCycle((a - tau * m).tocsr(), prolongation, solver, self._cap))
+                pair = (tau, _VCycle((a - tau * m).tocsr(), prolongation, solver))
                 guess = prolongation @ self._vector
             elif self._vector is not None:
                 guess = self._vector
@@ -512,31 +507,17 @@ class NearbyPencils:
             try:
                 res = smallest_eigs(a, m, start=(pair, guess))
             except ConvergenceError:
-                # only a family member on a V-cycle gives up to its hierarchy
-                self.fallbacks += prolongation is not None or not on_hierarchy(pair)
-                self._pair = self._vector = None  # release the LU or hierarchy
+                self.pair = self._vector = None  # release the LU or hierarchy
             else:
-                self._pair, self._vector = pair, res.vector
+                self.pair, self._vector = pair, res.vector
                 return res
-        res, factor, fell_back = lowest_alone(a, m, () if self.fallbacks else levels)
-        self.fallbacks += fell_back
-        if prolongation is None or not self.fallbacks:
-            self._pair, self._vector = factor, res.vector
+        pair = shifted_factor(a, m, levels)
+        try:
+            res = smallest_eigs(a, m, factor=pair)
+        except ConvergenceError:
+            if not on_hierarchy(pair):
+                raise
+            pair = shifted_factor(a, m)
+            res = smallest_eigs(a, m, factor=pair)
+        self.pair, self._vector = pair, res.vector
         return res
-
-
-def lowest_alone(a: sp.spmatrix, m: sp.spmatrix, levels):
-    """(EigResult, pair, fell back): the lowest eigenpair of the pencil
-    (a, m) solved on its own, as `smallest_eigs` solves it, and the
-    `shifted_factor` pair it was solved on.  levels are as in
-    `shifted_factor`.  Where the pair is a V-cycle the run is paced, and a
-    run that gives up falls back on the pencil's own LU, which the pair then
-    is."""
-    factor = shifted_factor(a, m, levels)
-    try:
-        return smallest_eigs(a, m, factor=factor), factor, False
-    except ConvergenceError:
-        if not on_hierarchy(factor):
-            raise
-    factor = shifted_factor(a, m)
-    return smallest_eigs(a, m, factor=factor), factor, True

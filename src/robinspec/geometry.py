@@ -621,10 +621,6 @@ def gamma_nodes(mesh: Mesh) -> np.ndarray:
     return np.unique(marked)
 
 
-def boundary_nodes(mesh: Mesh) -> np.ndarray:
-    return np.unique(mesh.boundary)
-
-
 # ---------------------------------------------------------------------------
 # Convex polygons as half-planes: inradius and distance to the boundary
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from . import assembly
 from .assembly import SigmaField
-from .eigensolve import NearbyPencils, lowest_alone, on_hierarchy, solve_spd
+from .eigensolve import NearbyPencils, on_hierarchy, solve_spd
 from .errors import ArgumentError, RangeError
 from .geometry import Mesh, gamma_nodes
 
@@ -192,17 +192,17 @@ class MixedProblem:
     restricted to the free nodes, the ground state and the seeded space of
     the Galerkin resolvent model, computed once, on construction.
 
-    Above `eigensolve._COARSE_NODES` free nodes on a planar mesh with
-    coarser levels (any mesh `refine` or `build_mesh` made; not one read
-    from a file) the ground state runs on the pinned pencil's hierarchy
-    (`assembly.hierarchy` given the free nodes), and the problem keeps its
-    V-cycle, which preconditions each resolvent solve; the model is seeded
-    with phi alone.  Otherwise, and where the ground state's run on the
-    V-cycle gave up (`eigensolve.lowest_alone`), the shifted LU of the
-    ground eigensolve seeds the model with its Krylov vectors and is not
-    kept, and each resolvent solve runs on its own LU of K - xi M.  Every
-    resolvent solve is the same conjugate gradients (`eigensolve.solve_spd`),
-    started from the model's vector at its xi.
+    The ground state is a one-pencil `eigensolve.NearbyPencils`.  Above
+    `eigensolve._COARSE_NODES` free nodes on a planar mesh with coarser
+    levels (any mesh `refine` or `build_mesh` made; not one read from a
+    file) it runs on the pinned pencil's hierarchy (`assembly.hierarchy`
+    given the free nodes), and the problem keeps its V-cycle, which
+    preconditions each resolvent solve; the model is seeded with phi alone.
+    Otherwise, and where the run on the V-cycle gave up, the shifted LU the
+    ground state was solved on (`pair`) seeds the model with its Krylov
+    vectors and is not kept, and each resolvent solve runs on its own LU of
+    K - xi M.  Every resolvent solve is the same conjugate gradients
+    (`eigensolve.solve_spd`), started from the model's vector at its xi.
     """
 
     def __init__(self, mesh: Mesh):
@@ -216,16 +216,17 @@ class MixedProblem:
         self.hierarchy = assembly.hierarchy(mesh)
         self.load = ops.load[self.free]
         levels = assembly.hierarchy(mesh, self.free)
-        res, pair, _ = lowest_alone(self.k_ff, self.m_ff, levels)
+        ground = NearbyPencils()
+        res = ground.lowest(self.k_ff, self.m_ff, levels)
         phi = np.zeros(mesh.num_nodes)
         phi[self.free] = res.vector
         integral = float(np.ones(len(phi)) @ (self.mass_matrix @ phi))
         if integral < 0.0:
             phi, integral = -phi, -integral
         self.ground = MixedGroundState(res.value, phi, integral)
-        self._cycle = pair[1] if on_hierarchy(pair) else None
+        self._cycle = ground.pair[1] if on_hierarchy(ground.pair) else None
         self._seeded = _ResolventModel(self.k_ff, self.m_ff, self.load, phi[self.free],
-                                       None if self._cycle is not None else pair[1])
+                                       None if self._cycle is not None else ground.pair[1])
 
     def _check_xi(self, xi: float) -> None:
         e1 = self.ground.value
@@ -379,7 +380,7 @@ class MixedProblem:
         b = assembly.assemble_boundary_mass(self.mesh, sigma)
         recovered_mass = float(ones @ (b @ ones))
         minimizer = xi * u + 1.0
-        pencils = NearbyPencils(self.mesh.dim)
+        pencils = NearbyPencils()
         check = pencils.lowest(self.stiffness + b, self.mass_matrix, self.hierarchy)
         opt = OptimalSigma(mass=mass, value=xi, resolvent=u, sigma=sigma,
                            minimizer=minimizer, mass_defect=abs(recovered_mass - mass),

@@ -12,7 +12,7 @@ from . import assembly, geometry
 from .assembly import SigmaField
 # smallest_eigs is unused here, but the benchmark's tracer patches it as
 # robin.smallest_eigs
-from .eigensolve import EigResult, NearbyPencils, lowest_alone, smallest_eigs
+from .eigensolve import EigResult, NearbyPencils, smallest_eigs
 from .errors import ArgumentError, ResolutionError
 from .geometry import GAMMA, Mesh
 
@@ -35,8 +35,8 @@ def lowest_eigenvalue(mesh: Mesh, sigma: SigmaField) -> RobinResult:
     solved alone on the mesh's hierarchy (a family of one pencil)."""
     ops = assembly.operators(mesh)
     b = assembly.assemble_boundary_mass(mesh, sigma)
-    return _robin_result(mesh, NearbyPencils(mesh.dim).lowest(ops.stiffness + b, ops.mass,
-                                                              assembly.hierarchy(mesh)))
+    return _robin_result(mesh, NearbyPencils().lowest(ops.stiffness + b, ops.mass,
+                                                      assembly.hierarchy(mesh)))
 
 
 def _robin_result(mesh: Mesh, res: EigResult) -> RobinResult:
@@ -54,12 +54,15 @@ def refinement_levels(mesh: Mesh, sigma: SigmaField,
     level is solved on its own LU.  sigma must fit every level: a constant
     field, or a per-facet one on an interval, whose refinements keep its
     two facets.  Each value is the one `lowest_eigenvalue` gives on its
-    mesh, up to the eigensolver's gate."""
+    mesh, up to the eigensolver's gate.  levels outside [0, mesh.level]
+    raise ArgumentError before any level is solved."""
+    if not 0 <= levels <= mesh.level:
+        raise ArgumentError(f"refinement levels must lie in [0, {mesh.level}], got {levels}")
     hierarchy = []
     for _ in range(levels):
         hierarchy.append(mesh)
         mesh = mesh.coarse[0]
-    chain = NearbyPencils(mesh.dim)
+    chain = NearbyPencils()
     for mesh in reversed(hierarchy):
         ops = assembly.operators(mesh)
         b = assembly.assemble_boundary_mass(mesh, sigma)
@@ -73,7 +76,7 @@ def dirichlet_eigenvalue(mesh: Mesh, fixed: np.ndarray) -> float:
     hierarchy restricted to the free nodes above the coarse size."""
     ops = assembly.operators(mesh)
     free, k_ff, m_ff = ops.restrict(fixed)
-    return lowest_alone(k_ff, m_ff, assembly.hierarchy(mesh, free))[0].value
+    return NearbyPencils().lowest(k_ff, m_ff, assembly.hierarchy(mesh, free)).value
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
         raise ArgumentError("concentration sweep requires a planar mesh")
     if mass <= 0:
         raise ArgumentError("mass must be positive")
+    if n_max < 0:
+        raise ArgumentError(f"n_max must be nonnegative, got {n_max}")
     pt = np.asarray(point, dtype=float)
     d0 = np.linalg.norm(mesh.nodes[mesh.boundary[:, 0]] - pt, axis=1)
     d1 = np.linalg.norm(mesh.nodes[mesh.boundary[:, 1]] - pt, axis=1)
@@ -105,7 +110,7 @@ def concentration_sweep(mesh: Mesh, mass: float, point, n_max: int,
     on_gamma = mesh.boundary_markers == GAMMA
     ops = assembly.operators(mesh)
     levels = assembly.hierarchy(mesh)
-    family = NearbyPencils(mesh.dim)
+    family = NearbyPencils()
     rows: List[ConcentrationRow] = []
     for n in range(1, n_max + 1):
         r = 2.0 ** (-n)

@@ -17,6 +17,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from robinspec import assembly, eigensolve, geometry
 from robinspec.assembly import SigmaField
+from robinspec.errors import ConvergenceError
 from robinspec.geometry import GAMMA
 
 
@@ -96,7 +97,7 @@ def robin_spectrum(mesh, sigma, k):
 
 def dirichlet_spectrum(mesh, k):
     """The k smallest eigenvalues pinned to zero on the whole boundary."""
-    _, k_ff, m_ff = assembly.operators(mesh).restrict(geometry.boundary_nodes(mesh))
+    _, k_ff, m_ff = assembly.operators(mesh).restrict(np.unique(mesh.boundary))
     return dense_eigenvalues(k_ff, m_ff, k)
 
 
@@ -133,3 +134,21 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "splu", counted)
     return sizes
+
+
+@pytest.fixture
+def give_ups(monkeypatch):
+    """The diagnostics of every eigensolve that gave up in eigensolve's
+    module-level smallest_eigs, warm-started or own, in order."""
+    seen = []
+    smallest_eigs = eigensolve.smallest_eigs
+
+    def recorded(a, m, factor=None, start=None):
+        try:
+            return smallest_eigs(a, m, factor=factor, start=start)
+        except ConvergenceError as exc:
+            seen.append(exc.diagnostics)
+            raise
+
+    monkeypatch.setattr(eigensolve, "smallest_eigs", recorded)
+    return seen

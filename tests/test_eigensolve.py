@@ -372,13 +372,13 @@ class TestKernel:
         assert diag["iterations"] == 1 and diag["residual"] > diag["bound"]
 
     @pytest.mark.parametrize("level", [5, 6, 7], ids=["L5", "L6", "L7"])
-    def test_square_scale_grid_needs_no_fallback(self, level, monkeypatch):
+    def test_square_scale_grid_needs_no_fallback(self, level, monkeypatch, factorizations):
         # the benchmark's grid on the CLI's squares, all above the coarse
         # size.  On one fine LU of the unscaled pencil its eps = 1000 member
         # took 39 of the 40 applications allowed at level 7 and fell back at
         # levels 5 and 6.  On V-cycles its eps = 100 member gives up at its
         # pace and is solved on its own hierarchy, the family's next
-        # reference, which is no fallback.
+        # reference, and the fine mesh is never factored.
         families = []
         init = eigensolve.NearbyPencils.__init__
 
@@ -391,8 +391,8 @@ class TestKernel:
         assert mesh.num_nodes > eigensolve._COARSE_NODES
         bounds.scaling_table(mesh, SigmaField.constant(1.0),
                              [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3])
-        (family,) = families
-        assert family.fallbacks == 0
+        assert len(families) == 1
+        assert max(factorizations) <= eigensolve._COARSE_NODES
 
 
 class TestFailureDiagnostics:

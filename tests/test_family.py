@@ -5,9 +5,10 @@ coarse size a V-cycle over its hierarchy's coarse LU.
 A family must reproduce each member's solve on its own LU (which replaced
 shift-invert ARPACK, hence the class name), give up at its pace where its
 reference is poor and then solve the member on its own (on its hierarchy
-from a V-cycle, on its own LU from an LU, which then is the reference),
-keep to one factorization per reference it takes, factor the fine mesh
-only on a fallback, and raise no warnings.
+where it has one, and on its own LU where it has none or its run there
+gives up), which then is the reference, keep to one factorization per
+reference it takes, factor the fine mesh only where a run on the hierarchy
+gives up, and raise no warnings.
 """
 
 import warnings
@@ -42,24 +43,6 @@ def members(monkeypatch):
     return seen
 
 
-@pytest.fixture
-def give_ups(monkeypatch):
-    """The diagnostics of every warm-started run that gave up, in order."""
-    seen = []
-    smallest_eigs = eigensolve.smallest_eigs
-
-    def recorded(a, m, factor=None, start=None):
-        try:
-            return smallest_eigs(a, m, factor=factor, start=start)
-        except ConvergenceError as exc:
-            if start is not None:
-                seen.append(exc.diagnostics)
-            raise
-
-    monkeypatch.setattr(eigensolve, "smallest_eigs", recorded)
-    return seen
-
-
 def families(seen):
     return list({id(fam): fam for *_, fam in seen}.values())
 
@@ -84,12 +67,14 @@ class TestAgreementWithArpack:
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_maximality_trials(self, level, members):
         rep = run_family(level, "maximality")
-        # lambda_check is the family's first member, then the 8 trials
-        assert len(members) == 1 + 8 and rep.passed
-        assert [t.eigenvalue for t in rep.trials] == [r.value for _, _, r, _ in members[1:]]
+        # the pinned ground state, a pencil of its own; then lambda_check,
+        # the trial family's first member, and the 8 trials
+        assert len(members) == 1 + 1 + 8 and rep.passed
+        assert len(families(members)) == 2
+        assert [t.eigenvalue for t in rep.trials] == [r.value for _, _, r, _ in members[2:]]
         assert_agrees_with_own_factor_solves(members)
         opt = mixed_dn.MixedProblem(MESHES[level]).optimal_sigma(1.0)
-        assert members[0][2].value == opt.lambda_check
+        assert members[1][2].value == opt.lambda_check
 
     @pytest.mark.parametrize("level", sorted(MESHES))
     def test_scale_grid(self, level, members):
@@ -116,10 +101,9 @@ class TestFactorizationBudget:
         # both meshes lie above the coarse size: the family's references are
         # V-cycles over a coarse LU, the first one and one for each member
         # that gave up at its pace on the family's V-cycle, which is then
-        # solved alone on its own hierarchy, so no give-up is a fallback
+        # solved alone on its own hierarchy, where it keeps its pace
         run_family(level, which)
-        (fam,) = families(members)
-        assert fam.fallbacks == 0
+        assert len(families(members)) == 1
         assert len(factorizations) == 1 + len(give_ups)
         # the scale grid's eps = 100 member falls behind on the V-cycle of
         # K + B; the concentration steps keep their pace
@@ -128,15 +112,14 @@ class TestFactorizationBudget:
         assert max(factorizations) <= eigensolve._COARSE_NODES < MESHES[level].num_nodes
 
     @pytest.mark.parametrize("level", sorted(MESHES))
-    def test_maximality(self, level, members, factorizations):
+    def test_maximality(self, level, members, factorizations, give_ups):
         # lambda_check, the family's first member, runs on a V-cycle over one
         # coarse LU, which the trials reuse.  The pinned pencil at level 4
         # (961 free nodes) is factored for its ground state and once for its
         # one Newton step; at level 5 it runs on its own hierarchy, over one
         # coarse LU, and its Newton steps factor nothing
         run_family(level, "maximality")
-        (fam,) = families(members)
-        assert fam.fallbacks == 0
+        assert len(families(members)) == 2 and give_ups == []
         assert len(factorizations) == {4: 3, 5: 2}[level]
         if level == 5:
             assert max(factorizations) <= eigensolve._COARSE_NODES
@@ -149,32 +132,57 @@ class TestFallback:
         b = assembly.assemble_boundary_mass(mesh, SigmaField.constant(1.0))
         return ops.stiffness, b, ops.mass
 
-    def test_poor_reference_falls_back_gated_and_refactored(self, factorizations):
+    def test_poor_reference_falls_back_gated_and_refactored(self, factorizations, give_ups):
         k, b, m = self.pencil()
         # a near-Dirichlet reference preconditions a near-Neumann member badly
-        fam = eigensolve.NearbyPencils(2, reference=eigensolve.shifted_factor(k + 1e6 * b, m))
+        fam = eigensolve.NearbyPencils(reference=eigensolve.shifted_factor(k + 1e6 * b, m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fam.lowest(k + 1e-3 * b, m, ())
-        assert fam.fallbacks == 1
+        assert len(give_ups) == 1
         assert len(factorizations) == 2
         # the member's LU is the new reference: its neighbour needs no refactor
         fam.lowest(k + 2e-3 * b, m, ())
-        assert fam.fallbacks == 1
+        assert len(give_ups) == 1
         assert len(factorizations) == 2
         # the fallback is the member's solve on its own LU, gate included
         own = eigensolve.smallest_eigs(k + 1e-3 * b, m)
         assert res.value == own.value and res.residual == own.residual
         assert res.iterations == own.iterations > 0
 
+    @pytest.mark.parametrize("hierarchy", [False, True], ids=["lu", "v-cycle"])
+    def test_the_reference_after_a_give_up_is_the_members_own_pair(self, hierarchy, give_ups,
+                                                                   monkeypatch):
+        # the member that gives up on the near-Dirichlet reference is solved
+        # alone on its own shifted pair, which the family then keeps
+        k, b, m = self.pencil()
+        levels = assembly.hierarchy(MESHES[4]) if hierarchy else ()
+        far = eigensolve.shifted_factor(k + 1e6 * b, m, levels)
+        fam = eigensolve.NearbyPencils(reference=far)
+        assert fam.pair is far
+        pairs = []
+        shifted_factor = eigensolve.shifted_factor
+
+        def recorded(a, m, levels=()):
+            pairs.append(shifted_factor(a, m, levels))
+            return pairs[-1]
+
+        monkeypatch.setattr(eigensolve, "shifted_factor", recorded)
+        res = fam.lowest(k + 1e-3 * b, m, levels)
+        assert len(give_ups) == 1
+        (own,) = pairs
+        assert fam.pair is own and eigensolve.on_hierarchy(own) == hierarchy
+        alone = eigensolve.smallest_eigs(k + 1e-3 * b, m, factor=own)
+        assert res.value == alone.value and res.iterations == alone.iterations
+
     def test_family_on_an_lu_keeps_it_after_slow_members(self, factorizations, give_ups):
         # a member that is slow on the family's LU but keeps its pace does
         # not give up, so the LU serves every member
         k, b, m = self.pencil()
-        fam = eigensolve.NearbyPencils(2, reference=eigensolve.shifted_factor(k + 30.0 * b, m))
+        fam = eigensolve.NearbyPencils(reference=eigensolve.shifted_factor(k + 30.0 * b, m))
         sigmas = (1.0, 0.1, 0.05)
         runs = [fam.lowest(k + s * b, m, ()).iterations for s in sigmas]
-        assert give_ups == [] and fam.fallbacks == 0
+        assert give_ups == []
         assert len(factorizations) == 1
         # each takes twice the applications of its own LU's run to a tighter stop
         own = [eigensolve.smallest_eigs(k + s * b, m).iterations for s in sigmas]
@@ -189,7 +197,7 @@ class TestFallback:
         nodes = np.unique(mesh.boundary)
         rng = np.random.default_rng(7)
         for _ in range(5):
-            fam = eigensolve.NearbyPencils(mesh.dim)
+            fam = eigensolve.NearbyPencils()
             for _ in range(4):
                 values = np.zeros(mesh.num_nodes)
                 values[nodes] = np.where(rng.random(len(nodes)) < 0.5, 0.0,

@@ -34,7 +34,7 @@ class TestBuildMesh:
 
     def test_disk_boundary_nodes_on_circle(self):
         mesh = geometry.build_mesh(geometry.disk((0, 0), 1.0, 64), 0.2)
-        bn = geometry.boundary_nodes(mesh)
+        bn = np.unique(mesh.boundary)
         radii = np.linalg.norm(mesh.nodes[bn], axis=1)
         assert np.max(np.abs(radii - 1.0)) < 1e-14
 
@@ -199,7 +199,7 @@ class TestRefine:
         mesh = disk_mesh(0)
         for _ in range(3):
             mesh = geometry.refine(mesh)
-            bn = geometry.boundary_nodes(mesh)
+            bn = np.unique(mesh.boundary)
             radii = np.linalg.norm(mesh.nodes[bn], axis=1)
             assert np.max(np.abs(radii - 1.0)) < 1e-12
 

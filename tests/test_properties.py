@@ -9,15 +9,16 @@ all-zero (Neumann) coefficient.
 
 Random families of nonnegative nodal coefficients are solved in order by
 one `NearbyPencils`: LOBPCG from the last eigenvector on the last LU, and a
-member factored and solved on its own LU where that fails, which then
+member factored and solved on its own LU where that gives up, which then
 becomes the family's reference.  Families run without a reference, with
 their first member's LU, and with a near-Dirichlet reference that a
-near-Neumann first member must fall back from.  Each member is held to the
+near-Neumann first member must give up on.  Each member is held to the
 same dense check, and to its standalone solve within `eigenvalue_floor`.
 On random convex polygons the same class runs as a chain of refined
 meshes: LOBPCG from the prolonged eigenvector on a V-cycle over the last
-preconditioner, and a fallback ends the nesting.  Each level must match
-the level's standalone solve to 1e-12 max(lambda, 1).
+preconditioner, and a level that gives up is solved on its own LU, which
+the level above nests over.  Each level must match the level's standalone
+solve to 1e-12 max(lambda, 1).
 
 On random convex polygons with random gamma sides, refined past the coarse
 size, a pencil solved alone on its hierarchy (LOBPCG on a V-cycle over the
@@ -136,7 +137,7 @@ def test_coefficient_family_matches_dense_solves(members, reference):
         pair = eigensolve.shifted_factor(ops.stiffness + 1e6 * boundary, ops.mass)
         members = [1e-3 * np.ones(FAMILY_MESH.num_nodes), *members]
         pencils = [ops.stiffness + 1e-3 * boundary, *pencils]
-    family = eigensolve.NearbyPencils(FAMILY_MESH.dim, reference=pair)
+    family = eigensolve.NearbyPencils(reference=pair)
     for values, pencil in zip(members, pencils):
         lam = family.lowest(pencil, ops.mass, ()).value
         a, m = fresh_pencil(FAMILY_MESH, values)
@@ -144,7 +145,8 @@ def test_coefficient_family_matches_dense_solves(members, reference):
         assert abs(lam - ref) <= RTOL * abs(ref) + round_off(a)
         alone = eigensolve.smallest_eigs(pencil, ops.mass).value
         assert abs(lam - alone) <= eigensolve.eigenvalue_floor(alone, pencil, ops.mass)
-    assert family.fallbacks > 0 or reference != "far"
+    # the far reference gave up its place to a member's own LU
+    assert family.pair is not pair or reference != "far"
 
 
 @settings(max_examples=10, derandomize=True, deadline=None,
@@ -176,12 +178,12 @@ def test_hierarchy_matches_the_fine_lu(domain, data, log_sigma):
     ops = assembly.operators(mesh)
     a = ops.stiffness + assembly.assemble_boundary_mass(
         mesh, SigmaField.on_gamma(10.0 ** log_sigma))
-    family = eigensolve.NearbyPencils(mesh.dim)
+    family = eigensolve.NearbyPencils()
     lam = family.lowest(a, ops.mass, assembly.hierarchy(mesh)).value
     want = eigensolve.smallest_eigs(a, ops.mass).value
     assert abs(lam - want) <= eigensolve.eigenvalue_floor(want, a, ops.mass)
     # a fallback is the fine LU's own solve
-    assert lam == want or not family.fallbacks
+    assert lam == want or eigensolve.on_hierarchy(family.pair)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None,

@@ -6,8 +6,8 @@ prolonged eigenvector of the level below, preconditioned by a V-cycle over
 that one factorization.  The prolongation `refine` stores must be the P1
 interpolation, the cycle must be symmetric positive definite, the chain's
 meshes must be the ones `_mesh_at_level` builds level by level, and a level
-LOBPCG cannot finish must fall back, for good, to solving each level on its
-own LU.
+LOBPCG cannot finish must be solved on its own LU, which the level above
+then nests over.
 """
 
 import contextlib
@@ -22,6 +22,7 @@ from scipy.sparse.linalg import splu
 
 from robinspec import assembly, cli, eigensolve, geometry, robin
 from robinspec.assembly import SigmaField
+from robinspec.errors import ConvergenceError
 
 from conftest import L_SHAPE, convex_polygons
 
@@ -92,8 +93,7 @@ def hierarchy(name, top):
         mesh = geometry.refine(mesh)
         ops = assembly.operators(mesh)
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
-        solver = eigensolve._VCycle((a - tau * ops.mass).tocsr(), mesh.coarse[1], solver,
-                                    mesh.dim + 1)
+        solver = eigensolve._VCycle((a - tau * ops.mass).tocsr(), mesh.coarse[1], solver)
     return a - tau * ops.mass, solver
 
 
@@ -149,7 +149,7 @@ class TestVCycle:
                 return self.matrix @ x
 
         counted = Counted(cycle.shifted)
-        counting = eigensolve._VCycle(counted, cycle.prolongation, cycle.coarse, 3)
+        counting = eigensolve._VCycle(counted, cycle.prolongation, cycle.coarse)
         assert counted.products == 0
         np.testing.assert_array_equal(counting.weights, cycle.weights)
         b = np.random.default_rng(4).standard_normal(shifted.shape[0])
@@ -233,15 +233,15 @@ class TestSmoothingWeight:
             meshes = [mesh]
             while meshes[-1].coarse is not None:
                 meshes.append(meshes[-1].coarse[0])
-            chain = eigensolve.NearbyPencils(mesh.dim)
+            chain = eigensolve.NearbyPencils()
             for fine in reversed(meshes[:-1]):
                 fine_ops = assembly.operators(fine)
                 chain.lowest(fine_ops.stiffness + assembly.assemble_boundary_mass(fine, sigma),
                              fine_ops.mass, (), fine.coarse[1])
             cycles = [(level, True) for _, solver in galerkin for level in cycle_levels(solver)]
             assert len(cycles) >= 4
-            if not chain.fallbacks:
-                cycles += [(level, kind != "disk") for level in cycle_levels(chain._pair[1])]
+            # the cycles above the last level the chain factored
+            cycles += [(level, kind != "disk") for level in cycle_levels(chain.pair[1])]
             for cycle, projection in cycles:
                 assert smoothed_spectrum_top(cycle) < 2.0
                 spectrum = cycle_spectrum(cycle)
@@ -293,36 +293,46 @@ class TestChain:
             assert assembly.operators(mesh).load @ res.eigenfunction > 0
 
 
-# domains on whose chain LOBPCG cannot finish some level on its V-cycle
+# domains on whose chain LOBPCG cannot finish some levels on their V-cycles
 STIFF = {
     "thin-rectangle": geometry.rectangle(1.0, 0.05),
     "obtuse-triangle": geometry.polygon([(0, 0), (1, 0), (0.95, 0.05)]),
 }
 
 
-class TestStickyFallback:
+class TestChainGiveUp:
     @pytest.mark.parametrize("name", sorted(STIFF))
-    def test_falls_back_for_good_and_matches_per_level_solves(self, name, splu_calls,
-                                                              monkeypatch):
-        chains = []
-
-        class Recorded(eigensolve.NearbyPencils):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                chains.append(self)
-
-        monkeypatch.setattr(robin, "NearbyPencils", Recorded)
+    def test_levels_that_give_up_are_factored_and_match_per_level_solves(self, name,
+                                                                          splu_calls):
+        # the first level, then each level whose warm run on the cycle over
+        # the last factored level gives up, is solved on its own LU, and the
+        # level above nests over that LU: the thin rectangle's levels from
+        # 289 nodes give up, and every level of the obtuse triangle
         sigma = SigmaField.constant(1.0)
         finest = cli._mesh_at_level(STIFF[name], 6, None)
         results = list(robin.refinement_levels(finest, sigma, 6))
-        (chain,) = chains
-        assert chain.fallbacks == 1
-        # the first level, then every level from the one LOBPCG could not
-        # finish, is factored
-        factored = [mesh.num_nodes for mesh, _ in results]
-        first_fallback = len(factored) - len(splu_calls) + 1
-        assert 1 <= first_fallback < len(factored)
-        assert splu_calls == [factored[0]] + factored[first_fallback:]
+        sizes = [mesh.num_nodes for mesh, _ in results]
+        assert splu_calls == ([9, 289, 1089, 4225] if name == "thin-rectangle" else sizes)
+        for mesh, res in results:
+            want = robin.lowest_eigenvalue(mesh, sigma)
+            assert abs(res.value - want.value) <= 1e-12 * want.value
+
+    def test_a_level_that_gives_up_does_not_end_the_nesting(self, splu_calls, monkeypatch):
+        # the warm run of level 3 (81 nodes) on square L5 is made to give
+        # up: that level is factored, and levels 4 and 5 nest over its LU
+        smallest_eigs = eigensolve.smallest_eigs
+
+        def gives_up_at_level_3(a, m, factor=None, start=None):
+            if start is not None and a.shape[0] == 81:
+                raise ConvergenceError("forced give-up")
+            return smallest_eigs(a, m, factor=factor, start=start)
+
+        monkeypatch.setattr(eigensolve, "smallest_eigs", gives_up_at_level_3)
+        sigma = SigmaField.constant(1.0)
+        results = list(robin.refinement_levels(level("square", 5), sigma, 5))
+        assert [mesh.num_nodes for mesh, _ in results] == [9, 25, 81, 289, 1089]
+        assert splu_calls == [9, 81]
+        monkeypatch.undo()
         for mesh, res in results:
             want = robin.lowest_eigenvalue(mesh, sigma)
             assert abs(res.value - want.value) <= 1e-12 * want.value

@@ -7,7 +7,7 @@ import pytest
 from robinspec import assembly, cli, eigensolve, exact1d, geometry, robin
 from robinspec.assembly import SigmaField
 from robinspec.eigensolve import smallest_eigs
-from robinspec.errors import ResolutionError
+from robinspec.errors import ArgumentError, ResolutionError
 
 from conftest import (dense_eigenvalues, dirichlet_spectrum, disk_mesh, interval_mesh, refined,
                       robin_spectrum, square_mesh)
@@ -78,7 +78,7 @@ class TestSpectrum:
         dirich = dirichlet_spectrum(square_l3, k)
         rob[0] = robin.lowest_eigenvalue(square_l3, SigmaField.constant(1.0)).value
         neu[0] = robin.lowest_eigenvalue(square_l3, SigmaField.constant(0.0)).value
-        dirich[0] = robin.dirichlet_eigenvalue(square_l3, geometry.boundary_nodes(square_l3))
+        dirich[0] = robin.dirichlet_eigenvalue(square_l3, np.unique(square_l3.boundary))
         for j in range(k):
             assert neu[j] <= rob[j] + 1e-9
             assert rob[j] <= dirich[j] + 1e-9
@@ -124,33 +124,44 @@ class TestConcentrationSweep:
             robin.concentration_sweep(coarse, 1.0, (0.5, 0.0), 6)
 
 
+class TestOutOfRangeCounts:
+    """Counts outside their range raise ArgumentError before any level is
+    solved."""
+
+    @pytest.mark.parametrize("levels", [3, -1], ids=["above-the-mesh-level", "negative"])
+    def test_refinement_levels(self, levels, factorizations):
+        mesh = cli._mesh_at_level(geometry.unit_square(), 2, None)
+        assert mesh.level == 2
+        with pytest.raises(ArgumentError, match="refinement levels"):
+            next(robin.refinement_levels(mesh, SigmaField.constant(1.0), levels))
+        assert factorizations == []
+
+    def test_negative_n_max(self, factorizations):
+        with pytest.raises(ArgumentError, match="n_max"):
+            robin.concentration_sweep(square_mesh(3), 1.0, (0.5, 0.0), -1)
+        assert factorizations == []
+
+
 class TestHierarchyFallback:
     @pytest.mark.parametrize("domain", [
         geometry.rectangle(1.0, 0.05),
         geometry.polygon([(0, 0), (1, 0), (0.9, 0.1)]),
     ], ids=["thin-rectangle", "obtuse-triangle"])
-    def test_a_failed_v_cycle_returns_the_fine_lu_value(self, domain, monkeypatch):
+    def test_a_failed_v_cycle_returns_the_fine_lu_value(self, domain, give_ups,
+                                                        factorizations):
         # stretched elements: LOBPCG on the V-cycle over the coarse LU gives
         # up, and the solve falls back on the fine LU
-        families = []
-
-        class Recorded(eigensolve.NearbyPencils):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                families.append(self)
-
-        monkeypatch.setattr(robin, "NearbyPencils", Recorded)
         mesh = cli._mesh_at_level(domain, 6, None)
         assert mesh.num_nodes > eigensolve._COARSE_NODES
         sigma = SigmaField.constant(1.0)
         res = robin.lowest_eigenvalue(mesh, sigma)
-        (family,) = families
-        assert family.fallbacks == 1
+        assert len(give_ups) == 1
+        assert factorizations[0] <= eigensolve._COARSE_NODES
+        assert factorizations[1:] == [mesh.num_nodes]
         ops = assembly.operators(mesh)
         a = ops.stiffness + assembly.assemble_boundary_mass(mesh, sigma)
         want = smallest_eigs(a, ops.mass)
         assert res.value == want.value and res.residual == want.residual
-
 
 
 class TestDirichletOnTheHierarchy:
@@ -158,7 +169,7 @@ class TestDirichletOnTheHierarchy:
         # 3,969 free nodes: the pinned pencil runs on a V-cycle over one
         # coarse LU, and the fine mesh is not factored
         mesh = square_mesh(5)
-        fixed = geometry.boundary_nodes(mesh)
+        fixed = np.unique(mesh.boundary)
         lam = robin.dirichlet_eigenvalue(mesh, fixed)
         assert len(factorizations) == 1
         assert factorizations[0] <= eigensolve._COARSE_NODES < mesh.num_nodes - len(fixed)
